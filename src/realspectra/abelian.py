@@ -317,10 +317,6 @@ class PresGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def same_invariants(self, other: "PresGroup") -> bool:
-        return (self.free_rank == other.free_rank
-                and self.invariant_factors == other.invariant_factors)
-
 
 def group_from_summary(free: int, f2: int) -> PresGroup:
     """The group Z^free + (Z/2)^f2, free generators first."""

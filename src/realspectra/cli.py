@@ -12,10 +12,16 @@ Shared flags: --n, --spectrum, --window, --caps, --format, --out,
 --ssdata, --oracle, --jobs.  Window syntax is `a:b,c:d` (trivial range,
 sign range); an empty range is allowed and yields an empty table.
 
+--n is the truncation height, an integer from 0 to MAX_N (4); any
+other value is a configuration error, reported before any computation.
+
 Exit codes: 0 success or clean verification, 1 verification mismatch or
 inconsistent data, 2 configuration error, 3 stabilization failure.
 
-Set REALSPECTRA_CACHE_DIR to memoize finished runs keyed by argv.
+Set REALSPECTRA_CACHE_DIR to memoize finished runs.  An entry is keyed on
+the package version, the argv and the sha256 of every input file the
+argv names (the --ssdata file), so editing an input is never served a
+stale result; entries are written atomically.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ import json
 import os
 import re
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
-from . import localcoh
+from . import __version__, localcoh
 from .blocks import (TowerClass, assemble, assemble_groups, bb_basis,
                      bb_groups, lc_of_block, nb_basis, nb_groups)
 from .charts import ChartClass, Cells, ascii_chart, svg_chart
@@ -44,6 +51,12 @@ from .grading import Degree, Window
 from .hfpss import (InternalInconsistency, MismatchError,
                     e_infinity_groups, geometric_cofibre_groups,
                     run_differentials, tate_groups)
+
+
+# largest accepted --n: costs grow with 2^n (U-powers per degree, diagonals
+# per block), and on the default window `verify` at n = 5 or `lc` at n = 6
+# already runs for over a minute
+MAX_N = 4
 
 
 class ConfigError(Exception):
@@ -332,6 +345,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
         if cfg.ssdata is not None:
             try:
                 ss = load_ssdata(cfg.ssdata)
+                ss.check_height(n)
             except (OSError, ValueError, KeyError) as err:
                 raise ConfigError(f"cannot load ssdata: {err}")
         report = verify_gorenstein(n, cfg.window, ss)
@@ -445,6 +459,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             f"{'/'.join(_FORMATS[args.command])}, got {fmt!r}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be positive, got {args.jobs}")
+    if args.n is not None and not 0 <= args.n <= MAX_N:
+        raise ConfigError(f"--n must be in 0..{MAX_N}, got {args.n}")
     return RunConfig(
         command=args.command,
         mode=getattr(args, "mode", ""),
@@ -460,12 +476,39 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _cache_path(argv: list[str]) -> str | None:
+def _input_digests(cfg: RunConfig) -> list[str]:
+    """sha256 of each input file the argv names: the --ssdata file, unless
+    the data is given inline as JSON text."""
+    if cfg.ssdata is None or cfg.ssdata.lstrip().startswith("{"):
+        return []
+    try:
+        with open(cfg.ssdata, "rb") as handle:
+            return [hashlib.sha256(handle.read()).hexdigest()]
+    except OSError:
+        return ["unreadable"]
+
+
+def _cache_path(argv: list[str], cfg: RunConfig) -> str | None:
     root = os.environ.get("REALSPECTRA_CACHE_DIR")
     if not root:
         return None
-    key = hashlib.sha256("\x00".join(argv).encode()).hexdigest()
+    blob = json.dumps([__version__, argv, _input_digests(cfg)])
+    key = hashlib.sha256(blob.encode()).hexdigest()
     return os.path.join(root, key + ".json")
+
+
+def _store(cache: str, code: int, text: str) -> None:
+    """Write a cache entry atomically: a temp file beside it, then rename."""
+    root = os.path.dirname(cache) or "."
+    os.makedirs(root, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump({"code": code, "text": text}, handle)
+        os.replace(tmp, cache)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -501,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    cache = _cache_path(argv)
+    cache = _cache_path(argv, cfg)
     if cache and os.path.exists(cache):
         with open(cache) as handle:
             hit = json.load(handle)
@@ -521,9 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     _emit(cfg, text)
     if cache and code != 2:
-        os.makedirs(os.path.dirname(cache) or ".", exist_ok=True)
-        with open(cache, "w") as handle:
-            json.dump({"code": code, "text": text}, handle)
+        _store(cache, code, text)
     return code
 
 

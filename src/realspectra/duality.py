@@ -15,12 +15,20 @@ stress-tests, since removing any datum must break the comparison
 
     pi_alpha Gamma  ==  pi_(alpha + W) of the Anderson dual,
 
-with W the Gorenstein shift of the truncation.  verify_quotient_duality
-checks the quotient counterpart against a Koszul colimit built
-degreewise from quotient tower groups, and maps_from_quotient resolves
-the mapping-group computation that pins the duality equivalence down,
-including the restriction index that distinguishes the correct
-suspension from the plain one.
+with W the Gorenstein shift of the truncation.  verify_gorenstein splits
+into two parts.  gorenstein_table, cached per (n, window), holds
+everything the SSData cannot change: the dual value of each checked
+degree, the block degrees summed into its Gamma value, and those blocks'
+totals with no records applied (their H^s rank rows are cached per
+(n, kind, block degree) and are the rows gamma_block reads).  A cheap
+pass per SSData then recomputes only the blocks a record touches, so a
+mutation sweep over many record subsets costs about one verification.
+
+verify_quotient_duality checks the quotient counterpart against a Koszul
+colimit built degreewise from quotient tower groups, and
+maps_from_quotient resolves the mapping-group computation that pins the
+duality equivalence down, including the restriction index that
+distinguishes the correct suspension from the plain one.
 """
 
 from __future__ import annotations
@@ -117,6 +125,11 @@ class SSData:
     def items(self) -> tuple:
         return self.differentials + self.extensions
 
+    def check_height(self, n: int) -> None:
+        """Raise ValueError unless the data is for the n-truncation."""
+        if self.n != n:
+            raise ValueError(f"SSData is for n={self.n}, not n={n}")
+
     @staticmethod
     def from_dict(data: dict) -> "SSData":
         diffs = tuple(
@@ -172,6 +185,23 @@ def _lc_row(n: int, kind: str, d: int):
     return tuple(lc_of_block(n, kind, d_lo=d, d_hi=d).get(d, ()))
 
 
+@lru_cache(maxsize=None)
+def _block_rows(n: int, kind: str,
+                gamma: Degree) -> tuple[tuple[int, int, int], ...]:
+    """(s, free, F_2) of the local cohomology rows through a block degree.
+
+    Ranks are summed per s; an s with nothing at gamma is left out.
+    """
+    by_s: dict[int, list[int]] = {}
+    for s, _column, module in _lc_row(n, kind, gamma.triv - gamma.sgn):
+        f, t = module_ranks(module, n, gamma)
+        if f or t:
+            acc = by_s.setdefault(s, [0, 0])
+            acc[0] += f
+            acc[1] += t
+    return tuple((s, f, t) for s, (f, t) in by_s.items())
+
+
 def gamma_block(n: int, kind: str, gamma: Degree,
                 ss: SSData | None = None) -> tuple[int, int]:
     """(free, F_2) of GBB or GNB at one block degree.
@@ -182,13 +212,7 @@ def gamma_block(n: int, kind: str, gamma: Degree,
     row has at its end.
     """
     ss = default_ssdata(n) if ss is None else ss
-    by_s: dict[int, list[int]] = {}
-    for s, _column, module in _lc_row(n, kind, gamma.triv - gamma.sgn):
-        f, t = module_ranks(module, n, gamma)
-        if f or t:
-            acc = by_s.setdefault(s, [0, 0])
-            acc[0] += f
-            acc[1] += t
+    by_s = {s: [f, t] for s, f, t in _block_rows(n, kind, gamma)}
     for rec in ss.differentials:
         if rec.block != kind:
             continue
@@ -209,6 +233,23 @@ def gamma_block(n: int, kind: str, gamma: Degree,
     return (free, f2)
 
 
+def _block_degrees(n: int, alpha: Degree,
+                   parts: tuple[str, ...] = ("bb", "nb")
+                   ) -> tuple[tuple[str, Degree], ...]:
+    """The (kind, block degree) pairs whose values sum to pi_alpha Gamma."""
+    step = _unit_degree(n)
+    span = 2 ** (n + 2)
+    d = alpha.triv - alpha.sgn
+    out = []
+    if "bb" in parts:
+        out.extend(("bb", alpha - step * k)  # display rows reach -n
+                   for k in range((d + n) // span + 1))
+    if "nb" in parts:
+        out.extend(("nb", alpha + step * j)
+                   for j in range(1, (_bbprime_diag_max(n) - d) // span + 1))
+    return tuple(out)
+
+
 def gamma_groups(n: int, ss: SSData | None, alpha: Degree,
                  parts: tuple[str, ...] = ("bb", "nb")) -> tuple[int, int]:
     """(free, F_2) of the derived vbar-power torsion at alpha.
@@ -222,22 +263,12 @@ def gamma_groups(n: int, ss: SSData | None, alpha: Degree,
     (1, 0)
     """
     ss = default_ssdata(n) if ss is None else ss
-    if ss.n != n:
-        raise ValueError(f"SSData is for n={ss.n}, not n={n}")
-    step = _unit_degree(n)
-    span = 2 ** (n + 2)
-    d = alpha.triv - alpha.sgn
+    ss.check_height(n)
     free = f2 = 0
-    if "bb" in parts:
-        for k in range((d + n) // span + 1):  # display rows reach -n
-            f, t = gamma_block(n, "bb", alpha - step * k, ss)
-            free += f
-            f2 += t
-    if "nb" in parts:
-        for j in range(1, (_bbprime_diag_max(n) - d) // span + 1):
-            f, t = gamma_block(n, "nb", alpha + step * j, ss)
-            free += f
-            f2 += t
+    for kind, gamma in _block_degrees(n, alpha, parts):
+        f, t = gamma_block(n, kind, gamma, ss)
+        free += f
+        f2 += t
     return (free, f2)
 
 
@@ -339,10 +370,8 @@ def _placement_note(n: int, ss: SSData) -> str:
     lines = []
     for rec in ss.differentials:
         shifted = rec.source - ONE
-        have = sum(
-            module_ranks(module, n, shifted)[1]
-            for s, _c, module in _lc_row(
-                n, rec.block, shifted.triv - shifted.sgn) if s == 0)
+        have = sum(t for s, _f, t in _block_rows(n, rec.block, shifted)
+                   if s == 0)
         verdict = "also available" if have >= rec.rank else "has no H^0 class"
         lines.append(
             f"d_2 source placed at {rec.source} (H^0 of {rec.block}); "
@@ -350,31 +379,120 @@ def _placement_note(n: int, ss: SSData) -> str:
     return "; ".join(lines)
 
 
+@dataclasses.dataclass(frozen=True)
+class GorensteinTable:
+    """The SSData-independent half of verify_gorenstein on one window.
+
+    entries holds, in (triv, sgn) order, one (record, blocks) pair per
+    checked degree: the record carries the dual value and the Gamma total
+    with no records applied, blocks the (kind, block degree) pairs summed
+    into that total.  base maps each block degree to its value with no
+    records, users to the entry indices that sum over it, and lines
+    groups block degrees by (kind, display diagonal), the lines along
+    which an extension record reaches.  Shared through a cache: read only.
+    """
+
+    n: int
+    entries: tuple[tuple[DualityRecord, tuple[tuple[str, Degree], ...]], ...]
+    base: dict[tuple[str, Degree], tuple[int, int]]
+    users: dict[tuple[str, Degree], tuple[int, ...]]
+    lines: dict[tuple[str, int], tuple[Degree, ...]]
+
+
+@lru_cache(maxsize=None)
+def gorenstein_table(n: int, window: Window) -> GorensteinTable:
+    """Everything verify_gorenstein reads that no SSData can change.
+
+    Covers every alpha with both alpha and -alpha inside the window;
+    built once per (n, window) and cached.
+    """
+    shift = gorenstein_shift(n)
+    dual_of = spectrum_groups(n)
+    empty = SSData(n)
+    entries = []
+    base: dict[tuple[str, Degree], tuple[int, int]] = {}
+    users: dict[tuple[str, Degree], list[int]] = {}
+    lines: dict[tuple[str, int], list[Degree]] = {}
+    for alpha in sorted(window, key=lambda a: (a.triv, a.sgn)):
+        if -alpha not in window:
+            continue
+        blocks = _block_degrees(n, alpha)
+        free = f2 = 0
+        for key in blocks:
+            value = base.get(key)
+            if value is None:
+                kind, gamma = key
+                value = base[key] = gamma_block(n, kind, gamma, empty)
+                lines.setdefault((kind, gamma.triv - gamma.sgn),
+                                 []).append(gamma)
+            users.setdefault(key, []).append(len(entries))
+            free += value[0]
+            f2 += value[1]
+        dual = anderson_dual_groups(dual_of, alpha + shift)
+        record = DualityRecord(alpha, (free, f2), dual, (free, f2) == dual)
+        entries.append((record, blocks))
+    return GorensteinTable(
+        n, tuple(entries), base,
+        {key: tuple(at) for key, at in users.items()},
+        {key: tuple(at) for key, at in lines.items()})
+
+
+def _apply_records(table: GorensteinTable,
+                   ss: SSData) -> list[DualityRecord]:
+    """The table's records with ss applied, recomputing touched blocks only.
+
+    A block is touched by a differential starting or ending at it and by
+    an extension that covers it; every other block keeps its base value.
+    """
+    touched = set()
+    for rec in ss.differentials:
+        touched.update((rec.block, at) for at in (rec.source, rec.target))
+    for rec in ss.extensions:
+        line = table.lines.get(
+            (rec.block, rec.degree.triv - rec.degree.sgn), ())
+        touched.update((rec.block, g) for g in line if rec.covers(g))
+    touched &= table.base.keys()
+    values: dict = {}
+    for key in touched:
+        try:
+            values[key] = gamma_block(table.n, key[0], key[1], ss)
+        except InconsistentSSData as err:
+            values[key] = err
+    records = [record for record, _blocks in table.entries]
+    for i in {i for key in touched for i in table.users[key]}:
+        plain, blocks = table.entries[i]
+        free, f2 = plain.gamma
+        note = ""
+        for key in blocks:  # gamma_groups order: the first bad block reports
+            value = values.get(key)
+            if value is None:
+                continue
+            if isinstance(value, InconsistentSSData):
+                free, f2, note = -1, -1, str(value)
+                break
+            free += value[0] - table.base[key][0]
+            f2 += value[1] - table.base[key][1]
+        gamma = (free, f2)
+        records[i] = DualityRecord(plain.degree, gamma, plain.dual,
+                                   gamma == plain.dual and not note, note)
+    return records
+
+
 def verify_gorenstein(n: int, window: Window,
                       ss: SSData | None = None) -> DualityReport:
     """Compare pi of Gamma with the W-shifted Anderson dual degreewise.
 
     Checks every alpha with both alpha and -alpha inside the window.
-    Inconsistent differential data is recorded as a mismatch at the
-    degree that exposes it, not raised.
+    gorenstein_table(n, window) supplies the dual side and the Gamma
+    blocks with no records applied; only the blocks that a record of ss
+    touches are recomputed, so the answers equal summing gamma_groups
+    degree by degree.  Inconsistent differential data is recorded as a
+    mismatch at the degree that exposes it, not raised.  Raises
+    ValueError when ss is for another truncation.
     """
     ss = default_ssdata(n) if ss is None else ss
-    shift = gorenstein_shift(n)
-    dual_of = spectrum_groups(n)
-    records = []
-    for alpha in window:
-        if -alpha not in window:
-            continue
-        dual = anderson_dual_groups(dual_of, alpha + shift)
-        try:
-            gamma = gamma_groups(n, ss, alpha)
-            note = ""
-        except InconsistentSSData as err:
-            gamma = (-1, -1)
-            note = str(err)
-        records.append(DualityRecord(
-            alpha, gamma, dual, gamma == dual and not note, note))
-    records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
+    ss.check_height(n)
+    records = _apply_records(gorenstein_table(n, window), ss)
     bad = sum(1 for r in records if not r.ok)
     summary = (f"n={n}: {len(records)} degrees on {window}, "
                f"{bad} mismatches")

@@ -103,3 +103,40 @@ def polynomial_rank(weights: list[int], total: int) -> int:
                 for i in range(total // head + 1))
     cache[key] = count
     return count
+
+
+def verify_gorenstein_per_degree(n: int, window, ss=None):
+    """verify_gorenstein the direct way: for each checked alpha, sum
+    gamma_groups and read the Anderson dual, with no shared table.
+
+    Returns a DualityReport built with the same records, note handling and
+    summary as the package's verifier, so the two can be compared exactly.
+    """
+    from realspectra.duality import (DualityRecord, DualityReport,
+                                     InconsistentSSData, _placement_note,
+                                     anderson_dual_groups, default_ssdata,
+                                     gamma_groups, gorenstein_shift,
+                                     spectrum_groups)
+    ss = default_ssdata(n) if ss is None else ss
+    shift = gorenstein_shift(n)
+    records = []
+    for alpha in window:
+        if -alpha not in window:
+            continue
+        dual = anderson_dual_groups(spectrum_groups(n), alpha + shift)
+        try:
+            gamma = gamma_groups(n, ss, alpha)
+            note = ""
+        except InconsistentSSData as err:
+            gamma = (-1, -1)
+            note = str(err)
+        records.append(DualityRecord(
+            alpha, gamma, dual, gamma == dual and not note, note))
+    records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
+    bad = sum(1 for r in records if not r.ok)
+    summary = (f"n={n}: {len(records)} degrees on {window}, "
+               f"{bad} mismatches")
+    placement = _placement_note(n, ss)
+    if placement:
+        summary += "; " + placement
+    return DualityReport(records, summary)

@@ -1,13 +1,15 @@
 """Command line surface: exit codes, table formats, charts, caching."""
 
 import json
+import time
 
 import pytest
 
 from realspectra.blocks import lc_of_block
 from realspectra.charts import ChartClass, ascii_chart, svg_chart, _actions
-from realspectra.cli import main
+from realspectra.cli import MAX_N, main
 from realspectra.coefficients import Monomial
+from realspectra.duality import default_ssdata
 from realspectra.grading import Degree, Window
 from realspectra.hfpss import e_infinity_groups
 
@@ -44,6 +46,21 @@ def test_missing_n_is_config_error(capsys):
 def test_bad_caps_and_jobs_are_config_errors(capsys):
     assert main(["coeff", "--caps", "fast", "--window", "0:0,0:0"]) == 2
     assert main(["coeff", "--jobs", "0", "--window", "0:0,0:0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "-1"),
+    ("hfpss", "tate", "--n", "-2"),
+    ("blocks", "bb", "--n", "40"),
+    ("coeff", "--spectrum", "bprn", "--n", str(MAX_N + 1)),
+])
+def test_out_of_range_n_is_config_error(capsys, argv):
+    start = time.monotonic()
+    assert main(list(argv)) == 2
+    assert time.monotonic() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --n must be in 0..{MAX_N}")
+    assert "Traceback" not in err
 
 
 # --- coeff tables ----------------------------------------------------------------
@@ -200,6 +217,19 @@ def test_verify_unreadable_ssdata_is_config_error(capsys, tmp_path):
                  "--ssdata", str(tmp_path / "missing.json")]) == 2
 
 
+def test_verify_ssdata_of_another_height_is_config_error(capsys, tmp_path):
+    other = tmp_path / "height1.json"
+    other.write_text(json.dumps({"n": 1}))
+    code = main(["verify", "--n", "2", "--ssdata", str(other),
+                 "--window", "-2:2,-2:2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "SSData is for n=1, not n=2" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_quotient_lines_clean(capsys):
     code, out = run(capsys, "verify", "--spectrum", "bpr",
                     "--window", "-3:3,0:0")
@@ -271,3 +301,22 @@ def test_cache_replays_code_and_text(capsys, tmp_path, monkeypatch):
     first = run(capsys, *args)
     assert len(list(tmp_path.iterdir())) == 1
     assert run(capsys, *args) == first
+
+
+def test_cache_misses_after_the_ssdata_file_changes(capsys, tmp_path,
+                                                    monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(cache))
+    data = tmp_path / "ssdata.json"
+    data.write_text(json.dumps(default_ssdata(2).to_dict()))
+    args = ("verify", "--n", "2", "--ssdata", str(data),
+            "--window", "-10:10,-10:10")
+    code, clean = run(capsys, *args)
+    assert code == 0
+    assert run(capsys, *args) == (0, clean)
+    # the same argv over rewritten data must be recomputed, not replayed
+    data.write_text(json.dumps({"n": 2}))
+    code, out = run(capsys, *args)
+    assert code == 1
+    assert json.loads(out)["summary"].startswith("n=2: 441 degrees")
+    assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]

@@ -17,6 +17,8 @@ from realspectra.duality import (
     verify_quotient_duality)
 from realspectra.grading import RHO, Degree, Window
 
+from oracles import verify_gorenstein_per_degree
+
 ONE = Degree(1, 0)
 
 
@@ -208,6 +210,90 @@ def test_verify_gorenstein_height2_leave_one_out():
     for item in ss.items():
         rep = verify_gorenstein(2, Window.square(24), ss=ss.without(item))
         assert rep.mismatches, item
+
+
+def test_verify_gorenstein_rejects_ssdata_of_another_height():
+    with pytest.raises(ValueError, match="SSData is for n=1, not n=2"):
+        verify_gorenstein(2, Window.square(4), ss=default_ssdata(1))
+
+
+# the table-and-pass verifier against the degree-by-degree route
+
+def _record_subsets(ss: SSData):
+    items = ss.items()
+    for mask in range(2 ** len(items)):
+        keep = [item for i, item in enumerate(items) if mask >> i & 1]
+        yield SSData(ss.n,
+                     tuple(d for d in ss.differentials if d in keep),
+                     tuple(e for e in ss.extensions if e in keep))
+
+
+def _assert_matches_per_degree(n: int, window: Window, ss: SSData):
+    got = verify_gorenstein(n, window, ss=ss)
+    want = verify_gorenstein_per_degree(n, window, ss)
+    assert got.records == want.records, ss
+    assert got.summary == want.summary, ss
+
+
+def test_table_pass_matches_per_degree_on_all_height2_subsets():
+    subsets = list(_record_subsets(default_ssdata(2)))
+    assert len(subsets) == 64
+    for sub in subsets:
+        _assert_matches_per_degree(2, Window.square(12), sub)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_table_pass_matches_per_degree_low_heights(n):
+    for ss in (default_ssdata(n), SSData(n)):
+        _assert_matches_per_degree(n, Window.square(10), ss)
+
+
+def test_table_pass_matches_per_degree_on_asymmetric_window():
+    for sub in _record_subsets(default_ssdata(2)):
+        _assert_matches_per_degree(2, Window(-9, 5, -3, 11), sub)
+
+
+@st.composite
+def _bogus_ssdata(draw):
+    """A few d_2 records near the origin, most asking for F_2 ranks the
+    rows do not have, optionally with the shipped extensions."""
+    n = draw(st.sampled_from((1, 2)))
+    diffs = []
+    for _ in range(draw(st.integers(1, 3))):
+        source = Degree(draw(st.integers(-6, 2)), draw(st.integers(-10, 2)))
+        step = draw(st.integers(-2, 2))
+        target = source + Degree(step - 1, step)
+        diffs.append(Differential(draw(st.sampled_from(("bb", "nb"))),
+                                  source, target, draw(st.integers(1, 3))))
+    exts = default_ssdata(n).extensions if draw(st.booleans()) else ()
+    return SSData(n, tuple(diffs), exts)
+
+
+@given(_bogus_ssdata())
+@settings(max_examples=40, deadline=None)
+def test_table_pass_matches_per_degree_on_bogus_differentials(ss):
+    _assert_matches_per_degree(ss.n, Window.square(8), ss)
+
+
+def test_bogus_differentials_are_reported_where_exposed():
+    # the shipped d_2 out of -7s, asking for three F_2 where there is one
+    bogus = SSData(2, differentials=(
+        Differential("bb", Degree(0, -7), Degree(-1, -7), rank=3),))
+    rep = verify_gorenstein(2, Window.square(8), ss=bogus)
+    noted = {r.degree: r for r in rep.records if r.note}
+    assert set(noted) == {Degree(0, -7), Degree(-1, -7)}
+    assert noted[Degree(0, -7)].note == \
+        "d_2 needs 3 F_2 in H^0 of bb at -7s, found 1"
+    assert all(r.gamma == (-1, -1) and not r.ok for r in noted.values())
+    _assert_matches_per_degree(2, Window.square(8), bogus)
+
+
+def test_mutation_sweep_builds_the_table_once():
+    duality.gorenstein_table.cache_clear()
+    for sub in _record_subsets(default_ssdata(2)):
+        verify_gorenstein(2, Window.square(12), ss=sub)
+    info = duality.gorenstein_table.cache_info()
+    assert (info.misses, info.hits) == (1, 63)
 
 
 def test_misplaced_differential_source_is_inconsistent():
