@@ -1,0 +1,330 @@
+"""The compute half of the command line: one function per command.
+
+`cli.main` imports this module only on a cache miss, after every argument
+has been validated, because it pulls in the whole compute stack (numpy and
+every layer module); a cache hit or a configuration error never pays for
+it.  Each `cmd_*` takes a validated `cli.RunConfig` and returns the exit
+code and the rendered text; `main` maps the exceptions listed in
+`INCONSISTENT` and `StabilizationFailure` to exit codes.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+from . import localcoh
+from .blocks import (TowerClass, assemble, assemble_groups, bb_basis,
+                     lc_of_block, nb_basis)
+from .charts import ChartClass, Cells, ascii_chart, svg_chart
+from .cli import ConfigError, RunConfig
+from .coefficients import (Caps, Monomial, QuotientIdeal,
+                           StabilizationFailure, UnknownExtension,
+                           group_in_degree, tower_group)
+from .duality import (DualityReport, InconsistentSSData, load_ssdata,
+                      verify_gorenstein, verify_quotient_duality)
+from .grading import Degree, Window
+from .hfpss import (InternalInconsistency, MismatchError,
+                    e_infinity_groups, geometric_cofibre_groups,
+                    run_differentials, tate_groups)
+
+# raised by a command when its data or an engine disagrees: exit code 1
+INCONSISTENT = (MismatchError, InternalInconsistency, InconsistentSSData,
+                UnknownExtension, AssertionError)
+
+
+def _require_n(cfg: RunConfig) -> int:
+    if cfg.n is None:
+        raise ConfigError(f"{cfg.command} {cfg.mode} needs --n".rstrip())
+    return cfg.n
+
+
+def _degrees(window: Window) -> list[Degree]:
+    return sorted(window, key=lambda d: (d.triv, d.sgn))
+
+
+# --- table rendering ------------------------------------------------------------
+
+def _envelope(cfg: RunConfig, rows: list[dict], **extra) -> dict:
+    body = {"command": cfg.command, "rows": rows}
+    if cfg.mode:
+        body["mode"] = cfg.mode
+    if cfg.n is not None:
+        body["n"] = cfg.n
+    if cfg.window is not None:
+        body["window"] = [cfg.window.triv_min, cfg.window.triv_max,
+                          cfg.window.sgn_min, cfg.window.sgn_max]
+    body.update(extra)
+    return body
+
+
+def _emit_json(body: dict) -> str:
+    return json.dumps(body, sort_keys=True, indent=1) + "\n"
+
+
+def _emit_csv(header: list[str], rows: list[list]) -> str:
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return sink.getvalue()
+
+
+def _emit_ascii(header: list[str], rows: list[list]) -> str:
+    cells = [header] + [[str(x) for x in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+             for row in cells]
+    return "\n".join(lines) + "\n"
+
+
+def _table(cfg: RunConfig, header: list[str], rows: list[list],
+           json_rows: list[dict], **extra) -> str:
+    if cfg.fmt == "json":
+        return _emit_json(_envelope(cfg, json_rows, **extra))
+    if cfg.fmt == "csv":
+        return _emit_csv(header, rows)
+    return _emit_ascii(header, rows)
+
+
+def _group_rows(cfg: RunConfig, fn) -> str:
+    """Shared (free, f2)-per-degree table; drops zero rows."""
+    header = ["triv", "sgn", "free", "f2"]
+    if cfg.window is None:
+        return _table(cfg, header, [], [])
+    rows, json_rows = [], []
+    for alpha in _degrees(cfg.window):
+        free, f2 = fn(alpha)
+        if free or f2:
+            rows.append([alpha.triv, alpha.sgn, free, f2])
+            json_rows.append({"degree": [alpha.triv, alpha.sgn],
+                              "free": free, "f2": f2})
+    return _table(cfg, header, rows, json_rows)
+
+
+# --- commands -------------------------------------------------------------------
+
+def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
+    if cfg.spectrum == "bpr":
+        caps = Caps(*cfg.caps)
+        fn = lambda a: group_in_degree(a, QuotientIdeal(), caps)
+    elif cfg.spectrum == "bprn":
+        n = _require_n(cfg)
+        fn = lambda a: assemble_groups(n, a)
+    else:
+        raise ConfigError(f"coeff supports --spectrum bpr or bprn, "
+                          f"got {cfg.spectrum!r}")
+    return 0, _group_rows(cfg, fn)
+
+
+def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
+    if cfg.mode == "einf":
+        return 0, _group_rows(cfg, lambda a: e_infinity_groups(cfg.n, a))
+    if cfg.mode in ("tate", "geo"):
+        n = _require_n(cfg)
+        fn = tate_groups if cfg.mode == "tate" else geometric_cofibre_groups
+        header = ["triv", "sgn", "rank"]
+        if cfg.window is None:
+            return 0, _table(cfg, header, [], [])
+        ranks = ((a, fn(n, a)) for a in _degrees(cfg.window))
+        rows = [[a.triv, a.sgn, r] for a, r in ranks if r]
+        json_rows = [{"degree": row[:2], "rank": row[2]} for row in rows]
+        return 0, _table(cfg, header, rows, json_rows)
+    if cfg.mode == "pages":
+        if cfg.window is None:
+            if cfg.fmt == "json":
+                return 0, _emit_json(_envelope(cfg, [], pages=[]))
+            return 0, ""
+        pages = run_differentials(cfg.n, cfg.window,
+                                  a_cap=Caps(*cfg.caps).a_cap)
+        dumped = []
+        for page in pages:
+            classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]
+                       for a, entries in sorted(
+                           page.classes.items(),
+                           key=lambda kv: (kv[0].triv, kv[0].sgn))
+                       if entries}
+            dumped.append({"r_first": page.r_first, "r_last": page.r_last,
+                           "classes": classes,
+                           "fired": [[str(x), str(y)] for x, y in page.fired]})
+        if cfg.fmt == "json":
+            return 0, _emit_json(_envelope(cfg, [], pages=dumped))
+        lines = []
+        for page in dumped:
+            total = sum(len(v) for v in page["classes"].values())
+            lines.append(f"E_{page['r_first']}..E_{page['r_last']}: "
+                         f"{total} classes, {len(page['fired'])} fired")
+            lines.extend(f"  d: {x} -> {y}" for x, y in page["fired"])
+        return 0, "\n".join(lines) + "\n"
+    raise ConfigError(f"unknown hfpss mode {cfg.mode!r}")
+
+
+def _block_classes(cfg: RunConfig, n: int, alpha: Degree) -> list:
+    if cfg.mode == "bb":
+        return bb_basis(n, alpha)
+    if cfg.mode == "nb":
+        return nb_basis(n, alpha)
+    return assemble(n, alpha)
+
+
+def cmd_blocks(cfg: RunConfig) -> tuple[int, str]:
+    n = _require_n(cfg)
+    header = ["triv", "sgn", "free", "f2", "classes"]
+    if cfg.window is None:
+        return 0, _table(cfg, header, [], [])
+    rows, json_rows = [], []
+    for alpha in _degrees(cfg.window):
+        classes = _block_classes(cfg, n, alpha)
+        if not classes:
+            continue
+        f2 = sum(1 for c in classes
+                 if (c.entry if hasattr(c, "entry") else c).torsion)
+        names = [c.describe() for c in classes]
+        rows.append([alpha.triv, alpha.sgn, len(classes) - f2, f2,
+                     "; ".join(names)])
+        json_rows.append({"degree": [alpha.triv, alpha.sgn],
+                          "free": len(classes) - f2, "f2": f2,
+                          "classes": names})
+    return 0, _table(cfg, header, rows, json_rows)
+
+
+_LC_CATALOGUE = {
+    1: lambda: (localcoh.p_module(), localcoh.dual_p(), localcoh.pbar(0),
+                localcoh.pbar(1), localcoh.dual_pbar(0), localcoh.ideal_z(0),
+                localcoh.ideal_z(1), localcoh.ideal_f2(0, 1),
+                localcoh.tower_f2(), localcoh.dual_tower_f2()),
+    2: lambda: (localcoh.p_module(), localcoh.pbar(0), localcoh.pbar(1),
+                localcoh.pbar(2), localcoh.ideal_z(0), localcoh.ideal_z(1),
+                localcoh.ideal_z(2), localcoh.ideal_f2(0, 1),
+                localcoh.ideal_f2(0, 2), localcoh.ideal_f2(1, 2)),
+}
+
+
+def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
+    n = _require_n(cfg)
+    if cfg.oracle:
+        if n not in _LC_CATALOGUE:
+            raise ConfigError(f"--oracle catalogue covers n = 1, 2; got {n}")
+        k_lo, k_hi = (-12, 12) if cfg.window is None else \
+            (cfg.window.triv_min, cfg.window.triv_max)
+        checked = []
+        for mod in _LC_CATALOGUE[n]():
+            localcoh.check_closed_form(mod, n, k_lo, k_hi)
+            checked.append(mod.describe())
+        notes = localcoh.convention_report()
+        body = {"command": "lc", "oracle": True, "n": n,
+                "range": [k_lo, k_hi], "checked": checked,
+                "convention": notes, "diffs": 0}
+        if cfg.fmt == "json":
+            return 0, _emit_json(body)
+        lines = [f"oracle agreement on {len(checked)} modules, "
+                 f"k in [{k_lo}, {k_hi}], 0 diffs"] + notes
+        return 0, "\n".join(lines) + "\n"
+    header = ["d", "s", "column", "module"]
+    if cfg.window is None:
+        return 0, _table(cfg, header, [], [])
+    table = lc_of_block(n, cfg.mode, d_lo=cfg.window.triv_min,
+                        d_hi=cfg.window.triv_max)
+    rows, json_rows = [], []
+    for d in sorted(table):
+        for s, column, module in table[d]:
+            rows.append([d, s, column, module.describe()])
+            json_rows.append({"d": d, "s": s, "column": column,
+                              "module": module.describe()})
+    return 0, _table(cfg, header, rows, json_rows)
+
+
+def _report_text(cfg: RunConfig, report: DualityReport) -> str:
+    if cfg.fmt == "json":
+        return report.to_json() + "\n"
+    lines = [report.summary]
+    lines.extend(f"mismatch at {r.degree}: gamma {r.gamma} dual {r.dual}"
+                 + (f"  [{r.note}]" if r.note else "")
+                 for r in report.mismatches)
+    lines.extend(f"skipped {r.degree}: {r.note}" for r in report.skipped)
+    return "\n".join(lines) + "\n"
+
+
+def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
+    if cfg.window is None:
+        report = DualityReport([], "empty window: 0 degrees checked")
+        return 0, _report_text(cfg, report)
+    if cfg.spectrum == "bprn":
+        n = _require_n(cfg)
+        ss = None
+        if cfg.ssdata is not None:
+            try:
+                ss = load_ssdata(cfg.ssdata)
+                ss.check_height(n)
+            except (OSError, ValueError, KeyError) as err:
+                raise ConfigError(f"cannot load ssdata: {err}")
+        report = verify_gorenstein(n, cfg.window, ss)
+    elif cfg.spectrum == "bpr":
+        caps = Caps(*cfg.caps)
+        records = []
+        for k in range(cfg.window.triv_min, cfg.window.triv_max + 1):
+            for line in (Window(k, k, k, k), Window(k - 1, k - 1, k, k)):
+                records.extend(
+                    verify_quotient_duality((), line, caps).records)
+        records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
+        bad = sum(1 for r in records if not r.ok)
+        report = DualityReport(
+            records, f"full ring rho lines k in [{cfg.window.triv_min}, "
+                     f"{cfg.window.triv_max}]: {len(records)} degrees, "
+                     f"{bad} mismatches")
+    else:
+        raise ConfigError(f"verify supports --spectrum bprn or bpr, "
+                          f"got {cfg.spectrum!r}")
+    return (0 if report.clean else 1), _report_text(cfg, report)
+
+
+def _chart_classes(cfg: RunConfig, alpha: Degree) -> list[ChartClass]:
+    if cfg.mode == "bpr":
+        group = tower_group(QuotientIdeal(), alpha, Caps(*cfg.caps))
+        if not group.exact:
+            raise UnknownExtension(f"unresolved extension at {alpha}")
+        entries = group.entries
+        n = None
+    else:
+        n = cfg.n
+        entries = _block_classes(cfg, n, alpha)
+    flat = []
+    for cls in entries:
+        u_power = 0
+        if hasattr(cls, "entry"):
+            u_power, cls = cls.u_power, cls.entry
+        if isinstance(cls, TowerClass):
+            flat.append(ChartClass(1, True, None))
+            continue
+        mono = cls.mono
+        if u_power:
+            mono = Monomial(mono.k, mono.l + u_power * 2 ** n, mono.c)
+        flat.append(ChartClass(cls.lattice, cls.torsion, mono))
+    return flat
+
+
+def cmd_chart(cfg: RunConfig) -> tuple[int, str]:
+    if cfg.window is None:
+        return 0, ""
+    if cfg.mode != "bpr":
+        _require_n(cfg)
+    cells: Cells = {}
+    for alpha in _degrees(cfg.window):
+        classes = _chart_classes(cfg, alpha)
+        if classes:
+            cells[alpha] = classes
+    max_index = 3 if cfg.mode == "bpr" else max(cfg.n, 1)
+    if cfg.fmt == "svg":
+        return 0, svg_chart(cells, cfg.window, max_index)
+    return 0, ascii_chart(cells, cfg.window)
+
+
+COMMANDS = {
+    "coeff": cmd_coeff,
+    "hfpss": cmd_hfpss,
+    "blocks": cmd_blocks,
+    "lc": cmd_lc,
+    "verify": cmd_verify,
+    "chart": cmd_chart,
+}

@@ -1,13 +1,16 @@
 """Command line surface: exit codes, table formats, charts, caching."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from realspectra.blocks import lc_of_block
 from realspectra.charts import ChartClass, ascii_chart, svg_chart, _actions
-from realspectra.cli import MAX_N, main
+from realspectra.cli import MAX_COORD, MAX_N, main
 from realspectra.coefficients import Monomial
 from realspectra.duality import default_ssdata
 from realspectra.grading import Degree, Window
@@ -63,6 +66,53 @@ def test_out_of_range_n_is_config_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--window", f"0:{MAX_COORD + 1},0:0"),
+    ("verify", "--n", "2", "--window", f"-{MAX_COORD + 1}:0,0:0"),
+    ("chart", "bpr", "--window", "-1000000:1000000,-1:1"),
+    ("hfpss", "tate", "--n", "1", "--window", "1000:0,0:0"),
+    ("coeff", "--caps", "-5", "--window", "0:0,0:0"),
+    ("coeff", "--caps", "0,0", "--window", "0:0,0:0"),
+    ("chart", "bpr", "--caps", "40,-1"),
+])
+def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
+    start = time.monotonic()
+    assert main(list(argv)) == 2
+    assert time.monotonic() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_window_at_the_coordinate_limit_runs(capsys):
+    code, out = run(capsys, "hfpss", "tate", "--n", "1",
+                    "--window", f"-{MAX_COORD}:{MAX_COORD},0:0")
+    assert code == 0
+    assert json.loads(out)["window"] == [-MAX_COORD, MAX_COORD, 0, 0]
+
+
+def test_out_to_a_missing_directory_is_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    start = time.monotonic()
+    assert main(["verify", "--n", "1", "--out", str(target),
+                 "--window", "0:1,0:1"]) == 2
+    assert time.monotonic() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out directory does not exist")
+    assert "Traceback" not in captured.err
+    assert not target.parent.exists()
+
+
+def test_failed_out_write_is_config_error(capsys, tmp_path):
+    # the directory exists, but the target is a directory, not a file
+    assert main(["verify", "--n", "1", "--out", str(tmp_path),
+                 "--window", "0:1,0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --out")
+    assert "Traceback" not in captured.err
+
+
 # --- coeff tables ----------------------------------------------------------------
 
 def test_coeff_bpr_json_spot_rows(capsys):
@@ -93,11 +143,6 @@ def test_empty_window_gives_empty_table(capsys):
     code, out = run(capsys, "coeff", "--window", "2:1,0:0", "--format", "csv")
     assert code == 0
     assert out == "triv,sgn,free,f2\n"
-
-
-def test_jobs_do_not_change_output(capsys):
-    args = ("coeff", "--spectrum", "bprn", "--n", "2", "--window", "-5:5,-5:5")
-    assert run(capsys, *args) == run(capsys, *args, "--jobs", "3")
 
 
 def test_out_writes_the_same_bytes(capsys, tmp_path):
@@ -320,3 +365,124 @@ def test_cache_misses_after_the_ssdata_file_changes(capsys, tmp_path,
     assert code == 1
     assert json.loads(out)["summary"].startswith("n=2: 441 degrees")
     assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
+
+
+@pytest.mark.parametrize("entry", [
+    '{"code": 0',                       # truncated
+    '{"text": "stale"}',                # no code
+    '{"code": "0", "text": "stale"}',   # code of the wrong type
+    '[0, "stale"]',                     # not a dict
+])
+def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
+                                             entry):
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(tmp_path))
+    args = ("verify", "--n", "1", "--window", "-2:2,-2:2")
+    first = run(capsys, *args)
+    [stored] = tmp_path.iterdir()
+    stored.write_text(entry)
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (*first, "")
+    assert json.loads(stored.read_text()) == {"code": first[0],
+                                              "text": first[1]}
+
+
+def test_unwritable_cache_dir_only_warns(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(blocker / "cache"))
+    args = ["verify", "--n", "1", "--window", "-2:2,-2:2"]
+    code = main(args)
+    captured = capsys.readouterr()
+    monkeypatch.delenv("REALSPECTRA_CACHE_DIR")
+    assert (code, captured.out) == run(capsys, *args)
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert "Traceback" not in captured.err
+
+
+def _mismatching_ssdata(tmp_path) -> str:
+    path = tmp_path / "empty_n2.json"
+    path.write_text(json.dumps({"n": 2}))
+    return str(path)
+
+
+# one argv per command and format; the verify calls with empty SSData exit 1
+REPLAYED = [
+    ("coeff", "--window", "-2:2,-2:2"),
+    ("coeff", "--window", "-2:2,-2:2", "--format", "csv"),
+    ("coeff", "--spectrum", "bprn", "--n", "1", "--window", "-2:2,-2:2",
+     "--format", "ascii"),
+    ("hfpss", "einf", "--n", "1", "--window", "-3:3,-3:3"),
+    ("hfpss", "tate", "--n", "1", "--window", "-8:8,0:0", "--format", "csv"),
+    ("hfpss", "pages", "--n", "1", "--window", "-3:3,-3:3",
+     "--format", "ascii"),
+    ("blocks", "bb", "--n", "1", "--window", "-3:3,-3:3"),
+    ("blocks", "nb", "--n", "1", "--window", "-3:3,-3:3", "--format", "csv"),
+    ("blocks", "--n", "1", "--window", "-3:3,-3:3", "--format", "ascii"),
+    ("lc", "bb", "--n", "1", "--window", "-2:6,0:0"),
+    ("lc", "nb", "--n", "1", "--window", "-6:2,0:0", "--format", "csv"),
+    ("lc", "--n", "1", "--oracle", "--window", "-2:2,0:0",
+     "--format", "ascii"),
+    ("verify", "--n", "1", "--window", "-3:3,-3:3"),
+    ("verify", "--n", "2", "--ssdata", "MISMATCHING", "--window",
+     "-6:6,-6:6"),
+    ("verify", "--n", "2", "--ssdata", "MISMATCHING", "--window",
+     "-6:6,-6:6", "--format", "ascii"),
+    ("chart", "bb", "--n", "1", "--window", "-3:3,-3:3"),
+    ("chart", "bpr", "--window", "-3:3,-3:3", "--format", "svg"),
+]
+
+
+@pytest.mark.parametrize("argv", REPLAYED)
+def test_cache_hit_replays_the_miss(capsys, tmp_path, monkeypatch, argv):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(cache))
+    argv = [_mismatching_ssdata(tmp_path) if a == "MISMATCHING" else a
+            for a in argv]
+    miss = run(capsys, *argv)
+    assert miss[0] == (1 if "--ssdata" in argv else 0)
+    [entry] = cache.iterdir()
+    written = entry.stat().st_mtime_ns
+    assert run(capsys, *argv) == miss
+    assert entry.stat().st_mtime_ns == written
+
+
+# --- the front end stays light --------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+LIGHT = ["realspectra", "realspectra.cli", "realspectra.grading"]
+PROBE = ("import sys\n"
+         "from realspectra.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.split('.')[0] in ('realspectra', 'numpy')))\n"
+         "sys.exit(code)\n")
+
+
+def fresh_process(argv, cache=None) -> tuple[int, str]:
+    """main(argv) in a new interpreter; its exit code and the package and
+    numpy modules it had loaded by the end."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REALSPECTRA_CACHE_DIR", None)
+    if cache is not None:
+        env["REALSPECTRA_CACHE_DIR"] = str(cache)
+    done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    return done.returncode, done.stdout.splitlines()[-1]
+
+
+def test_cache_hit_loads_no_compute_module(tmp_path):
+    argv = ["verify", "--n", "1", "--window", "-2:2,-2:2"]
+    code, loaded = fresh_process(argv, tmp_path)
+    assert code == 0 and "'numpy'" in loaded   # the miss computes
+    assert fresh_process(argv, tmp_path) == (0, repr(LIGHT))
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "bb", "--n", "40"],          # config error
+    ["coeff", "--jobs", "2"],               # argparse error
+])
+def test_rejected_argv_loads_no_compute_module(argv):
+    assert fresh_process(argv) == (2, repr(LIGHT))
