@@ -30,7 +30,7 @@ import numpy as np
 
 from .abelian import cokernel_of_map, kernel_of_map, map_is_surjective, zeros
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           weight_tuples)
+                           _weight_tuples_upto)
 from .grading import DELTA, Degree, RHO, SIGMA, Window
 from .hfpss import InternalInconsistency, closed_form_state, _DEAD
 from .localcoh import (LCSummand, StandardModule, ideal_f2, ideal_z,
@@ -68,7 +68,7 @@ def _bb_cached(n: int, alpha: Degree) -> tuple[BasisEntry, ...]:
         k = d - 4 * l
         if w < 0 or k < 0:
             continue
-        for c in weight_tuples(w, lambda i: 1 <= i <= n):
+        for c in _weight_tuples_upto(w, n):
             x = Monomial(k, l, c)
             state = closed_form_state(n, x)
             if state == _DEAD:

@@ -46,10 +46,11 @@ class UnknownExtension(RuntimeError):
 # monomials
 
 def _strip(c: Sequence[int]) -> tuple[int, ...]:
-    c = tuple(int(x) for x in c)
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
+    c = tuple(map(int, c))
+    end = len(c)
+    while end and c[end - 1] == 0:
+        end -= 1
+    return c[:end]
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -69,10 +70,11 @@ class Monomial:
     c: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _strip(self.c))
+        c = _strip(self.c)
+        object.__setattr__(self, "c", c)
         if self.k < 0:
             raise ValueError("negative a-exponent")
-        if any(x < 0 for x in self.c):
+        if c and min(c) < 0:
             raise ValueError("negative vbar-exponent")
 
     def degree(self) -> Degree:
@@ -303,6 +305,16 @@ def weight_tuples(w: int, allowed: Callable[[int], bool]) -> list[tuple[int, ...
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_tuples_upto(w: int, n: int | None) -> tuple[tuple[int, ...], ...]:
+    """weight_tuples(w, ...) with indices <= n (n = None: no limit), cached.
+
+    >>> _weight_tuples_upto(3, 1)
+    ((3,),)
+    """
+    return tuple(weight_tuples(w, lambda i: n is None or i <= n))
+
+
 def _enumerate_with_cap(alpha: Degree, a_cap: int) -> list[BasisEntry]:
     t, s = alpha.triv, alpha.sgn
     d = t - s
@@ -314,7 +326,7 @@ def _enumerate_with_cap(alpha: Degree, a_cap: int) -> list[BasisEntry]:
             l = (d - k) // 4
             if w >= 0:
                 if k == 0:
-                    for c in weight_tuples(w, lambda i: True):
+                    for c in _weight_tuples_upto(w, None):
                         mono = Monomial(0, l, c)
                         lat = 1 if is_in_subalgebra(mono) else 2
                         out.append(BasisEntry(mono, lat, torsion=False))

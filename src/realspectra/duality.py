@@ -162,6 +162,10 @@ def load_ssdata(text_or_path) -> SSData:
     return SSData.from_dict(json.loads(text))
 
 
+def _shipped_ssdata_path(n: int):
+    return resources.files(__package__) / "ssdata" / f"gorenstein_n{n}.json"
+
+
 @lru_cache(maxsize=None)
 def default_ssdata(n: int) -> SSData:
     """The shipped differential/extension data for one truncation.
@@ -170,9 +174,7 @@ def default_ssdata(n: int) -> SSData:
     n = 1 carries the one non-split extension, n = 2 the three d_2 ranks
     and four extensions.  Other truncations start empty.
     """
-    name = f"gorenstein_n{n}.json"
-    root = resources.files(__package__) / "ssdata"
-    path = root / name
+    path = _shipped_ssdata_path(n)
     if not path.is_file():
         return SSData(n)
     return SSData.from_dict(json.loads(path.read_text()))
@@ -488,8 +490,10 @@ def verify_gorenstein(n: int, window: Window,
     touches are recomputed, so the answers equal summing gamma_groups
     degree by degree.  Inconsistent differential data is recorded as a
     mismatch at the degree that exposes it, not raised.  Raises
-    ValueError when ss is for another truncation.
+    ValueError when ss is for another truncation.  When ss is None and no
+    SSData ships for n, a summary with mismatches says so.
     """
+    unshipped = ss is None and not _shipped_ssdata_path(n).is_file()
     ss = default_ssdata(n) if ss is None else ss
     ss.check_height(n)
     records = _apply_records(gorenstein_table(n, window), ss)
@@ -499,6 +503,8 @@ def verify_gorenstein(n: int, window: Window,
     placement = _placement_note(n, ss)
     if placement:
         summary += "; " + placement
+    if bad and unshipped:
+        summary += f"; no SSData shipped for n={n}"
     return DualityReport(records, summary)
 
 

@@ -2,7 +2,10 @@
 
 Everything here recomputes answers from first principles (generator products,
 raw monomial enumeration, explicit chain complexes) without using the closed
-forms or shortcuts from the package, so agreement is meaningful.
+forms or shortcuts from the package, so agreement is meaningful.  The two
+references at the end are different: they redo a package computation the
+direct, slower way (`verify_gorenstein_per_degree`,
+`e_infinity_basis_two_rounds`), to check an optimised path against.
 """
 
 from __future__ import annotations
@@ -114,9 +117,11 @@ def verify_gorenstein_per_degree(n: int, window, ss=None):
     """
     from realspectra.duality import (DualityRecord, DualityReport,
                                      InconsistentSSData, _placement_note,
+                                     _shipped_ssdata_path,
                                      anderson_dual_groups, default_ssdata,
                                      gamma_groups, gorenstein_shift,
                                      spectrum_groups)
+    unshipped = ss is None and not _shipped_ssdata_path(n).is_file()
     ss = default_ssdata(n) if ss is None else ss
     shift = gorenstein_shift(n)
     records = []
@@ -139,4 +144,43 @@ def verify_gorenstein_per_degree(n: int, window, ss=None):
     placement = _placement_note(n, ss)
     if placement:
         summary += "; " + placement
+    if bad and unshipped:
+        summary += f"; no SSData shipped for n={n}"
     return DualityReport(records, summary)
+
+
+def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
+    """e_infinity_basis as two full enumerations, to caps bound and bound + 8.
+
+    Each round runs a fresh propagation engine against the closed form on
+    every monomial; the answers must agree between the rounds, else a
+    survivor lies past the bound.  The engines and the bound are looked up
+    through the hfpss module, so a test that patches them there patches
+    this reference too.
+    """
+    from realspectra import hfpss
+    from realspectra.coefficients import BasisEntry, StabilizationFailure
+
+    bound = max(hfpss._exponent_bound(n, alpha), a_cap or 0)
+    rounds = []
+    for cap in (bound, bound + 8):
+        engine = hfpss._PageStates(n)
+        entries = []
+        for x in hfpss.e2_basis(n, alpha, cap):
+            got = engine.final_state(x)
+            want = hfpss.closed_form_state(n, x)
+            if got != want:
+                raise hfpss.MismatchError(
+                    f"engines disagree on {x} at {alpha}: "
+                    f"propagation {got}, closed form {want}")
+            if got == hfpss._DEAD:
+                continue
+            if x.k == 0:
+                entries.append(BasisEntry(x, got, False))
+            else:
+                entries.append(BasisEntry(x, 1, True))
+        rounds.append(entries)
+    if rounds[0] != rounds[1]:
+        raise StabilizationFailure(
+            f"final-page classes at {alpha} appear past filtration {bound}")
+    return rounds[0]

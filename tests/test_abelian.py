@@ -1,15 +1,23 @@
 """Smith normal form, presented groups, subquotients, induced maps."""
 
+import doctest
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realspectra import abelian
 from realspectra.abelian import (
     PresGroup, cokernel_of_map, group_from_summary, hstack, homology_at,
     identity, image_basis, induced_map, kernel_basis, kernel_of_map,
     map_is_surjective, mat_mul, smith_normal_form, solve_matrix, to_matrix,
     zeros,
 )
+
+
+def test_doctests():
+    result = doctest.testmod(abelian)
+    assert result.failed == 0 and result.attempted > 0
 
 
 def test_smith_known_matrix():
@@ -150,6 +158,18 @@ def test_smith_properties_random(m, n, data):
     assert k.shape == (n, n - f.rank)
     prod = mat_mul(a, k)
     assert (prod == zeros(*prod.shape)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_smith_invariant_factors_match_sympy(m, n, data):
+    """An independent Smith form (sympy's) finds the same invariant factors."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rows = [[data.draw(small) for _ in range(n)] for _ in range(m)]
+    theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert smith_normal_form(rows).diagonal() == \
+        sorted(abs(int(x)) for x in theirs if x != 0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -253,6 +253,14 @@ def test_verify_mutated_ssdata_fails(capsys, tmp_path):
     assert json.loads(out)["summary"].startswith("n=2: 841 degrees")
 
 
+def test_verify_without_shipped_ssdata_says_so(capsys):
+    code, out = run(capsys, "verify", "--n", "3",
+                    "--window", "-20:20,-20:20")
+    assert code == 1
+    assert json.loads(out)["summary"].endswith(
+        "24 mismatches; no SSData shipped for n=3")
+
+
 def test_verify_unreadable_ssdata_is_config_error(capsys, tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("[not ssdata")

@@ -1,8 +1,12 @@
 """Coefficient ring of the Real Brown-Peterson spectrum and its quotients."""
 
+import doctest
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realspectra import coefficients
 from realspectra.coefficients import (
     BasisEntry, Caps, CoeffElement, Monomial, QuotientIdeal, basis_in_degree,
     element, group_in_degree, is_in_subalgebra, mult_map, multiply,
@@ -14,8 +18,35 @@ from realspectra.grading import RHO, SIGMA, Degree, Window, generator_degree
 import oracles
 
 
+def test_doctests():
+    result = doctest.testmod(coefficients)
+    assert result.failed == 0 and result.attempted > 0
+
+
 # ---------------------------------------------------------------------------
 # monomials and membership
+
+def test_monomial_validation():
+    with pytest.raises(ValueError, match="negative a-exponent"):
+        Monomial(-1, 0)
+    with pytest.raises(ValueError, match="negative vbar-exponent"):
+        Monomial(0, 0, (1, -1))
+    with pytest.raises(ValueError, match="negative vbar-exponent"):
+        Monomial(2, 0, (-1, 0, 0))
+    # trailing zeros are stripped, so equality and hashing are structural
+    m = Monomial(1, 2, (1, 0, 0))
+    assert m.c == (1,)
+    assert m == Monomial(1, 2, (1,)) and hash(m) == hash(Monomial(1, 2, (1,)))
+    assert Monomial(0, 3, (0, 0)) == Monomial(0, 3)
+    assert Monomial(0, 0, (0, 2, 0)).c == (0, 2)
+    # lists and numpy integers become a plain int tuple
+    for c in ([2, 0, 1, 0], np.array([2, 0, 1, 0]),
+              (np.int64(2), np.int32(0), 1)):
+        got = Monomial(0, 0, c).c
+        assert got == (2, 0, 1) and type(got) is tuple
+        assert all(type(x) is int for x in got)
+    assert hash(Monomial(0, 0, np.array([1, 0]))) == hash(Monomial(0, 0, (1,)))
+
 
 def test_monomial_degree_and_zero():
     assert Monomial(1, 0).degree() == Degree(0, -1)

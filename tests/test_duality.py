@@ -212,6 +212,27 @@ def test_verify_gorenstein_height2_leave_one_out():
         assert rep.mismatches, item
 
 
+def test_missing_shipped_ssdata_is_named_in_the_summary():
+    # no gorenstein_n3.json ships; on [-20,20]^2 the empty data leaves
+    # 24 excess F_2 on the Gamma side
+    rep = verify_gorenstein(3, Window.square(20))
+    assert rep.summary == ("n=3: 1681 degrees on -20:20,-20:20, "
+                           "24 mismatches; no SSData shipped for n=3")
+    assert rep.summary == \
+        verify_gorenstein_per_degree(3, Window.square(20)).summary
+    # data passed in, even empty, is not a missing shipment
+    explicit = verify_gorenstein(3, Window.square(20), ss=SSData(3))
+    assert explicit.summary == ("n=3: 1681 degrees on -20:20,-20:20, "
+                                "24 mismatches")
+    # a clean run says nothing, shipped or not
+    assert verify_gorenstein(3, Window.square(12)).summary == \
+        "n=3: 625 degrees on -12:12,-12:12, 0 mismatches"
+    assert verify_gorenstein(0, Window.square(8)).summary == \
+        "n=0: 289 degrees on -8:8,-8:8, 0 mismatches"
+    assert "shipped" not in verify_gorenstein(
+        1, Window.square(12), ss=SSData(1)).summary
+
+
 def test_verify_gorenstein_rejects_ssdata_of_another_height():
     with pytest.raises(ValueError, match="SSData is for n=1, not n=2"):
         verify_gorenstein(2, Window.square(4), ss=default_ssdata(1))

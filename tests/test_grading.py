@@ -1,8 +1,11 @@
 """Degree arithmetic, diagonals, generator degrees, windows."""
 
+import doctest
+
 import pytest
 from hypothesis import given, strategies as st
 
+from realspectra import grading
 from realspectra.grading import (
     DELTA, RHO, SIGMA, ZERO, Degree, Window, generator_degree,
     total_vbar_degree,
@@ -10,6 +13,11 @@ from realspectra.grading import (
 
 small_ints = st.integers(min_value=-50, max_value=50)
 degrees = st.builds(Degree, small_ints, small_ints)
+
+
+def test_doctests():
+    result = doctest.testmod(grading)
+    assert result.failed == 0 and result.attempted > 0
 
 
 def test_basic_constants():

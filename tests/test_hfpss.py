@@ -1,17 +1,26 @@
 """Spectral sequence engine: pages, differentials, final-page groups."""
 
+import doctest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realspectra.coefficients import Monomial, basis_in_degree, vbar_monomial
+from realspectra import hfpss
+from realspectra.coefficients import (Monomial, StabilizationFailure,
+                                      basis_in_degree, vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (
-    _PageStates, closed_form_state, e2_basis, e_infinity_basis,
-    e_infinity_groups, geometric_cofibre_groups, run_differentials,
-    tate_groups,
+    _DEAD, MismatchError, _PageStates, closed_form_state, e2_basis,
+    e_infinity_basis, e_infinity_groups, geometric_cofibre_groups,
+    run_differentials, tate_groups,
 )
 
 import oracles
+
+
+def test_doctests():
+    result = doctest.testmod(hfpss)
+    assert result.failed == 0 and result.attempted > 0
 
 
 def test_e2_basis_families():
@@ -50,6 +59,71 @@ def test_final_page_matches_coefficient_ring():
     for alpha in Window(-8, 8, -6, 6):
         assert sorted(e_infinity_basis(None, alpha)) == \
             sorted(basis_in_degree(alpha)), str(alpha)
+
+
+def _outcome(fn, n, alpha, a_cap=None):
+    """The entries fn returns, or the type and message of what it raises."""
+    try:
+        return fn(n, alpha, a_cap)
+    except (MismatchError, StabilizationFailure) as err:
+        return (type(err), str(err))
+
+
+def _assert_matches_two_rounds(n, alpha, a_cap=None):
+    got = _outcome(e_infinity_basis, n, alpha, a_cap)
+    assert got == _outcome(oracles.e_infinity_basis_two_rounds, n, alpha,
+                           a_cap), (n, alpha, a_cap)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, None])
+def test_single_enumeration_matches_two_rounds(n):
+    for alpha in Window(-6, 6, -6, 6):
+        for a_cap in (None, 12):
+            _assert_matches_two_rounds(n, alpha, a_cap)
+
+
+def test_survivor_past_the_bound_is_stabilization_failure(monkeypatch):
+    monkeypatch.setattr(hfpss, "_exponent_bound", lambda n, alpha: 0)
+    alpha = Degree(0, -3)    # a^3 survives, at filtration 3
+    got = _assert_matches_two_rounds(1, alpha)
+    assert got == (StabilizationFailure,
+                   f"final-page classes at {alpha} appear past filtration 0")
+    # a cap at the survivor's filtration raises the bound past it
+    got = _assert_matches_two_rounds(1, alpha, 3)
+    assert [e.describe() for e in got] == ["a^3"]
+
+
+def _closed_form_flipped_on(monkeypatch, flipped: Monomial):
+    real = closed_form_state
+
+    def fake(n, x, p=None):
+        state = real(n, x, p)
+        if x != flipped:
+            return state
+        return True if state == _DEAD else _DEAD
+
+    monkeypatch.setattr(hfpss, "closed_form_state", fake)
+
+
+def test_engine_disagreement_is_mismatch_error(monkeypatch):
+    _closed_form_flipped_on(monkeypatch, Monomial(3, 0))
+    got = _assert_matches_two_rounds(1, Degree(0, -3))
+    assert got[0] is MismatchError
+    assert got[1].startswith("engines disagree on a^3 at")
+    # other degrees never meet the flipped class
+    assert e_infinity_groups(1, Degree(0, -1)) == (0, 1)
+
+
+def test_disagreement_past_a_survivor_outranks_stabilization(monkeypatch):
+    # with bound 0, a^3 survives past it, and the dead a^7 u^-1 v1^2 after
+    # it in the listing is flipped alive
+    monkeypatch.setattr(hfpss, "_exponent_bound", lambda n, alpha: 0)
+    late = Monomial(7, -1, (2,))
+    assert late in e2_basis(1, Degree(0, -3), a_cap=8)
+    _closed_form_flipped_on(monkeypatch, late)
+    got = _assert_matches_two_rounds(1, Degree(0, -3))
+    assert got[0] is MismatchError and "a^7 u^-1 v1^2" in got[1]
 
 
 def test_known_differentials_n1():
