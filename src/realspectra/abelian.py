@@ -1,9 +1,10 @@
 """Exact integer linear algebra and finitely presented abelian groups.
 
-Matrices are numpy arrays with dtype=object holding Python ints, so all
-arithmetic is arbitrary precision.  The Smith engine tracks the unimodular
-transforms and their inverses, which is what makes kernels, integer solves,
-image lattices, and induced maps on subquotients one-liners downstream.
+A Matrix is a list of rows of Python ints plus a column count, so all
+arithmetic is arbitrary precision and 0 x n and n x 0 shapes survive.  The
+Smith engine tracks the unimodular transforms and their inverses, which is
+what makes kernels, integer solves, image lattices, and induced maps on
+subquotients one-liners downstream.
 
 Everything is 2-local by convention: an odd integer is a unit, and the only
 torsion the graded summaries admit is elementary 2-torsion (the rings under
@@ -16,80 +17,136 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-
-import numpy as np
+import itertools
+import operator
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers (dtype=object everywhere)
+# matrices
 
-def zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    out[...] = 0
-    return out
+class Matrix:
+    """An integer matrix stored as row lists, with its column count.
+
+    m[i, j] reads and writes one entry and m[:, j] lists a column; ==
+    compares entrywise and gives a matrix of bools for all() or any().
+
+    >>> m = to_matrix([[1, 2], [3, 4]])
+    >>> m.T[0, 1], m[:, 1], m.shape
+    (3, [2, 4], (2, 2))
+    >>> (m == m).all(), zeros(2, 0).T.shape
+    (True, (0, 2))
+    """
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: list[list[int]], cols: int):
+        self.rows = rows
+        self.cols = cols
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), self.cols)
+
+    @property
+    def size(self) -> int:
+        return len(self.rows) * self.cols
+
+    @property
+    def T(self) -> Matrix:
+        if not self.rows:
+            return zeros(self.cols, 0)
+        return Matrix([list(col) for col in zip(*self.rows)], len(self.rows))
+
+    def __getitem__(self, key):
+        i, j = key
+        if isinstance(i, slice):
+            return [row[j] for row in self.rows[i]]
+        return self.rows[i][j]
+
+    def __setitem__(self, key, value: int) -> None:
+        i, j = key
+        self.rows[i][j] = value
+
+    def __eq__(self, other: Matrix) -> Matrix:
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} == {other.shape}")
+        return Matrix([[x == y for x, y in zip(r, s)]
+                       for r, s in zip(self.rows, other.rows)], self.cols)
+
+    def all(self) -> bool:
+        return all(map(all, self.rows))
+
+    def any(self) -> bool:
+        return any(map(any, self.rows))
+
+    def sum(self) -> int:
+        return sum(map(sum, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows!r}, {self.cols})"
 
 
-def identity(n: int) -> np.ndarray:
+def zeros(m: int, n: int) -> Matrix:
+    return Matrix([[0] * n for _ in range(m)], n)
+
+
+def identity(n: int) -> Matrix:
     out = zeros(n, n)
     for i in range(n):
-        out[i, i] = 1
+        out.rows[i][i] = 1
     return out
 
 
-def to_matrix(rows, width: int | None = None) -> np.ndarray:
-    """Build an object matrix from nested lists (or pass an array through).
+def to_matrix(rows, width: int | None = None) -> Matrix:
+    """Build a matrix from nested lists (or pass a Matrix through).
 
     Args:
-        rows: list of rows, or an ndarray.
+        rows: list of rows, or a Matrix.
         width: required for an empty row list, where the column count is
             otherwise unknowable.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.dtype == object:
-            return rows
-        return rows.astype(object)
+    if isinstance(rows, Matrix):
+        return rows
     if not rows:
         return zeros(0, 0 if width is None else width)
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != out.shape[1]:
-            raise ValueError("ragged matrix")
-        for j, x in enumerate(row):
-            out[i, j] = int(x)
-    return out
+    out = [[int(x) for x in row] for row in rows]
+    cols = len(out[0])
+    if any(len(row) != cols for row in out):
+        raise ValueError("ragged matrix")
+    return Matrix(out, cols)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit loops (np.dot mishandles empty object
-    arrays)."""
-    m, p = a.shape
-    p2, n = b.shape
-    if p != p2:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product."""
+    if a.cols != len(b.rows):
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = zeros(m, n)
-    for i in range(m):
-        for j in range(n):
-            s = 0
-            for k in range(p):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
+    cols = b.T.rows
+    return Matrix([[sum(map(operator.mul, row, col)) for col in cols]
+                   for row in a.rows], b.cols)
 
 
-def hstack(*mats: np.ndarray) -> np.ndarray:
-    mats = [m for m in mats if m.shape[1] > 0] or [mats[0]]
-    rows = {m.shape[0] for m in mats}
-    if len(rows) != 1:
+def hstack(*mats: Matrix) -> Matrix:
+    mats = [m for m in mats if m.cols] or [mats[0]]
+    if len({len(m.rows) for m in mats}) != 1:
         raise ValueError("hstack with differing row counts")
-    return np.concatenate(mats, axis=1) if len(mats) > 1 else mats[0].copy()
+    return Matrix([list(itertools.chain(*parts))
+                   for parts in zip(*(m.rows for m in mats))],
+                  sum(m.cols for m in mats))
 
 
-def vstack(*mats: np.ndarray) -> np.ndarray:
-    mats = [m for m in mats if m.shape[0] > 0] or [mats[0]]
-    cols = {m.shape[1] for m in mats}
-    if len(cols) != 1:
-        raise ValueError("vstack with differing column counts")
-    return np.concatenate(mats, axis=0) if len(mats) > 1 else mats[0].copy()
+def f2_relations(torsion) -> Matrix:
+    """Relations making the flagged generators F_2: a column 2*e_i for each
+    true flag, in order; unflagged generators stay free.
+
+    >>> f2_relations([False, True, True])
+    Matrix([[0, 0], [2, 0], [0, 2]], 2)
+    """
+    torsion = list(torsion)
+    flagged = [i for i, t in enumerate(torsion) if t]
+    out = zeros(len(torsion), len(flagged))
+    for j, i in enumerate(flagged):
+        out.rows[i][j] = 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +160,39 @@ class SmithForm:
     zeros.
     """
 
-    D: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
-    S_inv: np.ndarray
-    T_inv: np.ndarray
+    D: Matrix
+    S: Matrix
+    T: Matrix
+    S_inv: Matrix
+    T_inv: Matrix
 
     @property
     def rank(self) -> int:
-        r = 0
-        for i in range(min(self.D.shape)):
-            if self.D[i, i] != 0:
-                r += 1
-        return r
+        return len(self.diagonal())
 
     def diagonal(self) -> list[int]:
         return [self.D[i, i] for i in range(min(self.D.shape))
                 if self.D[i, i] != 0]
+
+
+def _swap_rows(rows: list[list[int]], i: int, j: int) -> None:
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _swap_cols(rows: list[list[int]], i: int, j: int) -> None:
+    for r in rows:
+        r[i], r[j] = r[j], r[i]
+
+
+def _add_rows(rows: list[list[int]], i: int, j: int, q: int) -> None:
+    # row_i += q * row_j
+    rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+
+
+def _add_cols(rows: list[list[int]], i: int, j: int, q: int) -> None:
+    # col_i += q * col_j
+    for r in rows:
+        r[i] += q * r[j]
 
 
 def smith_normal_form(a) -> SmithForm:
@@ -131,86 +204,73 @@ def smith_normal_form(a) -> SmithForm:
     >>> bool((mat_mul(mat_mul(f.S, to_matrix([[2,4,4],[-6,6,12],[10,4,16]])), f.T) == f.D).all())
     True
     """
-    d = to_matrix(a).copy()
-    m, n = d.shape
-    s, s_inv = identity(m), identity(m)
-    t, t_inv = identity(n), identity(n)
-
-    def row_swap(i, j):
-        d[[i, j], :] = d[[j, i], :]
-        s[[i, j], :] = s[[j, i], :]
-        s_inv[:, [i, j]] = s_inv[:, [j, i]]
-
-    def col_swap(i, j):
-        d[:, [i, j]] = d[:, [j, i]]
-        t[:, [i, j]] = t[:, [j, i]]
-        t_inv[[i, j], :] = t_inv[[j, i], :]
+    a = to_matrix(a)
+    m, n = a.shape
+    d = [row[:] for row in a.rows]
+    s, s_inv = identity(m).rows, identity(m).rows
+    t, t_inv = identity(n).rows, identity(n).rows
 
     def row_addmul(i, j, q):
-        # row_i += q * row_j
-        d[i, :] += q * d[j, :]
-        s[i, :] += q * s[j, :]
-        s_inv[:, j] -= q * s_inv[:, i]
+        _add_rows(d, i, j, q)
+        _add_rows(s, i, j, q)
+        _add_cols(s_inv, j, i, -q)
 
     def col_addmul(i, j, q):
-        # col_i += q * col_j
-        d[:, i] += q * d[:, j]
-        t[:, i] += q * t[:, j]
-        t_inv[j, :] -= q * t_inv[i, :]
-
-    def row_negate(i):
-        d[i, :] *= -1
-        s[i, :] *= -1
-        s_inv[:, i] *= -1
+        _add_cols(d, i, j, q)
+        _add_cols(t, i, j, q)
+        _add_rows(t_inv, j, i, -q)
 
     k = 0
     while k < m and k < n:
         # pick the nonzero entry of least magnitude as pivot
         piv = None
         for i in range(k, m):
+            row = d[i]
             for j in range(k, n):
-                if d[i, j] != 0 and (piv is None
-                                     or abs(d[i, j]) < abs(d[piv[0], piv[1]])):
-                    piv = (i, j)
+                if row[j] != 0 and (piv is None or abs(row[j]) < least):
+                    piv, least = (i, j), abs(row[j])
         if piv is None:
             break
         if piv[0] != k:
-            row_swap(k, piv[0])
+            _swap_rows(d, k, piv[0])
+            _swap_rows(s, k, piv[0])
+            _swap_cols(s_inv, k, piv[0])
         if piv[1] != k:
-            col_swap(k, piv[1])
-        if d[k, k] < 0:
-            row_negate(k)
+            _swap_cols(d, k, piv[1])
+            _swap_cols(t, k, piv[1])
+            _swap_rows(t_inv, k, piv[1])
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            s[k] = [-x for x in s[k]]
+            for r in s_inv:
+                r[k] = -r[k]
 
         dirty = False
         for i in range(k + 1, m):
-            if d[i, k] != 0:
-                row_addmul(i, k, -(d[i, k] // d[k, k]))
-                dirty = dirty or d[i, k] != 0
+            if d[i][k] != 0:
+                row_addmul(i, k, -(d[i][k] // d[k][k]))
+                dirty = dirty or d[i][k] != 0
         for j in range(k + 1, n):
-            if d[k, j] != 0:
-                col_addmul(j, k, -(d[k, j] // d[k, k]))
-                dirty = dirty or d[k, j] != 0
+            if d[k][j] != 0:
+                col_addmul(j, k, -(d[k][j] // d[k][k]))
+                dirty = dirty or d[k][j] != 0
         if dirty:
             continue  # smaller remainders appeared; re-pick pivot
 
         # pivot must divide the rest of the submatrix for the chain condition
-        offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if d[i, j] % d[k, k] != 0:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            row_addmul(k, offender[0], 1)
+        pivot = d[k][k]
+        offender = next((i for i in range(k + 1, m)
+                         if any(x % pivot for x in d[i][k + 1:])), None)
+        if offender is not None:
+            row_addmul(k, offender, 1)
             continue
         k += 1
 
-    return SmithForm(d, s, t, s_inv, t_inv)
+    return SmithForm(Matrix(d, n), Matrix(s, m), Matrix(t, n),
+                     Matrix(s_inv, m), Matrix(t_inv, n))
 
 
-def kernel_basis(a) -> np.ndarray:
+def kernel_basis(a) -> Matrix:
     """Basis (as columns) of the integer kernel of A; a saturated lattice.
 
     >>> kernel_basis([[1, 2, 3]]).shape
@@ -219,23 +279,19 @@ def kernel_basis(a) -> np.ndarray:
     >>> [int(2 * k[0, 0] + 4 * k[1, 0])]
     [0]
     """
-    a = to_matrix(a)
     f = smith_normal_form(a)
-    return f.T[:, f.rank:]
+    return Matrix([row[f.rank:] for row in f.T.rows], f.T.cols - f.rank)
 
 
-def image_basis(a) -> np.ndarray:
+def image_basis(a) -> Matrix:
     """Basis (as columns) of the image lattice of A inside Z^rows."""
-    a = to_matrix(a)
     f = smith_normal_form(a)
-    out = zeros(a.shape[0], f.rank)
-    for j in range(f.rank):
-        for i in range(a.shape[0]):
-            out[i, j] = f.S_inv[i, j] * f.D[j, j]
-    return out
+    scale = f.diagonal()
+    return Matrix([[x * dj for x, dj in zip(row, scale)]
+                   for row in f.S_inv.rows], len(scale))
 
 
-def solve_matrix(a, b) -> np.ndarray | None:
+def solve_matrix(a, b) -> Matrix | None:
     """Solve A X = B over the integers; None if any column has no solution.
 
     >>> x = solve_matrix([[2, 0], [0, 3]], [[4], [9]])
@@ -248,19 +304,18 @@ def solve_matrix(a, b) -> np.ndarray | None:
     if a.shape[0] != b.shape[0]:
         raise ValueError("solve shape mismatch")
     f = smith_normal_form(a)
-    rhs = mat_mul(f.S, b)
-    w = zeros(a.shape[1], b.shape[1])
-    r = f.rank
-    for j in range(b.shape[1]):
-        for i in range(a.shape[0]):
-            if i < r:
-                q, rem = divmod(rhs[i, j], f.D[i, i])
-                if rem != 0:
-                    return None
-                if i < a.shape[1]:
-                    w[i, j] = q
-            elif rhs[i, j] != 0:
+    scale = f.diagonal()
+    w = zeros(a.cols, b.cols)
+    for i, row in enumerate(mat_mul(f.S, b).rows):
+        if i >= len(scale):
+            if any(row):
                 return None
+            continue
+        for j, x in enumerate(row):
+            q, rem = divmod(x, scale[i])
+            if rem != 0:
+                return None
+            w.rows[i][j] = q
     return mat_mul(f.T, w)
 
 
@@ -272,7 +327,7 @@ class PresGroup:
 
     >>> PresGroup(2, [[2, 0], [0, 0]]).summarize()
     (1, 1)
-    >>> PresGroup(1, to_matrix([], width=0).reshape(1, 0)).summarize()
+    >>> PresGroup(1, zeros(1, 0)).summarize()
     (1, 0)
     """
 
@@ -292,15 +347,7 @@ class PresGroup:
     @functools.cached_property
     def invariant_factors(self) -> list[int]:
         """Nontrivial invariant factors (2-parts only, ascending), torsion part."""
-        out = []
-        for di in self._smith.diagonal():
-            two = 1
-            while di % 2 == 0:
-                two *= 2
-                di //= 2
-            if two > 1:
-                out.append(two)
-        return sorted(out)
+        return sorted(d & -d for d in self._smith.diagonal() if d % 2 == 0)
 
     @property
     def free_rank(self) -> int:
@@ -320,10 +367,7 @@ class PresGroup:
 
 def group_from_summary(free: int, f2: int) -> PresGroup:
     """The group Z^free + (Z/2)^f2, free generators first."""
-    rels = zeros(free + f2, f2)
-    for j in range(f2):
-        rels[free + j, j] = 2
-    return PresGroup(free + f2, rels)
+    return PresGroup(free + f2, f2_relations([False] * free + [True] * f2))
 
 
 @dataclasses.dataclass
@@ -336,11 +380,22 @@ class Subquotient:
     """
 
     group: PresGroup
-    cycles: np.ndarray  # n x group.gens
+    cycles: Matrix  # n x group.gens
 
 
-def _in_span(m: np.ndarray, cols: np.ndarray) -> bool:
+def _in_span(m: Matrix, cols: Matrix) -> bool:
     return solve_matrix(m, cols) is not None
+
+
+def _cycles_modulo(g_mat: Matrix, rels_tgt: Matrix,
+                   boundaries: Matrix) -> Subquotient:
+    """ker(g into Z^c/rels_tgt) modulo the columns of boundaries."""
+    ker = kernel_basis(hstack(g_mat, rels_tgt))
+    lattice = image_basis(Matrix(ker.rows[: g_mat.cols], ker.cols))
+    coords = solve_matrix(lattice, boundaries)
+    if coords is None:
+        raise AssertionError("boundaries escaped the cycle lattice")
+    return Subquotient(PresGroup(lattice.cols, coords), lattice)
 
 
 def kernel_of_map(f_mat, rels_src, rels_tgt) -> Subquotient:
@@ -353,13 +408,7 @@ def kernel_of_map(f_mat, rels_src, rels_tgt) -> Subquotient:
     rels_src, rels_tgt = to_matrix(rels_src), to_matrix(rels_tgt)
     if not _in_span(rels_tgt, mat_mul(f_mat, rels_src)):
         raise ValueError("map does not respect source relations")
-    stacked = hstack(f_mat, rels_tgt) if rels_tgt.shape[1] else f_mat
-    ker = kernel_basis(stacked)[: f_mat.shape[1], :]
-    lattice = image_basis(ker)  # basis of the cycle subgroup of Z^a
-    rel_coords = solve_matrix(lattice, rels_src)
-    if rel_coords is None:
-        raise AssertionError("source relations escaped the kernel lattice")
-    return Subquotient(PresGroup(lattice.shape[1], rel_coords), lattice)
+    return _cycles_modulo(f_mat, rels_tgt, rels_src)
 
 
 def cokernel_of_map(f_mat, rels_tgt) -> PresGroup:
@@ -384,25 +433,16 @@ def homology_at(f_mat, g_mat, rels_a, rels_b, rels_c) -> Subquotient:
         raise ValueError("g does not respect relations")
     if not _in_span(rels_c, mat_mul(g_mat, f_mat)):
         raise ValueError("g o f is not zero in the target group")
-
-    stacked = hstack(g_mat, rels_c) if rels_c.shape[1] else g_mat
-    ker = kernel_basis(stacked)[: g_mat.shape[1], :]
-    lattice = image_basis(ker)
-    boundaries = hstack(f_mat, rels_b)
-    coords = solve_matrix(lattice, boundaries)
-    if coords is None:
-        raise AssertionError("boundaries escaped the cycle lattice")
-    return Subquotient(PresGroup(lattice.shape[1], coords), lattice)
+    return _cycles_modulo(g_mat, rels_c, hstack(f_mat, rels_b))
 
 
-def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> np.ndarray:
+def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:
     """Matrix of the map src.group -> tgt.group induced by a chain map.
 
     chain_map sends the ambient Z^n of src.cycles to the ambient Z^m of
     tgt.cycles and must carry the cycle lattice into the cycle lattice.
     """
-    chain_map = to_matrix(chain_map)
-    moved = mat_mul(chain_map, src.cycles)
+    moved = mat_mul(to_matrix(chain_map), src.cycles)
     coords = solve_matrix(tgt.cycles, moved)
     if coords is None:
         raise ValueError("chain map does not preserve cycles")
@@ -411,4 +451,4 @@ def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> np.ndarray:
 
 def map_is_surjective(m, tgt: PresGroup) -> bool:
     """Whether a matrix into Z^gens/rels hits everything (2-locally)."""
-    return cokernel_of_map(to_matrix(m), tgt.rels).is_trivial()
+    return cokernel_of_map(m, tgt.rels).is_trivial()

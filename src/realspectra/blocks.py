@@ -26,17 +26,14 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 
-import numpy as np
-
-from .abelian import cokernel_of_map, kernel_of_map, map_is_surjective, zeros
+from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
+                      map_is_surjective, zeros)
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           _weight_tuples_upto)
-from .grading import DELTA, Degree, RHO, SIGMA, Window
+                           _weight_tuples_upto, rank_summary)
+from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
 from .hfpss import InternalInconsistency, closed_form_state, _DEAD
-from .localcoh import (LCSummand, StandardModule, ideal_f2, ideal_z,
-                       lc_closed_form, module_gens, p_module, pbar)
-
-ZERO = Degree(0, 0)
+from .localcoh import (StandardModule, ideal_f2, ideal_z, lc_closed_form,
+                       module_gens, p_module, pbar)
 
 
 class UnclassifiedModule(RuntimeError):
@@ -98,9 +95,7 @@ def bb_basis(n: int, alpha: Degree) -> list[BasisEntry]:
 
 def bb_groups(n: int, alpha: Degree) -> tuple[int, int]:
     """(free rank, F_2 rank) of the basic block at alpha."""
-    entries = _bb_cached(n, alpha)
-    free = sum(1 for e in entries if not e.torsion)
-    return (free, len(entries) - free)
+    return rank_summary(_bb_cached(n, alpha))
 
 
 def _is_pure_tower(entry: BasisEntry) -> bool:
@@ -136,9 +131,7 @@ def nb_basis(n: int, alpha: Degree) -> list[BasisEntry | TowerClass]:
 
 
 def nb_groups(n: int, alpha: Degree) -> tuple[int, int]:
-    entries = nb_basis(n, alpha)
-    free = sum(1 for e in entries if not e.torsion)
-    return (free, len(entries) - free)
+    return rank_summary(nb_basis(n, alpha))
 
 
 # --- assembling the whole coefficient ring ----------------------------------
@@ -205,9 +198,7 @@ def assemble_groups(n: int, alpha: Degree) -> tuple[int, int]:
     >>> assemble_groups(2, Degree(3, 3))
     (2, 0)
     """
-    classes = assemble(n, alpha)
-    free = sum(1 for c in classes if not c.entry.torsion)
-    return (free, len(classes) - free)
+    return rank_summary(c.entry for c in assemble(n, alpha))
 
 
 def borel_classes(n: int, alpha: Degree) -> list[AssembledClass]:
@@ -282,30 +273,27 @@ def _cell_candidate(n: int, d: int, l: int,
     if k < 0 or not 0 <= l < 2 ** n:
         return None
     shift = ref_degree(l, d)
-    v2 = (l & -l).bit_length() - 1 if l else None
+    val = v2(l) if l else None
     if k == 0:
         if kind == "nb" and l == 0:
             return ideal_z(n, shift)
-        if v2 is None or v2 >= n:
+        if val is None or val >= n:
             return p_module(shift)
-        return ideal_z(v2, shift)
+        return ideal_z(val, shift)
     s = _torsion_floor(k)
     if l == 0:
         if kind == "nb":
             return ideal_f2(s, n, shift) if s < n else None
         return pbar(min(s, n), shift)
-    if s >= n or v2 <= s:
+    if s >= n or val <= s:
         return None
-    return ideal_f2(s, v2, shift)
-
-
-_F2_KINDS = ("Pbar", "DualPbar", "IdealF2", "TowerF2", "DualTowerF2")
+    return ideal_f2(s, val, shift)
 
 
 def _validate_cell(n: int, d: int, l: int, kind: str,
                    module: StandardModule | None, probe: int) -> None:
     basis = nb_basis if kind == "nb" else bb_basis
-    mod_torsion = module is not None and module.kind in _F2_KINDS
+    mod_torsion = module is not None and module.torsion
     for w in range(probe + 1):
         at = ref_degree(l, d) + RHO * w
         seen = sorted((e.mono.c, e.lattice, e.torsion) for e in basis(n, at)
@@ -385,15 +373,7 @@ def lc_of_block(n: int, kind: str = "bb", *, d_lo: int,
 
 # --- a-local cohomology of BB ------------------------------------------------
 
-def _bb_rels(entries) -> np.ndarray:
-    torsion = [i for i, e in enumerate(entries) if e.torsion]
-    rels = zeros(len(entries), len(torsion))
-    for j, i in enumerate(torsion):
-        rels[i, j] = 2
-    return rels
-
-
-def bb_mult_matrix(n: int, x: Monomial, alpha: Degree) -> np.ndarray:
+def bb_mult_matrix(n: int, x: Monomial, alpha: Degree) -> Matrix:
     """Matrix of multiplication by x from BB at alpha to BB at alpha + |x|.
 
     x must keep the column (u-exponent zero): the block is a module over
@@ -426,13 +406,13 @@ def _stable_kernel(n: int, alpha: Degree) -> tuple[int, int]:
     # by e = 2^(n+1) every class has settled: vbar-content classes are
     # past their annihilator exponent, doubled frees died at e = 1, and
     # pure a-powers plus the unit never die, so ker(a^e) is constant
-    src = _bb_cached(n, alpha)
-    rels_src = _bb_rels(src)
+    rels_src = f2_relations(c.torsion for c in _bb_cached(n, alpha))
     prev = None
     for e in range(2 ** (n + 1), 2 ** (n + 1) + 2):
         mat = bb_mult_matrix(n, Monomial(e, 0, ()), alpha)
         tgt = _bb_cached(n, alpha - SIGMA * e)
-        ker = kernel_of_map(mat, rels_src, _bb_rels(tgt)).group.summarize()
+        rels_tgt = f2_relations(c.torsion for c in tgt)
+        ker = kernel_of_map(mat, rels_src, rels_tgt).group.summarize()
         if prev is not None and ker != prev:
             raise StabilizationFailure(
                 f"a-power kernel at {alpha} moved past its floor")
@@ -453,7 +433,8 @@ def _stable_cokernel(n: int, alpha: Degree) -> tuple[int, int]:
     prev = None
     for e in range(floor, floor + 3):
         mat = bb_mult_matrix(n, Monomial(e, 0, ()), alpha)
-        coker = cokernel_of_map(mat, _bb_rels(_bb_cached(n, alpha - SIGMA * e)))
+        tgt = _bb_cached(n, alpha - SIGMA * e)
+        coker = cokernel_of_map(mat, f2_relations(c.torsion for c in tgt))
         if prev is not None:
             step = bb_mult_matrix(n, Monomial(1, 0, ()), alpha - SIGMA * (e - 1))
             if (prev.summarize() != coker.summarize()

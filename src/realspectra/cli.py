@@ -31,7 +31,7 @@ entry counts as a miss and is overwritten; a failed write only warns.
 
 This module is the light half of the CLI: it imports the standard library,
 `__version__` and `grading` only, so a cache hit or a bad argument is
-served without loading numpy or any compute layer.  `main` imports
+served without loading any compute layer.  `main` imports
 `commands`, which runs the computation, only on a cache miss.
 """
 

@@ -29,9 +29,8 @@ import dataclasses
 import functools
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .grading import Degree, Window, generator_degree
+from .abelian import zeros
+from .grading import Degree, Window, generator_degree, v2
 
 
 class StabilizationFailure(RuntimeError):
@@ -51,6 +50,15 @@ def _strip(c: Sequence[int]) -> tuple[int, ...]:
     while end and c[end - 1] == 0:
         end -= 1
     return c[:end]
+
+
+def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
+    """The exponent tuple c with its vbar_i entry moved by `by`, stripped."""
+    ext = list(c) + [0] * max(0, i - len(c))
+    ext[i - 1] += by
+    while ext and ext[-1] == 0:
+        ext.pop()
+    return tuple(ext)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -164,12 +172,7 @@ class CoeffElement:
             coeff %= 2
             if coeff == 0:
                 return
-        val = 0
-        cc = coeff
-        while cc % 2 == 0:
-            cc //= 2
-            val += 1
-        if not is_in_subalgebra(mono, val):
+        if not is_in_subalgebra(mono, v2(coeff)):
             raise ValueError(f"{coeff}*{mono} is not in the coefficient ring")
         self.terms[mono] = self.terms.get(mono, 0) + coeff
         if self.terms[mono] == 0 or (mono.k > 0 and self.terms[mono] % 2 == 0):
@@ -351,15 +354,9 @@ def _a_exponent_bound(alpha: Degree) -> int:
     bound = max(t + s + 2, 0)
     if t == 0:
         bound = max(bound, -s)
-    if t % 2 == 1:  # sparse regime candidates need t odd
-        i = 1
-        tt = t + 1
-        while tt % 2 == 0 and tt != 0:
-            tt //= 2
-            i += 1
-        i -= 1  # v2(t + 1)
-        if t + 1 != 0 and i >= 1:
-            bound = max(bound, 2 ** (i + 1) - 2 - (t + s))
+    if t % 2 == 1 and t != -1:  # sparse regime candidates need t odd
+        i = v2(t + 1)
+        bound = max(bound, 2 ** (i + 1) - 2 - (t + s))
     return bound
 
 
@@ -451,14 +448,13 @@ class TowerGroup:
             raise UnknownExtension(
                 "group known only as layers "
                 f"{self.sub_summary} / {self.quot_summary}")
-        free = sum(1 for e in self.entries if not e.torsion)
-        tors = sum(1 for e in self.entries if e.torsion)
-        return (free, tors)
+        return rank_summary(self.entries)
 
 
-def _summary_of(entries: list[BasisEntry]) -> tuple[int, int]:
-    return (sum(1 for e in entries if not e.torsion),
-            sum(1 for e in entries if e.torsion))
+def rank_summary(entries) -> tuple[int, int]:
+    """(free rank, F_2 rank) of basis entries, read off their torsion flags."""
+    flags = [e.torsion for e in entries]
+    return (flags.count(False), flags.count(True))
 
 
 class _Tower:
@@ -478,7 +474,7 @@ class _Tower:
     def _compute(self, stage: int, alpha: Degree) -> TowerGroup:
         if stage == 0:
             entries = basis_in_degree(alpha, self.caps)
-            return TowerGroup(entries, True, True, _summary_of(entries), (0, 0))
+            return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
         index, exp = self.steps[stage - 1]
         shift = generator_degree("vbar", index=index, power=exp)
         below = stage - 1
@@ -499,7 +495,7 @@ class _Tower:
         quot_entries = [dataclasses.replace(e, betas=e.betas + (stage,))
                         for e in ker_entries]
 
-        sub_sum, quot_sum = _summary_of(sub_entries), _summary_of(quot_entries)
+        sub_sum, quot_sum = rank_summary(sub_entries), rank_summary(quot_entries)
         if quot_sum == (0, 0):
             return TowerGroup(sub_entries, True, True, sub_sum, quot_sum)
         if sub_sum[0] == 0 and quot_sum[0] == 0:
@@ -662,8 +658,7 @@ def mult_map(x: Monomial, ideal, alpha: Degree,
         raise UnknownExtension(f"no trusted bases for multiplication at {alpha}")
     stop = _tail_stop(ideal, alpha, caps)
     tower = _tower_for(ideal.steps_up_to(stop), caps)
-    out = np.empty((len(tgt.entries), len(src.entries)), dtype=object)
-    out[...] = 0
+    out = zeros(len(tgt.entries), len(src.entries))
     for j, e in enumerate(src.entries):
         coeff, cand = tower._image_class(e, x, tgt)
         if cand is not None and coeff:

@@ -1,11 +1,11 @@
 """The compute half of the command line: one function per command.
 
 `cli.main` imports this module only on a cache miss, after every argument
-has been validated, because it pulls in the whole compute stack (numpy and
-every layer module); a cache hit or a configuration error never pays for
-it.  Each `cmd_*` takes a validated `cli.RunConfig` and returns the exit
-code and the rendered text; `main` maps the exceptions listed in
-`INCONSISTENT` and `StabilizationFailure` to exit codes.
+has been validated, because it pulls in every compute layer module; a
+cache hit or a configuration error never pays for it.  Each `cmd_*`
+takes a validated `cli.RunConfig` and returns the exit code and the
+rendered text; `main` maps the exceptions listed in `INCONSISTENT` and
+`StabilizationFailure` to exit codes.
 """
 
 from __future__ import annotations
@@ -189,27 +189,15 @@ def cmd_blocks(cfg: RunConfig) -> tuple[int, str]:
     return 0, _table(cfg, header, rows, json_rows)
 
 
-_LC_CATALOGUE = {
-    1: lambda: (localcoh.p_module(), localcoh.dual_p(), localcoh.pbar(0),
-                localcoh.pbar(1), localcoh.dual_pbar(0), localcoh.ideal_z(0),
-                localcoh.ideal_z(1), localcoh.ideal_f2(0, 1),
-                localcoh.tower_f2(), localcoh.dual_tower_f2()),
-    2: lambda: (localcoh.p_module(), localcoh.pbar(0), localcoh.pbar(1),
-                localcoh.pbar(2), localcoh.ideal_z(0), localcoh.ideal_z(1),
-                localcoh.ideal_z(2), localcoh.ideal_f2(0, 1),
-                localcoh.ideal_f2(0, 2), localcoh.ideal_f2(1, 2)),
-}
-
-
 def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
     n = _require_n(cfg)
     if cfg.oracle:
-        if n not in _LC_CATALOGUE:
+        if n not in localcoh.CATALOGUE:
             raise ConfigError(f"--oracle catalogue covers n = 1, 2; got {n}")
         k_lo, k_hi = (-12, 12) if cfg.window is None else \
             (cfg.window.triv_min, cfg.window.triv_max)
         checked = []
-        for mod in _LC_CATALOGUE[n]():
+        for mod in localcoh.CATALOGUE[n]:
             localcoh.check_closed_form(mod, n, k_lo, k_hi)
             checked.append(mod.describe())
         notes = localcoh.convention_report()

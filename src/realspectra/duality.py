@@ -38,18 +38,17 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
-from .abelian import cokernel_of_map, kernel_of_map, zeros
-from .blocks import (AssembledClass, TowerClass, _bbprime_diag_max,
-                     _unit_degree, assemble, assemble_groups, lc_of_block)
+from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
+                      zeros)
+from .blocks import (TowerClass, _bbprime_diag_max, _unit_degree, assemble,
+                     assemble_groups, lc_of_block)
 from .coefficients import (Caps, DEFAULT_CAPS, Monomial, QuotientIdeal,
-                           UnknownExtension, quotient_groups, weight_tuples)
-from .grading import DELTA, Degree, RHO, SIGMA, Window
+                           UnknownExtension, quotient_groups, rank_summary,
+                           weight_tuples)
+from .grading import DELTA, Degree, RHO, Window
 from .hfpss import InternalInconsistency, _DEAD, closed_form_state
 from .localcoh import module_ranks
 
-ZERO = Degree(0, 0)
 ONE = Degree(1, 0)
 
 
@@ -306,11 +305,8 @@ def part_groups(n: int, alpha: Degree, part: str) -> tuple[int, int]:
     """
     if part not in ("bb", "nb"):
         raise ValueError(f"unknown part {part!r}")
-    keep = (lambda c: c.u_power >= 0) if part == "bb" \
-        else (lambda c: c.u_power < 0)
-    picked = [c for c in assemble(n, alpha) if keep(c)]
-    free = sum(1 for c in picked if not c.entry.torsion)
-    return (free, len(picked) - free)
+    return rank_summary(c.entry for c in assemble(n, alpha)
+                        if (c.u_power >= 0) == (part == "bb"))
 
 
 def gorenstein_shift(n: int) -> Degree:
@@ -715,20 +711,14 @@ def _assembled_mult(n: int, exps: tuple[int, ...], alpha: Degree):
 def _mult_blocks(n: int, exps: tuple[int, ...], alpha: Degree):
     """Free-to-free and torsion-to-torsion blocks of vbar^exps at alpha."""
     mat, src, tgt = _assembled_mult(n, exps, alpha)
-    sf = [j for j, c in enumerate(src) if not c.entry.torsion]
-    tf = [i for i, c in enumerate(tgt) if not c.entry.torsion]
-    st = [j for j, c in enumerate(src) if c.entry.torsion]
-    tt = [i for i, c in enumerate(tgt) if c.entry.torsion]
-    free = mat[np.ix_(tf, sf)] if tf and sf else zeros(len(tf), len(sf))
-    tors = mat[np.ix_(tt, st)] if tt and st else zeros(len(tt), len(st))
-    return free, tors
 
+    def block(torsion: bool) -> Matrix:
+        cols = [j for j, c in enumerate(src) if c.entry.torsion == torsion]
+        return Matrix([[mat[i, j] for j in cols]
+                       for i, c in enumerate(tgt)
+                       if c.entry.torsion == torsion], len(cols))
 
-def _f2_rels(k: int) -> np.ndarray:
-    rels = zeros(k, k)
-    for i in range(k):
-        rels[i, i] = 2
-    return rels
+    return block(False), block(True)
 
 
 def _dual_map_summaries(n: int, exps: tuple[int, ...], mirror: Degree,
@@ -749,8 +739,9 @@ def _dual_map_summaries(n: int, exps: tuple[int, ...], mirror: Degree,
     ker = kernel_of_map(hom_t, zeros(b, 0), zeros(a, 0)).group.summarize()
     cok = cokernel_of_map(hom_t, zeros(a, 0)).summarize()
     c, d = ext_t.shape
-    ker2 = kernel_of_map(ext_t, _f2_rels(d), _f2_rels(c)).group.summarize()
-    cok2 = cokernel_of_map(ext_t, _f2_rels(c)).summarize()
+    rels_d, rels_c = f2_relations([True] * d), f2_relations([True] * c)
+    ker2 = kernel_of_map(ext_t, rels_d, rels_c).group.summarize()
+    cok2 = cokernel_of_map(ext_t, rels_c).summarize()
     kernel = (ker[0] + ker2[0], ker[1] + ker2[1])
     coker = (cok[0] + cok2[0], cok[1] + cok2[1])
     return kernel, coker

@@ -1,4 +1,5 @@
-"""Arithmetic of RO(C2) degrees, diagonals, and rectangular degree windows.
+"""Arithmetic of RO(C2) degrees, diagonals, rectangular degree windows, and
+the 2-adic valuation.
 
 The grading group RO(C2) is free abelian of rank 2 on the trivial
 representation 1 and the sign representation sigma.  A degree
@@ -103,6 +104,15 @@ ZERO = Degree(0, 0)
 SIGMA = Degree(0, 1)
 RHO = Degree(1, 1)
 DELTA = Degree(1, -1)
+
+
+def v2(m: int) -> int:
+    """The 2-adic valuation of a nonzero integer.
+
+    >>> v2(12), v2(-8), v2(7)
+    (2, 3, 0)
+    """
+    return (m & -m).bit_length() - 1
 
 
 def generator_degree(name: str, index: int | None = None, twist: int = 0,

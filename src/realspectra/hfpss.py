@@ -36,10 +36,10 @@ from __future__ import annotations
 import dataclasses
 
 from .coefficients import (
-    BasisEntry, Monomial, StabilizationFailure, _a_exponent_bound,
-    _weight_tuples_upto,
+    BasisEntry, Monomial, StabilizationFailure, _a_exponent_bound, _bump,
+    _weight_tuples_upto, rank_summary,
 )
-from .grading import Degree, Window
+from .grading import Degree, Window, v2
 
 
 class InternalInconsistency(Exception):
@@ -51,10 +51,6 @@ class MismatchError(Exception):
 
 
 _DEAD = "dead"
-
-
-def _v2(m: int) -> int:
-    return (m & -m).bit_length() - 1
 
 
 def e2_basis(n: int | None, alpha: Degree, a_cap: int = 40) -> list[Monomial]:
@@ -85,12 +81,6 @@ def e2_basis(n: int | None, alpha: Degree, a_cap: int = 40) -> list[Monomial]:
                 out.append(Monomial(k, l, c))
         w += 2
     return out
-
-
-def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
-    cc = list(c) + [0] * max(0, i - len(c))
-    cc[i - 1] += by
-    return tuple(cc)
 
 
 def _fire_target(x: Monomial, i: int) -> Monomial:
@@ -155,7 +145,7 @@ class _PageStates:
     def final_page(self, x: Monomial) -> int:
         if self.n is not None:
             return self.n + 1
-        top = _v2(x.l) + 1 if x.l else 1
+        top = v2(x.l) + 1 if x.l else 1
         return max(top, len(x.c)) + 1
 
     def final_state(self, x: Monomial):
@@ -251,9 +241,7 @@ def e_infinity_groups(n: int | None, alpha: Degree,
     >>> e_infinity_groups(1, Degree(0, 1))   # rho - 1: evenness
     (0, 0)
     """
-    entries = e_infinity_basis(n, alpha, a_cap)
-    free = sum(1 for e in entries if not e.torsion)
-    return (free, len(entries) - free)
+    return rank_summary(e_infinity_basis(n, alpha, a_cap))
 
 
 @dataclasses.dataclass

@@ -31,14 +31,11 @@ import dataclasses
 import itertools
 from functools import lru_cache
 
-import numpy as np
-
-from .abelian import (Subquotient, hstack, induced_map, map_is_surjective,
-                      mat_mul, homology_at, to_matrix, zeros)
-from .coefficients import StabilizationFailure, weight_tuples
-from .grading import Degree, RHO, total_vbar_degree
-
-ZERO = Degree(0, 0)
+from .abelian import (Matrix, Subquotient, f2_relations, homology_at,
+                      identity, induced_map, map_is_surjective, mat_mul,
+                      zeros)
+from .coefficients import StabilizationFailure, _bump, weight_tuples
+from .grading import Degree, RHO, ZERO, total_vbar_degree
 
 KINDS = ("P", "DualP", "Pbar", "DualPbar", "IdealZ", "IdealF2",
          "TowerF2", "DualTowerF2")
@@ -76,6 +73,11 @@ class StandardModule:
             raise ValueError("IdealZ needs t >= 0")
         if self.kind == "IdealF2" and not 0 <= self.s < self.t:
             raise ValueError("IdealF2 needs 0 <= s < t")
+
+    @property
+    def torsion(self) -> bool:
+        """Whether every degree of the module is an F_2-vector space."""
+        return self.kind not in ("P", "DualP", "IdealZ")
 
     def shifted(self, by: Degree) -> "StandardModule":
         return dataclasses.replace(self, shift=self.shift + by)
@@ -127,6 +129,15 @@ def tower_f2(shift: Degree = ZERO) -> StandardModule:
 
 def dual_tower_f2(shift: Degree = ZERO) -> StandardModule:
     return StandardModule("DualTowerF2", shift=shift)
+
+
+# the modules whose closed forms `lc --oracle` checks, per height n
+CATALOGUE = {
+    1: (p_module(), dual_p(), pbar(0), pbar(1), dual_pbar(0), ideal_z(0),
+        ideal_z(1), ideal_f2(0, 1), tower_f2(), dual_tower_f2()),
+    2: (p_module(), pbar(0), pbar(1), pbar(2), ideal_z(0), ideal_z(1),
+        ideal_z(2), ideal_f2(0, 1), ideal_f2(0, 2), ideal_f2(1, 2)),
+}
 
 
 @lru_cache(maxsize=None)
@@ -204,14 +215,10 @@ def module_gens(mod: StandardModule, n: int,
             if (_min_index(c) or n + 1) <= mod.t]
 
 
-def module_rels(mod: StandardModule, gens: int) -> np.ndarray:
-    """Relation matrix for the presented group at one degree."""
-    if mod.kind in ("P", "DualP", "IdealZ"):
-        return zeros(gens, 0)
-    rels = zeros(gens, gens)
-    for i in range(gens):
-        rels[i, i] = 2
-    return rels
+def module_rels(mod: StandardModule, gens: int) -> Matrix:
+    """Relation matrix for gens generators of the module, one summand or
+    several (every degree of a catalogue module is free or F_2 alike)."""
+    return f2_relations([mod.torsion] * gens)
 
 
 def module_ranks(mod: StandardModule, n: int,
@@ -225,22 +232,12 @@ def module_ranks(mod: StandardModule, n: int,
     >>> module_ranks(ideal_f2(0, 1), 2, 2 * RHO)   # v1^2 alone has weight 2
     (0, 1)
     """
-    gens = module_gens(mod, n, alpha)
-    if mod.kind in ("P", "DualP", "IdealZ"):
-        return (len(gens), 0)
-    return (0, len(gens))
-
-
-def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
-    ext = list(c) + [0] * max(0, i - len(c))
-    ext[i - 1] += by
-    while ext and ext[-1] == 0:
-        ext.pop()
-    return tuple(ext)
+    gens = len(module_gens(mod, n, alpha))
+    return (0, gens) if mod.torsion else (gens, 0)
 
 
 def vbar_matrix(mod: StandardModule, n: int, i: int, e: int,
-                alpha: Degree) -> np.ndarray:
+                alpha: Degree) -> Matrix:
     """Multiplication by vbar_i^e from degree alpha to alpha + e|vbar_i|.
 
     Rows index the target generators, columns the source generators; the
@@ -274,9 +271,8 @@ def vbar_matrix(mod: StandardModule, n: int, i: int, e: int,
 
 
 def mono_matrix(mod: StandardModule, n: int, exps: tuple[int, ...],
-                alpha: Degree) -> np.ndarray:
+                alpha: Degree) -> Matrix:
     """Multiplication by the monomial with vbar-exponents exps."""
-    gens = module_gens(mod, n, alpha)
     mat = None
     here = alpha
     for i, e in enumerate(exps, start=1):
@@ -286,9 +282,7 @@ def mono_matrix(mod: StandardModule, n: int, exps: tuple[int, ...],
         mat = step if mat is None else mat_mul(step, mat)
         here = here + RHO * (e * (2 ** i - 1))
     if mat is None:
-        mat = zeros(len(gens), len(gens))
-        for r in range(len(gens)):
-            mat[r, r] = 1
+        mat = identity(len(module_gens(mod, n, alpha)))
     return mat
 
 
@@ -308,69 +302,52 @@ def _koszul_layer(mod: StandardModule, n: int, e: int, j: int,
 
     C^j = direct sum over |S| = j of M in degree alpha + e * |vbar_S|,
     so that every multiplication in the differential preserves alpha.
+    Returns ([(S, its degree, its first generator index)], rank of C^j).
     """
-    layers = []
+    summands = []
+    start = 0
     for subset in _subsets(n, j):
         at = alpha + RHO * (e * _subset_weight(subset))
-        layers.append((subset, at, module_gens(mod, n, at)))
-    return layers
+        summands.append((subset, at, start))
+        start += len(module_gens(mod, n, at))
+    return summands, start
 
 
-def _layer_rels(mod: StandardModule, layer) -> np.ndarray:
-    sizes = [len(gens) for _, _, gens in layer]
-    total = sum(sizes)
-    blocks = [module_rels(mod, size) for size in sizes]
-    rels = zeros(total, sum(b.shape[1] for b in blocks))
-    r0 = c0 = 0
-    for b in blocks:
-        rels[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
-        r0 += b.shape[0]
-        c0 += b.shape[1]
-    return rels
+def _add_block(mat: Matrix, r0: int, c0: int, block: Matrix,
+               sign: int = 1) -> None:
+    """Add sign * block into mat with its top left corner at (r0, c0)."""
+    for row, values in zip(mat.rows[r0:], block.rows):
+        for c, x in enumerate(values, start=c0):
+            row[c] += sign * x
 
 
 def _koszul_differential(mod: StandardModule, n: int, e: int, j: int,
-                         alpha: Degree) -> np.ndarray:
+                         alpha: Degree) -> Matrix:
     """Matrix of C^j -> C^(j+1) at display degree alpha."""
-    src = _koszul_layer(mod, n, e, j, alpha)
-    tgt = _koszul_layer(mod, n, e, j + 1, alpha)
-    row_of = {}
-    r0 = 0
-    for subset, _, gens in tgt:
-        row_of[subset] = r0
-        r0 += len(gens)
-    mat = zeros(r0, sum(len(g) for _, _, g in src))
-    c0 = 0
-    for subset, at, gens in src:
+    src, cols = _koszul_layer(mod, n, e, j, alpha)
+    tgt, rows = _koszul_layer(mod, n, e, j + 1, alpha)
+    row_of = {subset: r0 for subset, _, r0 in tgt}
+    mat = zeros(rows, cols)
+    for subset, at, c0 in src:
         for i in range(1, n + 1):
             if i in subset:
                 continue
             bigger = tuple(sorted(subset + (i,)))
             sign = -1 if sum(1 for x in subset if x < i) % 2 else 1
-            block = vbar_matrix(mod, n, i, e, at)
-            r = row_of[bigger]
-            mat[r:r + block.shape[0], c0:c0 + block.shape[1]] += sign * block
-        c0 += len(gens)
+            _add_block(mat, row_of[bigger], c0,
+                       vbar_matrix(mod, n, i, e, at), sign)
     return mat
 
 
 def _koszul_homology(mod: StandardModule, n: int, e: int, s: int,
                      alpha: Degree) -> Subquotient:
-    layer_b = _koszul_layer(mod, n, e, s, alpha)
-    dim_b = sum(len(g) for _, _, g in layer_b)
-    if s > 0:
-        f = _koszul_differential(mod, n, e, s - 1, alpha)
-        rels_a = _layer_rels(mod, _koszul_layer(mod, n, e, s - 1, alpha))
-    else:
-        f = zeros(dim_b, 0)
-        rels_a = zeros(0, 0)
-    if s < n:
-        g = _koszul_differential(mod, n, e, s, alpha)
-        rels_c = _layer_rels(mod, _koszul_layer(mod, n, e, s + 1, alpha))
-    else:
-        g = zeros(0, dim_b)
-        rels_c = zeros(0, 0)
-    return homology_at(f, g, rels_a, _layer_rels(mod, layer_b), rels_c)
+    _, dim_b = _koszul_layer(mod, n, e, s, alpha)
+    f = _koszul_differential(mod, n, e, s - 1, alpha) if s > 0 \
+        else zeros(dim_b, 0)
+    g = _koszul_differential(mod, n, e, s, alpha) if s < n \
+        else zeros(0, dim_b)
+    return homology_at(f, g, module_rels(mod, f.shape[1]),
+                       module_rels(mod, dim_b), module_rels(mod, g.shape[0]))
 
 
 def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
@@ -391,22 +368,15 @@ def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
 
 
 def _transition_matrix(mod: StandardModule, n: int, e: int, s: int,
-                       alpha: Degree) -> np.ndarray:
+                       alpha: Degree) -> Matrix:
     """Chain map C^s(stage e) -> C^s(stage e+1): multiply by vbar_S."""
-    src = _koszul_layer(mod, n, e, s, alpha)
-    tgt = _koszul_layer(mod, n, e + 1, s, alpha)
-    dim_t = sum(len(g) for _, _, g in tgt)
-    dim_s = sum(len(g) for _, _, g in src)
-    mat = zeros(dim_t, dim_s)
-    r0 = c0 = 0
-    for (subset, at, gens), (_, _, tgens) in zip(src, tgt):
-        exps = [0] * (max(subset) if subset else 0)
-        for i in subset:
-            exps[i - 1] = 1
-        block = mono_matrix(mod, n, tuple(exps), at)
-        mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-        r0 += len(tgens)
-        c0 += len(gens)
+    src, cols = _koszul_layer(mod, n, e, s, alpha)
+    tgt, rows = _koszul_layer(mod, n, e + 1, s, alpha)
+    mat = zeros(rows, cols)
+    for (subset, at, c0), (_, _, r0) in zip(src, tgt):
+        exps = tuple(int(i in subset)
+                     for i in range(1, max(subset, default=0) + 1))
+        _add_block(mat, r0, c0, mono_matrix(mod, n, exps, at))
     return mat
 
 
@@ -428,9 +398,7 @@ def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
     if s < 0 or s > n:
         return (0, 0)
     if n == 0:
-        gens = module_gens(mod, 0, alpha)
-        return (len(gens), 0) if mod.kind in ("P", "DualP", "IdealZ") \
-            else (0, len(gens))
+        return module_ranks(mod, 0, alpha)
     k = _diag_weight(mod, alpha)
     if e_start is None:
         e_start = max(2, abs(k) + 2 if k is not None else 2)

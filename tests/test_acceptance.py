@@ -8,6 +8,7 @@ stated, a wall-clock bound.
 import itertools
 import time
 
+from realspectra import localcoh
 from realspectra.blocks import bb_basis, bb_groups, lc_of_block, nb_basis, nb_groups
 from realspectra.coefficients import (QuotientIdeal, group_in_degree,
                                       nilpotence_check, restriction_rank,
@@ -88,6 +89,13 @@ CATALOGUE = {
     2: (p_module(), pbar(0), pbar(1), pbar(2), ideal_z(0), ideal_z(1),
         ideal_z(2), ideal_f2(0, 1), ideal_f2(0, 2), ideal_f2(1, 2)),
 }
+
+
+def test_shipped_catalogue_lists_the_spec_modules():
+    # `lc --oracle` checks localcoh.CATALOGUE; this one is the spec
+    def names(catalogue):
+        return {n: [m.describe() for m in mods] for n, mods in catalogue.items()}
+    assert names(localcoh.CATALOGUE) == names(CATALOGUE)
 
 
 def test_criterion_4_closed_forms_match_koszul_oracle():

@@ -484,7 +484,7 @@ def fresh_process(argv, cache=None) -> tuple[int, str]:
 def test_cache_hit_loads_no_compute_module(tmp_path):
     argv = ["verify", "--n", "1", "--window", "-2:2,-2:2"]
     code, loaded = fresh_process(argv, tmp_path)
-    assert code == 0 and "'numpy'" in loaded   # the miss computes
+    assert code == 0 and "'realspectra.commands'" in loaded   # the miss computes
     assert fresh_process(argv, tmp_path) == (0, repr(LIGHT))
 
 
@@ -494,3 +494,20 @@ def test_cache_hit_loads_no_compute_module(tmp_path):
 ])
 def test_rejected_argv_loads_no_compute_module(argv):
     assert fresh_process(argv) == (2, repr(LIGHT))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lc", "--oracle", "--n", "1"],
+    ["verify", "--n", "1", "--window", "-2:2,-2:2"],
+])
+def test_cache_miss_computes_without_numpy(tmp_path, argv):
+    # a None entry in sys.modules makes every `import numpy` fail
+    probe = ("import sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from realspectra.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=SRC, REALSPECTRA_CACHE_DIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    [entry] = tmp_path.iterdir()   # it was a miss, and it was stored
