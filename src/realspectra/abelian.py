@@ -117,12 +117,24 @@ def to_matrix(rows, width: int | None = None) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product."""
+    """Matrix product.
+
+    Each row of the product sums the rows of b that the nonzero entries of
+    the matching row of a pick out, so the work grows with the nonzeros of
+    a, not with its size; the Koszul matrices are mostly zeros.
+    """
     if a.cols != len(b.rows):
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    cols = b.T.rows
-    return Matrix([[sum(map(operator.mul, row, col)) for col in cols]
-                   for row in a.rows], b.cols)
+    picks = [(j, brow) for j, brow in enumerate(b.rows) if any(brow)]
+    out = []
+    for row in a.rows:
+        acc = [0] * b.cols
+        for j, brow in picks:
+            x = row[j]
+            if x:
+                acc = list(map(operator.add, acc, map(x.__mul__, brow)))
+        out.append(acc)
+    return Matrix(out, b.cols)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -157,7 +169,9 @@ class SmithForm:
     """D = S A T with S, T unimodular; S_inv, T_inv their exact inverses.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r followed by
-    zeros.
+    zeros.  The nonzero diagonal is read off D once, when the form is made,
+    and kept as a tuple; `rank` and `diagonal()` answer from it, so D must
+    not be altered afterwards.
     """
 
     D: Matrix
@@ -165,14 +179,19 @@ class SmithForm:
     T: Matrix
     S_inv: Matrix
     T_inv: Matrix
+    _diagonal: tuple[int, ...] = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = self.D.rows
+        diagonal = (rows[i][i] for i in range(min(self.D.shape)))
+        self._diagonal = tuple(x for x in diagonal if x)
 
     @property
     def rank(self) -> int:
-        return len(self.diagonal())
+        return len(self._diagonal)
 
     def diagonal(self) -> list[int]:
-        return [self.D[i, i] for i in range(min(self.D.shape))
-                if self.D[i, i] != 0]
+        return list(self._diagonal)
 
 
 def _swap_rows(rows: list[list[int]], i: int, j: int) -> None:
@@ -221,14 +240,18 @@ def smith_normal_form(a) -> SmithForm:
         _add_rows(t_inv, j, i, -q)
 
     k = 0
+    chain = 1  # divides every entry in rows and columns k onwards
     while k < m and k < n:
-        # pick the nonzero entry of least magnitude as pivot
+        # pick the nonzero entry of least magnitude as pivot, the first
+        # one in row-major order; none is smaller than chain
         piv = None
         for i in range(k, m):
-            row = d[i]
-            for j in range(k, n):
-                if row[j] != 0 and (piv is None or abs(row[j]) < least):
-                    piv, least = (i, j), abs(row[j])
+            mags = list(map(abs, d[i][k:]))
+            low = min(filter(None, mags), default=0)
+            if low and (piv is None or low < least):
+                piv, least = (i, k + mags.index(low)), low
+                if low == chain:
+                    break
         if piv is None:
             break
         if piv[0] != k:
@@ -257,13 +280,18 @@ def smith_normal_form(a) -> SmithForm:
         if dirty:
             continue  # smaller remainders appeared; re-pick pivot
 
-        # pivot must divide the rest of the submatrix for the chain condition
+        # pivot must divide the rest of the submatrix for the chain
+        # condition.  Every entry there is a multiple of `chain`, so the
+        # scan is needed only when the pivot does not divide chain: a unit
+        # pivot never scans, nor does a repeat of the last scanned one.
         pivot = d[k][k]
-        offender = next((i for i in range(k + 1, m)
-                         if any(x % pivot for x in d[i][k + 1:])), None)
-        if offender is not None:
-            row_addmul(k, offender, 1)
-            continue
+        if chain % pivot:
+            offender = next((i for i in range(k + 1, m)
+                             if any(x % pivot for x in d[i][k + 1:])), None)
+            if offender is not None:
+                row_addmul(k, offender, 1)
+                continue
+            chain = pivot
         k += 1
 
     return SmithForm(Matrix(d, n), Matrix(s, m), Matrix(t, n),
@@ -286,7 +314,7 @@ def kernel_basis(a) -> Matrix:
 def image_basis(a) -> Matrix:
     """Basis (as columns) of the image lattice of A inside Z^rows."""
     f = smith_normal_form(a)
-    scale = f.diagonal()
+    scale = f._diagonal
     return Matrix([[x * dj for x, dj in zip(row, scale)]
                    for row in f.S_inv.rows], len(scale))
 
@@ -304,7 +332,7 @@ def solve_matrix(a, b) -> Matrix | None:
     if a.shape[0] != b.shape[0]:
         raise ValueError("solve shape mismatch")
     f = smith_normal_form(a)
-    scale = f.diagonal()
+    scale = f._diagonal
     w = zeros(a.cols, b.cols)
     for i, row in enumerate(mat_mul(f.S, b).rows):
         if i >= len(scale):
@@ -347,7 +375,7 @@ class PresGroup:
     @functools.cached_property
     def invariant_factors(self) -> list[int]:
         """Nontrivial invariant factors (2-parts only, ascending), torsion part."""
-        return sorted(d & -d for d in self._smith.diagonal() if d % 2 == 0)
+        return sorted(d & -d for d in self._smith._diagonal if d % 2 == 0)
 
     @property
     def free_rank(self) -> int:

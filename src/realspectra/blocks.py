@@ -29,7 +29,7 @@ from functools import lru_cache
 from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       map_is_surjective, zeros)
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           _weight_tuples_upto, rank_summary)
+                           _weight_tuples_in, rank_summary)
 from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
 from .hfpss import InternalInconsistency, closed_form_state, _DEAD
 from .localcoh import (StandardModule, ideal_f2, ideal_z, lc_closed_form,
@@ -65,7 +65,7 @@ def _bb_cached(n: int, alpha: Degree) -> tuple[BasisEntry, ...]:
         k = d - 4 * l
         if w < 0 or k < 0:
             continue
-        for c in _weight_tuples_upto(w, n):
+        for c in _weight_tuples_in(w, 1, n):
             x = Monomial(k, l, c)
             state = closed_form_state(n, x)
             if state == _DEAD:

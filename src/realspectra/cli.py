@@ -14,7 +14,8 @@ range); an empty range is allowed and yields an empty table.
 
 Limits, each checked before any computation or cache lookup (a violation
 is a configuration error):
-    --n       an integer from 0 to MAX_N (4);
+    --n       an integer from 0 to MAX_N (4); with `lc --oracle`, one of
+              ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
               the radius of the acceptance windows;
     --caps    `A` or `A,R` with a-exponent cap A >= 0 and R >= 1 rounds;
@@ -60,6 +61,11 @@ MAX_N = 4
 # with the distance from the origin (on -48:48,-48:48, `hfpss pages --n 4`
 # runs for about 45 s on a 2-core machine)
 MAX_COORD = 48
+
+# the heights whose module catalogue `lc --oracle` checks; the keys of
+# `localcoh.CATALOGUE`, kept here so that a bad --n is refused before any
+# compute layer is imported
+ORACLE_HEIGHTS = (1, 2)
 
 
 class ConfigError(Exception):
@@ -172,6 +178,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             f"{'/'.join(_FORMATS[args.command])}, got {fmt!r}")
     if args.n is not None and not 0 <= args.n <= MAX_N:
         raise ConfigError(f"--n must be in 0..{MAX_N}, got {args.n}")
+    if args.command == "lc" and args.oracle and args.n is not None and \
+            args.n not in ORACLE_HEIGHTS:
+        raise ConfigError(
+            f"--oracle catalogue covers n = "
+            f"{', '.join(map(str, ORACLE_HEIGHTS))}; got {args.n}")
     return RunConfig(
         command=args.command,
         mode=getattr(args, "mode", ""),

@@ -309,13 +309,23 @@ def weight_tuples(w: int, allowed: Callable[[int], bool]) -> list[tuple[int, ...
 
 
 @functools.lru_cache(maxsize=None)
-def _weight_tuples_upto(w: int, n: int | None) -> tuple[tuple[int, ...], ...]:
-    """weight_tuples(w, ...) with indices <= n (n = None: no limit), cached.
+def _weight_tuples_in(w: int, lo: int,
+                      hi: int | None) -> tuple[tuple[int, ...], ...]:
+    """weight_tuples(w, ...) with indices in lo..hi (hi = None: no upper
+    limit), cached; the listing order is weight_tuples' own.
 
-    >>> _weight_tuples_upto(3, 1)
+    >>> _weight_tuples_in(3, 1, 1)
     ((3,),)
+    >>> _weight_tuples_in(3, 2, None)
+    ((0, 1),)
     """
-    return tuple(weight_tuples(w, lambda i: n is None or i <= n))
+    return tuple(weight_tuples(
+        w, lambda i: lo <= i and (hi is None or i <= hi)))
+
+
+def _first_index_above(k: int) -> int:
+    """The least index i >= 1 with 2^(i+1) - 1 > k (k >= 0)."""
+    return max(1, (k + 1).bit_length() - 1)
 
 
 def _enumerate_with_cap(alpha: Degree, a_cap: int) -> list[BasisEntry]:
@@ -329,12 +339,13 @@ def _enumerate_with_cap(alpha: Degree, a_cap: int) -> list[BasisEntry]:
             l = (d - k) // 4
             if w >= 0:
                 if k == 0:
-                    for c in _weight_tuples_upto(w, None):
+                    for c in _weight_tuples_in(w, 1, None):
                         mono = Monomial(0, l, c)
                         lat = 1 if is_in_subalgebra(mono) else 2
                         out.append(BasisEntry(mono, lat, torsion=False))
                 else:
-                    for c in weight_tuples(w, lambda i, kk=k: kk < 2 ** (i + 1) - 1):
+                    for c in _weight_tuples_in(w, _first_index_above(k),
+                                               None):
                         mono = Monomial(k, l, c)
                         if not mono.is_zero() and is_in_subalgebra(mono):
                             out.append(BasisEntry(mono, 1, torsion=True))

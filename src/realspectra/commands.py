@@ -191,9 +191,7 @@ def cmd_blocks(cfg: RunConfig) -> tuple[int, str]:
 
 def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
     n = _require_n(cfg)
-    if cfg.oracle:
-        if n not in localcoh.CATALOGUE:
-            raise ConfigError(f"--oracle catalogue covers n = 1, 2; got {n}")
+    if cfg.oracle:   # cli has checked n against ORACLE_HEIGHTS
         k_lo, k_hi = (-12, 12) if cfg.window is None else \
             (cfg.window.triv_min, cfg.window.triv_max)
         checked = []

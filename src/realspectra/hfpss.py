@@ -37,7 +37,7 @@ import dataclasses
 
 from .coefficients import (
     BasisEntry, Monomial, StabilizationFailure, _a_exponent_bound, _bump,
-    _weight_tuples_upto, rank_summary,
+    _weight_tuples_in, rank_summary,
 )
 from .grading import Degree, Window, v2
 
@@ -77,7 +77,7 @@ def e2_basis(n: int | None, alpha: Degree, a_cap: int = 40) -> list[Monomial]:
             break
         if k >= 0:
             l = (t - w) // 2
-            for c in _weight_tuples_upto(w, n):
+            for c in _weight_tuples_in(w, 1, n):
                 out.append(Monomial(k, l, c))
         w += 2
     return out

@@ -34,7 +34,7 @@ from functools import lru_cache
 from .abelian import (Matrix, Subquotient, f2_relations, homology_at,
                       identity, induced_map, map_is_surjective, mat_mul,
                       zeros)
-from .coefficients import StabilizationFailure, _bump, weight_tuples
+from .coefficients import StabilizationFailure, _bump, _weight_tuples_in
 from .grading import Degree, RHO, ZERO, total_vbar_degree
 
 KINDS = ("P", "DualP", "Pbar", "DualPbar", "IdealZ", "IdealF2",
@@ -180,39 +180,44 @@ def module_gens(mod: StandardModule, n: int,
     The embedding coefficient is 2 exactly for the IdealZ generators that
     enter the ideal only as doubles (pure vbar_(>t) monomials); it is 1
     everywhere else.  F_2-ness is carried by module_rels, not here.
+
+    The listing is computed once per (mod, n, alpha) and cached as a tuple
+    of tuples, which no caller can alter; each call returns a fresh list
+    copy of it.
     """
+    return list(_gens(mod, n, alpha))
+
+
+@lru_cache(maxsize=None)
+def _gens(mod: StandardModule, n: int,
+          alpha: Degree) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """module_gens as an immutable cached tuple, for the hot callers."""
     kind = mod.kind
     if kind in ("TowerF2", "DualTowerF2"):
         beta = alpha - mod.shift
         down = kind == "TowerF2"
         on = beta.triv == 0 and (beta.sgn <= 0 if down else beta.sgn >= 0)
-        return [((), 1)] if on else []
+        return (((), 1),) if on else ()
     k = _diag_weight(mod, alpha)
     if k is None:
-        return []
+        return ()
     if kind in ("DualP", "DualPbar"):
         k = -k
-        lo = 1 if kind == "DualP" else mod.s + 1
-        if k < 0:
-            return []
-        return [(c, 1) for c in weight_tuples(k, lambda i: lo <= i <= n)]
     if k < 0:
-        return []
-    if kind == "P":
-        return [(c, 1) for c in weight_tuples(k, lambda i: 1 <= i <= n)]
-    if kind == "Pbar":
-        return [(c, 1) for c in
-                weight_tuples(k, lambda i: mod.s + 1 <= i <= n)]
+        return ()
+    lo = mod.s + 1 if kind in ("Pbar", "DualPbar", "IdealF2") else 1
+    listing = _weight_tuples_in(k, lo, n)
     if kind == "IdealZ":
         out = []
-        for c in weight_tuples(k, lambda i: 1 <= i <= n):
+        for c in listing:
             m = _min_index(c)
             out.append((c, 1 if m is not None and m <= mod.t else 2))
-        return out
-    # IdealF2: at least one factor from the generating list
-    return [(c, 1) for c in
-            weight_tuples(k, lambda i: mod.s + 1 <= i <= n)
-            if (_min_index(c) or n + 1) <= mod.t]
+        return tuple(out)
+    if kind == "IdealF2":
+        # at least one factor from the generating list
+        return tuple((c, 1) for c in listing
+                     if (_min_index(c) or n + 1) <= mod.t)
+    return tuple((c, 1) for c in listing)
 
 
 def module_rels(mod: StandardModule, gens: int) -> Matrix:
@@ -232,7 +237,7 @@ def module_ranks(mod: StandardModule, n: int,
     >>> module_ranks(ideal_f2(0, 1), 2, 2 * RHO)   # v1^2 alone has weight 2
     (0, 1)
     """
-    gens = len(module_gens(mod, n, alpha))
+    gens = len(_gens(mod, n, alpha))
     return (0, gens) if mod.torsion else (gens, 0)
 
 
@@ -244,8 +249,8 @@ def vbar_matrix(mod: StandardModule, n: int, i: int, e: int,
     IdealZ case can pick up a coefficient 2 when a doubled pure monomial
     lands on a plain ideal generator.
     """
-    src = module_gens(mod, n, alpha)
-    tgt = module_gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
+    src = _gens(mod, n, alpha)
+    tgt = _gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
     mat = zeros(len(tgt), len(src))
     kind = mod.kind
     if kind in ("TowerF2", "DualTowerF2"):
@@ -282,7 +287,7 @@ def mono_matrix(mod: StandardModule, n: int, exps: tuple[int, ...],
         mat = step if mat is None else mat_mul(step, mat)
         here = here + RHO * (e * (2 ** i - 1))
     if mat is None:
-        mat = identity(len(module_gens(mod, n, alpha)))
+        mat = identity(len(_gens(mod, n, alpha)))
     return mat
 
 
@@ -309,7 +314,7 @@ def _koszul_layer(mod: StandardModule, n: int, e: int, j: int,
     for subset in _subsets(n, j):
         at = alpha + RHO * (e * _subset_weight(subset))
         summands.append((subset, at, start))
-        start += len(module_gens(mod, n, at))
+        start += len(_gens(mod, n, at))
     return summands, start
 
 

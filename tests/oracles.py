@@ -2,10 +2,11 @@
 
 Everything here recomputes answers from first principles (generator products,
 raw monomial enumeration, explicit chain complexes) without using the closed
-forms or shortcuts from the package, so agreement is meaningful.  The two
+forms or shortcuts from the package, so agreement is meaningful.  The
 references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
-`e_infinity_basis_two_rounds`), to check an optimised path against.
+`e_infinity_basis_two_rounds`, `smith_normal_form_full_rescan`,
+`module_gens_uncached`), to check an optimised path against.
 """
 
 from __future__ import annotations
@@ -184,3 +185,108 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
         raise StabilizationFailure(
             f"final-page classes at {alpha} appear past filtration {bound}")
     return rounds[0]
+
+
+def smith_normal_form_full_rescan(rows: list[list[int]], cols: int):
+    """The Smith normal form with its divisibility-chain scan after every
+    pivot, a unit pivot included; returns the row lists of D, S, T, S_inv
+    and T_inv.  Same pivot rule and operations as the package's engine.
+    """
+    m, n = len(rows), cols
+    d = [list(row) for row in rows]
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
+    s_inv = [row[:] for row in s]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    t_inv = [row[:] for row in t]
+
+    def add_rows(mat, i, j, q):
+        mat[i] = [x + q * y for x, y in zip(mat[i], mat[j])]
+
+    def add_cols(mat, i, j, q):
+        for r in mat:
+            r[i] += q * r[j]
+
+    def swap_cols(mat, i, j):
+        for r in mat:
+            r[i], r[j] = r[j], r[i]
+
+    def row_addmul(i, j, q):
+        add_rows(d, i, j, q)
+        add_rows(s, i, j, q)
+        add_cols(s_inv, j, i, -q)
+
+    def col_addmul(i, j, q):
+        add_cols(d, i, j, q)
+        add_cols(t, i, j, q)
+        add_rows(t_inv, j, i, -q)
+
+    k = 0
+    while k < m and k < n:
+        piv = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < least):
+                    piv, least = (i, j), abs(d[i][j])
+        if piv is None:
+            break
+        if piv[0] != k:
+            d[k], d[piv[0]] = d[piv[0]], d[k]
+            s[k], s[piv[0]] = s[piv[0]], s[k]
+            swap_cols(s_inv, k, piv[0])
+        if piv[1] != k:
+            swap_cols(d, k, piv[1])
+            swap_cols(t, k, piv[1])
+            t_inv[k], t_inv[piv[1]] = t_inv[piv[1]], t_inv[k]
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            s[k] = [-x for x in s[k]]
+            for r in s_inv:
+                r[k] = -r[k]
+        dirty = False
+        for i in range(k + 1, m):
+            if d[i][k] != 0:
+                row_addmul(i, k, -(d[i][k] // d[k][k]))
+                dirty = dirty or d[i][k] != 0
+        for j in range(k + 1, n):
+            if d[k][j] != 0:
+                col_addmul(j, k, -(d[k][j] // d[k][k]))
+                dirty = dirty or d[k][j] != 0
+        if dirty:
+            continue
+        pivot = d[k][k]
+        offender = next((i for i in range(k + 1, m)
+                         if any(x % pivot for x in d[i][k + 1:])), None)
+        if offender is not None:
+            row_addmul(k, offender, 1)
+            continue
+        k += 1
+    return d, s, t, s_inv, t_inv
+
+
+def module_gens_uncached(mod, n: int, alpha: Degree):
+    """localcoh.module_gens as a fresh weight_tuples listing per call, with
+    the index range given as a predicate."""
+    from realspectra.coefficients import weight_tuples
+
+    def least(c):
+        return next((i for i, e in enumerate(c, start=1) if e), None)
+
+    kind = mod.kind
+    beta = alpha - mod.shift
+    if kind in ("TowerF2", "DualTowerF2"):
+        down = kind == "TowerF2"
+        on = beta.triv == 0 and (beta.sgn <= 0 if down else beta.sgn >= 0)
+        return [((), 1)] if on else []
+    if beta.triv != beta.sgn:
+        return []
+    k = -beta.triv if kind in ("DualP", "DualPbar") else beta.triv
+    if k < 0:
+        return []
+    lo = mod.s + 1 if kind in ("Pbar", "DualPbar", "IdealF2") else 1
+    listing = weight_tuples(k, lambda i: lo <= i <= n)
+    if kind == "IdealZ":
+        return [(c, 1 if least(c) is not None and least(c) <= mod.t else 2)
+                for c in listing]
+    if kind == "IdealF2":
+        return [(c, 1) for c in listing if (least(c) or n + 1) <= mod.t]
+    return [(c, 1) for c in listing]

@@ -491,9 +491,15 @@ def test_cache_hit_loads_no_compute_module(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["blocks", "bb", "--n", "40"],          # config error
     ["coeff", "--jobs", "2"],               # argparse error
+    ["lc", "--oracle", "--n", "3"],         # no oracle catalogue at n = 3
 ])
 def test_rejected_argv_loads_no_compute_module(argv):
     assert fresh_process(argv) == (2, repr(LIGHT))
+
+
+def test_oracle_heights_are_the_catalogue_heights():
+    from realspectra import cli, localcoh
+    assert cli.ORACLE_HEIGHTS == tuple(localcoh.CATALOGUE)
 
 
 @pytest.mark.parametrize("argv", [
