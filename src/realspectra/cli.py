@@ -313,4 +313,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # `python -m realspectra.cli` runs this file as a second module,
+    # __main__, whose ConfigError is not the class `commands` raises; hand
+    # over to the canonical module
+    from realspectra.cli import main as canonical_main
+    sys.exit(canonical_main())

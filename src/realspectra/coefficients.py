@@ -66,6 +66,11 @@ class Monomial:
     """Ambient monomial a^k u^l vbar_1^c1 vbar_2^c2 ...
 
     c omits vbar_0; trailing zeros are stripped so equality is structural.
+    The constructor converts c to ints, strips it and rejects negative
+    exponents.  The private `_trusted` skips all of that; only the page
+    loops of `hfpss` (`e2_basis`, `_fire_target` and the source in
+    `_PageStates._hit`) use it, where k >= 0 and a stripped, nonnegative
+    int tuple c hold by construction.
 
     >>> Monomial(1, 0, (2,)).degree()
     Degree(triv=2, sgn=1)
@@ -84,6 +89,22 @@ class Monomial:
             raise ValueError("negative a-exponent")
         if c and min(c) < 0:
             raise ValueError("negative vbar-exponent")
+
+    @classmethod
+    def _trusted(cls, k: int, l: int, c: tuple[int, ...]) -> "Monomial":
+        """Monomial(k, l, c) without its checks: the caller guarantees
+        k >= 0 and that c is a stripped tuple of nonnegative ints.
+
+        >>> Monomial._trusted(4, -1, (2,)) == Monomial(4, -1, [2, 0])
+        True
+        """
+        self = object.__new__(cls)
+        # object.__setattr__, not writes to __dict__: those would make the
+        # instance build a full dict, 60% more memory per monomial
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "c", c)
+        return self
 
     def degree(self) -> Degree:
         w = self.weight()
@@ -376,7 +397,8 @@ def basis_in_degree(alpha: Degree, caps: Caps = DEFAULT_CAPS) -> list[BasisEntry
 
     Enumerates under a growing a-exponent cap until two successive caps agree
     (the second already past the provable bound), else raises
-    StabilizationFailure.
+    StabilizationFailure.  The first listing also gives the one under the
+    cap before it, so a degree that stabilizes at once is listed once.
 
     >>> [e.describe() for e in basis_in_degree(Degree(0, 0))]
     ['1']
@@ -391,10 +413,14 @@ def basis_in_degree(alpha: Degree, caps: Caps = DEFAULT_CAPS) -> list[BasisEntry
 @functools.lru_cache(maxsize=None)
 def _basis_cached(alpha: Degree, caps: Caps) -> tuple[BasisEntry, ...]:
     cap = max(caps.a_cap, _a_exponent_bound(alpha) + 4)
-    prev = _enumerate_with_cap(alpha, cap)
+    prev = None
     for _ in range(caps.rounds):
         cap += 8
         cur = _enumerate_with_cap(alpha, cap)
+        if prev is None:
+            # membership never depends on the cap, so the listing under the
+            # previous cap is the prefix of this one with k <= that cap
+            prev = [e for e in cur if e.mono.k <= cap - 8]
         if cur == prev:
             return tuple(cur)
         prev = cur

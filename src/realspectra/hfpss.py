@@ -29,11 +29,18 @@ this:
 `e_infinity_basis` enumerates each degree once, past the provable filtration
 bound, runs both engines on every monomial and raises MismatchError the
 moment they disagree; a survivor above the bound is a StabilizationFailure.
+
+Propagation states are memoized per height for the life of the process
+(`_engine`): a state depends on (n, monomial, page) only, so
+`run_differentials` and every `e_infinity_basis` call share one memo and no
+state is worked out twice.  The memo saves propagation work, not checks:
+both engines still run on every monomial listed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .coefficients import (
     BasisEntry, Monomial, StabilizationFailure, _a_exponent_bound, _bump,
@@ -78,13 +85,14 @@ def e2_basis(n: int | None, alpha: Degree, a_cap: int = 40) -> list[Monomial]:
         if k >= 0:
             l = (t - w) // 2
             for c in _weight_tuples_in(w, 1, n):
-                out.append(Monomial(k, l, c))
+                out.append(Monomial._trusted(k, l, c))
         w += 2
     return out
 
 
 def _fire_target(x: Monomial, i: int) -> Monomial:
-    return Monomial(x.k + 2 ** (i + 1) - 1, x.l - 2 ** (i - 1), _bump(x.c, i, 1))
+    return Monomial._trusted(x.k + 2 ** (i + 1) - 1, x.l - 2 ** (i - 1),
+                             _bump(x.c, i, 1))
 
 
 class _PageStates:
@@ -97,15 +105,23 @@ class _PageStates:
 
     def __init__(self, n: int | None):
         self.n = n
-        self._memo: dict[tuple[Monomial, int], object] = {}
+        # one row per monomial, keyed by a plain tuple so that hashing and
+        # comparing keys stays in C: row[p - 2] is the state on page p.
+        # _advance(x, p) fills x's pages below p first and reads other
+        # monomials only, so a row grows in page order.
+        self._memo: dict[tuple[int, int, tuple[int, ...]], list] = {}
 
     def state(self, x: Monomial, p: int):
         if p <= 1:
             return 1 if x.k == 0 else True
-        key = (x, p)
-        st = self._memo.get(key)
-        if st is None:
-            st = self._memo[key] = self._advance(x, p)
+        key = (x.k, x.l, x.c)
+        row = self._memo.get(key)
+        if row is None:
+            row = self._memo[key] = []
+        elif p - 2 < len(row):
+            return row[p - 2]
+        st = self._advance(x, p)
+        row.append(st)
         return st
 
     def _advance(self, x: Monomial, p: int):
@@ -136,7 +152,7 @@ class _PageStates:
         r = 2 ** (i + 1) - 1
         if x.k < r or len(x.c) < i or x.c[i - 1] == 0:
             return False
-        z = Monomial(x.k - r, x.l + 2 ** (i - 1), _bump(x.c, i, -1))
+        z = Monomial._trusted(x.k - r, x.l + 2 ** (i - 1), _bump(x.c, i, -1))
         st = self.state(z, page)
         if not (st is True or (z.k == 0 and st == 1)):
             return False    # dead source, or lattice 2 contributing 2 d(z) = 0
@@ -150,6 +166,14 @@ class _PageStates:
 
     def final_state(self, x: Monomial):
         return self.state(x, self.final_page(x))
+
+
+@functools.lru_cache(maxsize=None)
+def _engine(n: int | None) -> _PageStates:
+    """The propagation memo for height n, shared by every call in the
+    process.  A page state depends on (n, monomial, page) alone, never on a
+    window or a filtration cap, so a warm memo answers as a cold one."""
+    return _PageStates(n)
 
 
 def closed_form_state(n: int | None, x: Monomial, p: int | None = None):
@@ -196,10 +220,13 @@ def e_infinity_basis(n: int | None, alpha: Degree,
 
     Enumerates once, up to filtration bound + 8, where bound is the provable
     filtration bound (or a_cap if larger), and runs both engines on every
-    monomial.  Raises MismatchError at the first class on which the
-    propagation and closed-form engines disagree, and otherwise
-    StabilizationFailure if a class above the bound survives; the classes
-    returned are those of filtration at most the bound.
+    monomial.  Propagation reads the process-wide memo of its height, so a
+    monomial an earlier call (say `run_differentials`) already propagated
+    costs a lookup; the closed form is still compared on it.  Raises
+    MismatchError at the first class on which the propagation and
+    closed-form engines disagree, and otherwise StabilizationFailure if a
+    class above the bound survives; the classes returned are those of
+    filtration at most the bound.
 
     >>> [e.describe() for e in e_infinity_basis(1, Degree(2, -2))]
     ['2*u']
@@ -207,7 +234,7 @@ def e_infinity_basis(n: int | None, alpha: Degree,
     ['u^2']
     """
     bound = max(_exponent_bound(n, alpha), a_cap or 0)
-    engine = _PageStates(n)
+    engine = _engine(n)
     entries = []
     past_bound = False
     for x in e2_basis(n, alpha, bound + 8):
@@ -269,7 +296,7 @@ def run_differentials(n: int | None, window: Window,
     (1,0) and filtration rise by exactly r) or hits a class that fires again
     on the same page (d*d must vanish).
     """
-    engine = _PageStates(n)
+    engine = _engine(n)
     degrees = list(window)
     per_degree = {alpha: e2_basis(n, alpha, a_cap) for alpha in degrees}
     if n is not None:

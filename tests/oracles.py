@@ -5,8 +5,9 @@ raw monomial enumeration, explicit chain complexes) without using the closed
 forms or shortcuts from the package, so agreement is meaningful.  The
 references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
-`e_infinity_basis_two_rounds`, `smith_normal_form_full_rescan`,
-`module_gens_uncached`), to check an optimised path against.
+`e_infinity_basis_two_rounds`, `basis_cached_every_round`,
+`smith_normal_form_full_rescan`, `module_gens_uncached`), to check an
+optimised path against.
 """
 
 from __future__ import annotations
@@ -185,6 +186,28 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
         raise StabilizationFailure(
             f"final-page classes at {alpha} appear past filtration {bound}")
     return rounds[0]
+
+
+def basis_cached_every_round(alpha, caps):
+    """coefficients._basis_cached as it enumerated before: a full listing
+    at every cap from the first, max(a_cap, bound + 4), up in steps of 8,
+    until two successive listings agree.
+
+    The enumerator and the bound are looked up through the coefficients
+    module, so a test that patches them there patches this reference too.
+    """
+    from realspectra import coefficients
+
+    cap = max(caps.a_cap, coefficients._a_exponent_bound(alpha) + 4)
+    prev = coefficients._enumerate_with_cap(alpha, cap)
+    for _ in range(caps.rounds):
+        cap += 8
+        cur = coefficients._enumerate_with_cap(alpha, cap)
+        if cur == prev:
+            return tuple(cur)
+        prev = cur
+    raise coefficients.StabilizationFailure(
+        f"basis at {alpha} did not stabilize by cap {cap}")
 
 
 def smith_normal_form_full_rescan(rows: list[list[int]], cols: int):

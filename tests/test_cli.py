@@ -517,3 +517,29 @@ def test_cache_miss_computes_without_numpy(tmp_path, argv):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     [entry] = tmp_path.iterdir()   # it was a miss, and it was stored
+
+
+# --- python -m realspectra.cli ----------------------------------------------------
+
+def module_run(argv) -> subprocess.CompletedProcess:
+    """`python -m realspectra.cli argv` in a new interpreter, no cache."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REALSPECTRA_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-m", "realspectra.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_m_reports_config_errors_of_commands():
+    # `commands` raises this one, after the compute stack is loaded
+    done = module_run(["lc", "bb"])
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2
+    assert done.stderr == "error: lc bb needs --n\n"
+
+
+def test_python_m_prints_what_main_prints(capsys):
+    argv = ["hfpss", "einf", "--n", "2", "--window", "-3:3,-3:3"]
+    done = module_run(argv)
+    assert (done.returncode, done.stdout) == run(capsys, *argv)
+    assert done.returncode == 0 and done.stdout

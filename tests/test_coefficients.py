@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from realspectra import coefficients
 from realspectra.coefficients import (
-    BasisEntry, Caps, CoeffElement, Monomial, QuotientIdeal, basis_in_degree,
+    BasisEntry, Caps, CoeffElement, Monomial, QuotientIdeal,
+    StabilizationFailure, basis_in_degree,
     element, group_in_degree, is_in_subalgebra, mult_map, multiply,
     nilpotence_check, quotient_groups, restriction_rank, tower_group,
     twisted_vbar, underlying_groups, vbar_monomial, weight_tuples,
@@ -103,6 +104,42 @@ def test_basis_against_raw_enumeration():
         free = sum(1 for e in certified if not e.torsion)
         tors = sum(1 for e in certified if e.torsion)
         assert (free, tors) == oracles.brute_coefficient_group(alpha)
+
+
+def _basis_outcome(fn, alpha, caps):
+    """("ok", basis) from fn, or ("raised", type, message)."""
+    try:
+        return ("ok", fn(alpha, caps))
+    except StabilizationFailure as err:
+        return ("raised", type(err), str(err))
+
+
+@pytest.mark.parametrize("caps", [Caps(40, 4), Caps(0, 1), Caps(4, 2)])
+def test_single_listing_matches_every_round(caps):
+    for alpha in Window(-10, 10, -10, 10):
+        got = _basis_outcome(coefficients._basis_cached.__wrapped__,
+                             alpha, caps)
+        assert got[0] == "ok", (alpha, got)
+        assert got == _basis_outcome(oracles.basis_cached_every_round,
+                                     alpha, caps), (alpha, caps)
+
+
+def test_single_listing_fails_as_every_round(monkeypatch):
+    # a bound far too low: listings start at cap a_cap and grow only by
+    # the rounds, so some degrees fail, some stabilize on a later round
+    monkeypatch.setattr(coefficients, "_a_exponent_bound", lambda alpha: -100)
+    seen = set()
+    for caps in (Caps(0, 0), Caps(0, 1), Caps(0, 3), Caps(4, 2)):
+        for alpha in Window(-10, 10, -10, 10):
+            got = _basis_outcome(coefficients._basis_cached.__wrapped__,
+                                 alpha, caps)
+            assert got == _basis_outcome(oracles.basis_cached_every_round,
+                                         alpha, caps), (alpha, caps)
+            seen.add(got[0])
+            if caps == Caps(0, 0):
+                assert got == ("raised", StabilizationFailure,
+                               f"basis at {alpha} did not stabilize by cap 0")
+    assert seen == {"ok", "raised"}
 
 
 def test_rho_minus_4_line():

@@ -241,3 +241,109 @@ def test_page_monotonicity_random():
             prev = cur
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the process-wide propagation memo and the trusted monomial constructor
+
+def _assert_same_monomial(got: Monomial, want: Monomial):
+    """got, built on a trusted path, is want in every observable way."""
+    assert type(got.c) is tuple and all(type(ci) is int for ci in got.c)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+
+
+def _bumped(c, i: int, by: int) -> list[int]:
+    """c with its vbar_i entry moved by `by`, padded, not stripped."""
+    out = list(c) + [0] * i
+    out[i - 1] += by
+    return out
+
+
+class _SpyStates(_PageStates):
+    """A fresh engine that records every monomial it is asked about."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.seen = []
+
+    def state(self, x, p):
+        self.seen.append(x)
+        return super().state(x, p)
+
+
+_exponents = st.lists(st.integers(0, 3), max_size=4)
+
+
+def test_trusted_e2_basis_monomials_equal_validated():
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(0, 24),
+           st.sampled_from([1, 2, 3, 4, None]))
+    def check(t, s, a_cap, n):
+        for m in e2_basis(n, Degree(t, s), a_cap):
+            _assert_same_monomial(m, Monomial(m.k, m.l, list(m.c) + [0]))
+
+    check()
+
+
+def test_trusted_fire_targets_and_hit_sources_equal_validated():
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 20), st.integers(-16, 16), _exponents,
+           st.integers(1, 4), st.sampled_from([1, 2, 3, 4, None]))
+    def check(k, l, c, i, n):
+        x = Monomial(k, l, c)
+        r = 2 ** (i + 1) - 1
+        _assert_same_monomial(
+            hfpss._fire_target(x, i),
+            Monomial(k + r, l - 2 ** (i - 1), _bumped(x.c, i, 1)))
+        engine = _SpyStates(n)
+        engine._hit(x, i, i)
+        if k >= r and len(x.c) >= i and x.c[i - 1] > 0:
+            _assert_same_monomial(
+                engine.seen[0],
+                Monomial(k - r, l + 2 ** (i - 1), _bumped(x.c, i, -1)))
+        else:
+            assert engine.seen == []
+        # and so is every monomial the recursion reached from there
+        for m in engine.seen:
+            _assert_same_monomial(m, Monomial(m.k, m.l, list(m.c) + [0]))
+
+    check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, None])
+def test_warm_engine_answers_as_cold(n):
+    window = Window(-6, 6, -6, 6)
+    degrees = list(window)
+    want = {alpha: _outcome(oracles.e_infinity_basis_two_rounds, n, alpha)
+            for alpha in degrees}
+    engine = hfpss._engine
+
+    def einf_all(order):
+        for alpha in order:
+            assert _outcome(e_infinity_basis, n, alpha) == want[alpha], \
+                (n, alpha)
+
+    engine.cache_clear()
+    einf_all(degrees)                       # cold
+    engine.cache_clear()
+    cold_pages = run_differentials(n, window)
+    memo_size = len(engine(n)._memo)
+    einf_all(degrees)                       # after run_differentials
+    # every monomial e_infinity_basis lists was already in the memo
+    assert len(engine(n)._memo) == memo_size
+    assert run_differentials(n, window) == cold_pages
+    engine.cache_clear()
+    einf_all(reversed(degrees))             # reverse order
+    assert run_differentials(n, window) == cold_pages
+
+
+def test_warm_memo_still_reports_disagreement(monkeypatch):
+    alpha = Degree(0, -3)
+    run_differentials(1, Window(-1, 1, -4, -2))
+    assert hfpss._engine(1)._memo
+    _closed_form_flipped_on(monkeypatch, Monomial(3, 0))
+    with pytest.raises(MismatchError, match="engines disagree on a\\^3 at"):
+        e_infinity_basis(1, alpha)
+    got = _assert_matches_two_rounds(1, alpha)
+    assert got[0] is MismatchError
