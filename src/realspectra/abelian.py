@@ -2,9 +2,12 @@
 
 A Matrix is a list of rows of Python ints plus a column count, so all
 arithmetic is arbitrary precision and 0 x n and n x 0 shapes survive.  The
-Smith engine tracks the unimodular transforms and their inverses, which is
+Smith engine provides the unimodular transforms and their inverses, which is
 what makes kernels, integer solves, image lattices, and induced maps on
-subquotients one-liners downstream.
+subquotients one-liners downstream.  It logs its row and column operations
+and builds each transform from the log the first time it is read, so a
+caller pays only for the transforms it uses; a transform once read is shared
+and must not be altered.
 
 Everything is 2-local by convention: an odd integer is a unit, and the only
 torsion the graded summaries admit is elementary 2-torsion (the rings under
@@ -164,7 +167,6 @@ def f2_relations(torsion) -> Matrix:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclasses.dataclass
 class SmithForm:
     """D = S A T with S, T unimodular; S_inv, T_inv their exact inverses.
 
@@ -172,18 +174,19 @@ class SmithForm:
     zeros.  The nonzero diagonal is read off D once, when the form is made,
     and kept as a tuple; `rank` and `diagonal()` answer from it, so D must
     not be altered afterwards.
+
+    The reduction logs its elementary row and column operations instead of
+    applying them to four transforms.  Each of S, T, S_inv and T_inv is
+    built from that log the first time it is read and then kept, so a
+    caller pays only for the ones it reads, and must not alter them.
     """
 
-    D: Matrix
-    S: Matrix
-    T: Matrix
-    S_inv: Matrix
-    T_inv: Matrix
-    _diagonal: tuple[int, ...] = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = self.D.rows
-        diagonal = (rows[i][i] for i in range(min(self.D.shape)))
+    def __init__(self, D: Matrix, row_ops: list, col_ops: list):
+        self.D = D
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+        rows = D.rows
+        diagonal = (rows[i][i] for i in range(min(D.shape)))
         self._diagonal = tuple(x for x in diagonal if x)
 
     @property
@@ -193,29 +196,74 @@ class SmithForm:
     def diagonal(self) -> list[int]:
         return list(self._diagonal)
 
+    @functools.cached_property
+    def S(self) -> Matrix:
+        return _replay(self._row_ops, len(self.D.rows))
 
-def _swap_rows(rows: list[list[int]], i: int, j: int) -> None:
-    rows[i], rows[j] = rows[j], rows[i]
+    @functools.cached_property
+    def T(self) -> Matrix:
+        return _replay(self._col_ops, self.D.cols).T
+
+    @functools.cached_property
+    def S_inv(self) -> Matrix:
+        return _replay_inverse(self._row_ops, len(self.D.rows)).T
+
+    @functools.cached_property
+    def T_inv(self) -> Matrix:
+        return _replay_inverse(self._col_ops, self.D.cols)
 
 
-def _swap_cols(rows: list[list[int]], i: int, j: int) -> None:
-    for r in rows:
-        r[i], r[j] = r[j], r[i]
+# one logged operation on rows (or on columns): (_SWAP, i, j, 0) swaps i
+# and j, (_NEGATE, i, i, -1) negates i, (_ADD, i, j, q) adds q times j to i
+_SWAP, _NEGATE, _ADD = range(3)
 
 
-def _add_rows(rows: list[list[int]], i: int, j: int, q: int) -> None:
-    # row_i += q * row_j
-    rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+def _replay(ops: list, size: int) -> Matrix:
+    """The logged operations, in order, on the rows of the identity.
+
+    The row log gives S; the column log gives the transpose of T.
+    """
+    rows = identity(size).rows
+    for op, i, j, q in ops:
+        if op == _ADD:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif op == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return Matrix(rows, size)
 
 
-def _add_cols(rows: list[list[int]], i: int, j: int, q: int) -> None:
-    # col_i += q * col_j
-    for r in rows:
-        r[i] += q * r[j]
+def _replay_inverse(ops: list, size: int) -> Matrix:
+    """The inverse operations, in order, on the rows of the identity.
+
+    The row log gives the transpose of S_inv; the column log gives T_inv.
+    An inverse multiplies from the other side, so adding q times j to i is
+    undone by adding -q times i to j.
+    """
+    return _replay([(op, j, i, -q) if op == _ADD else (op, i, j, q)
+                    for op, i, j, q in ops], size)
+
+
+def _in_smith_form(rows: list[list[int]], n: int) -> bool:
+    """Whether the matrix is diagonal with nonnegative d_1 | d_2 | ...
+    followed by zeros, where the reduction would make no operation."""
+    last = 1
+    for i, row in enumerate(rows):
+        x = row[i] if i < n else 0
+        if x < 0 or any(row[:i]) or any(row[i + 1:]):
+            return False
+        if x and (not last or x % last):
+            return False
+        last = x
+    return True
 
 
 def smith_normal_form(a) -> SmithForm:
     """Smith normal form with transforms.
+
+    An input already in Smith form comes back as a copy with an empty
+    operation log, after one scan.
 
     >>> f = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     >>> f.diagonal()
@@ -226,18 +274,10 @@ def smith_normal_form(a) -> SmithForm:
     a = to_matrix(a)
     m, n = a.shape
     d = [row[:] for row in a.rows]
-    s, s_inv = identity(m).rows, identity(m).rows
-    t, t_inv = identity(n).rows, identity(n).rows
-
-    def row_addmul(i, j, q):
-        _add_rows(d, i, j, q)
-        _add_rows(s, i, j, q)
-        _add_cols(s_inv, j, i, -q)
-
-    def col_addmul(i, j, q):
-        _add_cols(d, i, j, q)
-        _add_cols(t, i, j, q)
-        _add_rows(t_inv, j, i, -q)
+    row_ops: list[tuple[int, int, int, int]] = []
+    col_ops: list[tuple[int, int, int, int]] = []
+    if _in_smith_form(d, n):
+        return SmithForm(Matrix(d, n), row_ops, col_ops)
 
     k = 0
     chain = 1  # divides every entry in rows and columns k onwards
@@ -254,29 +294,38 @@ def smith_normal_form(a) -> SmithForm:
                     break
         if piv is None:
             break
-        if piv[0] != k:
-            _swap_rows(d, k, piv[0])
-            _swap_rows(s, k, piv[0])
-            _swap_cols(s_inv, k, piv[0])
-        if piv[1] != k:
-            _swap_cols(d, k, piv[1])
-            _swap_cols(t, k, piv[1])
-            _swap_rows(t_inv, k, piv[1])
+        pi, pj = piv
+        if pi != k:
+            d[k], d[pi] = d[pi], d[k]
+            row_ops.append((_SWAP, k, pi, 0))
+        # rows above k are zero from column k on, so column operations
+        # need only rows k onwards
+        if pj != k:
+            for r in d[k:]:
+                r[k], r[pj] = r[pj], r[k]
+            col_ops.append((_SWAP, k, pj, 0))
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
-            s[k] = [-x for x in s[k]]
-            for r in s_inv:
-                r[k] = -r[k]
+            row_ops.append((_NEGATE, k, k, -1))
 
+        top = d[k]
+        pivot = top[k]
         dirty = False
         for i in range(k + 1, m):
-            if d[i][k] != 0:
-                row_addmul(i, k, -(d[i][k] // d[k][k]))
+            x = d[i][k]
+            if x:
+                q = -(x // pivot)
+                d[i] = [y + q * z for y, z in zip(d[i], top)]
+                row_ops.append((_ADD, i, k, q))
                 dirty = dirty or d[i][k] != 0
         for j in range(k + 1, n):
-            if d[k][j] != 0:
-                col_addmul(j, k, -(d[k][j] // d[k][k]))
-                dirty = dirty or d[k][j] != 0
+            x = top[j]
+            if x:
+                q = -(x // pivot)
+                for r in d[k:]:
+                    r[j] += q * r[k]
+                col_ops.append((_ADD, j, k, q))
+                dirty = dirty or top[j] != 0
         if dirty:
             continue  # smaller remainders appeared; re-pick pivot
 
@@ -284,18 +333,17 @@ def smith_normal_form(a) -> SmithForm:
         # condition.  Every entry there is a multiple of `chain`, so the
         # scan is needed only when the pivot does not divide chain: a unit
         # pivot never scans, nor does a repeat of the last scanned one.
-        pivot = d[k][k]
         if chain % pivot:
             offender = next((i for i in range(k + 1, m)
                              if any(x % pivot for x in d[i][k + 1:])), None)
             if offender is not None:
-                row_addmul(k, offender, 1)
+                d[k] = [x + y for x, y in zip(top, d[offender])]
+                row_ops.append((_ADD, k, offender, 1))
                 continue
             chain = pivot
         k += 1
 
-    return SmithForm(Matrix(d, n), Matrix(s, m), Matrix(t, n),
-                     Matrix(s_inv, m), Matrix(t_inv, n))
+    return SmithForm(Matrix(d, n), row_ops, col_ops)
 
 
 def kernel_basis(a) -> Matrix:
@@ -334,7 +382,9 @@ def solve_matrix(a, b) -> Matrix | None:
     f = smith_normal_form(a)
     scale = f._diagonal
     w = zeros(a.cols, b.cols)
-    for i, row in enumerate(mat_mul(f.S, b).rows):
+    # an empty operation log means S (or T) is the identity
+    sb = mat_mul(f.S, b) if f._row_ops else b
+    for i, row in enumerate(sb.rows):
         if i >= len(scale):
             if any(row):
                 return None
@@ -344,7 +394,7 @@ def solve_matrix(a, b) -> Matrix | None:
             if rem != 0:
                 return None
             w.rows[i][j] = q
-    return mat_mul(f.T, w)
+    return mat_mul(f.T, w) if f._col_ops else w
 
 
 # ---------------------------------------------------------------------------

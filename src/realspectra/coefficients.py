@@ -494,113 +494,111 @@ def rank_summary(entries) -> tuple[int, int]:
     return (flags.count(False), flags.count(True))
 
 
-class _Tower:
-    """Degreewise groups of B modulo an ordered list of vbar-power steps."""
+@functools.lru_cache(maxsize=None)
+def _stage_group(steps: tuple[tuple[int, int], ...], caps: Caps,
+                 alpha: Degree) -> TowerGroup:
+    """Degree alpha of B modulo the vbar-power steps, applied in order.
 
-    def __init__(self, steps: tuple[tuple[int, int], ...], caps: Caps):
-        self.steps = steps
-        self.caps = caps
-        self._memo: dict[tuple[int, Degree], TowerGroup] = {}
+    A stage depends only on the steps up to it, the caps and alpha, so
+    this one memo, keyed by the steps, serves every tower that shares them
+    as a prefix: the towers at a tail stop and one index past it share all
+    their stages but the last.
+    """
+    if not steps:
+        entries = basis_in_degree(alpha, caps)
+        return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
+    below = steps[:-1]
+    index, exp = steps[-1]
+    shift = generator_degree("vbar", index=index, power=exp)
 
-    def group(self, stage: int, alpha: Degree) -> TowerGroup:
-        key = (stage, alpha)
-        if key not in self._memo:
-            self._memo[key] = self._compute(stage, alpha)
-        return self._memo[key]
+    tgt = _stage_group(below, caps, alpha)
+    src = _stage_group(below, caps, alpha - shift)
+    ker_tgt = _stage_group(below, caps, alpha - Degree(1, 0))
+    ker_src = _stage_group(below, caps, alpha - Degree(1, 0) - shift)
 
-    def _compute(self, stage: int, alpha: Degree) -> TowerGroup:
-        if stage == 0:
-            entries = basis_in_degree(alpha, self.caps)
-            return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
-        index, exp = self.steps[stage - 1]
-        shift = generator_degree("vbar", index=index, power=exp)
-        below = stage - 1
+    trusted = all(g.exact and g.mult_trusted
+                  for g in (tgt, src, ker_tgt, ker_src))
+    if not trusted:
+        return TowerGroup([], False, False, (-1, -1), (-1, -1))
 
-        tgt = self.group(below, alpha)
-        src = self.group(below, alpha - shift)
-        ker_tgt = self.group(below, alpha - Degree(1, 0))
-        ker_src = self.group(below, alpha - Degree(1, 0) - shift)
+    mult = vbar_monomial(index, exp)
+    sub_entries = _coker_entries(src, tgt, mult)
+    ker_entries = _ker_entries(ker_src, ker_tgt, mult)
+    quot_entries = [dataclasses.replace(e, betas=e.betas + (len(steps),))
+                    for e in ker_entries]
 
-        trusted = all(g.exact and g.mult_trusted
-                      for g in (tgt, src, ker_tgt, ker_src))
-        if not trusted:
-            return TowerGroup([], False, False, (-1, -1), (-1, -1))
-
-        mult = vbar_monomial(index, exp)
-        sub_entries = self._coker_entries(src, tgt, mult, stage)
-        ker_entries = self._ker_entries(ker_src, ker_tgt, mult, stage)
-        quot_entries = [dataclasses.replace(e, betas=e.betas + (stage,))
-                        for e in ker_entries]
-
-        sub_sum, quot_sum = rank_summary(sub_entries), rank_summary(quot_entries)
-        if quot_sum == (0, 0):
-            return TowerGroup(sub_entries, True, True, sub_sum, quot_sum)
-        if sub_sum[0] == 0 and quot_sum[0] == 0:
-            # both layers are F2 vector spaces; group is their sum, but
-            # further multiplication could jump filtration
-            return TowerGroup(sub_entries + quot_entries, True, False,
-                              sub_sum, quot_sum)
-        return TowerGroup(sub_entries + quot_entries, False, False,
+    sub_sum, quot_sum = rank_summary(sub_entries), rank_summary(quot_entries)
+    if quot_sum == (0, 0):
+        return TowerGroup(sub_entries, True, True, sub_sum, quot_sum)
+    if sub_sum[0] == 0 and quot_sum[0] == 0:
+        # both layers are F2 vector spaces; group is their sum, but
+        # further multiplication could jump filtration
+        return TowerGroup(sub_entries + quot_entries, True, False,
                           sub_sum, quot_sum)
+    return TowerGroup(sub_entries + quot_entries, False, False,
+                      sub_sum, quot_sum)
 
-    def _image_class(self, entry: BasisEntry, mult: Monomial,
-                     tgt: TowerGroup) -> tuple[int, BasisEntry | None]:
-        """(coefficient, target entry) of mult * entry, or (0, None)."""
-        prod = entry.mono.times(mult)
-        if prod.is_zero():
-            return (0, None)
-        for cand in tgt.entries:
-            if cand.betas == entry.betas and cand.mono == prod:
-                if entry.torsion:
-                    return (1, cand) if cand.torsion else (0, None)
-                # free source: class lattice*mono lands on lattice'*mono'
-                coeff = entry.lattice
-                if cand.torsion:
-                    return (coeff % 2, cand if coeff % 2 else None)
-                q, r = divmod(coeff, cand.lattice)
-                if r != 0:
-                    raise AssertionError(
-                        f"lattice mismatch {entry.describe()} -> {cand.describe()}")
-                return (q, cand)
+
+def _image_class(entry: BasisEntry, mult: Monomial,
+                 tgt: TowerGroup) -> tuple[int, BasisEntry | None]:
+    """(coefficient, target entry) of mult * entry, or (0, None)."""
+    prod = entry.mono.times(mult)
+    if prod.is_zero():
         return (0, None)
-
-    def _coker_entries(self, src: TowerGroup, tgt: TowerGroup,
-                       mult: Monomial, stage: int) -> list[BasisEntry]:
-        erased: set[BasisEntry] = set()
-        torsionized: set[BasisEntry] = set()
-        for e in src.entries:
-            coeff, cand = self._image_class(e, mult, tgt)
-            if cand is None or coeff == 0:
-                continue
+    for cand in tgt.entries:
+        if cand.betas == entry.betas and cand.mono == prod:
+            if entry.torsion:
+                return (1, cand) if cand.torsion else (0, None)
+            # free source: class lattice*mono lands on lattice'*mono'
+            coeff = entry.lattice
             if cand.torsion:
-                erased.add(cand)
-            elif coeff % 2 == 1:
-                erased.add(cand)
-            else:
-                if coeff != 2:
-                    raise AssertionError("unexpected image multiplier")
-                torsionized.add(cand)
-        out = []
-        for e in tgt.entries:
-            if e in erased:
-                continue
-            if e in torsionized:
-                out.append(dataclasses.replace(e, torsion=True))
-            else:
-                out.append(e)
-        return out
+                return (coeff % 2, cand if coeff % 2 else None)
+            q, r = divmod(coeff, cand.lattice)
+            if r != 0:
+                raise AssertionError(
+                    f"lattice mismatch {entry.describe()} -> {cand.describe()}")
+            return (q, cand)
+    return (0, None)
 
-    def _ker_entries(self, src: TowerGroup, tgt: TowerGroup,
-                     mult: Monomial, stage: int) -> list[BasisEntry]:
-        out = []
-        for e in src.entries:
-            coeff, cand = self._image_class(e, mult, tgt)
-            if cand is None or coeff == 0:
-                if not e.torsion:
-                    raise AssertionError(
-                        f"free class {e.describe()} unexpectedly in a kernel")
-                out.append(e)
-        return out
+
+def _coker_entries(src: TowerGroup, tgt: TowerGroup,
+                   mult: Monomial) -> list[BasisEntry]:
+    erased: set[BasisEntry] = set()
+    torsionized: set[BasisEntry] = set()
+    for e in src.entries:
+        coeff, cand = _image_class(e, mult, tgt)
+        if cand is None or coeff == 0:
+            continue
+        if cand.torsion:
+            erased.add(cand)
+        elif coeff % 2 == 1:
+            erased.add(cand)
+        else:
+            if coeff != 2:
+                raise AssertionError("unexpected image multiplier")
+            torsionized.add(cand)
+    out = []
+    for e in tgt.entries:
+        if e in erased:
+            continue
+        if e in torsionized:
+            out.append(dataclasses.replace(e, torsion=True))
+        else:
+            out.append(e)
+    return out
+
+
+def _ker_entries(src: TowerGroup, tgt: TowerGroup,
+                 mult: Monomial) -> list[BasisEntry]:
+    out = []
+    for e in src.entries:
+        coeff, cand = _image_class(e, mult, tgt)
+        if cand is None or coeff == 0:
+            if not e.torsion:
+                raise AssertionError(
+                    f"free class {e.describe()} unexpectedly in a kernel")
+            out.append(e)
+    return out
 
 
 def _weight_budget(alpha: Degree, caps: Caps) -> int:
@@ -619,11 +617,6 @@ def _tail_stop(ideal: QuotientIdeal, alpha: Degree, caps: Caps) -> int:
     return max(i, len(ideal.exponents))
 
 
-@functools.lru_cache(maxsize=None)
-def _tower_for(steps: tuple[tuple[int, int], ...], caps: Caps) -> _Tower:
-    return _Tower(steps, caps)
-
-
 def tower_group(ideal, alpha: Degree, caps: Caps = DEFAULT_CAPS) -> TowerGroup:
     """Groups of B modulo the given vbar powers, with a tail certificate.
 
@@ -634,10 +627,9 @@ def tower_group(ideal, alpha: Degree, caps: Caps = DEFAULT_CAPS) -> TowerGroup:
     ideal = QuotientIdeal.of(ideal)
     stop = _tail_stop(ideal, alpha, caps)
     steps = ideal.steps_up_to(stop)
-    g = _tower_for(steps, caps).group(len(steps), alpha)
+    g = _stage_group(steps, caps, alpha)
     if ideal.tail:
-        steps2 = ideal.steps_up_to(stop + 1)
-        g2 = _tower_for(steps2, caps).group(len(steps2), alpha)
+        g2 = _stage_group(ideal.steps_up_to(stop + 1), caps, alpha)
         if (g.exact, g.entries if g.exact else g.sub_summary) != \
            (g2.exact, g2.entries if g2.exact else g2.sub_summary):
             raise StabilizationFailure(
@@ -693,11 +685,9 @@ def mult_map(x: Monomial, ideal, alpha: Degree,
     tgt = tower_group(ideal, alpha + x.degree(), caps)
     if not (src.exact and tgt.exact and src.mult_trusted and tgt.mult_trusted):
         raise UnknownExtension(f"no trusted bases for multiplication at {alpha}")
-    stop = _tail_stop(ideal, alpha, caps)
-    tower = _tower_for(ideal.steps_up_to(stop), caps)
     out = zeros(len(tgt.entries), len(src.entries))
     for j, e in enumerate(src.entries):
-        coeff, cand = tower._image_class(e, x, tgt)
+        coeff, cand = _image_class(e, x, tgt)
         if cand is not None and coeff:
             out[tgt.entries.index(cand), j] = coeff
     return out
@@ -795,10 +785,8 @@ def nilpotence_check(i: int, k: int, window: Window,
         if not src.entries or not tgt.entries:
             continue
         # induced maps on both layers, computed symbolically
-        stop = _tail_stop(ideal, alpha, caps)
-        tower = _tower_for(ideal.steps_up_to(stop), caps)
         for e in src.entries:
-            coeff, cand = tower._image_class(e, mult, tgt)
+            coeff, cand = _image_class(e, mult, tgt)
             if cand is not None and coeff:
                 if exponent >= 2 * k:
                     raise AssertionError(

@@ -301,13 +301,16 @@ def _subset_weight(subset: tuple[int, ...]) -> int:
     return sum(2 ** i - 1 for i in subset)
 
 
+@lru_cache(maxsize=None)
 def _koszul_layer(mod: StandardModule, n: int, e: int, j: int,
                   alpha: Degree):
     """Summands of C^j at display degree alpha for the stage-e complex.
 
     C^j = direct sum over |S| = j of M in degree alpha + e * |vbar_S|,
     so that every multiplication in the differential preserves alpha.
-    Returns ([(S, its degree, its first generator index)], rank of C^j).
+    Returns ((S, its degree, its first generator index), ...) and the rank
+    of C^j, listed once per (mod, n, e, j, alpha): each homology needs
+    layer s three times and its transition map twice more.
     """
     summands = []
     start = 0
@@ -315,7 +318,7 @@ def _koszul_layer(mod: StandardModule, n: int, e: int, j: int,
         at = alpha + RHO * (e * _subset_weight(subset))
         summands.append((subset, at, start))
         start += len(_gens(mod, n, at))
-    return summands, start
+    return tuple(summands), start
 
 
 def _add_block(mat: Matrix, r0: int, c0: int, block: Matrix,

@@ -6,16 +6,18 @@ forms or shortcuts from the package, so agreement is meaningful.  The
 references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
 `e_infinity_basis_two_rounds`, `basis_cached_every_round`,
-`smith_normal_form_full_rescan`, `module_gens_uncached`), to check an
-optimised path against.
+`smith_normal_form_full_rescan`, `module_gens_uncached`,
+`koszul_layer_uncached`, `tower_group_fresh`), to check an optimised path
+against.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from realspectra.coefficients import Monomial
-from realspectra.grading import Degree
+from realspectra.grading import RHO, Degree
 
 
 def generator_pool(max_index: int, max_twist: int):
@@ -313,3 +315,68 @@ def module_gens_uncached(mod, n: int, alpha: Degree):
     if kind == "IdealF2":
         return [(c, 1) for c in listing if (least(c) or n + 1) <= mod.t]
     return [(c, 1) for c in listing]
+
+
+def koszul_layer_uncached(mod, n: int, e: int, j: int, alpha: Degree):
+    """localcoh._koszul_layer as a fresh list per call, counting generators
+    with module_gens_uncached."""
+    summands, start = [], 0
+    for subset in itertools.combinations(range(1, n + 1), j):
+        at = alpha + RHO * (e * sum(2 ** i - 1 for i in subset))
+        summands.append((subset, at, start))
+        start += len(module_gens_uncached(mod, n, at))
+    return summands, start
+
+
+def tower_group_fresh(ideal, alpha: Degree, caps):
+    """coefficients.tower_group with one memo per tower, as before towers
+    shared their stages: the towers at the tail stop and one index past it
+    each compute every stage from the basis up.  The per-stage cokernel and
+    kernel layers are the package's."""
+    from realspectra import coefficients as co
+
+    def tower(steps):
+        memo = {}
+
+        def group(stage, beta):
+            if (stage, beta) not in memo:
+                memo[stage, beta] = compute(stage, beta)
+            return memo[stage, beta]
+
+        def compute(stage, beta):
+            if stage == 0:
+                entries = co.basis_in_degree(beta, caps)
+                return co.TowerGroup(entries, True, True,
+                                     co.rank_summary(entries), (0, 0))
+            index, exp = steps[stage - 1]
+            shift = co.generator_degree("vbar", index=index, power=exp)
+            down = Degree(1, 0)
+            tgt, src = group(stage - 1, beta), group(stage - 1, beta - shift)
+            ker_tgt = group(stage - 1, beta - down)
+            ker_src = group(stage - 1, beta - down - shift)
+            if not all(g.exact and g.mult_trusted
+                       for g in (tgt, src, ker_tgt, ker_src)):
+                return co.TowerGroup([], False, False, (-1, -1), (-1, -1))
+            mult = co.vbar_monomial(index, exp)
+            sub = co._coker_entries(src, tgt, mult)
+            quot = [dataclasses.replace(e, betas=e.betas + (stage,))
+                    for e in co._ker_entries(ker_src, ker_tgt, mult)]
+            sub_sum, quot_sum = co.rank_summary(sub), co.rank_summary(quot)
+            if quot_sum == (0, 0):
+                return co.TowerGroup(sub, True, True, sub_sum, quot_sum)
+            return co.TowerGroup(sub + quot,
+                                 sub_sum[0] == 0 and quot_sum[0] == 0,
+                                 False, sub_sum, quot_sum)
+
+        return group(len(steps), alpha)
+
+    ideal = co.QuotientIdeal.of(ideal)
+    stop = co._tail_stop(ideal, alpha, caps)
+    g = tower(ideal.steps_up_to(stop))
+    if ideal.tail:
+        g2 = tower(ideal.steps_up_to(stop + 1))
+        if (g.exact, g.entries if g.exact else g.sub_summary) != \
+           (g2.exact, g2.entries if g2.exact else g2.sub_summary):
+            raise co.StabilizationFailure(
+                f"tail truncation unstable at {alpha}: index {stop} vs {stop+1}")
+    return g

@@ -1,21 +1,27 @@
 """The Koszul oracle's shortcuts give exactly what the direct work gives.
 
 `smith_normal_form` skips the divisibility-chain scan where a known common
-divisor of the remaining entries already answers it, `SmithForm` reads its
-diagonal once, `localcoh.module_gens` is cached per (module, n, degree),
-and the weight listings are cached per index range.  Each is checked here
-against the uncached computation it replaces.
+divisor of the remaining entries already answers it, returns an input
+already in Smith form after one scan, and builds each transform from its
+operation log when first read; `SmithForm` reads its diagonal once,
+`localcoh.module_gens` is cached per (module, n, degree), the Koszul layers
+per (module, n, stage, j, degree), the weight listings per index range, and
+quotient towers share the stages of a common prefix of steps.  Each is
+checked here against the uncached computation it replaces.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import module_gens_uncached, smith_normal_form_full_rescan
+from oracles import (koszul_layer_uncached, module_gens_uncached,
+                     smith_normal_form_full_rescan, tower_group_fresh)
 from realspectra import localcoh
 from realspectra.abelian import smith_normal_form, to_matrix, zeros
-from realspectra.coefficients import (_first_index_above, _weight_tuples_in,
-                                      weight_tuples)
-from realspectra.grading import RHO, SIGMA
+from realspectra.coefficients import (Caps, QuotientIdeal,
+                                      StabilizationFailure,
+                                      _first_index_above, _weight_tuples_in,
+                                      tower_group, weight_tuples)
+from realspectra.grading import RHO, SIGMA, Degree
 
 
 def _matrices(entries):
@@ -37,10 +43,54 @@ _DIAGONAL = st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 9]),
 _EVEN = st.sampled_from([-8, -4, -2, 0, 0, 0, 2, 4, 6, 12])
 
 
+# one flaw each, so the full loop must run: a negative entry, a pair of
+# diagonal entries where the first does not divide the second (diag(2, 1)),
+# a zero before a nonzero, one entry off the diagonal
+_FLAWS = ("negative", "not_dividing", "zero_first", "off_diagonal")
+
+
+@st.composite
+def _smith_shaped(draw, flaw=None):
+    """A matrix already in Smith form (d_1 | d_2 | ... then zeros, any
+    shape, 0 x n and n x 0 included), or one with the given flaw."""
+    lo, rank_lo, spare = {None: (0, 0, 0), "negative": (1, 1, 0),
+                          "not_dividing": (2, 2, 0),
+                          "zero_first": (2, 1, 1),
+                          "off_diagonal": (1, 0, 0)}[flaw]
+    m, n = draw(st.integers(lo, 6)), draw(st.integers(lo, 6))
+    if flaw == "off_diagonal" and m == n == 1:
+        m = 2
+    r = draw(st.integers(rank_lo, min(m, n) - spare))
+    rows = [[0] * n for _ in range(m)]
+    chain = 1
+    for i in range(r):
+        chain *= draw(st.sampled_from([1, 1, 2, 3]))
+        rows[i][i] = chain
+    if flaw == "negative":
+        i = draw(st.integers(0, r - 1))
+        rows[i][i] = -rows[i][i]
+    elif flaw == "not_dividing":
+        i = draw(st.integers(0, r - 2))
+        rows[i][i], rows[i + 1][i + 1] = 2 * rows[i][i], rows[i][i]
+    elif flaw == "zero_first":
+        i = draw(st.integers(0, r - 1))
+        rows[r][r], rows[i][i] = rows[i][i], 0
+    elif flaw == "off_diagonal":
+        i, j = draw(st.sampled_from([(i, j) for i in range(m)
+                                     for j in range(n) if i != j]))
+        rows[i][j] = draw(st.sampled_from([-3, -1, 1, 2, 5]))
+    return rows, n
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_matrices(st.integers(-6, 6)), _matrices(_EVEN),
-                 _DIAGONAL))
+                 _DIAGONAL, _smith_shaped(),
+                 st.sampled_from(_FLAWS).flatmap(_smith_shaped)))
 @example(([[2, 0], [0, 3]], 2))
+@example(([[2, 0], [0, 1]], 2))
+@example(([[1, 0, 0], [0, 2, 0]], 3))
+@example(([[0, 0], [0, 1]], 2))
+@example(([[-1]], 1))
 @example(([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3))
 @example(([], 0))
 @example(([], 4))
@@ -55,6 +105,42 @@ def test_smith_form_matches_full_rescan(shaped):
     diagonal = (want[0][i][i] for i in range(min(len(rows), cols)))
     assert f.diagonal() == [x for x in diagonal if x]
     assert f.rank == len(f.diagonal())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_smith_shaped())
+@example(([], 3))
+@example(([[], []], 0))
+def test_input_in_smith_form_logs_no_operation(shaped):
+    rows, cols = shaped
+    f = smith_normal_form(to_matrix(rows, width=cols))
+    assert f._row_ops == [] and f._col_ops == []
+    assert f.D.rows == rows and f.D.shape == (len(rows), cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FLAWS).flatmap(_smith_shaped))
+@example(([[2, 0], [0, 1]], 2))
+def test_near_miss_takes_the_full_loop(shaped):
+    rows, cols = shaped
+    f = smith_normal_form(to_matrix(rows, width=cols))
+    assert f._row_ops or f._col_ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(st.integers(-6, 6)), _DIAGONAL,
+                 st.sampled_from(_FLAWS).flatmap(_smith_shaped)))
+@example(([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3))
+def test_transforms_read_out_of_order_and_twice(shaped):
+    rows, cols = shaped
+    want = smith_normal_form_full_rescan(rows, cols)
+    f = smith_normal_form(to_matrix(rows, width=cols))
+    t_inv = f.T_inv
+    assert t_inv.rows == want[4]
+    assert f.S.rows == want[1]
+    assert f.T_inv is t_inv and f.T_inv.rows == want[4]
+    assert (f.T.rows, f.S_inv.rows, f.D.rows) == (want[2], want[3], want[0])
+    assert (f.S.shape, f.T.shape) == ((len(rows), len(rows)), (cols, cols))
 
 
 def test_diagonal_is_a_fresh_list_each_call():
@@ -95,6 +181,44 @@ def test_module_gens_returns_a_private_copy():
     first[0] = ((), 7)
     assert localcoh.module_gens(mod, 2, alpha) == want
     assert localcoh.module_ranks(mod, 2, alpha) == (len(want), 0)
+
+
+@pytest.mark.parametrize("mod", _modules(), ids=lambda m: m.describe())
+def test_koszul_layer_matches_uncached_listing(mod):
+    for n in range(1, 4):
+        for e in (1, 2, 5):
+            for j in range(n + 1):
+                for k in range(-8, 9, 3):
+                    alpha = mod.shift + RHO * k
+                    summands, rank = koszul_layer_uncached(mod, n, e, j, alpha)
+                    got = localcoh._koszul_layer(mod, n, e, j, alpha)
+                    assert got == (tuple(summands), rank), \
+                        (mod.describe(), n, e, j, alpha)
+                    assert localcoh._koszul_layer(mod, n, e, j, alpha) is got
+
+
+_TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),
+                 QuotientIdeal.truncation(1), QuotientIdeal.truncation(2),
+                 QuotientIdeal((2,)), QuotientIdeal((0, 1)),
+                 QuotientIdeal((1, 2), tail=1))
+
+
+@pytest.mark.parametrize("ideal", _TOWER_IDEALS, ids=repr)
+def test_shared_tower_stages_match_fresh_towers(ideal):
+    # on this window Caps(4, 2) raises StabilizationFailure at one degree,
+    # and both caps leave some groups known only as layers
+    for caps in (Caps(), Caps(4, 2)):
+        for t in range(-6, 7):
+            for s in range(-3, 4):
+                alpha = Degree(t, s)
+                try:
+                    want = tower_group_fresh(ideal, alpha, caps)
+                except StabilizationFailure as exc:
+                    with pytest.raises(StabilizationFailure) as got:
+                        tower_group(ideal, alpha, caps)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert tower_group(ideal, alpha, caps) == want, (alpha, caps)
 
 
 @pytest.mark.parametrize("w", range(0, 25))
