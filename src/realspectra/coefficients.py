@@ -53,12 +53,19 @@ def _strip(c: Sequence[int]) -> tuple[int, ...]:
 
 
 def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
-    """The exponent tuple c with its vbar_i entry moved by `by`, stripped."""
-    ext = list(c) + [0] * max(0, i - len(c))
-    ext[i - 1] += by
-    while ext and ext[-1] == 0:
-        ext.pop()
-    return tuple(ext)
+    """The exponent tuple c with its vbar_i entry moved by `by`, stripped.
+
+    >>> _bump((2, 1), 2, -1), _bump((1,), 3, 1), _bump((0, 0, 1), 3, -1)
+    ((2,), (1, 0, 1), ())
+    """
+    if i <= len(c):
+        out = c[:i - 1] + (c[i - 1] + by,) + c[i:]
+    else:
+        out = c + (0,) * (i - 1 - len(c)) + (by,)
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    return out if end == len(out) else out[:end]
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -67,10 +74,10 @@ class Monomial:
 
     c omits vbar_0; trailing zeros are stripped so equality is structural.
     The constructor converts c to ints, strips it and rejects negative
-    exponents.  The private `_trusted` skips all of that; only the page
-    loops of `hfpss` (`e2_basis`, `_fire_target` and the source in
-    `_PageStates._hit`) use it, where k >= 0 and a stripped, nonnegative
-    int tuple c hold by construction.
+    exponents.  The private `_trusted` skips all of that; only `hfpss`
+    uses it (`e2_basis`, `_fire_target`, and naming a class in the
+    propagation kernel's InternalInconsistency message), where k >= 0 and a
+    stripped, nonnegative int tuple c hold by construction.
 
     >>> Monomial(1, 0, (2,)).degree()
     Degree(triv=2, sgn=1)

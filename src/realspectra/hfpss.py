@@ -19,7 +19,9 @@ each target has a unique firing source.  Two independent engines exploit
 this:
 
 * propagation (`_PageStates`): per-class fire/hit bookkeeping through the
-  pages;
+  pages, as a kernel on plain (k, l, c) keys that fills each class's row
+  of page states in a loop and tells a hit class by the u-exponent residue
+  of its source;
 * closed form (`closed_form_state`): page E_{2^p} is the subalgebra of
   E_2 / (a^3 vbar_1, ..., a^(2^p - 1) vbar_{p-1}) generated by a,
   u^{+-2^(p-1)}, the vbar_i, and the twisted classes vbar_i u^(2^i j) for
@@ -33,8 +35,10 @@ moment they disagree; a survivor above the bound is a StabilizationFailure.
 Propagation states are memoized per height for the life of the process
 (`_engine`): a state depends on (n, monomial, page) only, so
 `run_differentials` and every `e_infinity_basis` call share one memo and no
-state is worked out twice.  The memo saves propagation work, not checks:
-both engines still run on every monomial listed.
+state is worked out twice.  `run_differentials` fills every listed class's
+row once and reads each page's classes, and the pairs fired on it, from the
+rows.  The memo saves propagation work, not checks: both engines still run
+on every monomial listed.
 """
 
 from __future__ import annotations
@@ -101,62 +105,82 @@ class _PageStates:
     States: for k = 0 the lattice index 1 or 2 of the surviving free class
     (2 u^l survives every differential since 2a = 0); for k > 0 either True
     (alive F2 class) or "dead".
+
+    The kernel works on plain (k, l, c) keys: `state`, `final_state` and
+    `final_page` take a Monomial, everything below them a key, and no
+    Monomial is built inside but to name a class in an error.
+    `_state(k, l, c, p)` fills the key's row of page states with a loop
+    from its last filled page: page q follows from page q - 1, whether the
+    class fires there (`_fires`, through the state of its target) and
+    whether it is hit (`_hit`).  `_hit` reads the state of its source z and
+    decides "z fires" from z's u-exponent residue alone, because z's target
+    is this very class, alive on that page.
     """
 
     def __init__(self, n: int | None):
         self.n = n
         # one row per monomial, keyed by a plain tuple so that hashing and
         # comparing keys stays in C: row[p - 2] is the state on page p.
-        # _advance(x, p) fills x's pages below p first and reads other
-        # monomials only, so a row grows in page order.
+        # Filling page q reads other keys on page q - 1 only, so a row
+        # grows in page order even when the fill recurses.
         self._memo: dict[tuple[int, int, tuple[int, ...]], list] = {}
 
     def state(self, x: Monomial, p: int):
+        return self._state(x.k, x.l, x.c, p)
+
+    def _state(self, k: int, l: int, c: tuple[int, ...], p: int):
         if p <= 1:
-            return 1 if x.k == 0 else True
-        key = (x.k, x.l, x.c)
+            return 1 if k == 0 else True
+        key = (k, l, c)
         row = self._memo.get(key)
         if row is None:
             row = self._memo[key] = []
         elif p - 2 < len(row):
             return row[p - 2]
-        st = self._advance(x, p)
-        row.append(st)
+        n = self.n
+        st = row[-1] if row else (1 if k == 0 else True)
+        for i in range(len(row) + 1, p):
+            # transition E_{2^i} -> E_{2^(i+1)} via d_{2^(i+1)-1}; lattice 2
+            # and death are final, and past n no differential acts
+            if st != _DEAD and st != 2 and (n is None or i <= n):
+                fires = self._fires(k, l, c, i, i)
+                if k == 0:
+                    st = 2 if fires else 1
+                else:
+                    hit = self._hit(k, l, c, i, i)
+                    # firing needs l = 2^(i-1) (mod 2^i), being hit 2^i | l
+                    if fires and hit:
+                        raise InternalInconsistency(
+                            f"d_{2 ** (i + 1) - 1} both leaves and hits "
+                            f"{Monomial._trusted(k, l, c)}")
+                    if fires or hit:
+                        st = _DEAD
+            row.append(st)
         return st
 
-    def _advance(self, x: Monomial, p: int):
-        i = p - 1   # transition E_{2^i} -> E_{2^(i+1)} via d_{2^(i+1)-1}
-        prev = self.state(x, p - 1)
-        if self.n is not None and i > self.n:
-            return prev
-        if prev == _DEAD:
-            return _DEAD
-        if x.k == 0:
-            if prev == 2:
-                return 2
-            return 2 if self._fires(x, i, p - 1) else 1
-        fires = self._fires(x, i, p - 1)
-        hit = self._hit(x, i, p - 1)
-        # firing needs l = 2^(i-1) (mod 2^i), being hit needs 2^i | l
-        assert not (fires and hit)
-        return _DEAD if fires or hit else True
-
-    def _fires(self, x: Monomial, i: int, page: int) -> bool:
-        """d_{2^(i+1)-1} is nonzero on the integral generator of x's class."""
+    def _fires(self, k: int, l: int, c: tuple[int, ...], i: int,
+               page: int) -> bool:
+        """d_{2^(i+1)-1} is nonzero on the integral generator of the class."""
         step = 2 ** (i - 1)
-        if x.l % (2 * step) != step:
+        if l % (2 * step) != step:
             return False
-        return self.state(_fire_target(x, i), page) is True
+        return self._state(k + 4 * step - 1, l - step, _bump(c, i, 1),
+                           page) is True
 
-    def _hit(self, x: Monomial, i: int, page: int) -> bool:
+    def _hit(self, k: int, l: int, c: tuple[int, ...], i: int,
+             page: int) -> bool:
+        """d_{2^(i+1)-1} of the source z = (k - r, l + 2^(i-1), c - e_i) is
+        this class, taken alive on `page`; so z fires exactly when it is
+        alive on lattice 1 there and its u-exponent has the residue of a
+        source, l + 2^(i-1) = 2^(i-1) (mod 2^i)."""
         r = 2 ** (i + 1) - 1
-        if x.k < r or len(x.c) < i or x.c[i - 1] == 0:
+        if k < r or len(c) < i or c[i - 1] == 0:
             return False
-        z = Monomial._trusted(x.k - r, x.l + 2 ** (i - 1), _bump(x.c, i, -1))
-        st = self.state(z, page)
-        if not (st is True or (z.k == 0 and st == 1)):
-            return False    # dead source, or lattice 2 contributing 2 d(z) = 0
-        return self._fires(z, i, page)
+        step = 2 ** (i - 1)
+        st = self._state(k - r, l + step, _bump(c, i, -1), page)
+        # True == 1: an alive F2 source, or a free one on lattice 1 (a
+        # lattice-2 source contributes 2 d(z) = 0)
+        return st == 1 and l % (2 * step) == 0
 
     def final_page(self, x: Monomial) -> int:
         if self.n is not None:
@@ -165,7 +189,7 @@ class _PageStates:
         return max(top, len(x.c)) + 1
 
     def final_state(self, x: Monomial):
-        return self.state(x, self.final_page(x))
+        return self._state(x.k, x.l, x.c, self.final_page(x))
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,7 +315,10 @@ def run_differentials(n: int | None, window: Window,
     """All pages of the spectral sequence over a degree window.
 
     Returns one Page per stable stretch E_{2^p} .. E_{2^(p+1)-1}; the last
-    entry is the final page.  Raises InternalInconsistency if a fired
+    entry is the final page.  x fires on page p when it is alive there, not
+    on lattice 2, has l = 2^(p-1) (mod 2^p) (a hit class has 2^p | l), and
+    is dead (k > 0) or on lattice 2 (k = 0) on page p + 1; only the targets
+    of fired pairs are built.  Raises InternalInconsistency if a fired
     differential fails degree bookkeeping (total degree must drop by exactly
     (1,0) and filtration rise by exactly r) or hits a class that fires again
     on the same page (d*d must vanish).
@@ -306,35 +333,44 @@ def run_differentials(n: int | None, window: Window,
         for monos in per_degree.values():
             for x in monos:
                 p_top = max(p_top, engine.final_page(x))
+    # fill every listed monomial's row of states once; row[p - 2] is the
+    # state on page p (no row when p_top = 1), and each page walks only the
+    # classes alive on it
+    memo = engine._memo
+    live = {}
+    for alpha, monos in per_degree.items():
+        for x in monos:
+            engine._state(x.k, x.l, x.c, p_top)
+        live[alpha] = [(x, memo.get((x.k, x.l, x.c))) for x in monos]
     pages = []
     for p in range(1, p_top + 1):
         classes = {}
+        fired = []
+        i, r, step = p, 2 ** (p + 1) - 1, 2 ** (p - 1)
+        fire_page = p < p_top and (n is None or i <= n)
         for alpha in degrees:
             entries = []
-            for x in per_degree[alpha]:
-                st = engine.state(x, p)
-                if st == _DEAD:
-                    continue
+            below = alpha - Degree(1, 0)
+            for x, row in live[alpha]:
+                # every listed class is alive on E_2, on lattice 1
+                st = row[p - 2] if p > 1 else 1
                 entries.append(BasisEntry(x, st if x.k == 0 else 1, x.k > 0))
+                if not fire_page or st == 2 or x.l % (2 * step) != step:
+                    continue
+                if row[p - 1] != _DEAD and row[p - 1] != 2:
+                    continue
+                y = _fire_target(x, i)
+                if y.degree() != below or y.k != x.k + r:
+                    raise InternalInconsistency(
+                        f"d_{r} bookkeeping broken on {x}: target {y}")
+                if engine._fires(y.k, y.l, y.c, i, p):
+                    raise InternalInconsistency(
+                        f"d_{r} squared nonzero through {x} -> {y}")
+                fired.append((x, y))
             classes[alpha] = entries
-        fired = []
-        i, r = p, 2 ** (p + 1) - 1
-        if p < p_top and (n is None or i <= n):
-            for alpha in degrees:
-                for entry in classes[alpha]:
-                    x = entry.mono
-                    if not entry.torsion and entry.lattice == 2:
-                        continue
-                    if not engine._fires(x, i, p):
-                        continue
-                    y = _fire_target(x, i)
-                    if y.degree() != x.degree() - Degree(1, 0) or y.k != x.k + r:
-                        raise InternalInconsistency(
-                            f"d_{r} bookkeeping broken on {x}: target {y}")
-                    if engine._fires(y, i, p):
-                        raise InternalInconsistency(
-                            f"d_{r} squared nonzero through {x} -> {y}")
-                    fired.append((x, y))
+            if p < p_top:
+                live[alpha] = [(x, row) for x, row in live[alpha]
+                               if row[p - 1] != _DEAD]
         pages.append(Page(2 ** p,
                           2 ** (p + 1) - 1 if p < p_top else 2 ** p,
                           classes, tuple(fired)))

@@ -7,8 +7,8 @@ references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
 `e_infinity_basis_two_rounds`, `basis_cached_every_round`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
-`koszul_layer_uncached`, `tower_group_fresh`), to check an optimised path
-against.
+`koszul_layer_uncached`, `tower_group_fresh`, `PageStatesReference`,
+`run_differentials_reference`), to check an optimised path against.
 """
 
 from __future__ import annotations
@@ -380,3 +380,120 @@ def tower_group_fresh(ideal, alpha: Degree, caps):
             raise co.StabilizationFailure(
                 f"tail truncation unstable at {alpha}: index {stop} vs {stop+1}")
     return g
+
+
+class PageStatesReference:
+    """The propagation engine on Monomials, the reference for the plain-key
+    kernel `hfpss._PageStates`: each state recurses to the page before it,
+    fire targets and hit sources are validated Monomials, and `_hit` asks
+    whether its source fires by rebuilding that source's target.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self._memo = {}     # monomial -> row; row[p - 2] is page p
+
+    def state(self, x, p):
+        if p <= 1:
+            return 1 if x.k == 0 else True
+        row = self._memo.setdefault(x, [])
+        if p - 2 < len(row):
+            return row[p - 2]
+        st = self._advance(x, p)
+        row.append(st)
+        return st
+
+    def _advance(self, x, p):
+        from realspectra.hfpss import _DEAD
+        i = p - 1   # transition E_{2^i} -> E_{2^(i+1)} via d_{2^(i+1)-1}
+        prev = self.state(x, p - 1)
+        if self.n is not None and i > self.n:
+            return prev
+        if prev == _DEAD:
+            return _DEAD
+        if x.k == 0:
+            if prev == 2:
+                return 2
+            return 2 if self._fires(x, i, p - 1) else 1
+        fires = self._fires(x, i, p - 1)
+        hit = self._hit(x, i, p - 1)
+        # firing needs l = 2^(i-1) (mod 2^i), being hit needs 2^i | l
+        assert not (fires and hit)
+        return _DEAD if fires or hit else True
+
+    @staticmethod
+    def fire_target(x, i):
+        c = list(x.c) + [0] * i
+        c[i - 1] += 1
+        return Monomial(x.k + 2 ** (i + 1) - 1, x.l - 2 ** (i - 1), c)
+
+    def _fires(self, x, i, page):
+        step = 2 ** (i - 1)
+        if x.l % (2 * step) != step:
+            return False
+        return self.state(self.fire_target(x, i), page) is True
+
+    def _hit(self, x, i, page):
+        r = 2 ** (i + 1) - 1
+        if x.k < r or len(x.c) < i or x.c[i - 1] == 0:
+            return False
+        c = list(x.c)
+        c[i - 1] -= 1
+        z = Monomial(x.k - r, x.l + 2 ** (i - 1), c)
+        st = self.state(z, page)
+        if not (st is True or (z.k == 0 and st == 1)):
+            return False    # dead source, or lattice 2 contributing 2 d(z) = 0
+        return self._fires(z, i, page)
+
+    def final_page(self, x):
+        if self.n is not None:
+            return self.n + 1
+        top = (x.l & -x.l).bit_length() if x.l else 1
+        return max(top, len(x.c)) + 1
+
+    def final_state(self, x):
+        return self.state(x, self.final_page(x))
+
+
+def run_differentials_reference(n, window, a_cap=40):
+    """run_differentials on `PageStatesReference`: every page asks the
+    engine for the state of every listed class and whether each live one
+    fires, and builds and checks the target of each that does."""
+    from realspectra import hfpss
+    from realspectra.coefficients import BasisEntry
+
+    engine = PageStatesReference(n)
+    degrees = list(window)
+    per_degree = {alpha: hfpss.e2_basis(n, alpha, a_cap) for alpha in degrees}
+    if n is not None:
+        p_top = n + 1
+    else:
+        p_top = max([1] + [engine.final_page(x)
+                           for monos in per_degree.values() for x in monos])
+    pages = []
+    for p in range(1, p_top + 1):
+        classes = {}
+        for alpha in degrees:
+            classes[alpha] = [
+                BasisEntry(x, st if x.k == 0 else 1, x.k > 0)
+                for x in per_degree[alpha]
+                for st in (engine.state(x, p),) if st != hfpss._DEAD]
+        fired = []
+        i, r = p, 2 ** (p + 1) - 1
+        if p < p_top and (n is None or i <= n):
+            for alpha in degrees:
+                for entry in classes[alpha]:
+                    x = entry.mono
+                    if not entry.torsion and entry.lattice == 2:
+                        continue
+                    if not engine._fires(x, i, p):
+                        continue
+                    y = engine.fire_target(x, i)
+                    assert y.degree() == alpha - Degree(1, 0)
+                    assert y.k == x.k + r
+                    assert not engine._fires(y, i, p)
+                    fired.append((x, y))
+        pages.append(hfpss.Page(2 ** p,
+                                2 ** (p + 1) - 1 if p < p_top else 2 ** p,
+                                classes, tuple(fired)))
+    return pages

@@ -205,6 +205,14 @@ def test_verify_gorenstein_height2_clean():
     assert "d_2 source placed at -7s" in rep.summary
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_heights_1_and_2_clean_on_radius_48(n):
+    rep = verify_gorenstein(n, Window.square(48))
+    assert rep.mismatches == []
+    assert rep.summary.startswith(
+        f"n={n}: 9409 degrees on -48:48,-48:48, 0 mismatches")
+
+
 def test_verify_gorenstein_height2_leave_one_out():
     ss = default_ssdata(2)
     for item in ss.items():

@@ -10,9 +10,9 @@ from realspectra.coefficients import (Monomial, StabilizationFailure,
                                       basis_in_degree, vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (
-    _DEAD, MismatchError, _PageStates, closed_form_state, e2_basis,
-    e_infinity_basis, e_infinity_groups, geometric_cofibre_groups,
-    run_differentials, tate_groups,
+    _DEAD, InternalInconsistency, MismatchError, _PageStates,
+    closed_form_state, e2_basis, e_infinity_basis, e_infinity_groups,
+    geometric_cofibre_groups, run_differentials, tate_groups,
 )
 
 import oracles
@@ -243,6 +243,52 @@ def test_page_monotonicity_random():
     check()
 
 
+def _assert_states_match_reference(engine, reference, x):
+    top = engine.final_page(x)
+    assert top == reference.final_page(x), str(x)
+    for p in range(1, top + 2):
+        assert engine.state(x, p) == reference.state(x, p), (str(x), p)
+    assert engine.final_state(x) == reference.final_state(x), str(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, None])
+def test_kernel_matches_reference_engine(n):
+    """The plain-key kernel answers as the Monomial-level engine: every
+    state on every page, the final state, and every page of
+    run_differentials with its classes, lattices and fired pairs in order."""
+    window = Window.square(8)
+    engine, reference = _PageStates(n), oracles.PageStatesReference(n)
+    for alpha in window:
+        for x in e2_basis(n, alpha, a_cap=40):
+            _assert_states_match_reference(engine, reference, x)
+    assert run_differentials(n, window, a_cap=40) == \
+        oracles.run_differentials_reference(n, window, a_cap=40)
+
+
+def test_kernel_matches_reference_engine_on_single_monomials():
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(-64, 64),
+           st.lists(st.integers(0, 4), max_size=5),
+           st.sampled_from([1, 2, 3, 4, None]))
+    def check(k, l, c, n):
+        if n is not None:
+            c = c[:n]
+        _assert_states_match_reference(
+            _PageStates(n), oracles.PageStatesReference(n), Monomial(k, l, c))
+
+    check()
+
+
+def test_class_both_firing_and_hit_is_internal_inconsistency(monkeypatch):
+    # a u fires d_3 onto a^4 v1; a hit test that agrees must not pass
+    # silently, under python -O too
+    monkeypatch.setattr(_PageStates, "_hit",
+                        lambda self, k, l, c, i, page: True)
+    with pytest.raises(InternalInconsistency,
+                       match="d_3 both leaves and hits a u$"):
+        _PageStates(1).state(Monomial(1, 1), 2)
+
+
 # ---------------------------------------------------------------------------
 # the process-wide propagation memo and the trusted monomial constructor
 
@@ -261,15 +307,21 @@ def _bumped(c, i: int, by: int) -> list[int]:
 
 
 class _SpyStates(_PageStates):
-    """A fresh engine that records every monomial it is asked about."""
+    """A fresh engine that records every key its kernel is asked about."""
 
     def __init__(self, n):
         super().__init__(n)
         self.seen = []
 
-    def state(self, x, p):
-        self.seen.append(x)
-        return super().state(x, p)
+    def _state(self, k, l, c, p):
+        self.seen.append((k, l, c))
+        return super()._state(k, l, c, p)
+
+
+def _assert_key_of(key, want: Monomial):
+    """key, built inside the kernel, is want's (k, l, c)."""
+    assert type(key[2]) is tuple and all(type(ci) is int for ci in key[2])
+    assert key == (want.k, want.l, want.c)
 
 
 _exponents = st.lists(st.integers(0, 3), max_size=4)
@@ -297,16 +349,16 @@ def test_trusted_fire_targets_and_hit_sources_equal_validated():
             hfpss._fire_target(x, i),
             Monomial(k + r, l - 2 ** (i - 1), _bumped(x.c, i, 1)))
         engine = _SpyStates(n)
-        engine._hit(x, i, i)
+        engine._hit(x.k, x.l, x.c, i, i)
         if k >= r and len(x.c) >= i and x.c[i - 1] > 0:
-            _assert_same_monomial(
+            _assert_key_of(
                 engine.seen[0],
                 Monomial(k - r, l + 2 ** (i - 1), _bumped(x.c, i, -1)))
         else:
             assert engine.seen == []
-        # and so is every monomial the recursion reached from there
-        for m in engine.seen:
-            _assert_same_monomial(m, Monomial(m.k, m.l, list(m.c) + [0]))
+        # and so is every key the recursion reached from there
+        for key in engine.seen:
+            _assert_key_of(key, Monomial(key[0], key[1], list(key[2]) + [0]))
 
     check()
 
