@@ -75,9 +75,8 @@ class Monomial:
     c omits vbar_0; trailing zeros are stripped so equality is structural.
     The constructor converts c to ints, strips it and rejects negative
     exponents.  The private `_trusted` skips all of that; only `hfpss`
-    uses it (`e2_basis`, `_fire_target`, and naming a class in the
-    propagation kernel's InternalInconsistency message), where k >= 0 and a
-    stripped, nonnegative int tuple c hold by construction.
+    uses it (`e2_basis` and `_fire_target`), where k >= 0 and a stripped,
+    nonnegative int tuple c hold by construction.
 
     >>> Monomial(1, 0, (2,)).degree()
     Degree(triv=2, sgn=1)

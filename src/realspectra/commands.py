@@ -25,13 +25,13 @@ from .coefficients import (Caps, Monomial, QuotientIdeal,
 from .duality import (DualityReport, InconsistentSSData, load_ssdata,
                       verify_gorenstein, verify_quotient_duality)
 from .grading import Degree, Window
-from .hfpss import (InternalInconsistency, MismatchError,
-                    e_infinity_groups, geometric_cofibre_groups,
-                    run_differentials, tate_groups)
+from .hfpss import (InternalInconsistency, e_infinity_groups,
+                    geometric_cofibre_groups, run_differentials, tate_groups)
 
-# raised by a command when its data or an engine disagrees: exit code 1
-INCONSISTENT = (MismatchError, InternalInconsistency, InconsistentSSData,
-                UnknownExtension, AssertionError)
+# raised by a command when its data is inconsistent or a self-check fails:
+# exit code 1
+INCONSISTENT = (InternalInconsistency, InconsistentSSData, UnknownExtension,
+                AssertionError)
 
 
 def _require_n(cfg: RunConfig) -> int:

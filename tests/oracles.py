@@ -7,8 +7,10 @@ references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
 `e_infinity_basis_two_rounds`, `basis_cached_every_round`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
-`koszul_layer_uncached`, `tower_group_fresh`, `PageStatesReference`,
-`run_differentials_reference`), to check an optimised path against.
+`koszul_layer_uncached`, `tower_group_fresh`), to check an optimised path
+against.  `PageStatesReference` and `run_differentials_reference` are the
+second route for the spectral sequence: the propagation engine, which the
+package no longer runs, against its closed-form pages.
 """
 
 from __future__ import annotations
@@ -153,14 +155,18 @@ def verify_gorenstein_per_degree(n: int, window, ss=None):
     return DualityReport(records, summary)
 
 
+class MismatchError(Exception):
+    """The propagation engine and the closed-form page disagree."""
+
+
 def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
     """e_infinity_basis as two full enumerations, to caps bound and bound + 8.
 
-    Each round runs a fresh propagation engine against the closed form on
-    every monomial; the answers must agree between the rounds, else a
-    survivor lies past the bound.  The engines and the bound are looked up
-    through the hfpss module, so a test that patches them there patches
-    this reference too.
+    Each round runs a fresh `PageStatesReference` against the closed form on
+    every monomial and raises MismatchError where they disagree; the answers
+    must agree between the rounds, else a survivor lies past the bound.  The
+    closed form and the bound are looked up through the hfpss module, so a
+    test that patches them there patches this reference too.
     """
     from realspectra import hfpss
     from realspectra.coefficients import BasisEntry, StabilizationFailure
@@ -168,13 +174,13 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
     bound = max(hfpss._exponent_bound(n, alpha), a_cap or 0)
     rounds = []
     for cap in (bound, bound + 8):
-        engine = hfpss._PageStates(n)
+        engine = PageStatesReference(n)
         entries = []
         for x in hfpss.e2_basis(n, alpha, cap):
             got = engine.final_state(x)
             want = hfpss.closed_form_state(n, x)
             if got != want:
-                raise hfpss.MismatchError(
+                raise MismatchError(
                     f"engines disagree on {x} at {alpha}: "
                     f"propagation {got}, closed form {want}")
             if got == hfpss._DEAD:
@@ -383,10 +389,12 @@ def tower_group_fresh(ideal, alpha: Degree, caps):
 
 
 class PageStatesReference:
-    """The propagation engine on Monomials, the reference for the plain-key
-    kernel `hfpss._PageStates`: each state recurses to the page before it,
-    fire targets and hit sources are validated Monomials, and `_hit` asks
-    whether its source fires by rebuilding that source's target.
+    """The propagation engine, the independent route that certifies the
+    closed-form pages of `hfpss`: it follows the differentials class by
+    class, with per-class fire and hit bookkeeping through the pages.  Each
+    state recurses to the page before it, fire targets and hit sources are
+    validated Monomials, and `_hit` asks whether its source fires by
+    rebuilding that source's target.
     """
 
     def __init__(self, n):

@@ -10,9 +10,9 @@ from realspectra.coefficients import (Monomial, StabilizationFailure,
                                       basis_in_degree, vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (
-    _DEAD, InternalInconsistency, MismatchError, _PageStates,
-    closed_form_state, e2_basis, e_infinity_basis, e_infinity_groups,
-    geometric_cofibre_groups, run_differentials, tate_groups,
+    _DEAD, InternalInconsistency, closed_form_state, e2_basis,
+    e_infinity_basis, e_infinity_groups, geometric_cofibre_groups,
+    run_differentials, tate_groups,
 )
 
 import oracles
@@ -38,7 +38,7 @@ def test_e2_basis_families():
 def test_dual_route_every_page():
     """Propagation and the closed-form page description agree pagewise."""
     for n in (1, 2):
-        engine = _PageStates(n)
+        engine = oracles.PageStatesReference(n)
         for alpha in Window(-6, 6, -5, 5):
             for x in e2_basis(n, alpha, a_cap=14):
                 for p in range(1, n + 3):
@@ -47,7 +47,7 @@ def test_dual_route_every_page():
 
 
 def test_dual_route_untruncated():
-    engine = _PageStates(None)
+    engine = oracles.PageStatesReference(None)
     for alpha in Window(-5, 5, -4, 4):
         for x in e2_basis(None, alpha, a_cap=12):
             p = engine.final_page(x)
@@ -65,7 +65,7 @@ def _outcome(fn, n, alpha, a_cap=None):
     """The entries fn returns, or the type and message of what it raises."""
     try:
         return fn(n, alpha, a_cap)
-    except (MismatchError, StabilizationFailure) as err:
+    except (oracles.MismatchError, StabilizationFailure) as err:
         return (type(err), str(err))
 
 
@@ -94,38 +94,6 @@ def test_survivor_past_the_bound_is_stabilization_failure(monkeypatch):
     assert [e.describe() for e in got] == ["a^3"]
 
 
-def _closed_form_flipped_on(monkeypatch, flipped: Monomial):
-    real = closed_form_state
-
-    def fake(n, x, p=None):
-        state = real(n, x, p)
-        if x != flipped:
-            return state
-        return True if state == _DEAD else _DEAD
-
-    monkeypatch.setattr(hfpss, "closed_form_state", fake)
-
-
-def test_engine_disagreement_is_mismatch_error(monkeypatch):
-    _closed_form_flipped_on(monkeypatch, Monomial(3, 0))
-    got = _assert_matches_two_rounds(1, Degree(0, -3))
-    assert got[0] is MismatchError
-    assert got[1].startswith("engines disagree on a^3 at")
-    # other degrees never meet the flipped class
-    assert e_infinity_groups(1, Degree(0, -1)) == (0, 1)
-
-
-def test_disagreement_past_a_survivor_outranks_stabilization(monkeypatch):
-    # with bound 0, a^3 survives past it, and the dead a^7 u^-1 v1^2 after
-    # it in the listing is flipped alive
-    monkeypatch.setattr(hfpss, "_exponent_bound", lambda n, alpha: 0)
-    late = Monomial(7, -1, (2,))
-    assert late in e2_basis(1, Degree(0, -3), a_cap=8)
-    _closed_form_flipped_on(monkeypatch, late)
-    got = _assert_matches_two_rounds(1, Degree(0, -3))
-    assert got[0] is MismatchError and "a^7 u^-1 v1^2" in got[1]
-
-
 def test_known_differentials_n1():
     pages = run_differentials(1, Window(0, 4, -4, 0), a_cap=10)
     assert [p.r_first for p in pages] == [2, 4]
@@ -152,7 +120,7 @@ def test_known_differentials_n2():
 
 def test_vbar_classes_are_permanent_cycles():
     for n in (1, 2, 3):
-        engine = _PageStates(n)
+        engine = oracles.PageStatesReference(n)
         for i in range(1, n + 1):
             for power in (1, 2):
                 assert engine.final_state(vbar_monomial(i, power)) == 1
@@ -161,7 +129,7 @@ def test_vbar_classes_are_permanent_cycles():
 def test_doubled_classes_never_die():
     # 2 u^l has vbar_0 content; its differential is 2 (anything) = 0
     for n in (1, 2, None):
-        engine = _PageStates(n)
+        engine = oracles.PageStatesReference(n)
         for l in range(-4, 5):
             assert engine.final_state(Monomial(0, l)) in (1, 2)
 
@@ -194,7 +162,7 @@ def test_truncated_final_page_spot_checks():
 
 def test_filtration_jump_of_doubled_generators():
     # at (2,-2) the integral class u dies to lattice 2 precisely at page 4
-    engine = _PageStates(1)
+    engine = oracles.PageStatesReference(1)
     u = Monomial(0, 1)
     assert engine.state(u, 1) == 1
     assert engine.state(u, 2) == 2
@@ -229,38 +197,44 @@ def test_page_monotonicity_random():
         if n is not None:
             c = c[:n]
         x = Monomial(k, l, c)
-        engine = _PageStates(n)
-        top = engine.final_page(x)
-        prev = engine.state(x, 1)
-        for p in range(2, top + 1):
-            cur = engine.state(x, p)
-            if x.k == 0:
-                assert cur >= prev      # lattice only grows
-            elif prev == "dead":
-                assert cur == "dead"    # death is permanent
-            prev = cur
+        reference = oracles.PageStatesReference(n)
+        top = reference.final_page(x)
+        # run_differentials drops a dead class for good, so the closed form
+        # must be monotone as well as the propagation engine
+        for state in (reference.state,
+                      lambda x, p: closed_form_state(n, x, p)):
+            prev = state(x, 1)
+            for p in range(2, top + 2):
+                cur = state(x, p)
+                if x.k == 0:
+                    assert cur >= prev      # lattice only grows
+                elif prev == "dead":
+                    assert cur == "dead"    # death is permanent
+                prev = cur
 
     check()
 
 
-def _assert_states_match_reference(engine, reference, x):
-    top = engine.final_page(x)
+def _assert_states_match_reference(n, reference, x):
+    top = hfpss._final_page(n, x)
     assert top == reference.final_page(x), str(x)
     for p in range(1, top + 2):
-        assert engine.state(x, p) == reference.state(x, p), (str(x), p)
-    assert engine.final_state(x) == reference.final_state(x), str(x)
+        assert closed_form_state(n, x, p) == reference.state(x, p), \
+            (str(x), p)
+    assert closed_form_state(n, x) == reference.final_state(x), str(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, None])
 def test_kernel_matches_reference_engine(n):
-    """The plain-key kernel answers as the Monomial-level engine: every
-    state on every page, the final state, and every page of
-    run_differentials with its classes, lattices and fired pairs in order."""
+    """The closed form, the kernel of the product path, answers as the
+    propagation engine: every state on every page up to one past the
+    final page, the final state, and every page of run_differentials with
+    its classes, lattices and fired pairs in order."""
     window = Window.square(8)
-    engine, reference = _PageStates(n), oracles.PageStatesReference(n)
+    reference = oracles.PageStatesReference(n)
     for alpha in window:
         for x in e2_basis(n, alpha, a_cap=40):
-            _assert_states_match_reference(engine, reference, x)
+            _assert_states_match_reference(n, reference, x)
     assert run_differentials(n, window, a_cap=40) == \
         oracles.run_differentials_reference(n, window, a_cap=40)
 
@@ -274,23 +248,54 @@ def test_kernel_matches_reference_engine_on_single_monomials():
         if n is not None:
             c = c[:n]
         _assert_states_match_reference(
-            _PageStates(n), oracles.PageStatesReference(n), Monomial(k, l, c))
+            n, oracles.PageStatesReference(n), Monomial(k, l, c))
 
     check()
 
 
-def test_class_both_firing_and_hit_is_internal_inconsistency(monkeypatch):
-    # a u fires d_3 onto a^4 v1; a hit test that agrees must not pass
-    # silently, under python -O too
-    monkeypatch.setattr(_PageStates, "_hit",
-                        lambda self, k, l, c, i, page: True)
+def test_wrong_fire_target_is_internal_inconsistency(monkeypatch):
+    real = hfpss._fire_target
+    monkeypatch.setattr(hfpss, "_fire_target",
+                        lambda x, i: real(x, i).times(Monomial(1, 0)))
     with pytest.raises(InternalInconsistency,
-                       match="d_3 both leaves and hits a u$"):
-        _PageStates(1).state(Monomial(1, 1), 2)
+                       match="d_3 bookkeeping broken on "):
+        run_differentials(1, Window(0, 4, -4, 0), a_cap=10)
+
+
+class _Disguised(Monomial):
+    """A monomial that reports the degree of another one, `honest`."""
+
+    def degree(self):
+        return self.honest.degree()
+
+
+def test_target_firing_on_its_own_page_is_internal_inconsistency(monkeypatch):
+    # an honest target has u-exponent l - 2^(p-1) = 0 (mod 2^p), so no
+    # closed form can make it fire on the page it is hit on; this target
+    # has the residue of a source and the degree of the honest target, and
+    # the patched closed form kills it on the next page
+    real_target, real_state = hfpss._fire_target, closed_form_state
+
+    def target(x, i):
+        y = real_target(x, i)
+        fake = _Disguised._trusted(y.k, y.l + 2 ** (i - 1), y.c)
+        object.__setattr__(fake, "honest", y)
+        return fake
+
+    def state(n, x, p=None):
+        if isinstance(x, _Disguised):
+            return True if p == 1 else _DEAD
+        return real_state(n, x, p)
+
+    monkeypatch.setattr(hfpss, "_fire_target", target)
+    monkeypatch.setattr(hfpss, "closed_form_state", state)
+    with pytest.raises(InternalInconsistency,
+                       match="d_3 squared nonzero through "):
+        run_differentials(1, Window(0, 4, -4, 0), a_cap=10)
 
 
 # ---------------------------------------------------------------------------
-# the process-wide propagation memo and the trusted monomial constructor
+# the trusted monomial constructor
 
 def _assert_same_monomial(got: Monomial, want: Monomial):
     """got, built on a trusted path, is want in every observable way."""
@@ -304,24 +309,6 @@ def _bumped(c, i: int, by: int) -> list[int]:
     out = list(c) + [0] * i
     out[i - 1] += by
     return out
-
-
-class _SpyStates(_PageStates):
-    """A fresh engine that records every key its kernel is asked about."""
-
-    def __init__(self, n):
-        super().__init__(n)
-        self.seen = []
-
-    def _state(self, k, l, c, p):
-        self.seen.append((k, l, c))
-        return super()._state(k, l, c, p)
-
-
-def _assert_key_of(key, want: Monomial):
-    """key, built inside the kernel, is want's (k, l, c)."""
-    assert type(key[2]) is tuple and all(type(ci) is int for ci in key[2])
-    assert key == (want.k, want.l, want.c)
 
 
 _exponents = st.lists(st.integers(0, 3), max_size=4)
@@ -341,61 +328,15 @@ def test_trusted_e2_basis_monomials_equal_validated():
 def test_trusted_fire_targets_and_hit_sources_equal_validated():
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 20), st.integers(-16, 16), _exponents,
-           st.integers(1, 4), st.sampled_from([1, 2, 3, 4, None]))
-    def check(k, l, c, i, n):
+           st.integers(1, 4))
+    def check(k, l, c, i):
         x = Monomial(k, l, c)
         r = 2 ** (i + 1) - 1
+        y = hfpss._fire_target(x, i)
         _assert_same_monomial(
-            hfpss._fire_target(x, i),
-            Monomial(k + r, l - 2 ** (i - 1), _bumped(x.c, i, 1)))
-        engine = _SpyStates(n)
-        engine._hit(x.k, x.l, x.c, i, i)
-        if k >= r and len(x.c) >= i and x.c[i - 1] > 0:
-            _assert_key_of(
-                engine.seen[0],
-                Monomial(k - r, l + 2 ** (i - 1), _bumped(x.c, i, -1)))
-        else:
-            assert engine.seen == []
-        # and so is every key the recursion reached from there
-        for key in engine.seen:
-            _assert_key_of(key, Monomial(key[0], key[1], list(key[2]) + [0]))
+            y, Monomial(k + r, l - 2 ** (i - 1), _bumped(x.c, i, 1)))
+        # the validated hit source of the target is the class it came from
+        _assert_same_monomial(
+            Monomial(y.k - r, y.l + 2 ** (i - 1), _bumped(y.c, i, -1)), x)
 
     check()
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, None])
-def test_warm_engine_answers_as_cold(n):
-    window = Window(-6, 6, -6, 6)
-    degrees = list(window)
-    want = {alpha: _outcome(oracles.e_infinity_basis_two_rounds, n, alpha)
-            for alpha in degrees}
-    engine = hfpss._engine
-
-    def einf_all(order):
-        for alpha in order:
-            assert _outcome(e_infinity_basis, n, alpha) == want[alpha], \
-                (n, alpha)
-
-    engine.cache_clear()
-    einf_all(degrees)                       # cold
-    engine.cache_clear()
-    cold_pages = run_differentials(n, window)
-    memo_size = len(engine(n)._memo)
-    einf_all(degrees)                       # after run_differentials
-    # every monomial e_infinity_basis lists was already in the memo
-    assert len(engine(n)._memo) == memo_size
-    assert run_differentials(n, window) == cold_pages
-    engine.cache_clear()
-    einf_all(reversed(degrees))             # reverse order
-    assert run_differentials(n, window) == cold_pages
-
-
-def test_warm_memo_still_reports_disagreement(monkeypatch):
-    alpha = Degree(0, -3)
-    run_differentials(1, Window(-1, 1, -4, -2))
-    assert hfpss._engine(1)._memo
-    _closed_form_flipped_on(monkeypatch, Monomial(3, 0))
-    with pytest.raises(MismatchError, match="engines disagree on a\\^3 at"):
-        e_infinity_basis(1, alpha)
-    got = _assert_matches_two_rounds(1, alpha)
-    assert got[0] is MismatchError
