@@ -31,7 +31,10 @@ from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
                            _weight_tuples_in, rank_summary)
 from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
-from .hfpss import InternalInconsistency, closed_form_state, _DEAD
+# closed_form_state is not called here: perfbench/selftest.py checks that
+# tracing rebinds it in this namespace
+from .hfpss import (InternalInconsistency, closed_form_state,  # noqa: F401
+                    final_entry)
 from .localcoh import (StandardModule, ideal_f2, ideal_z, lc_closed_form,
                        module_gens, p_module, pbar)
 
@@ -66,14 +69,9 @@ def _bb_cached(n: int, alpha: Degree) -> tuple[BasisEntry, ...]:
         if w < 0 or k < 0:
             continue
         for c in _weight_tuples_in(w, 1, n):
-            x = Monomial(k, l, c)
-            state = closed_form_state(n, x)
-            if state == _DEAD:
-                continue
-            if k == 0:
-                out.append(BasisEntry(x, state, False))
-            else:
-                out.append(BasisEntry(x, 1, True))
+            entry = final_entry(n, Monomial(k, l, c))
+            if entry is not None:
+                out.append(entry)
     return tuple(sorted(out, key=lambda e: (e.mono.l, e.mono.k, e.mono.c)))
 
 
@@ -371,36 +369,52 @@ def lc_of_block(n: int, kind: str = "bb", *, d_lo: int,
     return table
 
 
-# --- a-local cohomology of BB ------------------------------------------------
+# --- multiplication on the classes ------------------------------------------
+
+def action_matrix(n: int, x: Monomial, src: list[AssembledClass],
+                  tgt: list[AssembledClass]) -> Matrix:
+    """Matrix of multiplication by x from the classes src to tgt.
+
+    x must keep the column (u-exponent zero), so a product stays at its
+    class's power of U.  Tower classes and products that die on the final
+    page map to zero.  Onto a torsion class the entry is the source
+    lattice mod 2, onto a free class the ratio of the two lattices.
+    Raises InternalInconsistency if a product escapes the target classes,
+    so the action-closure invariant is checked on every call.
+    """
+    where = {(c.u_power, c.entry.mono): (row, c.entry)
+             for row, c in enumerate(tgt) if isinstance(c.entry, BasisEntry)}
+    mat = zeros(len(tgt), len(src))
+    for col, c in enumerate(src):
+        if isinstance(c.entry, TowerClass):
+            continue
+        y = c.entry.mono.times(x)
+        if final_entry(n, y) is None:
+            continue
+        hit = where.get((c.u_power, y))
+        if hit is None:
+            raise InternalInconsistency(
+                f"product {y} of {x} and {c.describe()} escapes the basis")
+        row, te = hit
+        lattice = c.entry.lattice
+        mat[row, col] = lattice % 2 if te.torsion else lattice // te.lattice
+    return mat
+
 
 def bb_mult_matrix(n: int, x: Monomial, alpha: Degree) -> Matrix:
     """Matrix of multiplication by x from BB at alpha to BB at alpha + |x|.
 
     x must keep the column (u-exponent zero): the block is a module over
-    Z_(2)[a, vbar_1..vbar_n]/2a only.  Raises InternalInconsistency if a
-    product escapes the basis span, so the action-closure invariant is
-    checked on every call.
+    Z_(2)[a, vbar_1..vbar_n]/2a only.  See action_matrix.
     """
     if x.l:
         raise ValueError("block action is u-free")
-    src = _bb_cached(n, alpha)
-    tgt = _bb_cached(n, alpha + x.degree())
-    where = {e.mono: (r, e) for r, e in enumerate(tgt)}
-    mat = zeros(len(tgt), len(src))
-    for col, e in enumerate(src):
-        y = x.times(e.mono)
-        if closed_form_state(n, y) == _DEAD:
-            continue
-        if y not in where:
-            raise InternalInconsistency(
-                f"product {y} of {x} and {e.describe()} escapes the block")
-        row, te = where[y]
-        if te.torsion:
-            mat[row, col] = e.lattice % 2
-        else:
-            mat[row, col] = e.lattice // te.lattice
-    return mat
+    return action_matrix(
+        n, x, [AssembledClass(0, e) for e in _bb_cached(n, alpha)],
+        [AssembledClass(0, e) for e in _bb_cached(n, alpha + x.degree())])
 
+
+# --- a-local cohomology of BB ------------------------------------------------
 
 def _stable_kernel(n: int, alpha: Degree) -> tuple[int, int]:
     # by e = 2^(n+1) every class has settled: vbar-content classes are

@@ -18,7 +18,7 @@ is a configuration error):
               ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
               the radius of the acceptance windows;
-    --caps    `A` or `A,R` with a-exponent cap A >= 0 and R >= 1 rounds;
+    --caps    `A`, an a-exponent cap A >= 0;
     --out     its directory must exist.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
@@ -76,8 +76,8 @@ class ConfigError(Exception):
 class RunConfig:
     """Validated inputs of one run; window is None for an empty range.
 
-    caps holds the --caps bounds as given, () or (a_cap,) or (a_cap,
-    rounds), for `commands` to build a `coefficients.Caps` from.
+    caps holds the --caps bound as given, () or (a_cap,), for `commands`
+    to build a `coefficients.Caps` from.
     """
 
     command: str
@@ -119,15 +119,12 @@ def _parse_window(text: str) -> Window | None:
 
 def _parse_caps(text: str) -> tuple[int, ...]:
     try:
-        caps = tuple(int(part) for part in text.split(","))
+        a_cap = int(text)
     except ValueError:
-        caps = ()
-    if len(caps) not in (1, 2):
-        raise ConfigError(
-            f"caps must be A or A,R with integer bounds, got {text!r}")
-    if caps[0] < 0 or min(caps[1:], default=1) < 1:
-        raise ConfigError(f"caps need A >= 0 and R >= 1, got {text!r}")
-    return caps
+        raise ConfigError(f"caps must be an integer A, got {text!r}")
+    if a_cap < 0:
+        raise ConfigError(f"caps need A >= 0, got {text!r}")
+    return (a_cap,)
 
 
 def _check_out(path: str | None) -> str | None:

@@ -274,10 +274,10 @@ def multiply(x: CoeffElement, y: CoeffElement) -> CoeffElement:
 
 @dataclasses.dataclass(frozen=True)
 class Caps:
-    """Enumeration bounds: a-exponents up to a_cap, grown `rounds` times."""
+    """Enumeration bound: a-exponents up to a_cap, and at least up to the
+    provable bound of each degree."""
 
     a_cap: int = 40
-    rounds: int = 4
 
 
 DEFAULT_CAPS = Caps()
@@ -401,10 +401,9 @@ def _a_exponent_bound(alpha: Degree) -> int:
 def basis_in_degree(alpha: Degree, caps: Caps = DEFAULT_CAPS) -> list[BasisEntry]:
     """Certified basis of the coefficient ring in one degree.
 
-    Enumerates under a growing a-exponent cap until two successive caps agree
-    (the second already past the provable bound), else raises
-    StabilizationFailure.  The first listing also gives the one under the
-    cap before it, so a degree that stabilizes at once is listed once.
+    Lists the degree once, up to filtration cap + 8, where cap is
+    max(a_cap, bound + 4) and bound is the provable a-exponent bound.
+    Raises StabilizationFailure if a class lies past cap.
 
     >>> [e.describe() for e in basis_in_degree(Degree(0, 0))]
     ['1']
@@ -419,18 +418,12 @@ def basis_in_degree(alpha: Degree, caps: Caps = DEFAULT_CAPS) -> list[BasisEntry
 @functools.lru_cache(maxsize=None)
 def _basis_cached(alpha: Degree, caps: Caps) -> tuple[BasisEntry, ...]:
     cap = max(caps.a_cap, _a_exponent_bound(alpha) + 4)
-    prev = None
-    for _ in range(caps.rounds):
-        cap += 8
-        cur = _enumerate_with_cap(alpha, cap)
-        if prev is None:
-            # membership never depends on the cap, so the listing under the
-            # previous cap is the prefix of this one with k <= that cap
-            prev = [e for e in cur if e.mono.k <= cap - 8]
-        if cur == prev:
-            return tuple(cur)
-        prev = cur
-    raise StabilizationFailure(f"basis at {alpha} did not stabilize by cap {cap}")
+    entries = _enumerate_with_cap(alpha, cap + 8)
+    # the listing is sorted by monomial, so by a-exponent first
+    if entries and entries[-1].mono.k > cap:
+        raise StabilizationFailure(
+            f"basis at {alpha} did not stabilize by cap {cap + 8}")
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

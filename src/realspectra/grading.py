@@ -193,21 +193,6 @@ class Window:
         """The box [-r, r] x [-r, r]."""
         return Window(-r, r, -r, r)
 
-    @staticmethod
-    def parse(text: str) -> "Window":
-        """Parse 'a:b,c:d' as triv in [a, b], sgn in [c, d].
-
-        >>> Window.parse('-2:3,0:1')
-        Window(triv_min=-2, triv_max=3, sgn_min=0, sgn_max=1)
-        """
-        try:
-            triv_part, sgn_part = text.split(",")
-            t0, t1 = (int(x) for x in triv_part.split(":"))
-            s0, s1 = (int(x) for x in sgn_part.split(":"))
-        except ValueError as exc:
-            raise ValueError(f"window must look like 'a:b,c:d', got {text!r}") from exc
-        return Window(t0, t1, s0, s1)
-
     def __str__(self) -> str:
         return f"{self.triv_min}:{self.triv_max},{self.sgn_min}:{self.sgn_max}"
 
@@ -223,36 +208,3 @@ class Window:
     def __len__(self) -> int:
         return ((self.triv_max - self.triv_min + 1)
                 * (self.sgn_max - self.sgn_min + 1))
-
-    def reflected(self) -> "Window":
-        """The image under alpha -> -alpha."""
-        return Window(-self.triv_max, -self.triv_min,
-                      -self.sgn_max, -self.sgn_min)
-
-    def intersect(self, other: "Window") -> "Window | None":
-        """Intersection box, or None if empty."""
-        t0 = max(self.triv_min, other.triv_min)
-        t1 = min(self.triv_max, other.triv_max)
-        s0 = max(self.sgn_min, other.sgn_min)
-        s1 = min(self.sgn_max, other.sgn_max)
-        if t0 > t1 or s0 > s1:
-            return None
-        return Window(t0, t1, s0, s1)
-
-    def symmetrized(self) -> "Window":
-        """Largest sub-box closed under alpha -> -alpha.
-
-        Duality checkers compare degree alpha against -alpha (and -alpha - 1),
-        so they restrict to a symmetric box first.
-
-        Raises:
-            ValueError: if the window does not meet its own reflection.
-        """
-        box = self.intersect(self.reflected())
-        if box is None:
-            raise ValueError(f"window {self} does not meet its reflection")
-        return box
-
-    def shifted(self, by: Degree) -> "Window":
-        return Window(self.triv_min + by.triv, self.triv_max + by.triv,
-                      self.sgn_min + by.sgn, self.sgn_max + by.sgn)

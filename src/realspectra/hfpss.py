@@ -23,8 +23,10 @@ generated by a, u^{+-2^(p-1)}, the vbar_i, and the twisted classes
 vbar_i u^(2^i j) for i < p - 1; membership reduces to a 2-adic divisibility
 of the u-exponent against the least vbar content.  `run_differentials`
 steps each listed class through the pages with it and names the
-differentials from one page to the next; `e_infinity_basis` asks it for the
-final page, once per monomial, past the provable filtration bound.  The
+differentials from one page to the next.  `final_entry` turns its final
+page into the class on one monomial, or None; it is the one constructor of
+final-page classes, for `e_infinity_basis` (once per monomial, past the
+provable filtration bound) and for the blocks and their action.  The
 propagation engine that follows the differentials class by class is the
 independent route that certifies this one; it lives in the tests
 (`tests/oracles.py`, `PageStatesReference`).
@@ -129,6 +131,26 @@ def closed_form_state(n: int | None, x: Monomial, p: int | None = None):
     return True if ok else _DEAD
 
 
+def final_entry(n: int | None, x: Monomial) -> BasisEntry | None:
+    """The final-page class on x, or None when x dies.
+
+    A surviving a-free monomial is a free class on the lattice its state
+    names (1, or 2 for a doubled class); an a-divisible one is an F_2
+    class.
+
+    >>> final_entry(1, Monomial(0, 1)).describe()
+    '2*u'
+    >>> final_entry(1, Monomial(3, 0, (1,))) is None
+    True
+    """
+    st = closed_form_state(n, x)
+    if st == _DEAD:
+        return None
+    if x.k == 0:
+        return BasisEntry(x, st, False)
+    return BasisEntry(x, 1, True)
+
+
 def _exponent_bound(n: int | None, alpha: Degree) -> int:
     """Filtration above which no class survives to the final page."""
     if n is None:
@@ -143,8 +165,8 @@ def e_infinity_basis(n: int | None, alpha: Degree,
     """Certified final-page classes at alpha.
 
     Enumerates once, up to filtration bound + 8, where bound is the provable
-    filtration bound (or a_cap if larger), and reads the final-page state of
-    every monomial from the closed form.  Raises StabilizationFailure if a
+    filtration bound (or a_cap if larger), and takes the class on every
+    monomial from `final_entry`.  Raises StabilizationFailure if a
     class above the bound survives; the classes returned are those of
     filtration at most the bound.
 
@@ -156,16 +178,13 @@ def e_infinity_basis(n: int | None, alpha: Degree,
     bound = max(_exponent_bound(n, alpha), a_cap or 0)
     entries = []
     for x in e2_basis(n, alpha, bound + 8):
-        st = closed_form_state(n, x)
-        if st == _DEAD:
+        entry = final_entry(n, x)
+        if entry is None:
             continue
         if x.k > bound:
             raise StabilizationFailure(f"final-page classes at {alpha} "
                                        f"appear past filtration {bound}")
-        if x.k == 0:
-            entries.append(BasisEntry(x, st, False))
-        else:
-            entries.append(BasisEntry(x, 1, True))
+        entries.append(entry)
     return entries
 
 

@@ -140,24 +140,6 @@ CATALOGUE = {
 }
 
 
-@lru_cache(maxsize=None)
-def weight_count(lo: int, n: int, w: int) -> int:
-    """Number of monomials in vbar_lo, ..., vbar_n of weight w.
-
-    >>> weight_count(1, 2, 4)   # v1^4 and v1 v2
-    2
-    >>> weight_count(2, 2, 4)
-    0
-    """
-    if w == 0:
-        return 1
-    if w < 0 or lo > n:
-        return 0
-    step = 2 ** lo - 1
-    return sum(weight_count(lo + 1, n, w - m * step)
-               for m in range(w // step + 1))
-
-
 def _min_index(c: tuple[int, ...]) -> int | None:
     for i, e in enumerate(c, start=1):
         if e:

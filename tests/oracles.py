@@ -5,7 +5,7 @@ raw monomial enumeration, explicit chain complexes) without using the closed
 forms or shortcuts from the package, so agreement is meaningful.  The
 references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
-`e_infinity_basis_two_rounds`, `basis_cached_every_round`,
+`e_infinity_basis_two_rounds`, `basis_cached_two_listings`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
 `koszul_layer_uncached`, `tower_group_fresh`), to check an optimised path
 against.  `PageStatesReference` and `run_differentials_reference` are the
@@ -196,10 +196,10 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
     return rounds[0]
 
 
-def basis_cached_every_round(alpha, caps):
-    """coefficients._basis_cached as it enumerated before: a full listing
-    at every cap from the first, max(a_cap, bound + 4), up in steps of 8,
-    until two successive listings agree.
+def basis_cached_two_listings(alpha, caps):
+    """coefficients._basis_cached as two full listings: to the cap
+    max(a_cap, bound + 4) and to cap + 8.  They must agree, else a class
+    lies past the cap.
 
     The enumerator and the bound are looked up through the coefficients
     module, so a test that patches them there patches this reference too.
@@ -207,15 +207,12 @@ def basis_cached_every_round(alpha, caps):
     from realspectra import coefficients
 
     cap = max(caps.a_cap, coefficients._a_exponent_bound(alpha) + 4)
-    prev = coefficients._enumerate_with_cap(alpha, cap)
-    for _ in range(caps.rounds):
-        cap += 8
-        cur = coefficients._enumerate_with_cap(alpha, cap)
-        if cur == prev:
-            return tuple(cur)
-        prev = cur
-    raise coefficients.StabilizationFailure(
-        f"basis at {alpha} did not stabilize by cap {cap}")
+    first = coefficients._enumerate_with_cap(alpha, cap)
+    second = coefficients._enumerate_with_cap(alpha, cap + 8)
+    if first != second:
+        raise coefficients.StabilizationFailure(
+            f"basis at {alpha} did not stabilize by cap {cap + 8}")
+    return tuple(first)
 
 
 def smith_normal_form_full_rescan(rows: list[list[int]], cols: int):

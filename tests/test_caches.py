@@ -205,9 +205,9 @@ _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),
 
 @pytest.mark.parametrize("ideal", _TOWER_IDEALS, ids=repr)
 def test_shared_tower_stages_match_fresh_towers(ideal):
-    # on this window Caps(4, 2) raises StabilizationFailure at one degree,
+    # on this window Caps(4) raises StabilizationFailure at one degree,
     # and both caps leave some groups known only as layers
-    for caps in (Caps(), Caps(4, 2)):
+    for caps in (Caps(), Caps(4)):
         for t in range(-6, 7):
             for s in range(-3, 4):
                 alpha = Degree(t, s)

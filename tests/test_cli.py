@@ -74,6 +74,7 @@ def test_out_of_range_n_is_config_error(capsys, argv):
     ("coeff", "--caps", "-5", "--window", "0:0,0:0"),
     ("coeff", "--caps", "0,0", "--window", "0:0,0:0"),
     ("chart", "bpr", "--caps", "40,-1"),
+    ("coeff", "--caps", "40,4", "--window", "0:0,0:0"),
 ])
 def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
     start = time.monotonic()
@@ -83,6 +84,12 @@ def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_caps_a_alone_runs(capsys):
+    code, out = run(capsys, "coeff", "--caps", "40", "--window", "-2:2,-2:2")
+    assert (code, out) == run(capsys, "coeff", "--window", "-2:2,-2:2")
+    assert code == 0
 
 
 def test_window_at_the_coordinate_limit_runs(capsys):

@@ -114,31 +114,38 @@ def _basis_outcome(fn, alpha, caps):
         return ("raised", type(err), str(err))
 
 
-@pytest.mark.parametrize("caps", [Caps(40, 4), Caps(0, 1), Caps(4, 2)])
+@pytest.mark.parametrize("caps", [Caps(40), Caps(0), Caps(4)])
 def test_single_listing_matches_every_round(caps):
     for alpha in Window(-10, 10, -10, 10):
         got = _basis_outcome(coefficients._basis_cached.__wrapped__,
                              alpha, caps)
         assert got[0] == "ok", (alpha, got)
-        assert got == _basis_outcome(oracles.basis_cached_every_round,
+        assert got == _basis_outcome(oracles.basis_cached_two_listings,
                                      alpha, caps), (alpha, caps)
 
 
 def test_single_listing_fails_as_every_round(monkeypatch):
-    # a bound far too low: listings start at cap a_cap and grow only by
-    # the rounds, so some degrees fail, some stabilize on a later round
+    # a bound far too low: the listing goes to filtration a_cap + 8 only,
+    # so every degree with a class in (a_cap, a_cap + 8] must raise
+    truth = {alpha: basis_in_degree(alpha)
+             for alpha in Window(-10, 10, -10, 10)}
     monkeypatch.setattr(coefficients, "_a_exponent_bound", lambda alpha: -100)
     seen = set()
-    for caps in (Caps(0, 0), Caps(0, 1), Caps(0, 3), Caps(4, 2)):
-        for alpha in Window(-10, 10, -10, 10):
+    for caps in (Caps(0), Caps(4)):
+        cap = caps.a_cap
+        for alpha, basis in truth.items():
             got = _basis_outcome(coefficients._basis_cached.__wrapped__,
                                  alpha, caps)
-            assert got == _basis_outcome(oracles.basis_cached_every_round,
+            assert got == _basis_outcome(oracles.basis_cached_two_listings,
                                          alpha, caps), (alpha, caps)
-            seen.add(got[0])
-            if caps == Caps(0, 0):
+            if any(cap < e.mono.k <= cap + 8 for e in basis):
                 assert got == ("raised", StabilizationFailure,
-                               f"basis at {alpha} did not stabilize by cap 0")
+                               f"basis at {alpha} did not stabilize by "
+                               f"cap {cap + 8}")
+            else:
+                assert got == ("ok", tuple(e for e in basis
+                                           if e.mono.k <= cap)), alpha
+            seen.add(got[0])
     assert seen == {"ok", "raised"}
 
 

@@ -35,25 +35,6 @@ def test_e2_basis_families():
             assert m.degree() == Degree(5, -2)
 
 
-def test_dual_route_every_page():
-    """Propagation and the closed-form page description agree pagewise."""
-    for n in (1, 2):
-        engine = oracles.PageStatesReference(n)
-        for alpha in Window(-6, 6, -5, 5):
-            for x in e2_basis(n, alpha, a_cap=14):
-                for p in range(1, n + 3):
-                    assert engine.state(x, p) == closed_form_state(n, x, p), \
-                        (n, str(x), p)
-
-
-def test_dual_route_untruncated():
-    engine = oracles.PageStatesReference(None)
-    for alpha in Window(-5, 5, -4, 4):
-        for x in e2_basis(None, alpha, a_cap=12):
-            p = engine.final_page(x)
-            assert engine.state(x, p) == closed_form_state(None, x), str(x)
-
-
 def test_final_page_matches_coefficient_ring():
     """The untruncated final page is the coefficient ring on the nose."""
     for alpha in Window(-8, 8, -6, 6):

@@ -10,7 +10,6 @@ from realspectra.localcoh import (
     StandardModule, check_closed_form, convention_report, dual_p, dual_pbar,
     dual_tower_f2, ideal_f2, ideal_z, koszul_cohomology, lc_closed_form,
     lc_oracle, lc_ranks, module_gens, module_ranks, p_module, pbar, tower_f2,
-    weight_count,
 )
 
 ZERO = Degree(0, 0)
@@ -45,14 +44,6 @@ def test_module_validation():
         ideal_f2(2, 2)
     with pytest.raises(ValueError):
         StandardModule("IdealZ", t=-1)
-
-
-def test_weight_count_matches_enumeration():
-    from realspectra.coefficients import weight_tuples
-    for n in (1, 2, 3):
-        for w in range(0, 12):
-            want = len(weight_tuples(w, lambda i: 1 <= i <= n))
-            assert weight_count(1, n, w) == want
 
 
 def test_module_ranks_basics():
