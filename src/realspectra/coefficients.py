@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .abelian import zeros
 from .grading import Degree, Window, generator_degree, v2
@@ -68,15 +68,24 @@ def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
     return out if end == len(out) else out[:end]
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class Monomial:
+class _MonomialFields(NamedTuple):
+    k: int
+    l: int
+    c: tuple[int, ...] = ()
+
+
+class Monomial(_MonomialFields):
     """Ambient monomial a^k u^l vbar_1^c1 vbar_2^c2 ...
 
     c omits vbar_0; trailing zeros are stripped so equality is structural.
-    The constructor converts c to ints, strips it and rejects negative
-    exponents.  The private `_trusted` skips all of that; only `hfpss`
-    uses it (`e2_basis` and `_fire_target`), where k >= 0 and a stripped,
-    nonnegative int tuple c hold by construction.
+    The constructor (and `_replace`) converts c to ints, strips it and
+    rejects negative exponents.  The private `_trusted` skips all of that,
+    for page loops (`hfpss.e2_basis`, `hfpss._fire_target`) where k >= 0
+    and a stripped, nonnegative int tuple c hold by construction.
+
+    A tuple of its fields (k, l, c): construction, hashing, equality and
+    ordering run in C, and an instance equals the plain triple (k, l, c),
+    so a dict or set must not mix monomials with plain triples.
 
     >>> Monomial(1, 0, (2,)).degree()
     Degree(triv=2, sgn=1)
@@ -84,17 +93,20 @@ class Monomial:
     True
     """
 
-    k: int
-    l: int
-    c: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = _strip(self.c)
-        object.__setattr__(self, "c", c)
-        if self.k < 0:
+    def __new__(cls, k: int, l: int, c: Sequence[int] = ()) -> "Monomial":
+        c = _strip(c)
+        if k < 0:
             raise ValueError("negative a-exponent")
         if c and min(c) < 0:
             raise ValueError("negative vbar-exponent")
+        return tuple.__new__(cls, (k, l, c))
+
+    @classmethod
+    def _make(cls, fields) -> "Monomial":
+        # `_replace` builds through here: keep the constructor's checks
+        return cls(*fields)
 
     @classmethod
     def _trusted(cls, k: int, l: int, c: tuple[int, ...]) -> "Monomial":
@@ -104,13 +116,7 @@ class Monomial:
         >>> Monomial._trusted(4, -1, (2,)) == Monomial(4, -1, [2, 0])
         True
         """
-        self = object.__new__(cls)
-        # object.__setattr__, not writes to __dict__: those would make the
-        # instance build a full dict, 60% more memory per monomial
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "c", c)
-        return self
+        return tuple.__new__(cls, (k, l, c))
 
     def degree(self) -> Degree:
         w = self.weight()
@@ -283,18 +289,26 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class BasisEntry:
-    """One basis class: the image of lattice * mono (free) or mono (F2).
-
-    betas records, oldest first, quotient steps whose boundary map produced
-    the class; it is empty for classes of the ground ring.
-    """
-
+class _BasisEntryFields(NamedTuple):
     mono: Monomial
     lattice: int
     torsion: bool
     betas: tuple[int, ...] = ()
+
+
+class BasisEntry(_BasisEntryFields):
+    """One basis class: the image of lattice * mono (free) or mono (F2).
+
+    betas records, oldest first, quotient steps whose boundary map produced
+    the class; it is empty for classes of the ground ring.
+
+    A tuple of its fields (mono, lattice, torsion, betas): construction,
+    hashing, equality and ordering run in C, and an instance equals the
+    plain 4-tuple of its fields, so a dict or set must not mix entries with
+    plain tuples.
+    """
+
+    __slots__ = ()
 
     def describe(self) -> str:
         head = "" if self.lattice == 1 else f"{self.lattice}*"
@@ -523,7 +537,7 @@ def _stage_group(steps: tuple[tuple[int, int], ...], caps: Caps,
     mult = vbar_monomial(index, exp)
     sub_entries = _coker_entries(src, tgt, mult)
     ker_entries = _ker_entries(ker_src, ker_tgt, mult)
-    quot_entries = [dataclasses.replace(e, betas=e.betas + (len(steps),))
+    quot_entries = [e._replace(betas=e.betas + (len(steps),))
                     for e in ker_entries]
 
     sub_sum, quot_sum = rank_summary(sub_entries), rank_summary(quot_entries)
@@ -581,7 +595,7 @@ def _coker_entries(src: TowerGroup, tgt: TowerGroup,
         if e in erased:
             continue
         if e in torsionized:
-            out.append(dataclasses.replace(e, torsion=True))
+            out.append(e._replace(torsion=True))
         else:
             out.append(e)
     return out

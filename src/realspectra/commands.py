@@ -34,9 +34,11 @@ INCONSISTENT = (InternalInconsistency, InconsistentSSData, UnknownExtension,
                 AssertionError)
 
 
-def _require_n(cfg: RunConfig) -> int:
+def _require_n(cfg: RunConfig, *context: str) -> int:
+    """cfg.n, or a ConfigError naming the command, its mode and `context`."""
     if cfg.n is None:
-        raise ConfigError(f"{cfg.command} {cfg.mode} needs --n".rstrip())
+        parts = (cfg.command, cfg.mode, *context)
+        raise ConfigError(" ".join(filter(None, parts)) + " needs --n")
     return cfg.n
 
 
@@ -110,7 +112,7 @@ def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
         caps = Caps(*cfg.caps)
         fn = lambda a: group_in_degree(a, QuotientIdeal(), caps)
     elif cfg.spectrum == "bprn":
-        n = _require_n(cfg)
+        n = _require_n(cfg, "--spectrum bprn")
         fn = lambda a: assemble_groups(n, a)
     else:
         raise ConfigError(f"coeff supports --spectrum bpr or bprn, "

@@ -16,12 +16,21 @@ Everything in this module is a pure value type; operations never mutate.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class Degree:
+class _DegreeFields(NamedTuple):
+    triv: int
+    sgn: int
+
+
+class Degree(_DegreeFields):
     """An element t + s*sigma of RO(C2).
+
+    A tuple of its fields (triv, sgn): construction, hashing, equality and
+    ordering run in C, and an instance equals the plain pair (triv, sgn),
+    so a dict or set must not mix degrees with plain pairs.  +, - and *
+    are the group operations, not tuple concatenation and repetition.
 
     >>> Degree(1, 1) + Degree(0, 1)
     Degree(triv=1, sgn=2)
@@ -31,8 +40,7 @@ class Degree:
     Degree(triv=3, sgn=3)
     """
 
-    triv: int
-    sgn: int
+    __slots__ = ()
 
     def __add__(self, other: "Degree") -> "Degree":
         return Degree(self.triv + other.triv, self.sgn + other.sgn)

@@ -228,7 +228,11 @@ def run_differentials(n: int | None, window: Window,
     Raises InternalInconsistency if a fired differential fails degree
     bookkeeping (total degree must drop by exactly (1,0) and filtration
     rise by exactly r) or hits a class that fires again on the same page
-    (d*d must vanish).
+    (d*d must vanish).  That d*d check is decided on the target's
+    u-exponent residue first, and only a target with l = 2^(p-1)
+    (mod 2^p) pays for its two page states.  An honest target never gets
+    that far: its u-exponent is l - 2^(p-1) with l = 2^(p-1) (mod 2^p),
+    so it is 0 (mod 2^p) and the target cannot fire on page p.
     """
     degrees = list(window)
     per_degree = {alpha: e2_basis(n, alpha, a_cap) for alpha in degrees}
@@ -244,7 +248,7 @@ def run_differentials(n: int | None, window: Window,
     for p in range(1, p_top + 1):
         classes = {}
         fired = []
-        r = 2 ** (p + 1) - 1
+        r, step = 2 ** (p + 1) - 1, 2 ** (p - 1)
         for alpha in degrees:
             classes[alpha] = [BasisEntry(x, st if x.k == 0 else 1, x.k > 0)
                               for x, st in live[alpha]]
@@ -262,8 +266,9 @@ def run_differentials(n: int | None, window: Window,
                 if y.degree() != below or y.k != x.k + r:
                     raise InternalInconsistency(
                         f"d_{r} bookkeeping broken on {x}: target {y}")
-                if _fires(y, p, closed_form_state(n, y, p),
-                          closed_form_state(n, y, p + 1)):
+                if (y.l % (2 * step) == step
+                        and _fires(y, p, closed_form_state(n, y, p),
+                                   closed_form_state(n, y, p + 1))):
                     raise InternalInconsistency(
                         f"d_{r} squared nonzero through {x} -> {y}")
                 fired.append((x, y))

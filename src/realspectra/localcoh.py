@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abelian import (Matrix, Subquotient, f2_relations, homology_at,
                       identity, induced_map, map_is_surjective, mat_mul,
@@ -45,8 +46,14 @@ def _span(lo: int, hi: int) -> str:
     return f"v{lo}" if lo == hi else f"v{lo}..v{hi}"
 
 
-@dataclasses.dataclass(frozen=True)
-class StandardModule:
+class _StandardModuleFields(NamedTuple):
+    kind: str
+    s: int = 0
+    t: int = 0
+    shift: Degree = ZERO
+
+
+class StandardModule(_StandardModuleFields):
     """One catalogue module over P = Z_(2)[vbar_1, ..., vbar_n].
 
     kind "P" is P itself and "Pbar" is F_2[vbar_(s+1), ..., vbar_n], the
@@ -57,22 +64,31 @@ class StandardModule:
     of rho.  "TowerF2" and "DualTowerF2" are rank-one F_2 towers running
     down (a-power style) and up the sigma axis; the vbar_i act as zero
     on both.  The ambient n is not stored; every query takes it.
+
+    A tuple of its fields (kind, s, t, shift): hashing, equality and
+    ordering run in C, and an instance equals the plain 4-tuple of its
+    fields, so a dict or set must not mix modules with plain tuples.  The
+    constructor (and `_replace`) rejects an unknown kind and bad s or t.
     """
 
-    kind: str
-    s: int = 0
-    t: int = 0
-    shift: Degree = ZERO
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown module kind {self.kind!r}")
-        if self.kind in ("Pbar", "DualPbar") and self.s < 0:
+    def __new__(cls, kind: str, s: int = 0, t: int = 0,
+                shift: Degree = ZERO) -> "StandardModule":
+        if kind not in KINDS:
+            raise ValueError(f"unknown module kind {kind!r}")
+        if kind in ("Pbar", "DualPbar") and s < 0:
             raise ValueError("Pbar index must be >= 0")
-        if self.kind == "IdealZ" and self.t < 0:
+        if kind == "IdealZ" and t < 0:
             raise ValueError("IdealZ needs t >= 0")
-        if self.kind == "IdealF2" and not 0 <= self.s < self.t:
+        if kind == "IdealF2" and not 0 <= s < t:
             raise ValueError("IdealF2 needs 0 <= s < t")
+        return tuple.__new__(cls, (kind, s, t, shift))
+
+    @classmethod
+    def _make(cls, fields) -> "StandardModule":
+        # `_replace` builds through here: keep the constructor's checks
+        return cls(*fields)
 
     @property
     def torsion(self) -> bool:
@@ -80,7 +96,7 @@ class StandardModule:
         return self.kind not in ("P", "DualP", "IdealZ")
 
     def shifted(self, by: Degree) -> "StandardModule":
-        return dataclasses.replace(self, shift=self.shift + by)
+        return self._replace(shift=self.shift + by)
 
     def describe(self) -> str:
         name = {

@@ -15,7 +15,6 @@ package no longer runs, against its closed-form pages.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from realspectra.coefficients import Monomial
@@ -362,7 +361,7 @@ def tower_group_fresh(ideal, alpha: Degree, caps):
                 return co.TowerGroup([], False, False, (-1, -1), (-1, -1))
             mult = co.vbar_monomial(index, exp)
             sub = co._coker_entries(src, tgt, mult)
-            quot = [dataclasses.replace(e, betas=e.betas + (stage,))
+            quot = [e._replace(betas=e.betas + (stage,))
                     for e in co._ker_entries(ker_src, ker_tgt, mult)]
             sub_sum, quot_sum = co.rank_summary(sub), co.rank_summary(quot)
             if quot_sum == (0, 0):

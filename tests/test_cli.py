@@ -1,12 +1,17 @@
 """Command line surface: exit codes, table formats, charts, caching."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realspectra.blocks import lc_of_block
 from realspectra.charts import ChartClass, ascii_chart, svg_chart, _actions
@@ -545,8 +550,79 @@ def test_python_m_reports_config_errors_of_commands():
     assert done.stderr == "error: lc bb needs --n\n"
 
 
+def test_missing_n_message_names_the_spectrum(capsys):
+    # coeff has no mode: the message joins only the parts it has
+    assert main(["coeff", "--spectrum", "bprn"]) == 2
+    assert capsys.readouterr().err == "error: coeff --spectrum bprn needs --n\n"
+
+
 def test_python_m_prints_what_main_prints(capsys):
     argv = ["hfpss", "einf", "--n", "2", "--window", "-3:3,-3:3"]
     done = module_run(argv)
     assert (done.returncode, done.stdout) == run(capsys, *argv)
     assert done.returncode == 0 and done.stdout
+
+
+# --- fuzzed argv ----------------------------------------------------------------
+
+FUZZ_MODES = {
+    "coeff": (),
+    "hfpss": ("einf", "pages", "tate", "geo"),
+    "blocks": ("bb", "nb", "assembled"),
+    "lc": ("bb", "nb"),
+    "verify": (),
+    "chart": ("bb", "nb", "assembled", "bpr"),
+}
+FUZZ_FORMATS = ("json", "csv", "ascii", "svg")
+FUZZ_SECONDS = 30   # per call; far above any call here, so only a hang trips
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """Any command with one of its modes (now and then a foreign one) or
+    none, n in {None, 0, 1, 2}, a window within radius 3 (now and then
+    empty), any format or none, any spectrum or none, --oracle or not."""
+    command = draw(st.sampled_from(sorted(FUZZ_MODES)))
+    argv = [command]
+    mode = draw(st.sampled_from((None, None, "bpr") + FUZZ_MODES[command] * 2))
+    if mode:
+        argv.append(mode)
+    n = draw(st.sampled_from((None, 0, 1, 2)))
+    if n is not None:
+        argv += ["--n", str(n)]
+    coords = [sorted(draw(st.lists(st.integers(-3, 3), min_size=2,
+                                   max_size=2))) for _ in "ts"]
+    if draw(st.sampled_from((False, False, False, True))):
+        coords[0].reverse()
+    argv += ["--window", ",".join(f"{lo}:{hi}" for lo, hi in coords)]
+    fmt = draw(st.sampled_from((None,) + FUZZ_FORMATS))
+    if fmt:
+        argv += ["--format", fmt]
+    spectrum = draw(st.sampled_from((None, "bpr", "bprn")))
+    if spectrum:
+        argv += ["--spectrum", spectrum]
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return argv
+
+
+def captured_main(argv) -> tuple[int, str, str]:
+    """main(argv) in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert time.monotonic() - start < FUZZ_SECONDS, argv
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)   # 1-2 s of tier-1
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_ends_cleanly_and_replays(argv):
+    with tempfile.TemporaryDirectory() as cache, \
+            mock.patch.dict(os.environ, {"REALSPECTRA_CACHE_DIR": cache}):
+        code, out, err = captured_main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err, argv
+        again, out_again, _ = captured_main(argv)
+    assert (again, out_again) == (code, out), argv
