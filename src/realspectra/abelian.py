@@ -361,10 +361,18 @@ def kernel_basis(a) -> Matrix:
 
 def image_basis(a) -> Matrix:
     """Basis (as columns) of the image lattice of A inside Z^rows."""
-    f = smith_normal_form(a)
+    return _image(smith_normal_form(a))[0]
+
+
+def _image(f: SmithForm) -> tuple[Matrix, SmithForm]:
+    """The image lattice S^-1 D of f's matrix, as columns, with its own
+    Smith form: S (S^-1 D) = D cut to its nonzero columns, so the lattice
+    shares f's row log and needs no column operation."""
     scale = f._diagonal
-    return Matrix([[x * dj for x, dj in zip(row, scale)]
-                   for row in f.S_inv.rows], len(scale))
+    lattice = Matrix([[x * dj for x, dj in zip(row, scale)]
+                      for row in f.S_inv.rows], len(scale))
+    top = Matrix([row[:len(scale)] for row in f.D.rows], len(scale))
+    return lattice, SmithForm(top, f._row_ops, [])
 
 
 def solve_matrix(a, b) -> Matrix | None:
@@ -379,9 +387,13 @@ def solve_matrix(a, b) -> Matrix | None:
     a, b = to_matrix(a), to_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError("solve shape mismatch")
-    f = smith_normal_form(a)
+    return _solve(smith_normal_form(a), b)
+
+
+def _solve(f: SmithForm, b: Matrix) -> Matrix | None:
+    """solve_matrix for the matrix whose Smith form is f."""
     scale = f._diagonal
-    w = zeros(a.cols, b.cols)
+    w = zeros(f.D.cols, b.cols)
     # an empty operation log means S (or T) is the identity
     sb = mat_mul(f.S, b) if f._row_ops else b
     for i, row in enumerate(sb.rows):
@@ -389,11 +401,13 @@ def solve_matrix(a, b) -> Matrix | None:
             if any(row):
                 return None
             continue
+        d, out = scale[i], w.rows[i]
         for j, x in enumerate(row):
-            q, rem = divmod(x, scale[i])
-            if rem != 0:
-                return None
-            w.rows[i][j] = q
+            if x:
+                q, rem = divmod(x, d)
+                if rem:
+                    return None
+                out[j] = q
     return mat_mul(f.T, w) if f._col_ops else w
 
 
@@ -454,26 +468,34 @@ class Subquotient:
 
     group.gens equals cycles.shape[1]; cycles columns are a lattice basis, so
     elements of the subquotient have unique coordinate vectors and induced
-    maps are exact solves.
+    maps are exact solves.  `cycle_smith`, when given, is the Smith form of
+    `cycles` kept from building them; `induced_map` solves against it
+    instead of reducing the lattice again.
     """
 
     group: PresGroup
     cycles: Matrix  # n x group.gens
+    cycle_smith: SmithForm | None = dataclasses.field(
+        default=None, repr=False, compare=False)
 
 
 def _in_span(m: Matrix, cols: Matrix) -> bool:
-    return solve_matrix(m, cols) is not None
+    if len(m.rows) != len(cols.rows):
+        raise ValueError("solve shape mismatch")
+    # zero lies in every span: no Smith form needed
+    return not cols.any() or solve_matrix(m, cols) is not None
 
 
 def _cycles_modulo(g_mat: Matrix, rels_tgt: Matrix,
                    boundaries: Matrix) -> Subquotient:
     """ker(g into Z^c/rels_tgt) modulo the columns of boundaries."""
     ker = kernel_basis(hstack(g_mat, rels_tgt))
-    lattice = image_basis(Matrix(ker.rows[: g_mat.cols], ker.cols))
-    coords = solve_matrix(lattice, boundaries)
+    lattice, smith = _image(smith_normal_form(
+        Matrix(ker.rows[: g_mat.cols], ker.cols)))
+    coords = _solve(smith, boundaries)
     if coords is None:
         raise AssertionError("boundaries escaped the cycle lattice")
-    return Subquotient(PresGroup(lattice.cols, coords), lattice)
+    return Subquotient(PresGroup(lattice.cols, coords), lattice, smith)
 
 
 def kernel_of_map(f_mat, rels_src, rels_tgt) -> Subquotient:
@@ -495,23 +517,61 @@ def cokernel_of_map(f_mat, rels_tgt) -> PresGroup:
     return PresGroup(f_mat.shape[0], hstack(f_mat, rels_tgt))
 
 
+class CochainComplex:
+    """C^0 --d^0--> C^1 --> ... --> C^m of presented groups.
+
+    maps[j] is d^j on generator columns and rels[j] presents C^j as Z^k
+    modulo its column span, so there is one more relation matrix than
+    maps.  The complex is checked once, when it is made: each map must
+    respect the relations, and each composite of two consecutive maps must
+    vanish in its target group, in the order d^0, d^1, d^1 d^0, d^2,
+    d^2 d^1, ...  A failure raises ValueError naming d^0 "f" and every
+    later map "g", as `homology_at` does.  The complex keeps its maps and
+    relations, which must not be altered, so that every homology(s) reads
+    the checked data.
+
+    >>> c = CochainComplex([[[2]], [[0]]], [zeros(1, 0)] * 3)
+    >>> [c.homology(s).group.summarize() for s in range(3)]
+    [(0, 0), (0, 1), (1, 0)]
+    """
+
+    def __init__(self, maps, rels):
+        self.maps = [to_matrix(m) for m in maps]
+        self.rels = [to_matrix(r) for r in rels]
+        if len(self.rels) != len(self.maps) + 1:
+            raise ValueError(f"{len(self.maps)} maps need "
+                             f"{len(self.maps) + 1} relation matrices")
+        for j, d in enumerate(self.maps):
+            if not _in_span(self.rels[j + 1], mat_mul(d, self.rels[j])):
+                raise ValueError(
+                    f"{'g' if j else 'f'} does not respect relations")
+            if j and not _in_span(self.rels[j + 1],
+                                  mat_mul(d, self.maps[j - 1])):
+                raise ValueError("g o f is not zero in the target group")
+
+    def homology(self, s: int) -> Subquotient:
+        """ker(d^s)/im(d^(s-1)) at C^s; the maps beyond either end are
+        zero."""
+        if not 0 <= s < len(self.rels):
+            raise ValueError(f"no term C^{s} in a complex of "
+                             f"{len(self.rels)} terms")
+        dim = len(self.rels[s].rows)
+        last = s == len(self.maps)
+        into = self.maps[s - 1] if s else zeros(dim, 0)
+        out = zeros(0, dim) if last else self.maps[s]
+        rels_out = zeros(0, 0) if last else self.rels[s + 1]
+        return _cycles_modulo(out, rels_out, hstack(into, self.rels[s]))
+
+
 def homology_at(f_mat, g_mat, rels_a, rels_b, rels_c) -> Subquotient:
     """ker(g)/im(f) for presented groups A --f--> B --g--> C.
 
     Matrices act on generator columns; all three groups are Z^k modulo the
-    column span of their relation matrix.  Raises if the data is not a well
-    defined complex.
+    column span of their relation matrix.  The three-term case of
+    `CochainComplex`: raises if the data is not a well defined complex.
     """
-    f_mat, g_mat = to_matrix(f_mat), to_matrix(g_mat)
-    rels_a, rels_b, rels_c = (to_matrix(rels_a), to_matrix(rels_b),
-                              to_matrix(rels_c))
-    if not _in_span(rels_b, mat_mul(f_mat, rels_a)):
-        raise ValueError("f does not respect relations")
-    if not _in_span(rels_c, mat_mul(g_mat, rels_b)):
-        raise ValueError("g does not respect relations")
-    if not _in_span(rels_c, mat_mul(g_mat, f_mat)):
-        raise ValueError("g o f is not zero in the target group")
-    return _cycles_modulo(g_mat, rels_c, hstack(f_mat, rels_b))
+    return CochainComplex([f_mat, g_mat],
+                          [rels_a, rels_b, rels_c]).homology(1)
 
 
 def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:
@@ -521,7 +581,10 @@ def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:
     tgt.cycles and must carry the cycle lattice into the cycle lattice.
     """
     moved = mat_mul(to_matrix(chain_map), src.cycles)
-    coords = solve_matrix(tgt.cycles, moved)
+    smith = tgt.cycle_smith
+    if smith is None:
+        smith = smith_normal_form(tgt.cycles)
+    coords = _solve(smith, moved)
     if coords is None:
         raise ValueError("chain map does not preserve cycles")
     return coords

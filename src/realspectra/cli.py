@@ -12,6 +12,12 @@ Shared flags: --n, --spectrum, --window, --caps, --format, --out,
 --ssdata, --oracle.  Window syntax is `a:b,c:d` (trivial range, sign
 range); an empty range is allowed and yields an empty table.
 
+`lc --oracle` ignores the bb/nb mode: it checks every catalogue closed
+form at height --n against the Koszul oracle on the window's trivial
+range and prints one row per module checked (module, k_lo, k_hi,
+diffs); JSON lists the modules and the convention report instead.  An
+empty window checks nothing.
+
 Limits, each checked before any computation or cache lookup (a violation
 is a configuration error):
     --n       an integer from 0 to MAX_N (4); with `lc --oracle`, one of

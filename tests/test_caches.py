@@ -5,18 +5,22 @@ divisor of the remaining entries already answers it, returns an input
 already in Smith form after one scan, and builds each transform from its
 operation log when first read; `SmithForm` reads its diagonal once,
 `localcoh.module_gens` is cached per (module, n, degree), the Koszul layers
-per (module, n, stage, j, degree), the weight listings per index range, and
-quotient towers share the stages of a common prefix of steps.  Each is
-checked here against the uncached computation it replaces.
+per (module, n, stage, j, degree), the checked Koszul stage complexes per
+(module, n, stage, degree) under a bound on their size, the weight listings
+per index range, and quotient towers share the stages of a common prefix of
+steps.  Each is checked here against the uncached computation it replaces.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (koszul_layer_uncached, module_gens_uncached,
-                     smith_normal_form_full_rescan, tower_group_fresh)
+from oracles import (koszul_layer_uncached, koszul_stage_uncached,
+                     module_gens_uncached, smith_normal_form_full_rescan,
+                     tower_group_fresh)
 from realspectra import localcoh
-from realspectra.abelian import smith_normal_form, to_matrix, zeros
+from realspectra.abelian import (_image, _solve, image_basis, induced_map,
+                                 mat_mul, smith_normal_form, solve_matrix,
+                                 to_matrix, zeros)
 from realspectra.coefficients import (Caps, QuotientIdeal,
                                       StabilizationFailure,
                                       _first_index_above, _weight_tuples_in,
@@ -143,6 +147,31 @@ def test_transforms_read_out_of_order_and_twice(shaped):
     assert (f.S.shape, f.T.shape) == ((len(rows), len(rows)), (cols, cols))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(st.integers(-6, 6)), _matrices(_EVEN),
+                 st.sampled_from(_FLAWS).flatmap(_smith_shaped)),
+       st.lists(st.integers(-9, 9), min_size=12, max_size=12))
+@example(([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3), [1] * 12)
+@example(([[0, 0], [0, 0]], 2), [1] * 12)
+def test_image_lattice_reuses_its_smith_form(shaped, entries):
+    # the kept form answers every solve as a fresh reduction of the lattice
+    rows, cols = shaped
+    lattice, kept = _image(smith_normal_form(to_matrix(rows, width=cols)))
+    assert lattice.rows == image_basis(to_matrix(rows, width=cols)).rows
+    fresh = smith_normal_form(lattice)
+    assert kept.diagonal() == fresh.diagonal()
+    coords = to_matrix([entries[i:i + 2] for i in range(0, 2 * lattice.cols,
+                                                          2)], width=2)
+    inside = mat_mul(lattice, coords)
+    outside = to_matrix([entries[i % 12:i % 12 + 1] + [1]
+                         for i in range(len(rows))], width=2)
+    for b in (inside, outside):
+        want = solve_matrix(lattice, b)
+        got = _solve(kept, b)
+        assert (got and got.rows) == (want and want.rows)
+    assert _solve(kept, inside).rows == coords.rows
+
+
 def test_diagonal_is_a_fresh_list_each_call():
     f = smith_normal_form([[2, 0], [0, 3]])
     f.diagonal().append(5)
@@ -195,6 +224,65 @@ def test_koszul_layer_matches_uncached_listing(mod):
                     assert got == (tuple(summands), rank), \
                         (mod.describe(), n, e, j, alpha)
                     assert localcoh._koszul_layer(mod, n, e, j, alpha) is got
+
+
+def _rows_and_cols(mats):
+    return [([row[:] for row in m.rows], m.cols) for m in mats]
+
+
+@pytest.mark.parametrize("mod", _modules(), ids=lambda m: m.describe())
+def test_koszul_stage_matches_uncached_build(mod):
+    localcoh._koszul_stage.cache_clear()
+    try:
+        for n in range(1, 4):
+            for k in (-3, 0, 2):
+                alpha = mod.shift + RHO * k
+                e = max(2, abs(k) + 2)
+                stage = localcoh._koszul_stage(mod, n, e, alpha)
+                want = koszul_stage_uncached(mod, n, e, alpha)
+                assert (_rows_and_cols(stage.maps),
+                        _rows_and_cols(stage.rels)) == want, \
+                    (mod.describe(), n, e, alpha)
+                assert localcoh._koszul_stage(mod, n, e, alpha) is stage
+                # readers leave the kept matrices as they were
+                for s in range(n + 1):
+                    localcoh.lc_oracle(mod, n, s, alpha)
+                    later = localcoh._koszul_stage(mod, n, e + 1, alpha)
+                    induced_map(stage.homology(s), later.homology(s),
+                                localcoh._transition_matrix(mod, n, e, s,
+                                                            alpha))
+                assert (_rows_and_cols(stage.maps),
+                        _rows_and_cols(stage.rels)) == want
+                assert localcoh._koszul_stage(mod, n, e, alpha) is stage
+    finally:
+        localcoh._koszul_stage.cache_clear()
+
+
+def test_stage_cache_is_bounded_by_size():
+    built = []
+
+    @localcoh._lru_by_size(10, len)
+    def listing(size):
+        built.append(size)
+        return [size] * size
+
+    assert listing(4) is listing(4)
+    listing(5)
+    assert listing.cache_info()[:2] == (1, 2)
+    listing(3)                  # 4 + 5 + 3 > 10: the oldest, 4, goes
+    assert listing.cache_info().currsize == 2
+    listing(5)
+    listing(4)                  # rebuilt; 3, now the oldest, goes
+    assert built == [4, 5, 3, 4]
+    assert listing.cache_info().currsize == 2
+    listing(5)
+    assert built == [4, 5, 3, 4]
+    listing(12)                 # kept alone, though over the bound
+    assert listing.cache_info().currsize == 1
+    listing(12)
+    assert built == [4, 5, 3, 4, 12]
+    listing.cache_clear()
+    assert listing.cache_info() == (0, 0, 10, 0)
 
 
 _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, table formats, charts, caching."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realspectra import localcoh
 from realspectra.blocks import lc_of_block
 from realspectra.charts import ChartClass, ascii_chart, svg_chart, _actions
 from realspectra.cli import MAX_COORD, MAX_N, main
@@ -230,6 +232,45 @@ def test_lc_oracle_runs_clean(capsys):
     assert body["diffs"] == 0
     assert len(body["checked"]) == 10
     assert body["convention"]
+
+
+def test_lc_oracle_empty_window_does_no_oracle_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle work on an empty window")
+
+    monkeypatch.setattr(localcoh, "check_closed_form", refuse)
+    monkeypatch.setattr(localcoh, "convention_report", refuse)
+    code, out = run(capsys, "lc", "--n", "2", "--oracle",
+                    "--window", "1:0,0:0")
+    assert code == 0
+    assert json.loads(out) == {"command": "lc", "oracle": True, "n": 2,
+                               "range": None, "checked": [],
+                               "convention": [], "diffs": 0}
+    for fmt in ("csv", "ascii"):
+        code, out = run(capsys, "lc", "--n", "1", "--oracle",
+                        "--window", "0:1,2:1", "--format", fmt)
+        assert code == 0
+        assert out.replace(",", " ").split() == ["module", "k_lo", "k_hi",
+                                                "diffs"]
+
+
+def test_lc_oracle_csv_has_one_row_per_module(capsys):
+    code, out = run(capsys, "lc", "nb", "--n", "1", "--oracle",
+                    "--window", "0:1,0:0", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["module", "k_lo", "k_hi", "diffs"]] + [
+        [mod.describe(), "0", "1", "0"] for mod in localcoh.CATALOGUE[1]]
+    # the oracle ignores the block mode
+    assert run(capsys, "lc", "bb", "--n", "1", "--oracle",
+               "--window", "0:1,0:0", "--format", "csv") == (0, out)
+    code, out = run(capsys, "lc", "--n", "1", "--oracle",
+                    "--window", "0:1,0:0", "--format", "ascii")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["module", "k_lo", "k_hi", "diffs"]
+    assert [line.split() for line in lines[1:]] == [
+        [mod.describe(), "0", "1", "0"] for mod in localcoh.CATALOGUE[1]]
 
 
 # --- verify ----------------------------------------------------------------------

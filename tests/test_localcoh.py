@@ -1,10 +1,12 @@
 """Catalogue modules, Koszul oracle, and closed-form local cohomology."""
 
 import doctest
+from fractions import Fraction
 
 import pytest
 
 from realspectra import localcoh
+from realspectra.abelian import Matrix
 from realspectra.grading import RHO, Degree
 from realspectra.localcoh import (
     StandardModule, check_closed_form, convention_report, dual_p, dual_pbar,
@@ -114,6 +116,55 @@ def test_oracle_stabilizes_and_is_radical_invariant():
 def test_oracle_out_of_range_degrees_vanish():
     assert lc_oracle(p_module(), 1, 2, ZERO) == (0, 0)
     assert lc_oracle(p_module(), 1, -1, ZERO) == (0, 0)
+
+
+@pytest.fixture
+def cold_stages():
+    localcoh._koszul_stage.cache_clear()
+    yield
+    localcoh._koszul_stage.cache_clear()
+
+
+def _scale_vbar1(monkeypatch, factor, at: Degree):
+    """Patch vbar_matrix: multiplication by vbar_1 out of degree `at` is
+    scaled by factor; every other matrix is the true one."""
+    true = localcoh.vbar_matrix
+
+    def scaled(mod, n, i, e, alpha):
+        mat = true(mod, n, i, e, alpha)
+        if i != 1 or alpha != at:
+            return mat
+        return Matrix([[factor * x for x in row] for row in mat.rows],
+                      mat.cols)
+
+    monkeypatch.setattr(localcoh, "vbar_matrix", scaled)
+
+
+@pytest.mark.parametrize("mod, factor, at, message", [
+    # d^1 d^0 (1) = (1 - 3) v1 v2 in P: not zero
+    (p_module(), 3, ZERO, "g o f is not zero in the target group"),
+    # d^0 halves v1 on an F_2 module: 2 * 1 goes to v1, not to zero
+    (pbar(0), Fraction(1, 2), ZERO, "f does not respect relations"),
+    # d^1 halves v1 on the summand C^1 at 0 + 2|v2| of stage e = 2
+    (pbar(0), Fraction(1, 2), RHO * 6, "g does not respect relations"),
+])
+def test_oracle_checks_every_stage_complex(monkeypatch, cold_stages, mod,
+                                           factor, at, message):
+    # the checks read the whole stage complex, so every s meets them
+    _scale_vbar1(monkeypatch, factor, at)
+    for s in range(3):
+        localcoh._koszul_stage.cache_clear()
+        with pytest.raises(ValueError) as err:
+            lc_oracle(mod, 2, s, ZERO)
+        assert str(err.value) == message, s
+
+
+def test_oracle_reads_d_squared_in_the_target_group(monkeypatch,
+                                                    cold_stages):
+    # (1 - 3) v1 v2 is zero in the F_2 module Pbar0, so no check fires
+    _scale_vbar1(monkeypatch, 3, ZERO)
+    assert [lc_oracle(pbar(0), 2, s, ZERO) for s in range(3)] == \
+        [(0, 0)] * 3
 
 
 def test_torsion_modules_have_no_higher_lc():
