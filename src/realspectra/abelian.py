@@ -360,7 +360,14 @@ def kernel_basis(a) -> Matrix:
 
 
 def image_basis(a) -> Matrix:
-    """Basis (as columns) of the image lattice of A inside Z^rows."""
+    """Basis (as columns) of the image lattice of A inside Z^rows.
+
+    Public API beside `kernel_basis`; the package itself reads image
+    lattices through `_image`, which also hands back their Smith form.
+
+    >>> image_basis([[2, 4], [0, 0]]).shape
+    (2, 1)
+    """
     return _image(smith_normal_form(a))[0]
 
 
@@ -468,15 +475,14 @@ class Subquotient:
 
     group.gens equals cycles.shape[1]; cycles columns are a lattice basis, so
     elements of the subquotient have unique coordinate vectors and induced
-    maps are exact solves.  `cycle_smith`, when given, is the Smith form of
-    `cycles` kept from building them; `induced_map` solves against it
-    instead of reducing the lattice again.
+    maps are exact solves.  `cycle_smith` is the Smith form of `cycles`
+    kept from building them; `induced_map` solves against it instead of
+    reducing the lattice again.
     """
 
     group: PresGroup
     cycles: Matrix  # n x group.gens
-    cycle_smith: SmithForm | None = dataclasses.field(
-        default=None, repr=False, compare=False)
+    cycle_smith: SmithForm = dataclasses.field(repr=False, compare=False)
 
 
 def _in_span(m: Matrix, cols: Matrix) -> bool:
@@ -569,6 +575,8 @@ def homology_at(f_mat, g_mat, rels_a, rels_b, rels_c) -> Subquotient:
     Matrices act on generator columns; all three groups are Z^k modulo the
     column span of their relation matrix.  The three-term case of
     `CochainComplex`: raises if the data is not a well defined complex.
+    Public API for a single homology group; the package's own callers
+    build a `CochainComplex` and read every term from it.
     """
     return CochainComplex([f_mat, g_mat],
                           [rels_a, rels_b, rels_c]).homology(1)
@@ -581,10 +589,7 @@ def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:
     tgt.cycles and must carry the cycle lattice into the cycle lattice.
     """
     moved = mat_mul(to_matrix(chain_map), src.cycles)
-    smith = tgt.cycle_smith
-    if smith is None:
-        smith = smith_normal_form(tgt.cycles)
-    coords = _solve(smith, moved)
+    coords = _solve(tgt.cycle_smith, moved)
     if coords is None:
         raise ValueError("chain map does not preserve cycles")
     return coords

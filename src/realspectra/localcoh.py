@@ -402,10 +402,13 @@ def _entries(stage: CochainComplex) -> int:
     return sum(m.size for m in stage.maps + stage.rels)
 
 
-# matrix entries of the stage complexes kept at once, about 8 bytes each:
-# every stage of a koszul sweep at n <= 2 (about 30,000 entries in all),
-# or the stages of one n = 3 degree that check_closed_form reads, up to
-# about k = 3 for Pbar0 (its stages e = 6, 7 at k = 4 hold 330,000)
+# matrix entries of the stage complexes kept at once, about 8 bytes each.
+# check_closed_form runs every s at one degree before the next, so it
+# needs only that degree's stages: up to about k = 3 for Pbar0 at n = 3
+# (its stages e = 6, 7 at k = 4 hold 330,000).  Keeping every stage of a
+# koszul sweep at n <= 2 (about 30,000 entries in all) across degrees
+# serves only callers that visit degrees in shuffled order, as the
+# perfbench koszul workload does.
 STAGE_ENTRIES = 1 << 18
 
 
