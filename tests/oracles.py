@@ -7,15 +7,16 @@ references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
 `e_infinity_basis_two_rounds`, `basis_cached_two_listings`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
-`koszul_layer_uncached`, `koszul_stage_uncached`, `tower_group_fresh`), to
-check an optimised path against.  `PageStatesReference` and
-`run_differentials_reference` are the second route for the spectral
-sequence: the propagation engine, which the package no longer runs,
-against its closed-form pages.
+`vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
+`tower_group_fresh`), to check an optimised path against.
+`PageStatesReference` and `run_differentials_reference` are the second
+route for the spectral sequence: the propagation engine, which the package
+no longer runs, against its closed-form pages.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from realspectra.coefficients import Monomial
@@ -321,8 +322,10 @@ def module_gens_uncached(mod, n: int, alpha: Degree):
 
 
 def koszul_layer_uncached(mod, n: int, e: int, j: int, alpha: Degree):
-    """localcoh._koszul_layer as a fresh list per call, counting generators
-    with module_gens_uncached."""
+    """Summands of C^j of the dense stage-e complex at alpha: M at
+    alpha + e|vbar_S| for each |S| = j, as (S, its degree, its first
+    generator index), with the rank of C^j; generators counted by
+    module_gens_uncached."""
     summands, start = [], 0
     for subset in itertools.combinations(range(1, n + 1), j):
         at = alpha + RHO * (e * sum(2 ** i - 1 for i in subset))
@@ -331,14 +334,45 @@ def koszul_layer_uncached(mod, n: int, e: int, j: int, alpha: Degree):
     return summands, start
 
 
-def koszul_stage_uncached(mod, n: int, e: int, alpha: Degree):
-    """localcoh._koszul_stage built afresh, as (rows, cols) pairs: each
-    d^j entry by entry from koszul_layer_uncached and localcoh.vbar_matrix,
-    the block S -> S + {i} signed by the members of S below i; each C^j
-    presented by 2 * identity on an F_2 module and by no relation on a free
-    one."""
-    from realspectra import localcoh
+def vbar_matrix_reference(mod, n: int, i: int, e: int, alpha: Degree):
+    """localcoh.vbar_matrix with each module kind's action written out
+    here, independent of `localcoh._act`."""
+    from realspectra.abelian import zeros
+    from realspectra.coefficients import _bump
+    from realspectra.localcoh import _gens
 
+    src = _gens(mod, n, alpha)
+    tgt = _gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
+    mat = zeros(len(tgt), len(src))
+    kind = mod.kind
+    if kind in ("TowerF2", "DualTowerF2"):
+        return mat
+    if kind in ("Pbar", "DualPbar", "IdealF2") and i <= mod.s:
+        return mat
+    where = {c: r for r, (c, _) in enumerate(tgt)}
+    for col, (c, lam) in enumerate(src):
+        if kind in ("DualP", "DualPbar"):
+            if len(c) >= i and c[i - 1] >= e:
+                mat[where[_bump(c, i, -e)], col] = 1
+            continue
+        image = _bump(c, i, e)
+        if image not in where:
+            continue
+        row = where[image]
+        if kind == "IdealZ":
+            lam_tgt = tgt[row][1]
+            mat[row, col] = lam // lam_tgt
+        else:
+            mat[row, col] = 1
+    return mat
+
+
+def koszul_stage_uncached(mod, n: int, e: int, alpha: Degree):
+    """The whole stage-e Koszul complex C^0 -> ... -> C^n at alpha, dense,
+    as (rows, cols) pairs: each d^j entry by entry from
+    koszul_layer_uncached and vbar_matrix_reference, the block
+    S -> S + {i} signed by the members of S below i; each C^j presented by
+    2 * identity on an F_2 module and by no relation on a free one."""
     layers = [koszul_layer_uncached(mod, n, e, j, alpha)
               for j in range(n + 1)]
     maps = []
@@ -351,7 +385,7 @@ def koszul_stage_uncached(mod, n: int, e: int, alpha: Degree):
                     continue
                 sign = (-1) ** sum(1 for x in subset if x < i)
                 r0 = start[tuple(sorted(subset + (i,)))]
-                block = localcoh.vbar_matrix(mod, n, i, e, at)
+                block = vbar_matrix_reference(mod, n, i, e, at)
                 for r, row in enumerate(block.rows):
                     for c, x in enumerate(row):
                         mat[r0 + r][c0 + c] += sign * x
@@ -364,6 +398,80 @@ def koszul_stage_uncached(mod, n: int, e: int, alpha: Degree):
         else:
             rels.append(([[] for _ in range(dim)], 0))
     return maps, rels
+
+
+@functools.lru_cache(maxsize=16)
+def koszul_complex_dense(mod, n: int, e: int, alpha: Degree):
+    """koszul_stage_uncached as a checked abelian.CochainComplex, kept for
+    the last few stages so that a sweep over s at one degree builds each
+    stage once; the complex must not be altered."""
+    from realspectra.abelian import CochainComplex, Matrix
+
+    maps, rels = koszul_stage_uncached(mod, n, e, alpha)
+    return CochainComplex([Matrix(rows, cols) for rows, cols in maps],
+                          [Matrix(rows, cols) for rows, cols in rels])
+
+
+@functools.lru_cache(maxsize=16)
+def transition_matrix_dense(mod, n: int, e: int, s: int, alpha: Degree):
+    """The chain map C^s(stage e) -> C^s(stage e + 1) at alpha: each
+    summand multiplied by vbar_S, one vbar_matrix_reference per member of
+    S in increasing order."""
+    from realspectra.abelian import identity, mat_mul, zeros
+
+    src, cols = koszul_layer_uncached(mod, n, e, s, alpha)
+    tgt, rows = koszul_layer_uncached(mod, n, e + 1, s, alpha)
+    mat = zeros(rows, cols)
+    for (subset, at, c0), (_, _, r0) in zip(src, tgt):
+        block = identity(len(module_gens_uncached(mod, n, at)))
+        for i in subset:
+            block = mat_mul(vbar_matrix_reference(mod, n, i, 1, at), block)
+            at = at + RHO * (2 ** i - 1)
+        for r, row in enumerate(block.rows):
+            for c, x in enumerate(row):
+                mat[r0 + r, c0 + c] += x
+    return mat
+
+
+def lc_oracle_dense(mod, n: int, s: int, alpha: Degree,
+                    e_start: int | None = None, confirm: int = 1,
+                    max_e: int = 60):
+    """localcoh.lc_oracle on whole dense stage complexes, not split into
+    pieces by fine degree: the same certificate (`confirm` stages with
+    equal invariants and a surjective transition), read off one complex
+    per stage."""
+    from realspectra.abelian import induced_map, map_is_surjective
+    from realspectra.coefficients import StabilizationFailure
+    from realspectra.localcoh import _diag_weight, module_ranks
+
+    if s < 0 or s > n:
+        return (0, 0)
+    if n == 0:
+        return module_ranks(mod, 0, alpha)
+    k = _diag_weight(mod, alpha)
+    if e_start is None:
+        e_start = max(2, abs(k) + 2 if k is not None else 2)
+    prev = None
+    good = 0
+    for e in range(e_start, max_e + 1):
+        here = koszul_complex_dense(mod, n, e, alpha).homology(s)
+        if prev is not None:
+            same = prev.group.summarize() == here.group.summarize()
+            if same:
+                step = transition_matrix_dense(mod, n, e - 1, s, alpha)
+                induced = induced_map(prev, here, step)
+                if map_is_surjective(induced, here.group):
+                    good += 1
+                    if good >= confirm:
+                        return here.group.summarize()
+                else:
+                    good = 0
+            else:
+                good = 0
+        prev = here
+    raise StabilizationFailure(
+        f"Koszul colimit for {mod.describe()} H^{s} at {alpha} "
+        f"did not settle by stage {max_e}")
 
 
 def tower_group_fresh(ideal, alpha: Degree, caps):

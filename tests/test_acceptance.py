@@ -9,7 +9,8 @@ import itertools
 import time
 
 from realspectra import localcoh
-from realspectra.blocks import bb_basis, bb_groups, lc_of_block, nb_basis, nb_groups
+from realspectra.blocks import (bb_basis, bb_groups, diagonal_decompose,
+                               lc_of_block, nb_basis, nb_groups)
 from realspectra.coefficients import (QuotientIdeal, group_in_degree,
                                       nilpotence_check, restriction_rank,
                                       weight_tuples)
@@ -21,7 +22,7 @@ from realspectra.hfpss import (e_infinity_groups, geometric_cofibre_groups,
                                run_differentials, tate_groups)
 from realspectra.localcoh import (check_closed_form, convention_report, dual_p,
                                   dual_pbar, dual_tower_f2, ideal_f2, ideal_z,
-                                  p_module, pbar, tower_f2)
+                                  lc_ranks, p_module, pbar, tower_f2)
 
 import oracles
 
@@ -111,6 +112,22 @@ def test_criterion_4_closed_forms_match_koszul_oracle():
     report = convention_report()
     assert any("sign" in line for line in report), report
     assert all("oracle" in line for line in report), report
+    assert time.monotonic() - start < 30.0
+
+
+def test_criterion_4_height3_closed_forms_where_they_are_nonzero():
+    # the unshifted modules that the n = 3 blocks split into; the H^3 of
+    # the P and Pbar0 families starts at k = -D_3 = -11, so the window
+    # reaches it and two steps past it
+    start = time.monotonic()
+    modules = sorted({cell.module._replace(shift=Degree(0, 0))
+                      for kind in ("bb", "nb") for d in range(-24, 40)
+                      for cell in diagonal_decompose(3, d, kind)})
+    assert len(modules) == 15
+    for mod in modules:
+        check_closed_form(mod, 3, -13, 2)
+        assert any(lc_ranks(mod, 3, s, RHO * k) != (0, 0)
+                   for k in range(-13, 3) for s in range(4)), mod
     assert time.monotonic() - start < 30.0
 
 

@@ -4,23 +4,25 @@
 divisor of the remaining entries already answers it, returns an input
 already in Smith form after one scan, and builds each transform from its
 operation log when first read; `SmithForm` reads its diagonal once,
-`localcoh.module_gens` is cached per (module, n, degree), the Koszul layers
-per (module, n, stage, j, degree), the checked Koszul stage complexes per
-(module, n, stage, degree) under a bound on their size, the weight listings
-per index range, and quotient towers share the stages of a common prefix of
-steps.  Each is checked here against the uncached computation it replaces.
+`localcoh.module_gens` is cached per (module, n, degree), the Koszul oracle
+splits each stage into pieces by fine degree and memoizes each piece shape,
+its homology and its transition step, `localcoh.vbar_matrix` reads the one
+module action `localcoh._act`, the weight listings are cached per index
+range, and quotient towers share the stages of a common prefix of steps.
+Each is checked here against the uncached computation it replaces.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (koszul_layer_uncached, koszul_stage_uncached,
-                     module_gens_uncached, smith_normal_form_full_rescan,
-                     tower_group_fresh)
+from oracles import (koszul_complex_dense, koszul_layer_uncached,
+                     lc_oracle_dense, module_gens_uncached,
+                     smith_normal_form_full_rescan, tower_group_fresh,
+                     vbar_matrix_reference)
 from realspectra import localcoh
-from realspectra.abelian import (_image, _solve, image_basis, induced_map,
-                                 mat_mul, smith_normal_form, solve_matrix,
-                                 to_matrix, zeros)
+from realspectra.abelian import (_image, _solve, image_basis, mat_mul,
+                                 smith_normal_form, solve_matrix, to_matrix,
+                                 zeros)
 from realspectra.coefficients import (Caps, QuotientIdeal,
                                       StabilizationFailure,
                                       _first_index_above, _weight_tuples_in,
@@ -214,75 +216,71 @@ def test_module_gens_returns_a_private_copy():
 
 @pytest.mark.parametrize("mod", _modules(), ids=lambda m: m.describe())
 def test_koszul_layer_matches_uncached_listing(mod):
+    # the pieces of a stage hold each generator of each uncached layer once,
+    # in the slot it came from, and nothing else
     for n in range(1, 4):
         for e in (1, 2, 5):
-            for j in range(n + 1):
-                for k in range(-8, 9, 3):
-                    alpha = mod.shift + RHO * k
-                    summands, rank = koszul_layer_uncached(mod, n, e, j, alpha)
-                    got = localcoh._koszul_layer(mod, n, e, j, alpha)
-                    assert got == (tuple(summands), rank), \
-                        (mod.describe(), n, e, j, alpha)
-                    assert localcoh._koszul_layer(mod, n, e, j, alpha) is got
+            for k in range(-8, 9, 3):
+                alpha = mod.shift + RHO * k
+                got = {}
+                for key, slots in localcoh._stage(mod, n, e, alpha).values():
+                    assert key[2] == tuple(slots)
+                    for subset, c in slots.items():
+                        got.setdefault(subset, []).append(c)
+                for j in range(n + 1):
+                    summands, _ = koszul_layer_uncached(mod, n, e, j, alpha)
+                    for subset, at, _ in summands:
+                        want = [c for c, _ in module_gens_uncached(mod, n, at)]
+                        assert sorted(got.pop(subset, [])) == sorted(want), \
+                            (mod.describe(), n, e, subset, alpha)
+                assert got == {}
 
 
 def _rows_and_cols(mats):
-    return [([row[:] for row in m.rows], m.cols) for m in mats]
+    return [(m.rows, m.cols) for m in mats]
 
 
 @pytest.mark.parametrize("mod", _modules(), ids=lambda m: m.describe())
 def test_koszul_stage_matches_uncached_build(mod):
-    localcoh._koszul_stage.cache_clear()
-    try:
-        for n in range(1, 4):
-            for k in (-3, 0, 2):
-                alpha = mod.shift + RHO * k
-                e = max(2, abs(k) + 2)
-                stage = localcoh._koszul_stage(mod, n, e, alpha)
-                want = koszul_stage_uncached(mod, n, e, alpha)
-                assert (_rows_and_cols(stage.maps),
-                        _rows_and_cols(stage.rels)) == want, \
-                    (mod.describe(), n, e, alpha)
-                assert localcoh._koszul_stage(mod, n, e, alpha) is stage
-                # readers leave the kept matrices as they were
+    # the pieces sum to the dense stage, and the certificate run piece by
+    # piece settles where the dense one does, on the same answer
+    shapes = set()
+    for n in range(1, 4):
+        for k in range(-6, 5):
+            for off in (0, -1):
+                alpha = mod.shift + RHO * k + SIGMA * off
+                for e in (2, 4):
+                    stage = koszul_complex_dense(mod, n, e, alpha)
+                    shapes.update(key for key, _ in
+                                  localcoh._stage(mod, n, e, alpha).values())
+                    for s in range(n + 1):
+                        assert localcoh.koszul_cohomology(
+                            mod, n, e, s, alpha) == \
+                            stage.homology(s).group.summarize(), \
+                            (mod.describe(), n, e, s, alpha)
                 for s in range(n + 1):
-                    localcoh.lc_oracle(mod, n, s, alpha)
-                    later = localcoh._koszul_stage(mod, n, e + 1, alpha)
-                    induced_map(stage.homology(s), later.homology(s),
-                                localcoh._transition_matrix(mod, n, e, s,
-                                                            alpha))
-                assert (_rows_and_cols(stage.maps),
-                        _rows_and_cols(stage.rels)) == want
-                assert localcoh._koszul_stage(mod, n, e, alpha) is stage
-    finally:
-        localcoh._koszul_stage.cache_clear()
+                    assert localcoh.lc_oracle(mod, n, s, alpha) == \
+                        lc_oracle_dense(mod, n, s, alpha), \
+                        (mod.describe(), n, s, alpha)
+    # readers left each memoized piece as a fresh build makes it
+    for key in shapes:
+        kept, fresh = localcoh._piece(key), localcoh._piece.__wrapped__(key)
+        assert _rows_and_cols(kept.maps + kept.rels) == \
+            _rows_and_cols(fresh.maps + fresh.rels), key
 
 
-def test_stage_cache_is_bounded_by_size():
-    built = []
-
-    @localcoh._lru_by_size(10, len)
-    def listing(size):
-        built.append(size)
-        return [size] * size
-
-    assert listing(4) is listing(4)
-    listing(5)
-    assert listing.cache_info()[:2] == (1, 2)
-    listing(3)                  # 4 + 5 + 3 > 10: the oldest, 4, goes
-    assert listing.cache_info().currsize == 2
-    listing(5)
-    listing(4)                  # rebuilt; 3, now the oldest, goes
-    assert built == [4, 5, 3, 4]
-    assert listing.cache_info().currsize == 2
-    listing(5)
-    assert built == [4, 5, 3, 4]
-    listing(12)                 # kept alone, though over the bound
-    assert listing.cache_info().currsize == 1
-    listing(12)
-    assert built == [4, 5, 3, 4, 12]
-    listing.cache_clear()
-    assert listing.cache_info() == (0, 0, 10, 0)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_modules()),
+       st.integers(0, 3).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
+       st.integers(1, 5), st.integers(-8, 12), st.integers(-2, 1))
+def test_vbar_matrix_matches_reference(mod, n_and_i, e, k, off):
+    # i = n + 1 acts outside the ring: the image is no generator
+    n, i = n_and_i
+    alpha = mod.shift + RHO * k + SIGMA * off
+    got = localcoh.vbar_matrix(mod, n, i, e, alpha)
+    want = vbar_matrix_reference(mod, n, i, e, alpha)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
 
 
 _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from realspectra import localcoh
-from realspectra.abelian import Matrix
 from realspectra.grading import RHO, Degree
 from realspectra.localcoh import (
     StandardModule, check_closed_form, convention_report, dual_p, dual_pbar,
@@ -118,26 +117,36 @@ def test_oracle_out_of_range_degrees_vanish():
     assert lc_oracle(p_module(), 1, -1, ZERO) == (0, 0)
 
 
+def _clear_pieces():
+    for memo in (localcoh._piece, localcoh._piece_homology,
+                 localcoh._piece_step):
+        memo.cache_clear()
+
+
 @pytest.fixture
-def cold_stages():
-    localcoh._koszul_stage.cache_clear()
+def cold_pieces():
+    _clear_pieces()
     yield
-    localcoh._koszul_stage.cache_clear()
+    _clear_pieces()
+
+
+def _weight(c):
+    return sum(x * (2 ** i - 1) for i, x in enumerate(c, start=1))
 
 
 def _scale_vbar1(monkeypatch, factor, at: Degree):
-    """Patch vbar_matrix: multiplication by vbar_1 out of degree `at` is
-    scaled by factor; every other matrix is the true one."""
-    true = localcoh.vbar_matrix
+    """Patch _act: vbar_1 on a generator in degree `at` of a module with
+    no shift (its exponents have weight at.triv) is scaled by factor; every
+    other action is the true one."""
+    true = localcoh._act
 
-    def scaled(mod, n, i, e, alpha):
-        mat = true(mod, n, i, e, alpha)
-        if i != 1 or alpha != at:
-            return mat
-        return Matrix([[factor * x for x in row] for row in mat.rows],
-                      mat.cols)
+    def scaled(mod, c, i, e):
+        hit = true(mod, c, i, e)
+        if hit is None or i != 1 or _weight(c) != at.triv:
+            return hit
+        return hit[0], factor * hit[1]
 
-    monkeypatch.setattr(localcoh, "vbar_matrix", scaled)
+    monkeypatch.setattr(localcoh, "_act", scaled)
 
 
 @pytest.mark.parametrize("mod, factor, at, message", [
@@ -148,23 +157,39 @@ def _scale_vbar1(monkeypatch, factor, at: Degree):
     # d^1 halves v1 on the summand C^1 at 0 + 2|v2| of stage e = 2
     (pbar(0), Fraction(1, 2), RHO * 6, "g does not respect relations"),
 ])
-def test_oracle_checks_every_stage_complex(monkeypatch, cold_stages, mod,
+def test_oracle_checks_every_stage_complex(monkeypatch, cold_pieces, mod,
                                            factor, at, message):
-    # the checks read the whole stage complex, so every s meets them
+    # every s sums the H^s of every piece of a stage, so each meets the
+    # checks of the broken piece
     _scale_vbar1(monkeypatch, factor, at)
     for s in range(3):
-        localcoh._koszul_stage.cache_clear()
+        _clear_pieces()
         with pytest.raises(ValueError) as err:
             lc_oracle(mod, 2, s, ZERO)
         assert str(err.value) == message, s
 
 
 def test_oracle_reads_d_squared_in_the_target_group(monkeypatch,
-                                                    cold_stages):
+                                                    cold_pieces):
     # (1 - 3) v1 v2 is zero in the F_2 module Pbar0, so no check fires
     _scale_vbar1(monkeypatch, 3, ZERO)
     assert [lc_oracle(pbar(0), 2, s, ZERO) for s in range(3)] == \
         [(0, 0)] * 3
+
+
+@pytest.mark.parametrize("exponent", [2, 1])
+def test_oracle_refuses_an_image_outside_its_piece(monkeypatch, cold_pieces,
+                                                   exponent):
+    # vbar_1^exponent fixing every generator breaks the fine grading: at
+    # exponent 2 in the stage-2 differentials, at 1 in the transitions
+    true = localcoh._act
+
+    def fixed(mod, c, i, e):
+        return (c, 1) if (i, e) == (1, exponent) else true(mod, c, i, e)
+
+    monkeypatch.setattr(localcoh, "_act", fixed)
+    with pytest.raises(ValueError, match="out of its piece of P$"):
+        lc_oracle(p_module(), 2, 2, ZERO)
 
 
 def test_torsion_modules_have_no_higher_lc():
