@@ -18,7 +18,9 @@ Cech/Koszul complex; Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 13).  A piece is fixed up to isomorphism by its shape: torsion, n,
 the slots present and its coefficients.  Few shapes occur, so each shape's
 complex is built and checked once, and its H^s and its transition steps
-are computed once, in memos that every module, degree and s shares.
+are computed once, in memos that every module, degree and s shares.  At
+one degree a single pass over the stages settles every s, and that run is
+memoized too.
 
 Grading conventions.  Catalogue modules are concentrated on
 shift + Z*rho, except the towers, which run along shift + Z*sigma.  A
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -267,6 +270,8 @@ def _act(mod: StandardModule, c: tuple[int, ...], i: int,
             return None
         return _bump(c, i, -e), 1
     image = _bump(c, i, e)
+    if kind != "IdealZ":
+        return image, 1
     return image, _embedding(mod, c) // _embedding(mod, image)
 
 
@@ -302,6 +307,15 @@ def _subset_weight(subset: tuple[int, ...]) -> int:
     return sum(2 ** i - 1 for i in subset)
 
 
+@lru_cache(maxsize=None)
+def _cofaces(n: int) -> dict[tuple[int, ...], tuple]:
+    """For each subset S of {1, ..., n}, the pairs (i, S + {i}) for i
+    outside S, in increasing i."""
+    return {subset: tuple((i, tuple(sorted(subset + (i,))))
+                          for i in range(1, n + 1) if i not in subset)
+            for subset in _subsets(n)}
+
+
 def _stage(mod: StandardModule, n: int, e: int, alpha: Degree) -> dict:
     """The stage-e complex at alpha split by fine degree, as
     {m: (piece shape, {slot S: its generator})}.
@@ -330,13 +344,14 @@ def _piece_key(mod: StandardModule, n: int, e: int, slots: dict) -> tuple:
 
     Raises ValueError if an image is not the generator of slot S + {i}.
     """
+    cofaces = _cofaces(n)
     edges = []
     for subset, c in slots.items():
-        for i in range(1, n + 1):
-            hit = None if i in subset else _act(mod, c, i, e)
+        for i, union in cofaces[subset]:
+            hit = _act(mod, c, i, e)
             if hit is None:
                 continue
-            if slots.get(tuple(sorted(subset + (i,)))) != hit[0]:
+            if slots.get(union) != hit[0]:
                 raise ValueError(f"vbar_{i}^{e} sends {c} out of its "
                                  f"piece of {mod.describe()}")
             edges.append((subset, i, hit[1]))
@@ -405,11 +420,19 @@ def _piece_step(src: tuple, tgt: tuple, s: int,
     return map_is_surjective(induced, here.group)
 
 
-def _stage_homology(stage: dict, s: int) -> tuple[int, int]:
-    """H^s of a stage as (free, F_2) ranks, summed over its pieces."""
-    ranks = [_piece_homology(key, s).group.summarize()
-             for key, _ in stage.values()]
-    return sum(a for a, _ in ranks), sum(b for _, b in ranks)
+def _shapes(stage: dict) -> Counter:
+    """How many pieces of each shape a stage has."""
+    return Counter(key for key, _ in stage.values())
+
+
+def _stage_homology(shapes: Counter, s: int) -> tuple[int, int]:
+    """H^s of a stage as (free, F_2) ranks, summed over its pieces from
+    the count of each shape (see _shapes)."""
+    free = f2 = 0
+    for key, count in shapes.items():
+        a, b = _piece_homology(key, s).group.summarize()
+        free, f2 = free + count * a, f2 + count * b
+    return free, f2
 
 
 def _stage_onto(mod: StandardModule, prev: dict, here: dict,
@@ -441,7 +464,7 @@ def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
     """
     if s < 0 or s > n:
         return (0, 0)
-    return _stage_homology(_stage(mod, n, e, alpha), s)
+    return _stage_homology(_shapes(_stage(mod, n, e, alpha)), s)
 
 
 def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
@@ -451,15 +474,22 @@ def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
 
     The certificate demands `confirm` consecutive stages with equal
     invariants whose transition maps are isomorphisms (surjectivity plus
-    equal invariants suffices for finitely generated groups); raises
-    StabilizationFailure if max_e stages never settle.  Each stage is split
-    into its pieces by fine degree, so invariants are summed over pieces
-    and surjectivity is checked piece by piece, a stage-(e+1) piece with
-    no stage-e piece being onto only if its H^s is zero.  The piece
-    complexes, their H^s and their transition steps are memoized by shape,
-    which a whole sweep shares: a shape's relation and d o d checks run
-    when it is first built (ValueError if a differential breaks the
-    relations or d o d is not zero, or if an image leaves its piece).
+    equal invariants suffices for finitely generated groups).  Each stage
+    is split into its pieces by fine degree, so invariants are summed over
+    pieces and surjectivity is checked piece by piece, a stage-(e+1) piece
+    with no stage-e piece being onto only if its H^s is zero.
+
+    One run per degree serves every s: it builds each stage once and runs
+    this certificate for each s that has not yet settled, and it is
+    memoized by (mod, n, alpha, e_start, confirm, max_e), an unset e_start
+    sharing the entry of its default.  A failure is per s: an s that never
+    settles by stage max_e raises StabilizationFailure, and an s whose
+    checks meet a broken piece raises that ValueError (a differential
+    breaks the relations, d o d is not zero or an image leaves its piece),
+    while the other s keep their answers; a run that met one is not
+    memoized.  The piece complexes, their H^s and their transition steps
+    are memoized by shape, which a whole sweep shares; a shape's relation
+    and d o d checks run when it is first built.
 
     >>> lc_oracle(p_module(), 1, 1, -2 * RHO)
     (1, 0)
@@ -470,24 +500,65 @@ def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
         return (0, 0)
     if n == 0:
         return module_ranks(mod, 0, alpha)
-    k = _diag_weight(mod, alpha)
     if e_start is None:
+        k = _diag_weight(mod, alpha)
         e_start = max(2, abs(k) + 2 if k is not None else 2)
-    prev = total_prev = None
-    good = 0
+    try:
+        got = _oracle_run(mod, n, alpha, e_start, confirm, max_e)[s]
+    except _BrokenRun as broken:
+        got = broken.args[0][s]
+    if isinstance(got, ValueError):
+        raise got
+    if got is None:
+        raise StabilizationFailure(
+            f"Koszul colimit for {mod.describe()} H^{s} at {alpha} "
+            f"did not settle by stage {max_e}")
+    return got
+
+
+class _BrokenRun(Exception):
+    """Raised by _oracle_run, so that lru_cache keeps nothing, when some s
+    met a ValueError; args[0] is the run's per-s outcome."""
+
+
+@lru_cache(maxsize=None)
+def _oracle_run(mod: StandardModule, n: int, alpha: Degree, e_start: int,
+                confirm: int, max_e: int) -> tuple:
+    """lc_oracle's certificate for every s = 0..n over one pass of stages:
+    per s its ranks, None if it did not settle by stage max_e, or the
+    ValueError its checks met (then raised inside _BrokenRun).  Each s sees
+    the checks and stages that a run for it alone would."""
+    out: list = [None] * (n + 1)
+    totals: list = [None] * (n + 1)
+    good = [0] * (n + 1)
+    prev = None
     for e in range(e_start, max_e + 1):
-        here = _stage(mod, n, e, alpha)
-        total = _stage_homology(here, s)
-        if total == total_prev and _stage_onto(mod, prev, here, s):
-            good += 1
-            if good >= confirm:
-                return total
-        else:
-            good = 0
-        prev, total_prev = here, total
-    raise StabilizationFailure(
-        f"Koszul colimit for {mod.describe()} H^{s} at {alpha} "
-        f"did not settle by stage {max_e}")
+        todo = [s for s in range(n + 1) if out[s] is None]
+        if not todo:
+            break
+        try:
+            here = _stage(mod, n, e, alpha)
+        except ValueError as err:
+            for s in todo:
+                out[s] = err
+            break
+        shapes = _shapes(here)
+        for s in todo:
+            try:
+                total = _stage_homology(shapes, s)
+                if total == totals[s] and _stage_onto(mod, prev, here, s):
+                    good[s] += 1
+                    if good[s] >= confirm:
+                        out[s] = total
+                else:
+                    good[s] = 0
+                totals[s] = total
+            except ValueError as err:
+                out[s] = err
+        prev = here
+    if any(isinstance(got, ValueError) for got in out):
+        raise _BrokenRun(out)
+    return tuple(out)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -572,8 +643,9 @@ def check_closed_form(mod: StandardModule, n: int, k_lo: int, k_hi: int,
     """Compare closed form against the Koszul oracle on a window.
 
     Scans the rho-line through the module's natural support in the given
-    k-range, every cohomological degree 0..n at one k before the next k,
-    and raises AssertionError on the first mismatch.
+    k-range, every cohomological degree 0..n at each k, and raises
+    AssertionError on the first mismatch.  The oracle settles every s at a
+    degree in one memoized run, so the scan order does not change its cost.
     """
     for k in range(k_lo, k_hi + 1):
         for s in range(n + 1):

@@ -1,11 +1,13 @@
 """Catalogue modules, Koszul oracle, and closed-form local cohomology."""
 
+import collections
 import doctest
 from fractions import Fraction
 
 import pytest
 
 from realspectra import localcoh
+from realspectra.coefficients import StabilizationFailure
 from realspectra.grading import RHO, Degree
 from realspectra.localcoh import (
     StandardModule, check_closed_form, convention_report, dual_p, dual_pbar,
@@ -118,9 +120,12 @@ def test_oracle_out_of_range_degrees_vanish():
 
 
 def _clear_pieces():
-    for memo in (localcoh._piece, localcoh._piece_homology,
-                 localcoh._piece_step):
-        memo.cache_clear()
+    # every memo of localcoh, so that no warmed entry answers without
+    # calling a patched _act
+    for memo in vars(localcoh).values():
+        if hasattr(memo, "cache_clear") and \
+                getattr(memo, "__module__", None) == localcoh.__name__:
+            memo.cache_clear()
 
 
 @pytest.fixture
@@ -190,6 +195,64 @@ def test_oracle_refuses_an_image_outside_its_piece(monkeypatch, cold_pieces,
     monkeypatch.setattr(localcoh, "_act", fixed)
     with pytest.raises(ValueError, match="out of its piece of P$"):
         lc_oracle(p_module(), 2, 2, ZERO)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_oracle_failure_is_per_s(cold_pieces, order):
+    # at -3 rho, stages 2 and 3 agree in H^0 but not in H^1
+    for s in order:
+        if s == 0:
+            assert lc_oracle(p_module(), 1, 0, RHO * -3, e_start=2,
+                             max_e=3) == (0, 0)
+        else:
+            with pytest.raises(StabilizationFailure) as err:
+                lc_oracle(p_module(), 1, 1, RHO * -3, e_start=2, max_e=3)
+            assert str(err.value) == \
+                "Koszul colimit for P H^1 at -3-3s did not settle by stage 3"
+
+
+def test_oracle_error_is_per_s(monkeypatch, cold_pieces):
+    # vbar_1 fixing every generator breaks only the transitions out of the
+    # slots that contain 1, which H^0 never reads
+    true = localcoh._act
+
+    def fixed(mod, c, i, e):
+        return (c, 1) if (i, e) == (1, 1) else true(mod, c, i, e)
+
+    monkeypatch.setattr(localcoh, "_act", fixed)
+    assert lc_oracle(p_module(), 2, 0, ZERO) == (0, 0)
+    for s, message in ((1, r"vbar_\(1,\) sends \(2,\) out"),
+                       (2, r"vbar_\(1, 2\) sends \(2, 2\) out")):
+        with pytest.raises(ValueError, match=message):
+            lc_oracle(p_module(), 2, s, ZERO)
+
+
+def test_oracle_does_not_memoize_an_error(monkeypatch, cold_pieces):
+    def broken(mod, c, i, e):
+        raise ValueError("broken action")
+
+    monkeypatch.setattr(localcoh, "_act", broken)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="broken action"):
+            lc_oracle(p_module(), 2, 1, ZERO)
+    monkeypatch.undo()
+    assert lc_oracle(p_module(), 2, 1, ZERO) == (0, 0)
+
+
+def test_oracle_builds_each_stage_once_per_degree(monkeypatch, cold_pieces):
+    # every s at a degree reads one pass over the stages: two stages per
+    # degree on this window, where one pass per s built each three times
+    built = collections.Counter()
+    true = localcoh._stage
+
+    def counting(mod, n, e, alpha):
+        built[e, alpha] += 1
+        return true(mod, n, e, alpha)
+
+    monkeypatch.setattr(localcoh, "_stage", counting)
+    check_closed_form(p_module(), 2, -5, 5)
+    assert sum(built.values()) == 22
+    assert set(built.values()) == {1}
 
 
 def test_torsion_modules_have_no_higher_lc():
