@@ -29,7 +29,7 @@ from functools import lru_cache
 from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       map_is_surjective, zeros)
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           _weight_tuples_in, rank_summary)
+                           rank_summary, weight_tuples)
 from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
@@ -68,7 +68,7 @@ def _bb_cached(n: int, alpha: Degree) -> tuple[BasisEntry, ...]:
         k = d - 4 * l
         if w < 0 or k < 0:
             continue
-        for c in _weight_tuples_in(w, 1, n):
+        for c in weight_tuples(w, 1, n):
             entry = final_entry(n, Monomial(k, l, c))
             if entry is not None:
                 out.append(entry)

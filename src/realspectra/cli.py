@@ -82,8 +82,8 @@ class ConfigError(Exception):
 class RunConfig:
     """Validated inputs of one run; window is None for an empty range.
 
-    caps holds the --caps bound as given, () or (a_cap,), for `commands`
-    to build a `coefficients.Caps` from.
+    caps holds the --caps bound A as given, or None for the coefficient
+    layer's default, which `commands` reads.
     """
 
     command: str
@@ -91,7 +91,7 @@ class RunConfig:
     n: int | None
     spectrum: str
     window: Window | None
-    caps: tuple[int, ...]
+    caps: int | None
     fmt: str
     out: str | None
     ssdata: str | None
@@ -123,14 +123,14 @@ def _parse_window(text: str) -> Window | None:
     return Window(t_lo, t_hi, s_lo, s_hi)
 
 
-def _parse_caps(text: str) -> tuple[int, ...]:
+def _parse_caps(text: str) -> int:
     try:
         a_cap = int(text)
     except ValueError:
         raise ConfigError(f"caps must be an integer A, got {text!r}")
     if a_cap < 0:
         raise ConfigError(f"caps need A >= 0, got {text!r}")
-    return (a_cap,)
+    return a_cap
 
 
 def _check_out(path: str | None) -> str | None:
@@ -192,7 +192,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         n=args.n,
         spectrum=args.spectrum,
         window=_parse_window(args.window),
-        caps=_parse_caps(args.caps) if args.caps else (),
+        caps=_parse_caps(args.caps) if args.caps else None,
         fmt=fmt,
         out=_check_out(args.out),
         ssdata=args.ssdata,

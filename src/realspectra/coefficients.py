@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .abelian import zeros
 from .grading import Degree, Window, generator_degree, v2
@@ -278,15 +278,9 @@ def multiply(x: CoeffElement, y: CoeffElement) -> CoeffElement:
 # ---------------------------------------------------------------------------
 # degreewise bases of the coefficient ring
 
-@dataclasses.dataclass(frozen=True)
-class Caps:
-    """Enumeration bound: a-exponents up to a_cap, and at least up to the
-    provable bound of each degree."""
-
-    a_cap: int = 40
-
-
-DEFAULT_CAPS = Caps()
+# the enumeration bound: a-exponents up to a_cap, and at least up to the
+# provable bound of each degree
+DEFAULT_A_CAP = 40
 
 
 class _BasisEntryFields(NamedTuple):
@@ -318,50 +312,39 @@ class BasisEntry(_BasisEntryFields):
         return body
 
 
-def weight_tuples(w: int, allowed: Callable[[int], bool]) -> list[tuple[int, ...]]:
-    """Exponent tuples c (index 1 based) with sum c_i (2^i - 1) = w.
+@functools.lru_cache(maxsize=None)
+def weight_tuples(w: int, lo: int = 1,
+                  hi: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Stripped exponent tuples c with sum c_i (2^i - 1) = w whose nonzero
+    indices i lie in lo..hi (lo >= 1; hi = None: no upper limit).
 
-    >>> sorted(weight_tuples(3, lambda i: True))
-    [(0, 1), (3,)]
-    >>> weight_tuples(0, lambda i: True)
-    [()]
+    The one listing of the monomials vbar^c of a rho-weight, memoized; the
+    caller must not alter it.  The order is descending lexicographic on
+    the reversed, zero-padded tuple: the top index's exponent highest
+    first, then the same order one index lower, whose memoized listings
+    each listing is built from.
+
+    >>> weight_tuples(3), weight_tuples(3, 2), weight_tuples(7, 1, 2)
+    (((0, 1), (3,)), ((0, 1),), ((1, 2), (4, 1), (7,)))
+    >>> weight_tuples(0, 3, 2), weight_tuples(-1), weight_tuples(2, 2)
+    (((),), (), ())
     """
     if w < 0:
-        return []
-    top = 0
-    while 2 ** (top + 2) - 1 <= w:
-        top += 1
-    top += 1  # now 2^(top+1)-1 > w >= 2^top - 1 territory
-
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rest: int, suffix: list[int]):
-        if i == 0:
-            if rest == 0:
-                out.append(_strip(list(reversed(suffix))))
-            return
-        part = 2 ** i - 1
-        max_ci = rest // part if allowed(i) else 0
-        for ci in range(max_ci, -1, -1):
-            rec(i - 1, rest - ci * part, suffix + [ci])
-
-    rec(top, w, [])
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_tuples_in(w: int, lo: int,
-                      hi: int | None) -> tuple[tuple[int, ...], ...]:
-    """weight_tuples(w, ...) with indices in lo..hi (hi = None: no upper
-    limit), cached; the listing order is weight_tuples' own.
-
-    >>> _weight_tuples_in(3, 1, 1)
-    ((3,),)
-    >>> _weight_tuples_in(3, 2, None)
-    ((0, 1),)
-    """
-    return tuple(weight_tuples(
-        w, lambda i: lo <= i and (hi is None or i <= hi)))
+        return ()
+    top = (w + 1).bit_length() - 1  # the largest i with 2^i - 1 <= w
+    if hi is not None:
+        top = min(top, hi)
+    if top != hi:
+        return weight_tuples(w, lo, top)
+    if top < lo:
+        return ((),) if w == 0 else ()
+    part = 2 ** top - 1
+    out = []
+    for ci in range(w // part, 0, -1):
+        for c in weight_tuples(w - ci * part, lo, top - 1):
+            out.append(c + (0,) * (top - 1 - len(c)) + (ci,))
+    out.extend(weight_tuples(w, lo, top - 1))
+    return tuple(out)
 
 
 def _first_index_above(k: int) -> int:
@@ -380,13 +363,12 @@ def _enumerate_with_cap(alpha: Degree, a_cap: int) -> list[BasisEntry]:
             l = (d - k) // 4
             if w >= 0:
                 if k == 0:
-                    for c in _weight_tuples_in(w, 1, None):
+                    for c in weight_tuples(w):
                         mono = Monomial(0, l, c)
                         lat = 1 if is_in_subalgebra(mono) else 2
                         out.append(BasisEntry(mono, lat, torsion=False))
                 else:
-                    for c in _weight_tuples_in(w, _first_index_above(k),
-                                               None):
+                    for c in weight_tuples(w, _first_index_above(k)):
                         mono = Monomial(k, l, c)
                         if not mono.is_zero() and is_in_subalgebra(mono):
                             out.append(BasisEntry(mono, 1, torsion=True))
@@ -412,7 +394,8 @@ def _a_exponent_bound(alpha: Degree) -> int:
     return bound
 
 
-def basis_in_degree(alpha: Degree, caps: Caps = DEFAULT_CAPS) -> list[BasisEntry]:
+def basis_in_degree(alpha: Degree,
+                    a_cap: int = DEFAULT_A_CAP) -> list[BasisEntry]:
     """Certified basis of the coefficient ring in one degree.
 
     Lists the degree once, up to filtration cap + 8, where cap is
@@ -426,12 +409,12 @@ def basis_in_degree(alpha: Degree, caps: Caps = DEFAULT_CAPS) -> list[BasisEntry
     >>> [e.describe() for e in basis_in_degree(Degree(2, -2))]
     ['2*u']
     """
-    return list(_basis_cached(alpha, caps))
+    return list(_basis_cached(alpha, a_cap))
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_cached(alpha: Degree, caps: Caps) -> tuple[BasisEntry, ...]:
-    cap = max(caps.a_cap, _a_exponent_bound(alpha) + 4)
+def _basis_cached(alpha: Degree, a_cap: int) -> tuple[BasisEntry, ...]:
+    cap = max(a_cap, _a_exponent_bound(alpha) + 4)
     entries = _enumerate_with_cap(alpha, cap + 8)
     # the listing is sorted by monomial, so by a-exponent first
     if entries and entries[-1].mono.k > cap:
@@ -508,26 +491,26 @@ def rank_summary(entries) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _stage_group(steps: tuple[tuple[int, int], ...], caps: Caps,
+def _stage_group(steps: tuple[tuple[int, int], ...], a_cap: int,
                  alpha: Degree) -> TowerGroup:
     """Degree alpha of B modulo the vbar-power steps, applied in order.
 
-    A stage depends only on the steps up to it, the caps and alpha, so
+    A stage depends only on the steps up to it, the cap and alpha, so
     this one memo, keyed by the steps, serves every tower that shares them
     as a prefix: the towers at a tail stop and one index past it share all
     their stages but the last.
     """
     if not steps:
-        entries = basis_in_degree(alpha, caps)
+        entries = basis_in_degree(alpha, a_cap)
         return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
     below = steps[:-1]
     index, exp = steps[-1]
     shift = generator_degree("vbar", index=index, power=exp)
 
-    tgt = _stage_group(below, caps, alpha)
-    src = _stage_group(below, caps, alpha - shift)
-    ker_tgt = _stage_group(below, caps, alpha - Degree(1, 0))
-    ker_src = _stage_group(below, caps, alpha - Degree(1, 0) - shift)
+    tgt = _stage_group(below, a_cap, alpha)
+    src = _stage_group(below, a_cap, alpha - shift)
+    ker_tgt = _stage_group(below, a_cap, alpha - Degree(1, 0))
+    ker_src = _stage_group(below, a_cap, alpha - Degree(1, 0) - shift)
 
     trusted = all(g.exact and g.mult_trusted
                   for g in (tgt, src, ker_tgt, ker_src))
@@ -614,23 +597,24 @@ def _ker_entries(src: TowerGroup, tgt: TowerGroup,
     return out
 
 
-def _weight_budget(alpha: Degree, caps: Caps) -> int:
-    return max((alpha.triv + alpha.sgn + max(caps.a_cap,
+def _weight_budget(alpha: Degree, a_cap: int) -> int:
+    return max((alpha.triv + alpha.sgn + max(a_cap,
                _a_exponent_bound(alpha) + 12)) // 2, 0)
 
 
-def _tail_stop(ideal: QuotientIdeal, alpha: Degree, caps: Caps) -> int:
+def _tail_stop(ideal: QuotientIdeal, alpha: Degree, a_cap: int) -> int:
     if not ideal.tail:
         return len(ideal.exponents)
-    w = _weight_budget(alpha, caps)
-    a_bound = max(caps.a_cap, _a_exponent_bound(alpha) + 12)
+    w = _weight_budget(alpha, a_cap)
+    a_bound = max(a_cap, _a_exponent_bound(alpha) + 12)
     i = len(ideal.exponents) + 1
     while 2 ** i - 1 <= w or 2 ** (i + 1) - 1 <= a_bound:
         i += 1
     return max(i, len(ideal.exponents))
 
 
-def tower_group(ideal, alpha: Degree, caps: Caps = DEFAULT_CAPS) -> TowerGroup:
+def tower_group(ideal, alpha: Degree,
+                a_cap: int = DEFAULT_A_CAP) -> TowerGroup:
     """Groups of B modulo the given vbar powers, with a tail certificate.
 
     For tail = 1 ideals the kill list is truncated at an index past every
@@ -638,11 +622,11 @@ def tower_group(ideal, alpha: Degree, caps: Caps = DEFAULT_CAPS) -> TowerGroup:
     a stabilization check.
     """
     ideal = QuotientIdeal.of(ideal)
-    stop = _tail_stop(ideal, alpha, caps)
+    stop = _tail_stop(ideal, alpha, a_cap)
     steps = ideal.steps_up_to(stop)
-    g = _stage_group(steps, caps, alpha)
+    g = _stage_group(steps, a_cap, alpha)
     if ideal.tail:
-        g2 = _stage_group(ideal.steps_up_to(stop + 1), caps, alpha)
+        g2 = _stage_group(ideal.steps_up_to(stop + 1), a_cap, alpha)
         if (g.exact, g.entries if g.exact else g.sub_summary) != \
            (g2.exact, g2.entries if g2.exact else g2.sub_summary):
             raise StabilizationFailure(
@@ -651,7 +635,7 @@ def tower_group(ideal, alpha: Degree, caps: Caps = DEFAULT_CAPS) -> TowerGroup:
 
 
 def group_in_degree(alpha: Degree, ideal=QuotientIdeal(),
-                    caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+                    a_cap: int = DEFAULT_A_CAP) -> tuple[int, int]:
     """(free rank, F2 rank) of the coefficient ring or a quotient.
 
     >>> group_in_degree(Degree(0, 0))
@@ -663,12 +647,12 @@ def group_in_degree(alpha: Degree, ideal=QuotientIdeal(),
     >>> group_in_degree(Degree(-2, 2))   # 2 rho - 4 carries 2/u, lattice 2
     (1, 0)
     """
-    return tower_group(ideal, alpha, caps).summarize()
+    return tower_group(ideal, alpha, a_cap).summarize()
 
 
 def quotient_groups(ideal, alpha: Degree,
-                    caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, int],
-                                                        tuple[int, int], bool]:
+                    a_cap: int = DEFAULT_A_CAP) -> tuple[tuple[int, int],
+                                                         tuple[int, int], bool]:
     """(sub, quot, extension_known) for the last cofibre step at alpha.
 
     sub is the cokernel layer, quot the kernel layer one degree down; when
@@ -676,7 +660,7 @@ def quotient_groups(ideal, alpha: Degree,
     the cokernel layer is the whole group).
     """
     ideal = QuotientIdeal.of(ideal)
-    g = tower_group(ideal, alpha, caps)
+    g = tower_group(ideal, alpha, a_cap)
     if g.sub_summary == (-1, -1):
         raise UnknownExtension(f"tower multiplication untrusted below {alpha}")
     return (g.sub_summary, g.quot_summary, g.exact)
@@ -686,7 +670,7 @@ def quotient_groups(ideal, alpha: Degree,
 # multiplication matrices
 
 def mult_map(x: Monomial, ideal, alpha: Degree,
-             caps: Caps = DEFAULT_CAPS):
+             a_cap: int = DEFAULT_A_CAP):
     """Matrix of multiplication by x from degree alpha to alpha + |x|.
 
     Columns index the source basis, rows the target basis; entries are the
@@ -694,8 +678,8 @@ def mult_map(x: Monomial, ideal, alpha: Degree,
     UnknownExtension when either group lacks a trusted basis.
     """
     ideal = QuotientIdeal.of(ideal)
-    src = tower_group(ideal, alpha, caps)
-    tgt = tower_group(ideal, alpha + x.degree(), caps)
+    src = tower_group(ideal, alpha, a_cap)
+    tgt = tower_group(ideal, alpha + x.degree(), a_cap)
     if not (src.exact and tgt.exact and src.mult_trusted and tgt.mult_trusted):
         raise UnknownExtension(f"no trusted bases for multiplication at {alpha}")
     out = zeros(len(tgt.entries), len(src.entries))
@@ -720,29 +704,16 @@ def underlying_groups(ideal, t: int) -> tuple[int, int]:
     ideal = QuotientIdeal.of(ideal)
     if t % 2 != 0 or t < 0:
         return (0, 0)
-    w = t // 2
-
-    def allowed(i: int) -> bool:
-        if i <= len(ideal.exponents):
-            return True
-        return not ideal.tail
-
-    count = 0
-    for c in weight_tuples(w, allowed):
-        ok = True
-        for i, ci in enumerate(c, start=1):
-            e = ideal.exponents[i - 1] if i <= len(ideal.exponents) else \
-                (1 if ideal.tail else 0)
-            if e and ci >= e:
-                ok = False
-                break
-        if ok:
-            count += 1
+    # tail = 1 kills every vbar_i past the listed ones
+    hi = len(ideal.exponents) if ideal.tail else None
+    count = sum(1 for c in weight_tuples(t // 2, 1, hi)
+                if not any(0 < e <= ci
+                           for e, ci in zip(ideal.exponents, c)))
     return (count, 0)
 
 
 def restriction_rank(ideal, alpha: Degree,
-                     caps: Caps = DEFAULT_CAPS) -> int | None:
+                     a_cap: int = DEFAULT_A_CAP) -> int | None:
     """Per-summand index of the restriction image in the underlying group.
 
     Restriction sends a to 0, u to a unit, vbar_i to v_i; a lattice-2 free
@@ -751,7 +722,7 @@ def restriction_rank(ideal, alpha: Degree,
     behaviour, 2 for the dual pattern); mixed degrees return None, no free
     part returns 1.  Rank agreement with the underlying group is asserted.
     """
-    g = tower_group(ideal, alpha, caps)
+    g = tower_group(ideal, alpha, a_cap)
     free = [e for e in g.entries if not e.torsion]
     under_free, _ = underlying_groups(ideal, alpha.triv + alpha.sgn)
     if len(free) != under_free:
@@ -770,7 +741,7 @@ def restriction_rank(ideal, alpha: Degree,
 
 def nilpotence_check(i: int, k: int, window: Window,
                      exponent: int | None = None,
-                     caps: Caps = DEFAULT_CAPS) -> bool:
+                     a_cap: int = DEFAULT_A_CAP) -> bool:
     """Whether vbar_i^exponent provably acts as zero on pi(B/vbar_i^k).
 
     exponent defaults to 3k.  For exponent >= 2k the action is zero by the
@@ -790,8 +761,8 @@ def nilpotence_check(i: int, k: int, window: Window,
 
     jump_room = False
     for alpha in window:
-        src = tower_group(ideal, alpha, caps)
-        tgt = tower_group(ideal, alpha + shift, caps)
+        src = tower_group(ideal, alpha, a_cap)
+        tgt = tower_group(ideal, alpha + shift, a_cap)
         for g in (src, tgt):
             if g.sub_summary == (-1, -1):
                 raise UnknownExtension(f"layers unknown at {alpha}")

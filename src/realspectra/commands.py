@@ -19,7 +19,7 @@ from .blocks import (TowerClass, assemble, assemble_groups, bb_basis,
                      lc_of_block, nb_basis)
 from .charts import ChartClass, Cells, ascii_chart, svg_chart
 from .cli import ConfigError, RunConfig
-from .coefficients import (Caps, Monomial, QuotientIdeal,
+from .coefficients import (DEFAULT_A_CAP, Monomial, QuotientIdeal,
                            StabilizationFailure, UnknownExtension,
                            group_in_degree, tower_group)
 from .duality import (DualityReport, InconsistentSSData, load_ssdata,
@@ -32,6 +32,11 @@ from .hfpss import (InternalInconsistency, e_infinity_groups,
 # exit code 1
 INCONSISTENT = (InternalInconsistency, InconsistentSSData, UnknownExtension,
                 AssertionError)
+
+
+def _a_cap(cfg: RunConfig) -> int:
+    """The --caps bound, or the coefficient layer's default."""
+    return DEFAULT_A_CAP if cfg.caps is None else cfg.caps
 
 
 def _require_n(cfg: RunConfig, *context: str) -> int:
@@ -109,8 +114,7 @@ def _group_rows(cfg: RunConfig, fn) -> str:
 
 def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
     if cfg.spectrum == "bpr":
-        caps = Caps(*cfg.caps)
-        fn = lambda a: group_in_degree(a, QuotientIdeal(), caps)
+        fn = lambda a: group_in_degree(a, QuotientIdeal(), _a_cap(cfg))
     elif cfg.spectrum == "bprn":
         n = _require_n(cfg, "--spectrum bprn")
         fn = lambda a: assemble_groups(n, a)
@@ -138,8 +142,7 @@ def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
             if cfg.fmt == "json":
                 return 0, _emit_json(_envelope(cfg, [], pages=[]))
             return 0, ""
-        pages = run_differentials(cfg.n, cfg.window,
-                                  a_cap=Caps(*cfg.caps).a_cap)
+        pages = run_differentials(cfg.n, cfg.window, a_cap=_a_cap(cfg))
         dumped = []
         for page in pages:
             classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]
@@ -254,12 +257,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
                 raise ConfigError(f"cannot load ssdata: {err}")
         report = verify_gorenstein(n, cfg.window, ss)
     elif cfg.spectrum == "bpr":
-        caps = Caps(*cfg.caps)
+        a_cap = _a_cap(cfg)
         records = []
         for k in range(cfg.window.triv_min, cfg.window.triv_max + 1):
             for line in (Window(k, k, k, k), Window(k - 1, k - 1, k, k)):
                 records.extend(
-                    verify_quotient_duality((), line, caps).records)
+                    verify_quotient_duality((), line, a_cap).records)
         records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
         bad = sum(1 for r in records if not r.ok)
         report = DualityReport(
@@ -274,7 +277,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
 
 def _chart_classes(cfg: RunConfig, alpha: Degree) -> list[ChartClass]:
     if cfg.mode == "bpr":
-        group = tower_group(QuotientIdeal(), alpha, Caps(*cfg.caps))
+        group = tower_group(QuotientIdeal(), alpha, _a_cap(cfg))
         if not group.exact:
             raise UnknownExtension(f"unresolved extension at {alpha}")
         entries = group.entries

@@ -42,9 +42,8 @@ from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       zeros)
 from .blocks import (_bbprime_diag_max, _unit_degree, action_matrix,
                      assemble, assemble_groups, lc_of_block)
-from .coefficients import (Caps, DEFAULT_CAPS, Monomial, QuotientIdeal,
-                           UnknownExtension, quotient_groups, rank_summary,
-                           weight_tuples)
+from .coefficients import (DEFAULT_A_CAP, Monomial, QuotientIdeal,
+                           UnknownExtension, quotient_groups, rank_summary)
 from .grading import DELTA, Degree, RHO, Window
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
@@ -615,7 +614,7 @@ def _kappa_stage(ideal: QuotientIdeal, gamma: Degree,
 
 
 def kappa_groups(ideal, gamma: Degree,
-                 caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+                 a_cap: int = DEFAULT_A_CAP) -> tuple[int, int]:
     """(free, F_2) of the stable Koszul complex on the kept generators.
 
     The defining colimit runs over quotients by growing powers of the kept
@@ -630,7 +629,7 @@ def kappa_groups(ideal, gamma: Degree,
     values = []
     for probe in (0, 1):
         stage, offset = _kappa_stage(ideal, gamma, probe)
-        sub, quot, exact = quotient_groups(stage, gamma + offset, caps)
+        sub, quot, exact = quotient_groups(stage, gamma + offset, a_cap)
         if not exact and quot != (0, 0):
             raise UnknownExtension(
                 f"kappa stage at {gamma} has an unresolved extension")
@@ -642,7 +641,7 @@ def kappa_groups(ideal, gamma: Degree,
 
 
 def verify_quotient_duality(m_seq, window: Window,
-                            caps: Caps = DEFAULT_CAPS) -> DualityReport:
+                            a_cap: int = DEFAULT_A_CAP) -> DualityReport:
     """Check the Koszul colimit of a quotient against its Anderson dual.
 
     The dual of B/vbar^m is the kappa complex of the kept generators,
@@ -657,7 +656,7 @@ def verify_quotient_duality(m_seq, window: Window,
     kappa_shift = Degree(4, 0) - 2 * RHO - _quotient_weight(ideal) * RHO
 
     def target(alpha: Degree) -> tuple[int, int]:
-        sub, quot, exact = quotient_groups(ideal, alpha, caps)
+        sub, quot, exact = quotient_groups(ideal, alpha, a_cap)
         if not exact and quot != (0, 0):
             raise UnknownExtension(f"quotient group unresolved at {alpha}")
         return (sub[0] + quot[0], sub[1] + quot[1])
@@ -666,7 +665,7 @@ def verify_quotient_duality(m_seq, window: Window,
     for gamma in window:
         try:
             dual = anderson_dual_groups(target, gamma + kappa_shift)
-            kappa = kappa_groups(ideal, gamma, caps)
+            kappa = kappa_groups(ideal, gamma, a_cap)
         except UnknownExtension as err:
             records.append(DualityRecord(
                 gamma, (0, 0), (0, 0), True, f"skipped: {err}"))

@@ -37,8 +37,8 @@ from __future__ import annotations
 import dataclasses
 
 from .coefficients import (
-    BasisEntry, Monomial, StabilizationFailure, _a_exponent_bound, _bump,
-    _weight_tuples_in, rank_summary,
+    DEFAULT_A_CAP, BasisEntry, Monomial, StabilizationFailure,
+    _a_exponent_bound, _bump, rank_summary, weight_tuples,
 )
 from .grading import Degree, Window, v2
 
@@ -50,7 +50,8 @@ class InternalInconsistency(Exception):
 _DEAD = "dead"
 
 
-def e2_basis(n: int | None, alpha: Degree, a_cap: int = 40) -> list[Monomial]:
+def e2_basis(n: int | None, alpha: Degree,
+             a_cap: int = DEFAULT_A_CAP) -> list[Monomial]:
     """Monomials a^k u^l vbar^c of degree alpha with filtration k <= a_cap.
 
     Per degree the page has infinite rank (the vbar weight w is unbounded
@@ -74,7 +75,7 @@ def e2_basis(n: int | None, alpha: Degree, a_cap: int = 40) -> list[Monomial]:
             break
         if k >= 0:
             l = (t - w) // 2
-            for c in _weight_tuples_in(w, 1, n):
+            for c in weight_tuples(w, 1, n):
                 out.append(Monomial._trusted(k, l, c))
         w += 2
     return out
@@ -216,7 +217,7 @@ class Page:
 
 
 def run_differentials(n: int | None, window: Window,
-                      a_cap: int = 40) -> list[Page]:
+                      a_cap: int = DEFAULT_A_CAP) -> list[Page]:
     """All pages of the spectral sequence over a degree window.
 
     Returns one Page per stable stretch E_{2^p} .. E_{2^(p+1)-1}; the last

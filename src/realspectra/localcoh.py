@@ -48,7 +48,7 @@ from typing import NamedTuple
 # rebinds it in this namespace
 from .abelian import (CochainComplex, Matrix, Subquotient, f2_relations,
                       induced_map, map_is_surjective, mat_mul, zeros)
-from .coefficients import StabilizationFailure, _bump, _weight_tuples_in
+from .coefficients import StabilizationFailure, _bump, weight_tuples
 from .grading import Degree, RHO, ZERO, total_vbar_degree
 
 KINDS = ("P", "DualP", "Pbar", "DualPbar", "IdealZ", "IdealF2",
@@ -199,23 +199,27 @@ def module_gens(mod: StandardModule, n: int,
     enter the ideal only as doubles (pure vbar_(>t) monomials); it is 1
     everywhere else.  F_2-ness is the module's `torsion` flag, not here.
 
-    The listing is computed once per (mod, n, alpha) and cached as a tuple
-    of tuples, which no caller can alter; each call returns a fresh list
-    copy of it.
+    A fresh list per call, paired from the memoized listing `_gens`.
     """
-    return list(_gens(mod, n, alpha))
+    return [(c, _embedding(mod, c)) for c in _gens(mod, n, alpha)]
 
 
 @lru_cache(maxsize=None)
 def _gens(mod: StandardModule, n: int,
-          alpha: Degree) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """module_gens as an immutable cached tuple, for the hot callers."""
+          alpha: Degree) -> tuple[tuple[int, ...], ...]:
+    """The generators' exponent tuples at one degree, in module_gens'
+    order, memoized for the hot callers; must not be altered.
+
+    For every kind but IdealF2 and the towers this is the
+    `coefficients.weight_tuples` listing object itself, so the two memos
+    share it.
+    """
     kind = mod.kind
     if kind in ("TowerF2", "DualTowerF2"):
         beta = alpha - mod.shift
         down = kind == "TowerF2"
         on = beta.triv == 0 and (beta.sgn <= 0 if down else beta.sgn >= 0)
-        return (((), 1),) if on else ()
+        return ((),) if on else ()
     k = _diag_weight(mod, alpha)
     if k is None:
         return ()
@@ -224,14 +228,11 @@ def _gens(mod: StandardModule, n: int,
     if k < 0:
         return ()
     lo = mod.s + 1 if kind in ("Pbar", "DualPbar", "IdealF2") else 1
-    listing = _weight_tuples_in(k, lo, n)
-    if kind == "IdealZ":
-        return tuple((c, _embedding(mod, c)) for c in listing)
+    listing = weight_tuples(k, lo, n)
     if kind == "IdealF2":
         # at least one factor from the generating list
-        return tuple((c, 1) for c in listing
-                     if (_min_index(c) or n + 1) <= mod.t)
-    return tuple((c, 1) for c in listing)
+        return tuple(c for c in listing if (_min_index(c) or n + 1) <= mod.t)
+    return listing
 
 
 def module_ranks(mod: StandardModule, n: int,
@@ -286,8 +287,8 @@ def vbar_matrix(mod: StandardModule, n: int, i: int, e: int,
     src = _gens(mod, n, alpha)
     tgt = _gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
     mat = zeros(len(tgt), len(src))
-    where = {c: r for r, (c, _) in enumerate(tgt)}
-    for col, (c, _) in enumerate(src):
+    where = {c: r for r, c in enumerate(tgt)}
+    for col, c in enumerate(src):
         hit = _act(mod, c, i, e)
         if hit is not None and hit[0] in where:
             mat[where[hit[0]], col] = hit[1]
@@ -329,7 +330,7 @@ def _stage(mod: StandardModule, n: int, e: int, alpha: Degree) -> dict:
     pieces: dict[tuple[int, ...], dict] = {}
     for subset in _subsets(n):
         at = alpha + RHO * (e * _subset_weight(subset))
-        for c, _ in _gens(mod, n, at):
+        for c in _gens(mod, n, at):
             m = list(c) + [0] * (n - len(c))
             for i in subset:
                 m[i - 1] += step
@@ -571,8 +572,10 @@ class LCSummand:
     module: StandardModule
 
 
-def lc_closed_form(mod: StandardModule, n: int) -> list[LCSummand]:
-    """H^*_J(M) as a list of catalogue summands with absolute shifts.
+@lru_cache(maxsize=None)
+def lc_closed_form(mod: StandardModule, n: int) -> tuple[LCSummand, ...]:
+    """H^*_J(M) as a tuple of catalogue summands with absolute shifts,
+    memoized per (mod, n).
 
     J-power-torsion modules (duals, towers, Pbar_n) are their own H^0.
     The polynomial-type modules concentrate in the top degree n - s, with
@@ -584,28 +587,30 @@ def lc_closed_form(mod: StandardModule, n: int) -> list[LCSummand]:
     [(2, 'P*(-4-4s)')]
     >>> [(m.s, m.module.describe()) for m in lc_closed_form(ideal_z(2), 2)]
     [(2, 'P*(-4-4s)'), (1, 'Pbar2^')]
+    >>> lc_closed_form(pbar(1), 1) is lc_closed_form(pbar(1), 1)
+    True
     """
     sh = mod.shift
     dn = total_vbar_degree(n)
     if n == 0:
-        return [LCSummand(0, mod)]
+        return (LCSummand(0, mod),)
     kind = mod.kind
     if kind in ("DualP", "DualPbar", "TowerF2", "DualTowerF2"):
-        return [LCSummand(0, mod)]
+        return (LCSummand(0, mod),)
     if kind == "P":
-        return [LCSummand(n, dual_p(sh - dn))]
+        return (LCSummand(n, dual_p(sh - dn)),)
     if kind == "Pbar":
         if mod.s >= n:
-            return [LCSummand(0, mod)]
+            return (LCSummand(0, mod),)
         ds = total_vbar_degree(mod.s)
-        return [LCSummand(n - mod.s, dual_pbar(mod.s, sh + ds - dn))]
+        return (LCSummand(n - mod.s, dual_pbar(mod.s, sh + ds - dn)),)
     if kind == "IdealZ":
         out = [LCSummand(n, dual_p(sh - dn))]
         t = min(mod.t, n)
         if t >= 1:
             dt = total_vbar_degree(t)
             out.append(LCSummand(n - t + 1, dual_pbar(t, sh + dt - dn)))
-        return out
+        return tuple(out)
     # IdealF2(s, t): principal ideals are free of rank one over Pbar_s,
     # shifted by the weight 2^(s+1) - 1 of their generator.
     s, t = mod.s, min(mod.t, n)
@@ -617,7 +622,7 @@ def lc_closed_form(mod: StandardModule, n: int) -> list[LCSummand]:
     if t >= s + 2:
         dt = total_vbar_degree(t)
         out.append(LCSummand(n - t + 1, dual_pbar(t, sh + dt - dn)))
-    return out
+    return tuple(out)
 
 
 def lc_ranks(mod: StandardModule, n: int, s: int,

@@ -69,6 +69,30 @@ def span_in_degree(best: dict[Monomial, int], alpha: Degree):
     return {m: v for m, v in best.items() if m.degree() == alpha}
 
 
+@functools.lru_cache(maxsize=None)
+def weight_tuples_reference(w: int, lo: int = 1, hi: int | None = None):
+    """coefficients.weight_tuples by brute force: every exponent vector
+    over the indices i with 2^i - 1 <= w (up to hi), each c_i in
+    0..w // (2^i - 1) and 0 below lo, kept when its weight is w, sorted by
+    the reversed zero-padded tuple, descending, and stripped."""
+    if w < 0:
+        return ()
+    top = 0
+    while 2 ** (top + 1) - 1 <= w and (hi is None or top < hi):
+        top += 1
+    ranges = [range(w // (2 ** i - 1) + 1) if i >= lo else range(1)
+              for i in range(1, top + 1)]
+    found = [c for c in itertools.product(*ranges)
+             if sum(ci * (2 ** i - 1) for i, ci in enumerate(c, start=1)) == w]
+    found.sort(key=lambda c: c[::-1], reverse=True)
+    out = []
+    for c in found:
+        while c and c[-1] == 0:
+            c = c[:-1]
+        out.append(c)
+    return tuple(out)
+
+
 def brute_coefficient_group(alpha: Degree, a_cap: int = 60):
     """(free_rank, f2_rank) at alpha by raw enumeration with a generous cap.
 
@@ -77,7 +101,7 @@ def brute_coefficient_group(alpha: Degree, a_cap: int = 60):
     Used to cross-check the certified enumerator on windows where the cap
     is visibly sufficient.
     """
-    from realspectra.coefficients import is_in_subalgebra, weight_tuples
+    from realspectra.coefficients import is_in_subalgebra
 
     t, s = alpha.triv, alpha.sgn
     d = t - s
@@ -88,9 +112,11 @@ def brute_coefficient_group(alpha: Degree, a_cap: int = 60):
             w = (t + s + k) // 2
             l = (d - k) // 4
             if k == 0:
-                free += len(weight_tuples(w, lambda i: True))
+                free += len(weight_tuples_reference(w))
             else:
-                for c in weight_tuples(w, lambda i, kk=k: kk < 2 ** (i + 1) - 1):
+                # vbar_i a^k = 0 once k >= 2^(i+1) - 1
+                lo = next(i for i in range(1, k + 2) if k < 2 ** (i + 1) - 1)
+                for c in weight_tuples_reference(w, lo):
                     if is_in_subalgebra(Monomial(k, l, c)):
                         tors += 1
         k += 4
@@ -197,7 +223,7 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
     return rounds[0]
 
 
-def basis_cached_two_listings(alpha, caps):
+def basis_cached_two_listings(alpha, a_cap):
     """coefficients._basis_cached as two full listings: to the cap
     max(a_cap, bound + 4) and to cap + 8.  They must agree, else a class
     lies past the cap.
@@ -207,7 +233,7 @@ def basis_cached_two_listings(alpha, caps):
     """
     from realspectra import coefficients
 
-    cap = max(caps.a_cap, coefficients._a_exponent_bound(alpha) + 4)
+    cap = max(a_cap, coefficients._a_exponent_bound(alpha) + 4)
     first = coefficients._enumerate_with_cap(alpha, cap)
     second = coefficients._enumerate_with_cap(alpha, cap + 8)
     if first != second:
@@ -293,10 +319,8 @@ def smith_normal_form_full_rescan(rows: list[list[int]], cols: int):
 
 
 def module_gens_uncached(mod, n: int, alpha: Degree):
-    """localcoh.module_gens as a fresh weight_tuples listing per call, with
-    the index range given as a predicate."""
-    from realspectra.coefficients import weight_tuples
-
+    """localcoh.module_gens as a fresh list per call, read from the brute
+    force listing weight_tuples_reference."""
     def least(c):
         return next((i for i, e in enumerate(c, start=1) if e), None)
 
@@ -312,7 +336,7 @@ def module_gens_uncached(mod, n: int, alpha: Degree):
     if k < 0:
         return []
     lo = mod.s + 1 if kind in ("Pbar", "DualPbar", "IdealF2") else 1
-    listing = weight_tuples(k, lambda i: lo <= i <= n)
+    listing = weight_tuples_reference(k, lo, n)
     if kind == "IdealZ":
         return [(c, 1 if least(c) is not None and least(c) <= mod.t else 2)
                 for c in listing]
@@ -339,10 +363,10 @@ def vbar_matrix_reference(mod, n: int, i: int, e: int, alpha: Degree):
     here, independent of `localcoh._act`."""
     from realspectra.abelian import zeros
     from realspectra.coefficients import _bump
-    from realspectra.localcoh import _gens
+    from realspectra.localcoh import module_gens
 
-    src = _gens(mod, n, alpha)
-    tgt = _gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
+    src = module_gens(mod, n, alpha)
+    tgt = module_gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
     mat = zeros(len(tgt), len(src))
     kind = mod.kind
     if kind in ("TowerF2", "DualTowerF2"):
@@ -474,7 +498,7 @@ def lc_oracle_dense(mod, n: int, s: int, alpha: Degree,
         f"did not settle by stage {max_e}")
 
 
-def tower_group_fresh(ideal, alpha: Degree, caps):
+def tower_group_fresh(ideal, alpha: Degree, a_cap: int):
     """coefficients.tower_group with one memo per tower, as before towers
     shared their stages: the towers at the tail stop and one index past it
     each compute every stage from the basis up.  The per-stage cokernel and
@@ -491,7 +515,7 @@ def tower_group_fresh(ideal, alpha: Degree, caps):
 
         def compute(stage, beta):
             if stage == 0:
-                entries = co.basis_in_degree(beta, caps)
+                entries = co.basis_in_degree(beta, a_cap)
                 return co.TowerGroup(entries, True, True,
                                      co.rank_summary(entries), (0, 0))
             index, exp = steps[stage - 1]
@@ -517,7 +541,7 @@ def tower_group_fresh(ideal, alpha: Degree, caps):
         return group(len(steps), alpha)
 
     ideal = co.QuotientIdeal.of(ideal)
-    stop = co._tail_stop(ideal, alpha, caps)
+    stop = co._tail_stop(ideal, alpha, a_cap)
     g = tower(ideal.steps_up_to(stop))
     if ideal.tail:
         g2 = tower(ideal.steps_up_to(stop + 1))

@@ -42,7 +42,7 @@ def test_every_lru_cache_is_empty_after_import():
     assert done.returncode == 0, done.stderr
     caches = json.loads(done.stdout)
     assert "realspectra.localcoh._gens" in caches
-    assert "realspectra.coefficients._weight_tuples_in" in caches
+    assert "realspectra.coefficients.weight_tuples" in caches
     assert {name: size for name, size in caches.items() if size} == {}
 
 

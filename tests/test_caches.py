@@ -4,11 +4,11 @@
 divisor of the remaining entries already answers it, returns an input
 already in Smith form after one scan, and builds each transform from its
 operation log when first read; `SmithForm` reads its diagonal once,
-`localcoh.module_gens` is cached per (module, n, degree), the Koszul oracle
+`localcoh._gens` is cached per (module, n, degree), the Koszul oracle
 splits each stage into pieces by fine degree and memoizes each piece shape,
 its homology and its transition step, `localcoh.vbar_matrix` reads the one
-module action `localcoh._act`, the weight listings are cached per index
-range, and quotient towers share the stages of a common prefix of steps.
+module action `localcoh._act`, the weight listing is memoized per index
+range and built from its own shorter listings, and quotient towers share the stages of a common prefix of steps.
 Each is checked here against the uncached computation it replaces.
 """
 
@@ -18,15 +18,14 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (koszul_complex_dense, koszul_layer_uncached,
                      lc_oracle_dense, module_gens_uncached,
                      smith_normal_form_full_rescan, tower_group_fresh,
-                     vbar_matrix_reference)
+                     vbar_matrix_reference, weight_tuples_reference)
 from realspectra import localcoh
 from realspectra.abelian import (_image, _solve, image_basis, mat_mul,
                                  smith_normal_form, solve_matrix, to_matrix,
                                  zeros)
-from realspectra.coefficients import (Caps, QuotientIdeal,
-                                      StabilizationFailure,
-                                      _first_index_above, _weight_tuples_in,
-                                      tower_group, weight_tuples)
+from realspectra.coefficients import (QuotientIdeal, StabilizationFailure,
+                                      _first_index_above, tower_group,
+                                      weight_tuples)
 from realspectra.grading import RHO, SIGMA, Degree
 
 
@@ -291,31 +290,33 @@ _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),
 
 @pytest.mark.parametrize("ideal", _TOWER_IDEALS, ids=repr)
 def test_shared_tower_stages_match_fresh_towers(ideal):
-    # on this window Caps(4) raises StabilizationFailure at one degree,
+    # on this window a_cap 4 raises StabilizationFailure at one degree,
     # and both caps leave some groups known only as layers
-    for caps in (Caps(), Caps(4)):
+    for a_cap in (40, 4):
         for t in range(-6, 7):
             for s in range(-3, 4):
                 alpha = Degree(t, s)
                 try:
-                    want = tower_group_fresh(ideal, alpha, caps)
+                    want = tower_group_fresh(ideal, alpha, a_cap)
                 except StabilizationFailure as exc:
                     with pytest.raises(StabilizationFailure) as got:
-                        tower_group(ideal, alpha, caps)
+                        tower_group(ideal, alpha, a_cap)
                     assert str(got.value) == str(exc)
                     continue
-                assert tower_group(ideal, alpha, caps) == want, (alpha, caps)
+                assert tower_group(ideal, alpha, a_cap) == want, \
+                    (alpha, a_cap)
 
 
-@pytest.mark.parametrize("w", range(0, 25))
+@pytest.mark.parametrize("w", range(-2, 41))
 def test_ranged_listing_matches_predicate(w):
+    # the memoized listing against the brute force over exponent vectors,
+    # order included, on every index range and on the ranges that
+    # _first_index_above(k) starts for a^k
     for lo in range(1, 5):
-        for hi in (None, 0, 1, 2, 3, 5):
-            want = weight_tuples(
-                w, lambda i: lo <= i and (hi is None or i <= hi))
-            assert _weight_tuples_in(w, lo, hi) == tuple(want)
+        for hi in (*range(6), None):
+            assert weight_tuples(w, lo, hi) == \
+                weight_tuples_reference(w, lo, hi), (lo, hi)
     for k in range(0, 70):
-        want = weight_tuples(w, lambda i: k < 2 ** (i + 1) - 1)
-        assert _weight_tuples_in(w, _first_index_above(k), None) == \
-            tuple(want)
+        lo = _first_index_above(k)
+        assert weight_tuples(w, lo) == weight_tuples_reference(w, lo), k
 
