@@ -29,7 +29,7 @@ from functools import lru_cache
 from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       map_is_surjective, zeros)
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           rank_summary, weight_tuples)
+                           degree_monomials, rank_summary)
 from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
@@ -60,19 +60,12 @@ class TowerClass:
 
 @lru_cache(maxsize=None)
 def _bb_cached(n: int, alpha: Degree) -> tuple[BasisEntry, ...]:
-    t, s = alpha.triv, alpha.sgn
-    d = t - s
-    out = []
-    for l in range(2 ** n):
-        w = t - 2 * l
-        k = d - 4 * l
-        if w < 0 or k < 0:
-            continue
-        for c in weight_tuples(w, 1, n):
-            entry = final_entry(n, Monomial(k, l, c))
-            if entry is not None:
-                out.append(entry)
-    return tuple(sorted(out, key=lambda e: (e.mono.l, e.mono.k, e.mono.c)))
+    d = alpha.triv - alpha.sgn
+    # u-exponents 0 <= l < 2^n, so d - 4(2^n - 1) <= k <= d
+    entries = (final_entry(n, x) for x in
+               degree_monomials(n, alpha, d - 4 * (2 ** n - 1), d, n))
+    return tuple(sorted(filter(None, entries),
+                        key=lambda e: (e.mono.l, e.mono.k, e.mono.c)))
 
 
 def bb_basis(n: int, alpha: Degree) -> list[BasisEntry]:

@@ -24,7 +24,11 @@ is a configuration error):
               ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
               the radius of the acceptance windows;
-    --caps    `A`, an a-exponent cap A >= 0;
+    --caps    `A`, an a-exponent cap A >= 0.  `coeff --spectrum bpr`,
+              `verify --spectrum bpr` and `chart bpr` list a degree to
+              max(A, its provable bound + 4) + 8 and fail on a class past
+              max(A, bound + 4); `hfpss pages` lists E_2 to filtration A,
+              with no such check; every other command ignores it;
     --out     its directory must exist.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
@@ -192,7 +196,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         n=args.n,
         spectrum=args.spectrum,
         window=_parse_window(args.window),
-        caps=_parse_caps(args.caps) if args.caps else None,
+        caps=None if args.caps is None else _parse_caps(args.caps),
         fmt=fmt,
         out=_check_out(args.out),
         ssdata=args.ssdata,

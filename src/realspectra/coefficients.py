@@ -80,7 +80,7 @@ class Monomial(_MonomialFields):
     c omits vbar_0; trailing zeros are stripped so equality is structural.
     The constructor (and `_replace`) converts c to ints, strips it and
     rejects negative exponents.  The private `_trusted` skips all of that,
-    for page loops (`hfpss.e2_basis`, `hfpss._fire_target`) where k >= 0
+    for hot listings (`degree_monomials`, `hfpss._fire_target`) where k >= 0
     and a stripped, nonnegative int tuple c hold by construction.
 
     A tuple of its fields (k, l, c): construction, hashing, equality and
@@ -352,28 +352,35 @@ def _first_index_above(k: int) -> int:
     return max(1, (k + 1).bit_length() - 1)
 
 
-def _enumerate_with_cap(alpha: Degree, a_cap: int) -> list[BasisEntry]:
+def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
+                     cap: int | None) -> list[Monomial]:
+    """Monomials a^k u^l vbar^c of degree alpha with k_lo <= k <= k_hi and
+    vbar indices in 1..n (n = None: no limit), in increasing k and, within
+    each k, in `weight_tuples` order.
+
+    A vbar_i with i <= cap that a^k annihilates (k >= 2^(i+1) - 1) is left
+    out; cap is the cap of `hfpss.closed_form_state`: 0 on E_2, n on the
+    final page, None (every i) for the full ring.  The one inversion of
+    |a^k u^l vbar^c| = (2l + w, -k - 2l + w): k = triv - sgn (mod 4),
+    l = (triv - sgn - k) / 4 and w = (triv + sgn + k) / 2.
+
+    >>> degree_monomials(1, Degree(2, -2), 0, 4, 1)   # E_2 adds a^4 v1^2
+    [Monomial(k=0, l=1, c=())]
+    """
     t, s = alpha.triv, alpha.sgn
     d = t - s
-    out: list[BasisEntry] = []
-    k = d % 4
-    while k <= a_cap:
-        if (t + s + k) % 2 == 0:
-            w = (t + s + k) // 2
-            l = (d - k) // 4
-            if w >= 0:
-                if k == 0:
-                    for c in weight_tuples(w):
-                        mono = Monomial(0, l, c)
-                        lat = 1 if is_in_subalgebra(mono) else 2
-                        out.append(BasisEntry(mono, lat, torsion=False))
-                else:
-                    for c in weight_tuples(w, _first_index_above(k)):
-                        mono = Monomial(k, l, c)
-                        if not mono.is_zero() and is_in_subalgebra(mono):
-                            out.append(BasisEntry(mono, 1, torsion=True))
+    k = max(k_lo, 0)
+    k += (d - k) % 4
+    out = []
+    while k <= k_hi:
+        lo = _first_index_above(k)
+        if cap is not None:
+            lo = min(lo, cap + 1)
+        l = (d - k) // 4
+        for c in weight_tuples((t + s + k) // 2, lo, n):
+            out.append(Monomial._trusted(k, l, c))
         k += 4
-    return sorted(out)
+    return out
 
 
 def _a_exponent_bound(alpha: Degree) -> int:
@@ -415,8 +422,14 @@ def basis_in_degree(alpha: Degree,
 @functools.lru_cache(maxsize=None)
 def _basis_cached(alpha: Degree, a_cap: int) -> tuple[BasisEntry, ...]:
     cap = max(a_cap, _a_exponent_bound(alpha) + 4)
-    entries = _enumerate_with_cap(alpha, cap + 8)
-    # the listing is sorted by monomial, so by a-exponent first
+    entries = []
+    for x in degree_monomials(None, alpha, 0, cap + 8, None):
+        if x.k == 0:
+            lattice = 1 if is_in_subalgebra(x) else 2
+            entries.append(BasisEntry(x, lattice, torsion=False))
+        elif is_in_subalgebra(x):
+            entries.append(BasisEntry(x, 1, torsion=True))
+    entries.sort()  # by monomial, so by a-exponent first
     if entries and entries[-1].mono.k > cap:
         raise StabilizationFailure(
             f"basis at {alpha} did not stabilize by cap {cap + 8}")

@@ -38,7 +38,7 @@ import dataclasses
 
 from .coefficients import (
     DEFAULT_A_CAP, BasisEntry, Monomial, StabilizationFailure,
-    _a_exponent_bound, _bump, rank_summary, weight_tuples,
+    _a_exponent_bound, _bump, degree_monomials, rank_summary,
 )
 from .grading import Degree, Window, v2
 
@@ -66,19 +66,7 @@ def e2_basis(n: int | None, alpha: Degree,
     >>> [str(m) for m in e2_basis(1, Degree(0, 0), a_cap=8)]
     ['1', 'a^4 u^-1 v1^2', 'a^8 u^-2 v1^4']
     """
-    t, s = alpha.triv, alpha.sgn
-    out = []
-    w = t % 2
-    while True:
-        k = 2 * w - s - t
-        if k > a_cap:
-            break
-        if k >= 0:
-            l = (t - w) // 2
-            for c in weight_tuples(w, 1, n):
-                out.append(Monomial._trusted(k, l, c))
-        w += 2
-    return out
+    return degree_monomials(n, alpha, 0, a_cap, 0)
 
 
 def _fire_target(x: Monomial, i: int) -> Monomial:
@@ -165,11 +153,11 @@ def e_infinity_basis(n: int | None, alpha: Degree,
                      a_cap: int | None = None) -> list[BasisEntry]:
     """Certified final-page classes at alpha.
 
-    Enumerates once, up to filtration bound + 8, where bound is the provable
-    filtration bound (or a_cap if larger), and takes the class on every
-    monomial from `final_entry`.  Raises StabilizationFailure if a
-    class above the bound survives; the classes returned are those of
-    filtration at most the bound.
+    Lists once, up to filtration bound + 8, the monomials that no a-relation
+    of the final page kills, where bound is the provable filtration bound
+    (or a_cap if larger), and takes the class on each from `final_entry`.
+    Raises StabilizationFailure if a class above the bound survives; the
+    classes returned are those of filtration at most the bound.
 
     >>> [e.describe() for e in e_infinity_basis(1, Degree(2, -2))]
     ['2*u']
@@ -178,7 +166,7 @@ def e_infinity_basis(n: int | None, alpha: Degree,
     """
     bound = max(_exponent_bound(n, alpha), a_cap or 0)
     entries = []
-    for x in e2_basis(n, alpha, bound + 8):
+    for x in degree_monomials(n, alpha, 0, bound + 8, n):
         entry = final_entry(n, x)
         if entry is None:
             continue

@@ -643,8 +643,8 @@ def lc_ranks(mod: StandardModule, n: int, s: int,
     return (free, f2)
 
 
-def check_closed_form(mod: StandardModule, n: int, k_lo: int, k_hi: int,
-                      confirm: int = 1) -> None:
+def check_closed_form(mod: StandardModule, n: int, k_lo: int,
+                      k_hi: int) -> None:
     """Compare closed form against the Koszul oracle on a window.
 
     Scans the rho-line through the module's natural support in the given
@@ -656,14 +656,14 @@ def check_closed_form(mod: StandardModule, n: int, k_lo: int, k_hi: int,
         for s in range(n + 1):
             alpha = mod.shift + RHO * k
             want = lc_ranks(mod, n, s, alpha)
-            got = lc_oracle(mod, n, s, alpha, confirm=confirm)
+            got = lc_oracle(mod, n, s, alpha)
             if want != got:
                 raise AssertionError(
                     f"{mod.describe()}, H^{s} at {alpha}: closed form "
                     f"{want}, oracle {got}")
 
 
-def convention_report(confirm: int = 1) -> list[str]:
+def convention_report() -> list[str]:
     """Settle the contested closed-form conventions against the oracle.
 
     Each witness pits the shipped formula against the rejected variant at
@@ -675,7 +675,7 @@ def convention_report(confirm: int = 1) -> list[str]:
     # principal ideal (vbar_2)Pbar_1 in P = Z[v1, v2]: shift by the full
     # generator weight 3*rho, not by 2*rho
     mod = ideal_f2(1, 2)
-    got = lc_oracle(mod, 2, 1, ZERO, confirm=confirm)
+    got = lc_oracle(mod, 2, 1, ZERO)
     ship = lc_ranks(mod, 2, 1, ZERO)
     variant = module_ranks(dual_pbar(1, RHO * (1 - 4 + 2)), 2, ZERO)
     if got != ship or got == variant:
@@ -690,7 +690,7 @@ def convention_report(confirm: int = 1) -> list[str]:
     # (D_s - D_n)*rho downward, not upward
     mod = ideal_f2(0, 2)
     at = -4 * RHO
-    got = lc_oracle(mod, 2, 2, at, confirm=confirm)
+    got = lc_oracle(mod, 2, 2, at)
     ship = lc_ranks(mod, 2, 2, at)
     variant = module_ranks(dual_pbar(0, 4 * RHO), 2, at)
     if got != ship or got == variant:
@@ -704,7 +704,7 @@ def convention_report(confirm: int = 1) -> list[str]:
     # the second group of the same ideal, and of (2, v1, v2)P, already
     # carries the downward sign in all readings; confirm it anyway
     for mod, s in ((ideal_f2(0, 2), 1), (ideal_z(2), 1)):
-        got = lc_oracle(mod, 2, s, ZERO, confirm=confirm)
+        got = lc_oracle(mod, 2, s, ZERO)
         ship = lc_ranks(mod, 2, s, ZERO)
         if got != ship:
             raise AssertionError(

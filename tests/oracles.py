@@ -5,7 +5,9 @@ raw monomial enumeration, explicit chain complexes) without using the closed
 forms or shortcuts from the package, so agreement is meaningful.  The
 references at the end are different: they redo a package computation the
 direct, slower way (`verify_gorenstein_per_degree`,
-`e_infinity_basis_two_rounds`, `basis_cached_two_listings`,
+`e_infinity_basis_two_rounds`, `basis_cached_two_listings` over
+`enumerate_with_cap_reference`, `bb_cached_reference`,
+`e2_basis_reference`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
 `vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
 `tower_group_fresh`), to check an optimised path against.
@@ -223,19 +225,90 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
     return rounds[0]
 
 
-def basis_cached_two_listings(alpha, a_cap):
-    """coefficients._basis_cached as two full listings: to the cap
-    max(a_cap, bound + 4) and to cap + 8.  They must agree, else a class
-    lies past the cap.
+def enumerate_with_cap_reference(alpha, a_cap):
+    """The full ring's basis at alpha up to filtration a_cap, listed by its
+    own inversion of the degree, a-exponent by a-exponent, and sorted."""
+    from realspectra.coefficients import (BasisEntry, _first_index_above,
+                                          is_in_subalgebra, weight_tuples)
 
-    The enumerator and the bound are looked up through the coefficients
-    module, so a test that patches them there patches this reference too.
+    t, s = alpha.triv, alpha.sgn
+    d = t - s
+    out = []
+    k = d % 4
+    while k <= a_cap:
+        if (t + s + k) % 2 == 0:
+            w = (t + s + k) // 2
+            l = (d - k) // 4
+            if w >= 0:
+                if k == 0:
+                    for c in weight_tuples(w):
+                        mono = Monomial(0, l, c)
+                        lat = 1 if is_in_subalgebra(mono) else 2
+                        out.append(BasisEntry(mono, lat, torsion=False))
+                else:
+                    for c in weight_tuples(w, _first_index_above(k)):
+                        mono = Monomial(k, l, c)
+                        if not mono.is_zero() and is_in_subalgebra(mono):
+                            out.append(BasisEntry(mono, 1, torsion=True))
+        k += 4
+    return sorted(out)
+
+
+def e2_basis_reference(n, alpha, a_cap):
+    """hfpss.e2_basis by stepping the vbar weight w, not the filtration:
+    k = 2w - sgn - triv for w = triv (mod 2), kept while 0 <= k <= a_cap."""
+    from realspectra.coefficients import weight_tuples
+
+    t, s = alpha.triv, alpha.sgn
+    out = []
+    w = t % 2
+    while True:
+        k = 2 * w - s - t
+        if k > a_cap:
+            break
+        if k >= 0:
+            l = (t - w) // 2
+            for c in weight_tuples(w, 1, n):
+                out.append(Monomial(k, l, c))
+        w += 2
+    return out
+
+
+def bb_cached_reference(n, alpha):
+    """blocks._bb_cached by its own inversion of the degree: one
+    u-exponent 0 <= l < 2^n at a time, every E_2 monomial through
+    `final_entry`, sorted by (l, k, c)."""
+    from realspectra.coefficients import weight_tuples
+    from realspectra.hfpss import final_entry
+
+    t, s = alpha.triv, alpha.sgn
+    d = t - s
+    out = []
+    for l in range(2 ** n):
+        w = t - 2 * l
+        k = d - 4 * l
+        if w < 0 or k < 0:
+            continue
+        for c in weight_tuples(w, 1, n):
+            entry = final_entry(n, Monomial(k, l, c))
+            if entry is not None:
+                out.append(entry)
+    return tuple(sorted(out, key=lambda e: (e.mono.l, e.mono.k, e.mono.c)))
+
+
+def basis_cached_two_listings(alpha, a_cap):
+    """coefficients._basis_cached as two full listings by
+    `enumerate_with_cap_reference`: to the cap max(a_cap, bound + 4) and to
+    cap + 8.  They must agree, else a class lies past the cap.
+
+    The bound is looked up through the coefficients module, so a test that
+    patches it there patches this reference too.
     """
     from realspectra import coefficients
 
     cap = max(a_cap, coefficients._a_exponent_bound(alpha) + 4)
-    first = coefficients._enumerate_with_cap(alpha, cap)
-    second = coefficients._enumerate_with_cap(alpha, cap + 8)
+    first = enumerate_with_cap_reference(alpha, cap)
+    second = enumerate_with_cap_reference(alpha, cap + 8)
     if first != second:
         raise coefficients.StabilizationFailure(
             f"basis at {alpha} did not stabilize by cap {cap + 8}")

@@ -8,25 +8,33 @@ operation log when first read; `SmithForm` reads its diagonal once,
 splits each stage into pieces by fine degree and memoizes each piece shape,
 its homology and its transition step, `localcoh.vbar_matrix` reads the one
 module action `localcoh._act`, the weight listing is memoized per index
-range and built from its own shorter listings, and quotient towers share the stages of a common prefix of steps.
+range and built from its own shorter listings, quotient towers share the
+stages of a common prefix of steps, and `coefficients.degree_monomials`
+lists a degree's monomials once for the E_2 page, the final page, the
+basic block and the full ring, leaving out the monomials an a-relation
+kills.
 Each is checked here against the uncached computation it replaces.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (koszul_complex_dense, koszul_layer_uncached,
+from oracles import (basis_cached_two_listings, bb_cached_reference,
+                     e2_basis_reference, e_infinity_basis_two_rounds,
+                     koszul_complex_dense, koszul_layer_uncached,
                      lc_oracle_dense, module_gens_uncached,
                      smith_normal_form_full_rescan, tower_group_fresh,
                      vbar_matrix_reference, weight_tuples_reference)
-from realspectra import localcoh
+from realspectra import coefficients, hfpss, localcoh
 from realspectra.abelian import (_image, _solve, image_basis, mat_mul,
                                  smith_normal_form, solve_matrix, to_matrix,
                                  zeros)
-from realspectra.coefficients import (QuotientIdeal, StabilizationFailure,
-                                      _first_index_above, tower_group,
-                                      weight_tuples)
-from realspectra.grading import RHO, SIGMA, Degree
+from realspectra.blocks import _bb_cached
+from realspectra.coefficients import (BasisEntry, QuotientIdeal,
+                                      StabilizationFailure,
+                                      _first_index_above, is_in_subalgebra,
+                                      tower_group, weight_tuples)
+from realspectra.grading import RHO, SIGMA, Degree, Window
 
 
 def _matrices(entries):
@@ -320,3 +328,92 @@ def test_ranged_listing_matches_predicate(w):
         lo = _first_index_above(k)
         assert weight_tuples(w, lo) == weight_tuples_reference(w, lo), k
 
+
+
+# the unpruned listings: every E_2 monomial of the degree, killed ones
+# included, read by the rule each product listing applies
+
+def _bb_unpruned(n, alpha):
+    d = alpha.triv - alpha.sgn
+    entries = [hfpss.final_entry(n, x) for x in hfpss.e2_basis(n, alpha, d)
+               if x.k >= d - 4 * (2 ** n - 1)]
+    return sorted(filter(None, entries),
+                  key=lambda e: (e.mono.l, e.mono.k, e.mono.c))
+
+
+def _e_infinity_unpruned(n, alpha):
+    bound = hfpss._exponent_bound(n, alpha)
+    entries = []
+    for x in hfpss.e2_basis(n, alpha, bound + 8):
+        entry = hfpss.final_entry(n, x)
+        if entry is None:
+            continue
+        if x.k > bound:
+            raise StabilizationFailure(f"final-page classes at {alpha} "
+                                       f"appear past filtration {bound}")
+        entries.append(entry)
+    return entries
+
+
+def _basis_unpruned(alpha, a_cap):
+    cap = max(a_cap, coefficients._a_exponent_bound(alpha) + 4)
+    entries = []
+    for x in hfpss.e2_basis(None, alpha, cap + 8):
+        if x.k == 0:
+            lattice = 1 if is_in_subalgebra(x) else 2
+            entries.append(BasisEntry(x, lattice, False))
+        elif not x.is_zero() and is_in_subalgebra(x):
+            entries.append(BasisEntry(x, 1, True))
+    entries.sort()
+    if entries and entries[-1].mono.k > cap:
+        raise StabilizationFailure(
+            f"basis at {alpha} did not stabilize by cap {cap + 8}")
+    return entries
+
+
+def _listing_outcome(fn, *args):
+    """("ok", listing as a tuple) from fn, or ("raised", message)."""
+    try:
+        return ("ok", tuple(fn(*args)))
+    except StabilizationFailure as err:
+        return ("raised", str(err))
+
+
+_HEIGHTS = (None, 0, 1, 2, 3, 4)
+
+# listing -> (the product listing, its references, the arguments to check)
+_DEGREE_LISTINGS = {
+    "bb_cached": (
+        _bb_cached.__wrapped__, (bb_cached_reference, _bb_unpruned),
+        lambda: ((n, alpha) for n in range(5)
+                 for alpha in Window(-24, 24, -24, 24))),
+    "e_infinity_basis": (
+        hfpss.e_infinity_basis,
+        (e_infinity_basis_two_rounds, _e_infinity_unpruned),
+        lambda: ((n, alpha) for n in _HEIGHTS
+                 for alpha in Window(-16, 16, -16, 16))),
+    "basis_cached": (
+        coefficients._basis_cached.__wrapped__,
+        (basis_cached_two_listings, _basis_unpruned),
+        lambda: ((alpha, a_cap) for a_cap in (0, 4, 40)
+                 for alpha in Window(-30, 30, -30, 30))),
+    "e2_basis": (
+        hfpss.e2_basis, (e2_basis_reference,),
+        lambda: ((n, alpha, a_cap) for n in _HEIGHTS
+                 for alpha in Window(-24, 24, -24, 24)
+                 for a_cap in (0, 4, 12, 40))),
+}
+
+
+@pytest.mark.parametrize("name", _DEGREE_LISTINGS)
+def test_degree_listing_matches_references(name):
+    # order included, and a StabilizationFailure with the same message
+    listing, references, cases = _DEGREE_LISTINGS[name]
+    outcomes = set()
+    for args in cases():
+        got = _listing_outcome(listing, *args)
+        for reference in references:
+            assert got == _listing_outcome(reference, *args), \
+                (args, reference.__name__)
+        outcomes.add(got[0])
+    assert "ok" in outcomes

@@ -82,6 +82,7 @@ def test_out_of_range_n_is_config_error(capsys, argv):
     ("coeff", "--caps", "0,0", "--window", "0:0,0:0"),
     ("chart", "bpr", "--caps", "40,-1"),
     ("coeff", "--caps", "40,4", "--window", "0:0,0:0"),
+    ("coeff", "--caps", "", "--window", "0:0,0:0"),
 ])
 def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
     start = time.monotonic()
