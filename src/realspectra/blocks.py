@@ -300,14 +300,14 @@ def _validate_cell(n: int, d: int, l: int, kind: str,
                 f"{module.describe() if module else 'the empty cell'}")
 
 
-def diagonal_decompose(n: int, d: int, kind: str = "bb",
-                       probe: int | None = None) -> list[DiagonalCell]:
+def diagonal_decompose(n: int, d: int,
+                       kind: str = "bb") -> list[DiagonalCell]:
     """Split one diagonal of a block into catalogue modules per column.
 
     Classification reads the a-exponent (annihilator pattern) and the
     2-valuation of the column (lattice pattern) off the cell, then checks
-    the predicted generators degreewise against the block basis; a
-    mismatch raises UnclassifiedModule.
+    the predicted generators against the block basis at each weight from 0
+    to 2^(n+1) + 4; a mismatch raises UnclassifiedModule.
 
     >>> [(c.column, c.module.describe()) for c in diagonal_decompose(2, 0)]
     [(0, 'P')]
@@ -318,14 +318,12 @@ def diagonal_decompose(n: int, d: int, kind: str = "bb",
     """
     if kind not in ("bb", "nb"):
         raise ValueError(f"unknown block kind {kind!r}")
-    if probe is None:
-        probe = 2 ** (n + 1) + 4
     cells = []
     for l in range(2 ** n):
         if d - 4 * l < 0:
             continue
         module = _cell_candidate(n, d, l, kind)
-        _validate_cell(n, d, l, kind, module, probe)
+        _validate_cell(n, d, l, kind, module, 2 ** (n + 1) + 4)
         if module is not None:
             cells.append(DiagonalCell(d, l, module))
     if kind == "nb" and d <= -2:

@@ -18,6 +18,9 @@ range and prints one row per module checked (module, k_lo, k_hi,
 diffs); JSON lists the modules and the convention report instead.  An
 empty window checks nothing.
 
+`hfpss pages` prints a differential log, not a table: it takes --format
+json or ascii, and csv is a configuration error.
+
 Limits, each checked before any computation or cache lookup (a violation
 is a configuration error):
     --n       an integer from 0 to MAX_N (4); with `lc --oracle`, one of
@@ -183,6 +186,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"{args.command} supports --format "
             f"{'/'.join(_FORMATS[args.command])}, got {fmt!r}")
+    if args.command == "hfpss" and args.mode == "pages" and fmt == "csv":
+        raise ConfigError(
+            f"hfpss pages supports --format json/ascii, got {fmt!r}")
     if args.n is not None and not 0 <= args.n <= MAX_N:
         raise ConfigError(f"--n must be in 0..{MAX_N}, got {args.n}")
     if args.command == "lc" and args.oracle and args.n is not None and \

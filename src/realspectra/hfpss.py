@@ -149,13 +149,12 @@ def _exponent_bound(n: int | None, alpha: Degree) -> int:
     return max(2 ** (n + 1) - 2, -alpha.sgn - alpha.triv, 0)
 
 
-def e_infinity_basis(n: int | None, alpha: Degree,
-                     a_cap: int | None = None) -> list[BasisEntry]:
+def e_infinity_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
     """Certified final-page classes at alpha.
 
     Lists once, up to filtration bound + 8, the monomials that no a-relation
-    of the final page kills, where bound is the provable filtration bound
-    (or a_cap if larger), and takes the class on each from `final_entry`.
+    of the final page kills, where bound is the provable filtration bound,
+    and takes the class on each from `final_entry`.
     Raises StabilizationFailure if a class above the bound survives; the
     classes returned are those of filtration at most the bound.
 
@@ -164,7 +163,7 @@ def e_infinity_basis(n: int | None, alpha: Degree,
     >>> [e.describe() for e in e_infinity_basis(1, Degree(4, -4))]
     ['u^2']
     """
-    bound = max(_exponent_bound(n, alpha), a_cap or 0)
+    bound = _exponent_bound(n, alpha)
     entries = []
     for x in degree_monomials(n, alpha, 0, bound + 8, n):
         entry = final_entry(n, x)
@@ -177,8 +176,7 @@ def e_infinity_basis(n: int | None, alpha: Degree,
     return entries
 
 
-def e_infinity_groups(n: int | None, alpha: Degree,
-                      a_cap: int | None = None) -> tuple[int, int]:
+def e_infinity_groups(n: int | None, alpha: Degree) -> tuple[int, int]:
     """(free rank, F2 rank) on the final page.
 
     >>> e_infinity_groups(None, Degree(2, -2))
@@ -186,7 +184,7 @@ def e_infinity_groups(n: int | None, alpha: Degree,
     >>> e_infinity_groups(1, Degree(0, 1))   # rho - 1: evenness
     (0, 0)
     """
-    return rank_summary(e_infinity_basis(n, alpha, a_cap))
+    return rank_summary(e_infinity_basis(n, alpha))
 
 
 @dataclasses.dataclass

@@ -5,8 +5,8 @@ rings split into modules over P = Z_(2)[vbar_1, ..., vbar_n] drawn from
 a short catalogue: P itself, the mod-2 quotients
 Pbar_s = F_2[vbar_(s+1), ..., vbar_n], ideals inside both, their graded
 duals, and rank-one F_2 towers along the sigma axis.  This module owns
-that catalogue: exact degreewise ranks and generator bases,
-multiplication matrices for the vbar_i, closed-form local cohomology at
+that catalogue: exact degreewise ranks and generator bases, the action
+of the vbar_i on generators, closed-form local cohomology at
 the augmentation ideal J = (vbar_1, ..., vbar_n), and an independent
 unstable-Koszul oracle that recomputes each H^s_J degreewise and
 certifies its own stabilization.
@@ -18,9 +18,11 @@ Cech/Koszul complex; Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 13).  A piece is fixed up to isomorphism by its shape: torsion, n,
 the slots present and its coefficients.  Few shapes occur, so each shape's
 complex is built and checked once, and its H^s and its transition steps
-are computed once, in memos that every module, degree and s shares.  At
-one degree a single pass over the stages settles every s, and that run is
-memoized too.
+are computed once, in memos that every module, degree and s shares.  The
+degree alone fixes an oracle run, which has no tuning parameters: it
+starts two stages past the diagonal weight, stops at MAX_E, and settles
+every s in one pass over the stages, so that run is memoized per degree
+too.
 
 Grading conventions.  Catalogue modules are concentrated on
 shift + Z*rho, except the towers, which run along shift + Z*sigma.  A
@@ -46,7 +48,7 @@ from typing import NamedTuple
 
 # mat_mul is not called here; perfbench/selftest.py checks that tracing
 # rebinds it in this namespace
-from .abelian import (CochainComplex, Matrix, Subquotient, f2_relations,
+from .abelian import (CochainComplex, Subquotient, f2_relations,
                       induced_map, map_is_surjective, mat_mul, zeros)
 from .coefficients import StabilizationFailure, _bump, weight_tuples
 from .grading import Degree, RHO, ZERO, total_vbar_degree
@@ -255,11 +257,12 @@ def _act(mod: StandardModule, c: tuple[int, ...], i: int,
     """vbar_i^e on the generator c: (image generator, coefficient), or None
     where it acts as zero.
 
-    The one owner of the module action, read by vbar_matrix and by the
-    Koszul pieces.  The image moves the vbar_i exponent of c up by e, or
-    down for the duals; the coefficient is 2 exactly where a doubled pure
-    IdealZ monomial lands on a plain ideal generator.  Whether the image is
-    a generator of the target degree is the caller's to check.
+    The one owner of the module action, read by the Koszul pieces for
+    their differentials and their transitions.  The image moves the vbar_i
+    exponent of c up by e, or down for the duals; the coefficient is 2
+    exactly where a doubled pure IdealZ monomial lands on a plain ideal
+    generator.  Whether the image is a generator of the target degree is
+    the caller's to check.
     """
     kind = mod.kind
     if kind in ("TowerF2", "DualTowerF2"):
@@ -274,25 +277,6 @@ def _act(mod: StandardModule, c: tuple[int, ...], i: int,
     if kind != "IdealZ":
         return image, 1
     return image, _embedding(mod, c) // _embedding(mod, image)
-
-
-def vbar_matrix(mod: StandardModule, n: int, i: int, e: int,
-                alpha: Degree) -> Matrix:
-    """Multiplication by vbar_i^e from degree alpha to alpha + e|vbar_i|.
-
-    Rows index the target generators, columns the source generators; the
-    IdealZ case can pick up a coefficient 2 when a doubled pure monomial
-    lands on a plain ideal generator.
-    """
-    src = _gens(mod, n, alpha)
-    tgt = _gens(mod, n, alpha + RHO * (e * (2 ** i - 1)))
-    mat = zeros(len(tgt), len(src))
-    where = {c: r for r, c in enumerate(tgt)}
-    for col, c in enumerate(src):
-        hit = _act(mod, c, i, e)
-        if hit is not None and hit[0] in where:
-            mat[where[hit[0]], col] = hit[1]
-    return mat
 
 
 # --- the unstable Koszul complex, piece by piece ---------------------------
@@ -468,29 +452,37 @@ def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
     return _stage_homology(_shapes(_stage(mod, n, e, alpha)), s)
 
 
-def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
-              e_start: int | None = None, confirm: int = 1,
-              max_e: int = 60) -> tuple[int, int]:
+# the last stage an oracle run builds before it gives up
+MAX_E = 60
+
+
+def _first_stage(mod: StandardModule, alpha: Degree) -> int:
+    """The oracle's first stage at alpha: two past the diagonal weight
+    |k|, or 2 off the diagonal."""
+    k = _diag_weight(mod, alpha)
+    return 2 if k is None else abs(k) + 2
+
+
+def lc_oracle(mod: StandardModule, n: int, s: int,
+              alpha: Degree) -> tuple[int, int]:
     """H^s_J(M) at alpha as a certified stabilized Koszul colimit.
 
-    The certificate demands `confirm` consecutive stages with equal
-    invariants whose transition maps are isomorphisms (surjectivity plus
-    equal invariants suffices for finitely generated groups).  Each stage
-    is split into its pieces by fine degree, so invariants are summed over
+    The stages run from `_first_stage` up to MAX_E.  H^s settles at the
+    first stage whose invariants equal the previous stage's and whose
+    transition from it is onto in H^s (surjectivity plus equal invariants
+    makes it an isomorphism of finitely generated groups).  Each stage is
+    split into its pieces by fine degree, so invariants are summed over
     pieces and surjectivity is checked piece by piece, a stage-(e+1) piece
     with no stage-e piece being onto only if its H^s is zero.
 
-    One run per degree serves every s: it builds each stage once and runs
-    this certificate for each s that has not yet settled, and it is
-    memoized by (mod, n, alpha, e_start, confirm, max_e), an unset e_start
-    sharing the entry of its default.  A failure is per s: an s that never
-    settles by stage max_e raises StabilizationFailure, and an s whose
-    checks meet a broken piece raises that ValueError (a differential
-    breaks the relations, d o d is not zero or an image leaves its piece),
-    while the other s keep their answers; a run that met one is not
-    memoized.  The piece complexes, their H^s and their transition steps
-    are memoized by shape, which a whole sweep shares; a shape's relation
-    and d o d checks run when it is first built.
+    The degree fixes the whole run, so one memoized run per degree serves
+    every s.  An s that does not settle by stage MAX_E raises
+    StabilizationFailure, while the other s keep their answers.  A broken
+    piece (a differential breaks the relations, d o d is not zero or an
+    image leaves its piece) raises its ValueError for every s, and nothing
+    of that run is memoized.  The piece complexes, their H^s and their
+    transition steps are memoized by shape, which a whole sweep shares; a
+    shape's relation and d o d checks run when it is first built.
 
     >>> lc_oracle(p_module(), 1, 1, -2 * RHO)
     (1, 0)
@@ -501,64 +493,35 @@ def lc_oracle(mod: StandardModule, n: int, s: int, alpha: Degree,
         return (0, 0)
     if n == 0:
         return module_ranks(mod, 0, alpha)
-    if e_start is None:
-        k = _diag_weight(mod, alpha)
-        e_start = max(2, abs(k) + 2 if k is not None else 2)
-    try:
-        got = _oracle_run(mod, n, alpha, e_start, confirm, max_e)[s]
-    except _BrokenRun as broken:
-        got = broken.args[0][s]
-    if isinstance(got, ValueError):
-        raise got
+    got = _oracle_run(mod, n, alpha)[s]
     if got is None:
         raise StabilizationFailure(
             f"Koszul colimit for {mod.describe()} H^{s} at {alpha} "
-            f"did not settle by stage {max_e}")
+            f"did not settle by stage {MAX_E}")
     return got
 
 
-class _BrokenRun(Exception):
-    """Raised by _oracle_run, so that lru_cache keeps nothing, when some s
-    met a ValueError; args[0] is the run's per-s outcome."""
-
-
 @lru_cache(maxsize=None)
-def _oracle_run(mod: StandardModule, n: int, alpha: Degree, e_start: int,
-                confirm: int, max_e: int) -> tuple:
+def _oracle_run(mod: StandardModule, n: int, alpha: Degree) -> tuple:
     """lc_oracle's certificate for every s = 0..n over one pass of stages:
-    per s its ranks, None if it did not settle by stage max_e, or the
-    ValueError its checks met (then raised inside _BrokenRun).  Each s sees
-    the checks and stages that a run for it alone would."""
+    per s its ranks, or None if it did not settle by stage MAX_E, the
+    answer that a run for that s alone would give.  A ValueError from a
+    broken piece propagates, so lru_cache keeps nothing of the run."""
     out: list = [None] * (n + 1)
     totals: list = [None] * (n + 1)
-    good = [0] * (n + 1)
     prev = None
-    for e in range(e_start, max_e + 1):
+    for e in range(_first_stage(mod, alpha), MAX_E + 1):
         todo = [s for s in range(n + 1) if out[s] is None]
         if not todo:
             break
-        try:
-            here = _stage(mod, n, e, alpha)
-        except ValueError as err:
-            for s in todo:
-                out[s] = err
-            break
+        here = _stage(mod, n, e, alpha)
         shapes = _shapes(here)
         for s in todo:
-            try:
-                total = _stage_homology(shapes, s)
-                if total == totals[s] and _stage_onto(mod, prev, here, s):
-                    good[s] += 1
-                    if good[s] >= confirm:
-                        out[s] = total
-                else:
-                    good[s] = 0
-                totals[s] = total
-            except ValueError as err:
-                out[s] = err
+            total = _stage_homology(shapes, s)
+            if total == totals[s] and _stage_onto(mod, prev, here, s):
+                out[s] = total
+            totals[s] = total
         prev = here
-    if any(isinstance(got, ValueError) for got in out):
-        raise _BrokenRun(out)
     return tuple(out)
 
 

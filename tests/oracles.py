@@ -188,7 +188,7 @@ class MismatchError(Exception):
     """The propagation engine and the closed-form page disagree."""
 
 
-def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
+def e_infinity_basis_two_rounds(n, alpha):
     """e_infinity_basis as two full enumerations, to caps bound and bound + 8.
 
     Each round runs a fresh `PageStatesReference` against the closed form on
@@ -200,7 +200,7 @@ def e_infinity_basis_two_rounds(n, alpha, a_cap=None):
     from realspectra import hfpss
     from realspectra.coefficients import BasisEntry, StabilizationFailure
 
-    bound = max(hfpss._exponent_bound(n, alpha), a_cap or 0)
+    bound = hfpss._exponent_bound(n, alpha)
     rounds = []
     for cap in (bound, bound + 8):
         engine = PageStatesReference(n)
@@ -432,8 +432,9 @@ def koszul_layer_uncached(mod, n: int, e: int, j: int, alpha: Degree):
 
 
 def vbar_matrix_reference(mod, n: int, i: int, e: int, alpha: Degree):
-    """localcoh.vbar_matrix with each module kind's action written out
-    here, independent of `localcoh._act`."""
+    """Multiplication by vbar_i^e from degree alpha to alpha + e|vbar_i|,
+    rows indexing the target generators and columns the source ones: the
+    module action `localcoh._act` with each kind written out here."""
     from realspectra.abelian import zeros
     from realspectra.coefficients import _bump
     from realspectra.localcoh import module_gens
@@ -530,45 +531,32 @@ def transition_matrix_dense(mod, n: int, e: int, s: int, alpha: Degree):
     return mat
 
 
-def lc_oracle_dense(mod, n: int, s: int, alpha: Degree,
-                    e_start: int | None = None, confirm: int = 1,
-                    max_e: int = 60):
+def lc_oracle_dense(mod, n: int, s: int, alpha: Degree):
     """localcoh.lc_oracle on whole dense stage complexes, not split into
-    pieces by fine degree: the same certificate (`confirm` stages with
-    equal invariants and a surjective transition), read off one complex
-    per stage."""
+    pieces by fine degree: the same stages and the same certificate (equal
+    invariants and a surjective transition from the stage before), read
+    off one complex per stage."""
     from realspectra.abelian import induced_map, map_is_surjective
     from realspectra.coefficients import StabilizationFailure
-    from realspectra.localcoh import _diag_weight, module_ranks
+    from realspectra.localcoh import MAX_E, _first_stage, module_ranks
 
     if s < 0 or s > n:
         return (0, 0)
     if n == 0:
         return module_ranks(mod, 0, alpha)
-    k = _diag_weight(mod, alpha)
-    if e_start is None:
-        e_start = max(2, abs(k) + 2 if k is not None else 2)
     prev = None
-    good = 0
-    for e in range(e_start, max_e + 1):
+    for e in range(_first_stage(mod, alpha), MAX_E + 1):
         here = koszul_complex_dense(mod, n, e, alpha).homology(s)
-        if prev is not None:
-            same = prev.group.summarize() == here.group.summarize()
-            if same:
-                step = transition_matrix_dense(mod, n, e - 1, s, alpha)
-                induced = induced_map(prev, here, step)
-                if map_is_surjective(induced, here.group):
-                    good += 1
-                    if good >= confirm:
-                        return here.group.summarize()
-                else:
-                    good = 0
-            else:
-                good = 0
+        if prev is not None and \
+                prev.group.summarize() == here.group.summarize():
+            step = transition_matrix_dense(mod, n, e - 1, s, alpha)
+            induced = induced_map(prev, here, step)
+            if map_is_surjective(induced, here.group):
+                return here.group.summarize()
         prev = here
     raise StabilizationFailure(
         f"Koszul colimit for {mod.describe()} H^{s} at {alpha} "
-        f"did not settle by stage {max_e}")
+        f"did not settle by stage {MAX_E}")
 
 
 def tower_group_fresh(ideal, alpha: Degree, a_cap: int):

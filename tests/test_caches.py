@@ -6,13 +6,13 @@ already in Smith form after one scan, and builds each transform from its
 operation log when first read; `SmithForm` reads its diagonal once,
 `localcoh._gens` is cached per (module, n, degree), the Koszul oracle
 splits each stage into pieces by fine degree and memoizes each piece shape,
-its homology and its transition step, `localcoh.vbar_matrix` reads the one
-module action `localcoh._act`, the weight listing is memoized per index
-range and built from its own shorter listings, quotient towers share the
-stages of a common prefix of steps, and `coefficients.degree_monomials`
-lists a degree's monomials once for the E_2 page, the final page, the
-basic block and the full ring, leaving out the monomials an a-relation
-kills.
+its homology and its transition step (its pieces read the module action
+`localcoh._act`, which the dense reference writes out kind by kind), the
+weight listing is memoized per index range and built from its own shorter
+listings, quotient towers share the stages of a common prefix of steps,
+and `coefficients.degree_monomials` lists a degree's monomials once for
+the E_2 page, the final page, the basic block and the full ring, leaving
+out the monomials an a-relation kills.
 Each is checked here against the uncached computation it replaces.
 """
 
@@ -24,7 +24,7 @@ from oracles import (basis_cached_two_listings, bb_cached_reference,
                      koszul_complex_dense, koszul_layer_uncached,
                      lc_oracle_dense, module_gens_uncached,
                      smith_normal_form_full_rescan, tower_group_fresh,
-                     vbar_matrix_reference, weight_tuples_reference)
+                     weight_tuples_reference)
 from realspectra import coefficients, hfpss, localcoh
 from realspectra.abelian import (_image, _solve, image_basis, mat_mul,
                                  smith_normal_form, solve_matrix, to_matrix,
@@ -274,20 +274,6 @@ def test_koszul_stage_matches_uncached_build(mod):
         kept, fresh = localcoh._piece(key), localcoh._piece.__wrapped__(key)
         assert _rows_and_cols(kept.maps + kept.rels) == \
             _rows_and_cols(fresh.maps + fresh.rels), key
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_modules()),
-       st.integers(0, 3).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
-       st.integers(1, 5), st.integers(-8, 12), st.integers(-2, 1))
-def test_vbar_matrix_matches_reference(mod, n_and_i, e, k, off):
-    # i = n + 1 acts outside the ring: the image is no generator
-    n, i = n_and_i
-    alpha = mod.shift + RHO * k + SIGMA * off
-    got = localcoh.vbar_matrix(mod, n, i, e, alpha)
-    want = vbar_matrix_reference(mod, n, i, e, alpha)
-    assert (got.rows, got.cols) == (want.rows, want.cols)
 
 
 _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),

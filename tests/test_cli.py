@@ -83,6 +83,7 @@ def test_out_of_range_n_is_config_error(capsys, argv):
     ("chart", "bpr", "--caps", "40,-1"),
     ("coeff", "--caps", "40,4", "--window", "0:0,0:0"),
     ("coeff", "--caps", "", "--window", "0:0,0:0"),
+    ("hfpss", "pages", "--n", "1", "--window", "0:4,-4:0", "--format", "csv"),
 ])
 def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
     start = time.monotonic()
@@ -546,6 +547,7 @@ def test_cache_hit_loads_no_compute_module(tmp_path):
     ["blocks", "bb", "--n", "40"],          # config error
     ["coeff", "--jobs", "2"],               # argparse error
     ["lc", "--oracle", "--n", "3"],         # no oracle catalogue at n = 3
+    ["hfpss", "pages", "--n", "1", "--format", "csv"],   # a log, no table
 ])
 def test_rejected_argv_loads_no_compute_module(argv):
     assert fresh_process(argv) == (2, repr(LIGHT))

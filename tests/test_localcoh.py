@@ -99,19 +99,24 @@ def test_koszul_spot_values():
     assert koszul_cohomology(pbar(0), 1, 5, 0, ZERO) == (0, 0)
 
 
-def test_oracle_stabilizes_and_is_radical_invariant():
-    # raising every Koszul exponent by one replaces the ideal with a
-    # power; the stabilized answer only depends on the radical
+def test_oracle_stabilizes_and_is_radical_invariant(monkeypatch,
+                                                    cold_pieces):
+    # raising every Koszul exponent replaces the ideal with a power; the
+    # stabilized answer only depends on the radical, from any first stage
     cases = [
         (p_module(), 1, 1, RHO * -2),
         (ideal_z(1), 2, 2, RHO * -4),
         (ideal_f2(0, 1), 2, 2, RHO * -2),
         (pbar(0), 2, 2, RHO * -3),
     ]
-    for mod, n, s, alpha in cases:
-        base = lc_oracle(mod, n, s, alpha)
-        again = lc_oracle(mod, n, s, alpha, e_start=12, confirm=2)
-        assert base == again, (mod.describe(), s, alpha)
+    base = [lc_oracle(mod, n, s, alpha) for mod, n, s, alpha in cases]
+    for first in (12, 13):
+        _clear_pieces()
+        monkeypatch.setattr(localcoh, "_first_stage",
+                            lambda mod, alpha: first)
+        for (mod, n, s, alpha), want in zip(cases, base):
+            assert lc_oracle(mod, n, s, alpha) == want, \
+                (mod.describe(), s, alpha, first)
 
 
 def test_oracle_out_of_range_degrees_vanish():
@@ -198,32 +203,32 @@ def test_oracle_refuses_an_image_outside_its_piece(monkeypatch, cold_pieces,
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_oracle_failure_is_per_s(cold_pieces, order):
+def test_oracle_failure_is_per_s(monkeypatch, cold_pieces, order):
     # at -3 rho, stages 2 and 3 agree in H^0 but not in H^1
+    monkeypatch.setattr(localcoh, "_first_stage", lambda mod, alpha: 2)
+    monkeypatch.setattr(localcoh, "MAX_E", 3)
     for s in order:
         if s == 0:
-            assert lc_oracle(p_module(), 1, 0, RHO * -3, e_start=2,
-                             max_e=3) == (0, 0)
+            assert lc_oracle(p_module(), 1, 0, RHO * -3) == (0, 0)
         else:
             with pytest.raises(StabilizationFailure) as err:
-                lc_oracle(p_module(), 1, 1, RHO * -3, e_start=2, max_e=3)
+                lc_oracle(p_module(), 1, 1, RHO * -3)
             assert str(err.value) == \
                 "Koszul colimit for P H^1 at -3-3s did not settle by stage 3"
 
 
-def test_oracle_error_is_per_s(monkeypatch, cold_pieces):
+def test_oracle_error_ends_the_run_for_every_s(monkeypatch, cold_pieces):
     # vbar_1 fixing every generator breaks only the transitions out of the
-    # slots that contain 1, which H^0 never reads
+    # slots that contain 1, which H^0 never reads; the run still fails for
+    # H^0, at the first transition H^1 reads
     true = localcoh._act
 
     def fixed(mod, c, i, e):
         return (c, 1) if (i, e) == (1, 1) else true(mod, c, i, e)
 
     monkeypatch.setattr(localcoh, "_act", fixed)
-    assert lc_oracle(p_module(), 2, 0, ZERO) == (0, 0)
-    for s, message in ((1, r"vbar_\(1,\) sends \(2,\) out"),
-                       (2, r"vbar_\(1, 2\) sends \(2, 2\) out")):
-        with pytest.raises(ValueError, match=message):
+    for s in range(3):
+        with pytest.raises(ValueError, match=r"vbar_\(1,\) sends \(2,\) out"):
             lc_oracle(p_module(), 2, s, ZERO)
 
 
