@@ -300,14 +300,16 @@ def _validate_cell(n: int, d: int, l: int, kind: str,
                 f"{module.describe() if module else 'the empty cell'}")
 
 
+@lru_cache(maxsize=None)
 def diagonal_decompose(n: int, d: int,
-                       kind: str = "bb") -> list[DiagonalCell]:
+                       kind: str = "bb") -> tuple[DiagonalCell, ...]:
     """Split one diagonal of a block into catalogue modules per column.
 
     Classification reads the a-exponent (annihilator pattern) and the
     2-valuation of the column (lattice pattern) off the cell, then checks
     the predicted generators against the block basis at each weight from 0
-    to 2^(n+1) + 4; a mismatch raises UnclassifiedModule.
+    to 2^(n+1) + 4, once per diagonal (memoized); a mismatch raises
+    UnclassifiedModule.
 
     >>> [(c.column, c.module.describe()) for c in diagonal_decompose(2, 0)]
     [(0, 'P')]
@@ -332,7 +334,7 @@ def diagonal_decompose(n: int, d: int,
             raise UnclassifiedModule(
                 f"negative block misses its tower class on diagonal {d}")
         cells.append(DiagonalCell(d, -1, pbar(n, shift)))
-    return cells
+    return tuple(cells)
 
 
 def lc_of_block(n: int, kind: str = "bb", *, d_lo: int,

@@ -27,11 +27,10 @@ is a configuration error):
               ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
               the radius of the acceptance windows;
-    --caps    `A`, an a-exponent cap A >= 0.  `coeff --spectrum bpr`,
-              `verify --spectrum bpr` and `chart bpr` list a degree to
-              max(A, its provable bound + 4) + 8 and fail on a class past
-              max(A, bound + 4); `hfpss pages` lists E_2 to filtration A,
-              with no such check; every other command ignores it;
+    --caps    `A`, an a-exponent cap A >= 0.  Only `hfpss pages` reads
+              it: E_2 has infinite rank in each degree, and the pages list
+              it to filtration A.  Every other command ignores it, since
+              the degree alone fixes each listing they make;
     --out     its directory must exist.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
@@ -89,8 +88,8 @@ class ConfigError(Exception):
 class RunConfig:
     """Validated inputs of one run; window is None for an empty range.
 
-    caps holds the --caps bound A as given, or None for the coefficient
-    layer's default, which `commands` reads.
+    caps holds the --caps bound A as given, or None for the default E_2
+    cap; only `hfpss pages` reads it.
     """
 
     command: str

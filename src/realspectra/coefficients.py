@@ -278,8 +278,8 @@ def multiply(x: CoeffElement, y: CoeffElement) -> CoeffElement:
 # ---------------------------------------------------------------------------
 # degreewise bases of the coefficient ring
 
-# the enumeration bound: a-exponents up to a_cap, and at least up to the
-# provable bound of each degree
+# the floor of the quotient towers' tail budget (`_tail_stop`) and the
+# default E_2 filtration cap (`hfpss.e2_basis`); a basis needs no cap
 DEFAULT_A_CAP = 40
 
 
@@ -401,13 +401,12 @@ def _a_exponent_bound(alpha: Degree) -> int:
     return bound
 
 
-def basis_in_degree(alpha: Degree,
-                    a_cap: int = DEFAULT_A_CAP) -> list[BasisEntry]:
+def basis_in_degree(alpha: Degree) -> list[BasisEntry]:
     """Certified basis of the coefficient ring in one degree.
 
-    Lists the degree once, up to filtration cap + 8, where cap is
-    max(a_cap, bound + 4) and bound is the provable a-exponent bound.
-    Raises StabilizationFailure if a class lies past cap.
+    Lists the degree once, up to filtration bound + 12, where bound is the
+    provable a-exponent bound.  Raises StabilizationFailure if a class lies
+    past bound + 4.
 
     >>> [e.describe() for e in basis_in_degree(Degree(0, 0))]
     ['1']
@@ -416,12 +415,12 @@ def basis_in_degree(alpha: Degree,
     >>> [e.describe() for e in basis_in_degree(Degree(2, -2))]
     ['2*u']
     """
-    return list(_basis_cached(alpha, a_cap))
+    return list(_basis_cached(alpha))
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_cached(alpha: Degree, a_cap: int) -> tuple[BasisEntry, ...]:
-    cap = max(a_cap, _a_exponent_bound(alpha) + 4)
+def _basis_cached(alpha: Degree) -> tuple[BasisEntry, ...]:
+    cap = _a_exponent_bound(alpha) + 4
     entries = []
     for x in degree_monomials(None, alpha, 0, cap + 8, None):
         if x.k == 0:
@@ -504,26 +503,26 @@ def rank_summary(entries) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _stage_group(steps: tuple[tuple[int, int], ...], a_cap: int,
+def _stage_group(steps: tuple[tuple[int, int], ...],
                  alpha: Degree) -> TowerGroup:
     """Degree alpha of B modulo the vbar-power steps, applied in order.
 
-    A stage depends only on the steps up to it, the cap and alpha, so
+    A stage depends only on the steps up to it and alpha, so
     this one memo, keyed by the steps, serves every tower that shares them
     as a prefix: the towers at a tail stop and one index past it share all
     their stages but the last.
     """
     if not steps:
-        entries = basis_in_degree(alpha, a_cap)
+        entries = basis_in_degree(alpha)
         return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
     below = steps[:-1]
     index, exp = steps[-1]
     shift = generator_degree("vbar", index=index, power=exp)
 
-    tgt = _stage_group(below, a_cap, alpha)
-    src = _stage_group(below, a_cap, alpha - shift)
-    ker_tgt = _stage_group(below, a_cap, alpha - Degree(1, 0))
-    ker_src = _stage_group(below, a_cap, alpha - Degree(1, 0) - shift)
+    tgt = _stage_group(below, alpha)
+    src = _stage_group(below, alpha - shift)
+    ker_tgt = _stage_group(below, alpha - Degree(1, 0))
+    ker_src = _stage_group(below, alpha - Degree(1, 0) - shift)
 
     trusted = all(g.exact and g.mult_trusted
                   for g in (tgt, src, ker_tgt, ker_src))
@@ -610,36 +609,32 @@ def _ker_entries(src: TowerGroup, tgt: TowerGroup,
     return out
 
 
-def _weight_budget(alpha: Degree, a_cap: int) -> int:
-    return max((alpha.triv + alpha.sgn + max(a_cap,
-               _a_exponent_bound(alpha) + 12)) // 2, 0)
-
-
-def _tail_stop(ideal: QuotientIdeal, alpha: Degree, a_cap: int) -> int:
+def _tail_stop(ideal: QuotientIdeal, alpha: Degree) -> int:
+    """The last index a tail = 1 ideal kills at alpha; the floor of its
+    a-exponent budget, DEFAULT_A_CAP, is read at call time."""
     if not ideal.tail:
         return len(ideal.exponents)
-    w = _weight_budget(alpha, a_cap)
-    a_bound = max(a_cap, _a_exponent_bound(alpha) + 12)
+    a_budget = max(DEFAULT_A_CAP, _a_exponent_bound(alpha) + 12)
+    w = max((alpha.triv + alpha.sgn + a_budget) // 2, 0)
     i = len(ideal.exponents) + 1
-    while 2 ** i - 1 <= w or 2 ** (i + 1) - 1 <= a_bound:
+    while 2 ** i - 1 <= w or 2 ** (i + 1) - 1 <= a_budget:
         i += 1
-    return max(i, len(ideal.exponents))
+    return i
 
 
-def tower_group(ideal, alpha: Degree,
-                a_cap: int = DEFAULT_A_CAP) -> TowerGroup:
+def tower_group(ideal, alpha: Degree) -> TowerGroup:
     """Groups of B modulo the given vbar powers, with a tail certificate.
 
-    For tail = 1 ideals the kill list is truncated at an index past every
-    weight and a-exponent the window can reach; one further index is run as
+    For tail = 1 ideals the kill list is truncated at `_tail_stop`, past
+    every weight and a-exponent in its budget; one further index is run as
     a stabilization check.
     """
     ideal = QuotientIdeal.of(ideal)
-    stop = _tail_stop(ideal, alpha, a_cap)
+    stop = _tail_stop(ideal, alpha)
     steps = ideal.steps_up_to(stop)
-    g = _stage_group(steps, a_cap, alpha)
+    g = _stage_group(steps, alpha)
     if ideal.tail:
-        g2 = _stage_group(ideal.steps_up_to(stop + 1), a_cap, alpha)
+        g2 = _stage_group(ideal.steps_up_to(stop + 1), alpha)
         if (g.exact, g.entries if g.exact else g.sub_summary) != \
            (g2.exact, g2.entries if g2.exact else g2.sub_summary):
             raise StabilizationFailure(
@@ -647,8 +642,7 @@ def tower_group(ideal, alpha: Degree,
     return g
 
 
-def group_in_degree(alpha: Degree, ideal=QuotientIdeal(),
-                    a_cap: int = DEFAULT_A_CAP) -> tuple[int, int]:
+def group_in_degree(alpha: Degree, ideal=QuotientIdeal()) -> tuple[int, int]:
     """(free rank, F2 rank) of the coefficient ring or a quotient.
 
     >>> group_in_degree(Degree(0, 0))
@@ -660,12 +654,11 @@ def group_in_degree(alpha: Degree, ideal=QuotientIdeal(),
     >>> group_in_degree(Degree(-2, 2))   # 2 rho - 4 carries 2/u, lattice 2
     (1, 0)
     """
-    return tower_group(ideal, alpha, a_cap).summarize()
+    return tower_group(ideal, alpha).summarize()
 
 
-def quotient_groups(ideal, alpha: Degree,
-                    a_cap: int = DEFAULT_A_CAP) -> tuple[tuple[int, int],
-                                                         tuple[int, int], bool]:
+def quotient_groups(ideal, alpha: Degree) -> tuple[tuple[int, int],
+                                                   tuple[int, int], bool]:
     """(sub, quot, extension_known) for the last cofibre step at alpha.
 
     sub is the cokernel layer, quot the kernel layer one degree down; when
@@ -673,7 +666,7 @@ def quotient_groups(ideal, alpha: Degree,
     the cokernel layer is the whole group).
     """
     ideal = QuotientIdeal.of(ideal)
-    g = tower_group(ideal, alpha, a_cap)
+    g = tower_group(ideal, alpha)
     if g.sub_summary == (-1, -1):
         raise UnknownExtension(f"tower multiplication untrusted below {alpha}")
     return (g.sub_summary, g.quot_summary, g.exact)
@@ -682,8 +675,7 @@ def quotient_groups(ideal, alpha: Degree,
 # ---------------------------------------------------------------------------
 # multiplication matrices
 
-def mult_map(x: Monomial, ideal, alpha: Degree,
-             a_cap: int = DEFAULT_A_CAP):
+def mult_map(x: Monomial, ideal, alpha: Degree):
     """Matrix of multiplication by x from degree alpha to alpha + |x|.
 
     Columns index the source basis, rows the target basis; entries are the
@@ -691,8 +683,8 @@ def mult_map(x: Monomial, ideal, alpha: Degree,
     UnknownExtension when either group lacks a trusted basis.
     """
     ideal = QuotientIdeal.of(ideal)
-    src = tower_group(ideal, alpha, a_cap)
-    tgt = tower_group(ideal, alpha + x.degree(), a_cap)
+    src = tower_group(ideal, alpha)
+    tgt = tower_group(ideal, alpha + x.degree())
     if not (src.exact and tgt.exact and src.mult_trusted and tgt.mult_trusted):
         raise UnknownExtension(f"no trusted bases for multiplication at {alpha}")
     out = zeros(len(tgt.entries), len(src.entries))
@@ -725,8 +717,7 @@ def underlying_groups(ideal, t: int) -> tuple[int, int]:
     return (count, 0)
 
 
-def restriction_rank(ideal, alpha: Degree,
-                     a_cap: int = DEFAULT_A_CAP) -> int | None:
+def restriction_rank(ideal, alpha: Degree) -> int | None:
     """Per-summand index of the restriction image in the underlying group.
 
     Restriction sends a to 0, u to a unit, vbar_i to v_i; a lattice-2 free
@@ -735,7 +726,7 @@ def restriction_rank(ideal, alpha: Degree,
     behaviour, 2 for the dual pattern); mixed degrees return None, no free
     part returns 1.  Rank agreement with the underlying group is asserted.
     """
-    g = tower_group(ideal, alpha, a_cap)
+    g = tower_group(ideal, alpha)
     free = [e for e in g.entries if not e.torsion]
     under_free, _ = underlying_groups(ideal, alpha.triv + alpha.sgn)
     if len(free) != under_free:
@@ -753,8 +744,7 @@ def restriction_rank(ideal, alpha: Degree,
 # nilpotence of vbar_i on B/vbar_i^k
 
 def nilpotence_check(i: int, k: int, window: Window,
-                     exponent: int | None = None,
-                     a_cap: int = DEFAULT_A_CAP) -> bool:
+                     exponent: int | None = None) -> bool:
     """Whether vbar_i^exponent provably acts as zero on pi(B/vbar_i^k).
 
     exponent defaults to 3k.  For exponent >= 2k the action is zero by the
@@ -774,8 +764,8 @@ def nilpotence_check(i: int, k: int, window: Window,
 
     jump_room = False
     for alpha in window:
-        src = tower_group(ideal, alpha, a_cap)
-        tgt = tower_group(ideal, alpha + shift, a_cap)
+        src = tower_group(ideal, alpha)
+        tgt = tower_group(ideal, alpha + shift)
         for g in (src, tgt):
             if g.sub_summary == (-1, -1):
                 raise UnknownExtension(f"layers unknown at {alpha}")

@@ -34,11 +34,6 @@ INCONSISTENT = (InternalInconsistency, InconsistentSSData, UnknownExtension,
                 AssertionError)
 
 
-def _a_cap(cfg: RunConfig) -> int:
-    """The --caps bound, or the coefficient layer's default."""
-    return DEFAULT_A_CAP if cfg.caps is None else cfg.caps
-
-
 def _require_n(cfg: RunConfig, *context: str) -> int:
     """cfg.n, or a ConfigError naming the command, its mode and `context`."""
     if cfg.n is None:
@@ -114,7 +109,7 @@ def _group_rows(cfg: RunConfig, fn) -> str:
 
 def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
     if cfg.spectrum == "bpr":
-        fn = lambda a: group_in_degree(a, QuotientIdeal(), _a_cap(cfg))
+        fn = group_in_degree
     elif cfg.spectrum == "bprn":
         n = _require_n(cfg, "--spectrum bprn")
         fn = lambda a: assemble_groups(n, a)
@@ -142,7 +137,8 @@ def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
             if cfg.fmt == "json":
                 return 0, _emit_json(_envelope(cfg, [], pages=[]))
             return 0, ""
-        pages = run_differentials(cfg.n, cfg.window, a_cap=_a_cap(cfg))
+        cap = DEFAULT_A_CAP if cfg.caps is None else cfg.caps
+        pages = run_differentials(cfg.n, cfg.window, a_cap=cap)
         dumped = []
         for page in pages:
             classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]
@@ -253,16 +249,14 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
             try:
                 ss = load_ssdata(cfg.ssdata)
                 ss.check_height(n)
-            except (OSError, ValueError, KeyError) as err:
+            except (OSError, ValueError) as err:
                 raise ConfigError(f"cannot load ssdata: {err}")
         report = verify_gorenstein(n, cfg.window, ss)
     elif cfg.spectrum == "bpr":
-        a_cap = _a_cap(cfg)
         records = []
         for k in range(cfg.window.triv_min, cfg.window.triv_max + 1):
             for line in (Window(k, k, k, k), Window(k - 1, k - 1, k, k)):
-                records.extend(
-                    verify_quotient_duality((), line, a_cap).records)
+                records.extend(verify_quotient_duality((), line).records)
         records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
         bad = sum(1 for r in records if not r.ok)
         report = DualityReport(
@@ -277,7 +271,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
 
 def _chart_classes(cfg: RunConfig, alpha: Degree) -> list[ChartClass]:
     if cfg.mode == "bpr":
-        group = tower_group(QuotientIdeal(), alpha, _a_cap(cfg))
+        group = tower_group(QuotientIdeal(), alpha)
         if not group.exact:
             raise UnknownExtension(f"unresolved extension at {alpha}")
         entries = group.entries

@@ -42,8 +42,8 @@ from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       zeros)
 from .blocks import (_bbprime_diag_max, _unit_degree, action_matrix,
                      assemble, assemble_groups, lc_of_block)
-from .coefficients import (DEFAULT_A_CAP, Monomial, QuotientIdeal,
-                           UnknownExtension, quotient_groups, rank_summary)
+from .coefficients import (Monomial, QuotientIdeal, UnknownExtension,
+                           quotient_groups, rank_summary)
 from .grading import DELTA, Degree, RHO, Window
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
@@ -132,13 +132,16 @@ class SSData:
 
     @staticmethod
     def from_dict(data: dict) -> "SSData":
-        diffs = tuple(
-            Differential(d["block"], _as_degree(d["source"]),
-                         _as_degree(d["target"]), int(d.get("rank", 1)))
-            for d in data.get("differentials", ()))
-        exts = tuple(Extension(e["block"], _as_degree(e["degree"]))
-                     for e in data.get("extensions", ()))
-        return SSData(int(data["n"]), diffs, exts)
+        try:
+            diffs = tuple(
+                Differential(d["block"], _as_degree(d["source"]),
+                             _as_degree(d["target"]), int(d.get("rank", 1)))
+                for d in data.get("differentials", ()))
+            exts = tuple(Extension(e["block"], _as_degree(e["degree"]))
+                         for e in data.get("extensions", ()))
+            return SSData(int(data["n"]), diffs, exts)
+        except (AttributeError, KeyError, TypeError) as err:
+            raise ValueError(f"malformed SSData: {err!r}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -154,7 +157,7 @@ class SSData:
 
 
 def load_ssdata(text_or_path) -> SSData:
-    """Parse SSData from a JSON string or a filesystem path."""
+    """Parse SSData from a JSON string or a path; ValueError if malformed."""
     text = str(text_or_path)
     if not text.lstrip().startswith("{"):
         with open(text) as handle:
@@ -613,8 +616,7 @@ def _kappa_stage(ideal: QuotientIdeal, gamma: Degree,
     return QuotientIdeal(tuple(exps), tail=1), offset
 
 
-def kappa_groups(ideal, gamma: Degree,
-                 a_cap: int = DEFAULT_A_CAP) -> tuple[int, int]:
+def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
     """(free, F_2) of the stable Koszul complex on the kept generators.
 
     The defining colimit runs over quotients by growing powers of the kept
@@ -623,13 +625,14 @@ def kappa_groups(ideal, gamma: Degree,
     boxed stage into the next, so the colimit is read off one stage whose
     box already covers the reachable weight; a deeper probe stage must
     agree, and disagreement raises InternalInconsistency.  Degrees without
-    a trusted extension raise UnknownExtension.
+    a trusted extension raise UnknownExtension.  The degree alone fixes
+    each stage's tower.
     """
     ideal = QuotientIdeal.of(ideal)
     values = []
     for probe in (0, 1):
         stage, offset = _kappa_stage(ideal, gamma, probe)
-        sub, quot, exact = quotient_groups(stage, gamma + offset, a_cap)
+        sub, quot, exact = quotient_groups(stage, gamma + offset)
         if not exact and quot != (0, 0):
             raise UnknownExtension(
                 f"kappa stage at {gamma} has an unresolved extension")
@@ -640,8 +643,7 @@ def kappa_groups(ideal, gamma: Degree,
     return values[0]
 
 
-def verify_quotient_duality(m_seq, window: Window,
-                            a_cap: int = DEFAULT_A_CAP) -> DualityReport:
+def verify_quotient_duality(m_seq, window: Window) -> DualityReport:
     """Check the Koszul colimit of a quotient against its Anderson dual.
 
     The dual of B/vbar^m is the kappa complex of the kept generators,
@@ -656,7 +658,7 @@ def verify_quotient_duality(m_seq, window: Window,
     kappa_shift = Degree(4, 0) - 2 * RHO - _quotient_weight(ideal) * RHO
 
     def target(alpha: Degree) -> tuple[int, int]:
-        sub, quot, exact = quotient_groups(ideal, alpha, a_cap)
+        sub, quot, exact = quotient_groups(ideal, alpha)
         if not exact and quot != (0, 0):
             raise UnknownExtension(f"quotient group unresolved at {alpha}")
         return (sub[0] + quot[0], sub[1] + quot[1])
@@ -665,7 +667,7 @@ def verify_quotient_duality(m_seq, window: Window,
     for gamma in window:
         try:
             dual = anderson_dual_groups(target, gamma + kappa_shift)
-            kappa = kappa_groups(ideal, gamma, a_cap)
+            kappa = kappa_groups(ideal, gamma)
         except UnknownExtension as err:
             records.append(DualityRecord(
                 gamma, (0, 0), (0, 0), True, f"skipped: {err}"))

@@ -559,7 +559,7 @@ def lc_oracle_dense(mod, n: int, s: int, alpha: Degree):
         f"did not settle by stage {MAX_E}")
 
 
-def tower_group_fresh(ideal, alpha: Degree, a_cap: int):
+def tower_group_fresh(ideal, alpha: Degree):
     """coefficients.tower_group with one memo per tower, as before towers
     shared their stages: the towers at the tail stop and one index past it
     each compute every stage from the basis up.  The per-stage cokernel and
@@ -576,7 +576,7 @@ def tower_group_fresh(ideal, alpha: Degree, a_cap: int):
 
         def compute(stage, beta):
             if stage == 0:
-                entries = co.basis_in_degree(beta, a_cap)
+                entries = co.basis_in_degree(beta)
                 return co.TowerGroup(entries, True, True,
                                      co.rank_summary(entries), (0, 0))
             index, exp = steps[stage - 1]
@@ -602,7 +602,7 @@ def tower_group_fresh(ideal, alpha: Degree, a_cap: int):
         return group(len(steps), alpha)
 
     ideal = co.QuotientIdeal.of(ideal)
-    stop = co._tail_stop(ideal, alpha, a_cap)
+    stop = co._tail_stop(ideal, alpha)
     g = tower(ideal.steps_up_to(stop))
     if ideal.tail:
         g2 = tower(ideal.steps_up_to(stop + 1))

@@ -95,10 +95,24 @@ def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-def test_caps_a_alone_runs(capsys):
-    code, out = run(capsys, "coeff", "--caps", "40", "--window", "-2:2,-2:2")
-    assert (code, out) == run(capsys, "coeff", "--window", "-2:2,-2:2")
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--spectrum", "bpr", "--window", "-2:2,-2:2"),
+    ("chart", "bpr", "--window", "-3:3,-3:3"),
+    ("verify", "--spectrum", "bpr", "--window", "-2:2,0:0"),
+], ids=lambda argv: argv[0])
+def test_caps_a_alone_runs(capsys, argv):
+    # only hfpss pages reads --caps: these print the same bytes without it
+    want = run(capsys, *argv)
+    assert want[0] == 0 and want[1]
+    for caps in ("0", "60"):
+        assert run(capsys, *argv, "--caps", caps) == want, caps
+
+
+def test_caps_bound_the_e2_page_of_hfpss_pages(capsys):
+    argv = ("hfpss", "pages", "--n", "1", "--window", "0:4,-4:0")
+    code, out = run(capsys, *argv, "--caps", "4")
     assert code == 0
+    assert (code, out) != run(capsys, *argv)
 
 
 def test_window_at_the_coordinate_limit_runs(capsys):
@@ -316,6 +330,21 @@ def test_verify_without_shipped_ssdata_says_so(capsys):
         "24 mismatches; no SSData shipped for n=3")
 
 
+# valid JSON of a shape SSData cannot read, inline or in a file
+_MALFORMED_SSDATA = (
+    ("file", [1, 2]),
+    ("file", "x"),
+    ("inline", {"n": 2, "differentials": 3}),
+    ("inline", {"n": 2, "extensions": [5]}),
+    ("inline", {"n": 2, "differentials": [
+        {"block": "bb", "source": 5, "target": [-1, -7]}]}),
+    ("inline", {"n": 2, "differentials": [
+        {"block": "bb", "source": [0, -7], "target": [-1, -7],
+         "rank": None}]}),
+    ("inline", {"n": 2, "extensions": [{"block": "bb", "degree": None}]}),
+)
+
+
 def test_verify_unreadable_ssdata_is_config_error(capsys, tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("[not ssdata")
@@ -323,6 +352,18 @@ def test_verify_unreadable_ssdata_is_config_error(capsys, tmp_path):
                  "--ssdata", str(garbage)]) == 2
     assert main(["verify", "--spectrum", "bprn", "--n", "1",
                  "--ssdata", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    for where, data in _MALFORMED_SSDATA:
+        ssdata = json.dumps(data)
+        if where == "file":
+            garbage.write_text(ssdata)
+            ssdata = str(garbage)
+        code = main(["verify", "--n", "2", "--window", "0:0,0:0",
+                     "--ssdata", ssdata])
+        captured = capsys.readouterr()
+        assert code == 2, data
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load ssdata: "), data
 
 
 def test_verify_ssdata_of_another_height_is_config_error(capsys, tmp_path):

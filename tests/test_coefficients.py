@@ -106,38 +106,37 @@ def test_basis_against_raw_enumeration():
         assert (free, tors) == oracles.brute_coefficient_group(alpha)
 
 
-def _basis_outcome(fn, alpha, a_cap):
+def _basis_outcome(fn, *args):
     """("ok", basis) from fn, or ("raised", type, message)."""
     try:
-        return ("ok", fn(alpha, a_cap))
+        return ("ok", fn(*args))
     except StabilizationFailure as err:
         return ("raised", type(err), str(err))
 
 
-@pytest.mark.parametrize("a_cap", [40, 0, 4],
-                         ids=["caps0", "caps1", "caps2"])
-def test_single_listing_matches_every_round(a_cap):
+def test_single_listing_matches_every_round():
     for alpha in Window(-10, 10, -10, 10):
-        got = _basis_outcome(coefficients._basis_cached.__wrapped__,
-                             alpha, a_cap)
+        got = _basis_outcome(coefficients._basis_cached.__wrapped__, alpha)
         assert got[0] == "ok", (alpha, got)
         assert got == _basis_outcome(oracles.basis_cached_two_listings,
-                                     alpha, a_cap), (alpha, a_cap)
+                                     alpha, 0), alpha
 
 
 def test_single_listing_fails_as_every_round(monkeypatch):
-    # a bound far too low: the listing goes to filtration a_cap + 8 only,
-    # so every degree with a class in (a_cap, a_cap + 8] must raise
+    # a bound far too low: with bound = cap - 4 the listing goes to
+    # filtration cap + 8 only, so every degree with a class in
+    # (cap, cap + 8] must raise
     truth = {alpha: basis_in_degree(alpha)
              for alpha in Window(-10, 10, -10, 10)}
-    monkeypatch.setattr(coefficients, "_a_exponent_bound", lambda alpha: -100)
     seen = set()
     for cap in (0, 4):
+        monkeypatch.setattr(coefficients, "_a_exponent_bound",
+                            lambda alpha, bound=cap - 4: bound)
         for alpha, basis in truth.items():
             got = _basis_outcome(coefficients._basis_cached.__wrapped__,
-                                 alpha, cap)
+                                 alpha)
             assert got == _basis_outcome(oracles.basis_cached_two_listings,
-                                         alpha, cap), (alpha, cap)
+                                         alpha, 0), (alpha, cap)
             if any(cap < e.mono.k <= cap + 8 for e in basis):
                 assert got == ("raised", StabilizationFailure,
                                f"basis at {alpha} did not stabilize by "

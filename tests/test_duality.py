@@ -1,12 +1,13 @@
 """Degreewise Anderson duals, Gorenstein verification, quotient duality."""
 
+import collections
 import doctest
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realspectra import duality
+from realspectra import blocks, duality
 from realspectra.coefficients import (Monomial, QuotientIdeal, group_in_degree,
                                       nilpotence_check, weight_tuples)
 from realspectra.duality import (
@@ -323,6 +324,31 @@ def test_mutation_sweep_builds_the_table_once():
         verify_gorenstein(2, Window.square(12), ss=sub)
     info = duality.gorenstein_table.cache_info()
     assert (info.misses, info.hits) == (1, 63)
+
+
+def _clear_memos(*modules):
+    for module in modules:
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear") and \
+                    getattr(memo, "__module__", None) == module.__name__:
+                memo.cache_clear()
+
+
+def test_cold_verification_validates_each_cell_once(monkeypatch):
+    # the table reads each block diagonal from n + 1 display rows; the
+    # cells of a diagonal are still checked against the basis only once
+    _clear_memos(duality, blocks)
+    seen = collections.Counter()
+    validate = blocks._validate_cell
+
+    def counted(n, d, l, kind, module, probe):
+        seen[n, d, l, kind] += 1
+        validate(n, d, l, kind, module, probe)
+
+    monkeypatch.setattr(blocks, "_validate_cell", counted)
+    verify_gorenstein(2, Window.square(12))
+    assert seen
+    assert [cell for cell, calls in seen.items() if calls > 1] == []
 
 
 def test_misplaced_differential_source_is_inconsistent():
