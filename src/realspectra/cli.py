@@ -8,9 +8,16 @@ Commands
     verify   Gorenstein duality (truncations) or quotient duality (full ring)
     chart    plane chart of classes, text or SVG
 
-Shared flags: --n, --spectrum, --window, --caps, --format, --out,
---ssdata, --oracle.  Window syntax is `a:b,c:d` (trivial range, sign
-range); an empty range is allowed and yields an empty table.
+Every command takes --n, --window, --format and --out; on top of them
+    coeff    --spectrum {bpr,bprn}   (default bpr)
+    hfpss    --caps                  (`hfpss pages` only)
+    lc       --oracle
+    verify   --spectrum {bprn,bpr}   (default bprn), --ssdata (bprn only)
+and any other flag is an argparse error.  --n is refused where no height
+is read (`coeff` and `verify` with --spectrum bpr, `chart bpr`), optional
+in `hfpss einf|pages` (absent: the full ring) and needed elsewhere.  Window
+syntax is `a:b,c:d` (trivial range, sign range); an empty range is
+allowed and yields an empty table.
 
 `lc --oracle` ignores the bb/nb mode: it checks every catalogue closed
 form at height --n against the Koszul oracle on the window's trivial
@@ -27,25 +34,26 @@ is a configuration error):
               ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
               the radius of the acceptance windows;
-    --caps    `A`, an a-exponent cap A >= 0.  Only `hfpss pages` reads
-              it: E_2 has infinite rank in each degree, and the pages list
-              it to filtration A.  Every other command ignores it, since
-              the degree alone fixes each listing they make;
-    --out     its directory must exist.
+    --caps    `A`, an a-exponent cap A >= 0: E_2 has infinite rank in
+              each degree, and the pages list it to filtration A;
+    --out     its directory must exist, and it must not be a directory.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
 inconsistent data, 2 configuration error, 3 stabilization failure.
 
 Set REALSPECTRA_CACHE_DIR to memoize finished runs.  An entry is keyed on
-the package version, the argv and the sha256 of every input file the
-argv names (the --ssdata file), so editing an input is never served a
+the package version, the validated `RunConfig` without --out (so argvs
+that differ only in spelling or in a flag at its default share it) and
+the sha256 of the --ssdata file, so editing an input is never served a
 stale result; entries are written atomically.  An unreadable or malformed
 entry counts as a miss and is overwritten; a failed write only warns.
 
-This module is the light half of the CLI: it imports the standard library,
-`__version__` and `grading` only, so a cache hit or a bad argument is
-served without loading any compute layer.  `main` imports
-`commands`, which runs the computation, only on a cache miss.
+This module is the light half of the CLI and the one place that checks
+arguments: it imports the standard library, `__version__` and `grading`
+only, so a cache hit or a bad argument is served without loading any
+compute layer.  `main` imports `commands`, which runs the computation,
+only on a cache miss; the one configuration error left to it is --ssdata
+contents that cannot be read as SSData.
 """
 
 from __future__ import annotations
@@ -88,8 +96,9 @@ class ConfigError(Exception):
 class RunConfig:
     """Validated inputs of one run; window is None for an empty range.
 
-    caps holds the --caps bound A as given, or None for the default E_2
-    cap; only `hfpss pages` reads it.
+    A flag the command does not take holds its default.  caps holds the
+    --caps bound A as given, or None for the default E_2 cap; only
+    `hfpss pages` reads it.
     """
 
     command: str
@@ -140,6 +149,8 @@ def _parse_caps(text: str) -> int:
 
 
 def _check_out(path: str | None) -> str | None:
+    if path and os.path.isdir(path):
+        raise ConfigError(f"cannot write --out: {path!r} is a directory")
     folder = os.path.dirname(path or "")
     if folder and not os.path.isdir(folder):
         raise ConfigError(f"--out directory does not exist: {folder!r}")
@@ -153,7 +164,14 @@ _MODES = {
     "chart": (("bb", "nb", "assembled", "bpr"), "assembled"),
 }
 
-_DEFAULT_SPECTRUM = {"coeff": "bpr", "verify": "bprn"}
+# the --spectrum choices of the commands that take it; the first is the
+# default, and every other command reads as "bpr"
+_SPECTRA = {"coeff": ("bpr", "bprn"), "verify": ("bprn", "bpr")}
+
+# the invocations, as typed, where --n is optional (absent: the full
+# ring) and where nothing reads it; every other one needs it
+_N_OPTIONAL = {"hfpss einf", "hfpss pages"}
+_N_UNREAD = {"coeff", "verify --spectrum bpr", "chart bpr"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,69 +181,91 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command in _FORMATS:
         sub = subs.add_parser(command)
+        # what a command does not take reads as its default
+        sub.set_defaults(mode="", spectrum="bpr", caps=None, ssdata=None,
+                         oracle=False)
         if command in _MODES:
             choices, default = _MODES[command]
             sub.add_argument("mode", nargs="?", choices=choices,
                              default=default)
         sub.add_argument("--n", type=int, default=None)
-        sub.add_argument("--spectrum",
-                         default=_DEFAULT_SPECTRUM.get(command, "bpr"))
         sub.add_argument("--window", default="-8:8,-8:8")
-        sub.add_argument("--caps", default=None)
         sub.add_argument("--format", dest="fmt", default=None)
         sub.add_argument("--out", default=None)
-        sub.add_argument("--ssdata", default=None)
-        sub.add_argument("--oracle", action="store_true")
+        if command in _SPECTRA:
+            sub.add_argument("--spectrum", choices=_SPECTRA[command],
+                             default=_SPECTRA[command][0])
+        if command == "hfpss":
+            sub.add_argument("--caps", default=None)
+        if command == "lc":
+            sub.add_argument("--oracle", action="store_true")
+        if command == "verify":
+            sub.add_argument("--ssdata", default=None)
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    fmt = args.fmt or _FORMATS[args.command][0]
-    if fmt not in _FORMATS[args.command]:
+    command = args.command
+    fmt = args.fmt or _FORMATS[command][0]
+    if fmt not in _FORMATS[command]:
         raise ConfigError(
-            f"{args.command} supports --format "
-            f"{'/'.join(_FORMATS[args.command])}, got {fmt!r}")
-    if args.command == "hfpss" and args.mode == "pages" and fmt == "csv":
+            f"{command} supports --format "
+            f"{'/'.join(_FORMATS[command])}, got {fmt!r}")
+    if (command, args.mode) == ("hfpss", "pages") and fmt == "csv":
         raise ConfigError(
             f"hfpss pages supports --format json/ascii, got {fmt!r}")
     if args.n is not None and not 0 <= args.n <= MAX_N:
         raise ConfigError(f"--n must be in 0..{MAX_N}, got {args.n}")
-    if args.command == "lc" and args.oracle and args.n is not None and \
+    if args.oracle and args.n is not None and \
             args.n not in ORACLE_HEIGHTS:
         raise ConfigError(
             f"--oracle catalogue covers n = "
             f"{', '.join(map(str, ORACLE_HEIGHTS))}; got {args.n}")
-    return RunConfig(
-        command=args.command,
-        mode=getattr(args, "mode", ""),
-        n=args.n,
-        spectrum=args.spectrum,
+    cfg = RunConfig(
+        command=command, mode=args.mode, n=args.n, spectrum=args.spectrum,
         window=_parse_window(args.window),
         caps=None if args.caps is None else _parse_caps(args.caps),
-        fmt=fmt,
-        out=_check_out(args.out),
-        ssdata=args.ssdata,
-        oracle=args.oracle,
-    )
+        fmt=fmt, out=_check_out(args.out), ssdata=args.ssdata,
+        oracle=args.oracle)
+    # the invocation as typed: command, mode, and a --spectrum other than
+    # the command's default
+    typed = [command, cfg.mode]
+    if command in _SPECTRA and cfg.spectrum != _SPECTRA[command][0]:
+        typed.append(f"--spectrum {cfg.spectrum}")
+    named = " ".join(filter(None, typed))
+    if cfg.n is None and named not in _N_OPTIONAL | _N_UNREAD:
+        raise ConfigError(f"{named} needs --n")
+    if cfg.n is not None and named in _N_UNREAD:
+        raise ConfigError(f"{named} reads no --n")
+    if cfg.caps is not None and cfg.mode != "pages":
+        raise ConfigError(f"--caps bounds only hfpss pages, not {named}")
+    if cfg.ssdata is not None and cfg.spectrum != "bprn":
+        raise ConfigError(f"--ssdata serves only verify --spectrum bprn, "
+                          f"not {named}")
+    return cfg
 
 
 def _input_digests(cfg: RunConfig) -> list[str]:
-    """sha256 of each input file the argv names: the --ssdata file, unless
-    the data is given inline as JSON text."""
+    """sha256 of each input file the run reads: the --ssdata file, unless
+    the data is given inline as JSON text; a ConfigError if it cannot be
+    read.  Whether it holds SSData is for `commands` to find out."""
     if cfg.ssdata is None or cfg.ssdata.lstrip().startswith("{"):
         return []
     try:
         with open(cfg.ssdata, "rb") as handle:
             return [hashlib.sha256(handle.read()).hexdigest()]
-    except OSError:
-        return ["unreadable"]
+    except OSError as err:
+        raise ConfigError(f"cannot load ssdata: {err}")
 
 
-def _cache_path(argv: list[str], cfg: RunConfig) -> str | None:
+def _cache_path(cfg: RunConfig, digests: list[str]) -> str | None:
+    """The entry of cfg's result: argvs that validate to one config, --out
+    aside, print the same text and share it."""
     root = os.environ.get("REALSPECTRA_CACHE_DIR")
     if not root:
         return None
-    blob = json.dumps([__version__, argv, _input_digests(cfg)])
+    fields = dataclasses.asdict(dataclasses.replace(cfg, out=None))
+    blob = json.dumps([__version__, fields, digests], sort_keys=True)
     key = hashlib.sha256(blob.encode()).hexdigest()
     return os.path.join(root, key + ".json")
 
@@ -288,17 +328,17 @@ def _glue_window(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
         parsed = _build_parser().parse_args(_glue_window(argv))
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
         cfg = _config_from(parsed)
+        cache = _cache_path(cfg, _input_digests(cfg))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    cache = _cache_path(argv, cfg)
     hit = _lookup(cache) if cache else None
     if hit is not None:
         return _emit(cfg, *hit)

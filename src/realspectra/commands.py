@@ -3,8 +3,10 @@
 `cli.main` imports this module only on a cache miss, after every argument
 has been validated, because it pulls in every compute layer module; a
 cache hit or a configuration error never pays for it.  Each `cmd_*`
-takes a validated `cli.RunConfig` and returns the exit code and the
-rendered text; `main` maps the exceptions listed in `INCONSISTENT` and
+takes a complete `cli.RunConfig`, in which every field a command reads
+is set, and returns the exit code and the rendered text; the only
+`ConfigError` raised here is for --ssdata contents that are not SSData.
+`main` maps the exceptions listed in `INCONSISTENT` and
 `StabilizationFailure` to exit codes.
 """
 
@@ -34,16 +36,9 @@ INCONSISTENT = (InternalInconsistency, InconsistentSSData, UnknownExtension,
                 AssertionError)
 
 
-def _require_n(cfg: RunConfig, *context: str) -> int:
-    """cfg.n, or a ConfigError naming the command, its mode and `context`."""
-    if cfg.n is None:
-        parts = (cfg.command, cfg.mode, *context)
-        raise ConfigError(" ".join(filter(None, parts)) + " needs --n")
-    return cfg.n
-
-
-def _degrees(window: Window) -> list[Degree]:
-    return sorted(window, key=lambda d: (d.triv, d.sgn))
+def _degrees(window: Window | None) -> list[Degree]:
+    """The window's degrees in (triv, sgn) order; none for an empty range."""
+    return list(window or ())
 
 
 # --- table rendering ------------------------------------------------------------
@@ -81,84 +76,68 @@ def _emit_ascii(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table(cfg: RunConfig, header: list[str], rows: list[list],
-           json_rows: list[dict], **extra) -> str:
+def _json_row(header: list[str], row: list) -> dict:
+    """A row keyed by column name; leading triv, sgn make one "degree"."""
+    if header[:2] == ["triv", "sgn"]:
+        return {"degree": row[:2], **dict(zip(header[2:], row[2:]))}
+    return dict(zip(header, row))
+
+
+def _table(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+    """rows under header in cfg's format; a list cell is "; "-joined
+    outside JSON."""
     if cfg.fmt == "json":
-        return _emit_json(_envelope(cfg, json_rows, **extra))
+        return _emit_json(_envelope(cfg, [_json_row(header, r) for r in rows]))
+    flat = [["; ".join(x) if isinstance(x, list) else x for x in row]
+            for row in rows]
     if cfg.fmt == "csv":
-        return _emit_csv(header, rows)
-    return _emit_ascii(header, rows)
+        return _emit_csv(header, flat)
+    return _emit_ascii(header, flat)
 
 
 def _group_rows(cfg: RunConfig, fn) -> str:
     """Shared (free, f2)-per-degree table; drops zero rows."""
-    header = ["triv", "sgn", "free", "f2"]
-    if cfg.window is None:
-        return _table(cfg, header, [], [])
-    rows, json_rows = [], []
-    for alpha in _degrees(cfg.window):
-        free, f2 = fn(alpha)
-        if free or f2:
-            rows.append([alpha.triv, alpha.sgn, free, f2])
-            json_rows.append({"degree": [alpha.triv, alpha.sgn],
-                              "free": free, "f2": f2})
-    return _table(cfg, header, rows, json_rows)
+    groups = ((a, fn(a)) for a in _degrees(cfg.window))
+    rows = [[a.triv, a.sgn, free, f2] for a, (free, f2) in groups
+            if free or f2]
+    return _table(cfg, ["triv", "sgn", "free", "f2"], rows)
 
 
 # --- commands -------------------------------------------------------------------
 
 def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.spectrum == "bpr":
-        fn = group_in_degree
-    elif cfg.spectrum == "bprn":
-        n = _require_n(cfg, "--spectrum bprn")
-        fn = lambda a: assemble_groups(n, a)
-    else:
-        raise ConfigError(f"coeff supports --spectrum bpr or bprn, "
-                          f"got {cfg.spectrum!r}")
-    return 0, _group_rows(cfg, fn)
+    if cfg.spectrum == "bprn":
+        return 0, _group_rows(cfg, lambda a: assemble_groups(cfg.n, a))
+    return 0, _group_rows(cfg, group_in_degree)
 
 
 def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
     if cfg.mode == "einf":
         return 0, _group_rows(cfg, lambda a: e_infinity_groups(cfg.n, a))
     if cfg.mode in ("tate", "geo"):
-        n = _require_n(cfg)
         fn = tate_groups if cfg.mode == "tate" else geometric_cofibre_groups
-        header = ["triv", "sgn", "rank"]
-        if cfg.window is None:
-            return 0, _table(cfg, header, [], [])
-        ranks = ((a, fn(n, a)) for a in _degrees(cfg.window))
+        ranks = ((a, fn(cfg.n, a)) for a in _degrees(cfg.window))
         rows = [[a.triv, a.sgn, r] for a, r in ranks if r]
-        json_rows = [{"degree": row[:2], "rank": row[2]} for row in rows]
-        return 0, _table(cfg, header, rows, json_rows)
-    if cfg.mode == "pages":
-        if cfg.window is None:
-            if cfg.fmt == "json":
-                return 0, _emit_json(_envelope(cfg, [], pages=[]))
-            return 0, ""
-        cap = DEFAULT_A_CAP if cfg.caps is None else cfg.caps
-        pages = run_differentials(cfg.n, cfg.window, a_cap=cap)
-        dumped = []
-        for page in pages:
-            classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]
-                       for a, entries in sorted(
-                           page.classes.items(),
-                           key=lambda kv: (kv[0].triv, kv[0].sgn))
-                       if entries}
-            dumped.append({"r_first": page.r_first, "r_last": page.r_last,
-                           "classes": classes,
-                           "fired": [[str(x), str(y)] for x, y in page.fired]})
-        if cfg.fmt == "json":
-            return 0, _emit_json(_envelope(cfg, [], pages=dumped))
-        lines = []
-        for page in dumped:
-            total = sum(len(v) for v in page["classes"].values())
-            lines.append(f"E_{page['r_first']}..E_{page['r_last']}: "
-                         f"{total} classes, {len(page['fired'])} fired")
-            lines.extend(f"  d: {x} -> {y}" for x, y in page["fired"])
-        return 0, "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown hfpss mode {cfg.mode!r}")
+        return 0, _table(cfg, ["triv", "sgn", "rank"], rows)
+    cap = DEFAULT_A_CAP if cfg.caps is None else cfg.caps   # mode pages
+    pages = [] if cfg.window is None else run_differentials(
+        cfg.n, cfg.window, a_cap=cap)
+    dumped = []
+    for page in pages:
+        classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]
+                   for a, entries in sorted(page.classes.items()) if entries}
+        dumped.append({"r_first": page.r_first, "r_last": page.r_last,
+                       "classes": classes,
+                       "fired": [[str(x), str(y)] for x, y in page.fired]})
+    if cfg.fmt == "json":
+        return 0, _emit_json(_envelope(cfg, [], pages=dumped))
+    lines = []
+    for page in dumped:
+        total = sum(len(v) for v in page["classes"].values())
+        lines.append(f"E_{page['r_first']}..E_{page['r_last']}: "
+                     f"{total} classes, {len(page['fired'])} fired")
+        lines.extend(f"  d: {x} -> {y}" for x, y in page["fired"])
+    return 0, "".join(line + "\n" for line in lines)
 
 
 def _block_classes(cfg: RunConfig, n: int, alpha: Degree) -> list:
@@ -170,24 +149,16 @@ def _block_classes(cfg: RunConfig, n: int, alpha: Degree) -> list:
 
 
 def cmd_blocks(cfg: RunConfig) -> tuple[int, str]:
-    n = _require_n(cfg)
-    header = ["triv", "sgn", "free", "f2", "classes"]
-    if cfg.window is None:
-        return 0, _table(cfg, header, [], [])
-    rows, json_rows = [], []
+    rows = []
     for alpha in _degrees(cfg.window):
-        classes = _block_classes(cfg, n, alpha)
+        classes = _block_classes(cfg, cfg.n, alpha)
         if not classes:
             continue
         f2 = sum(1 for c in classes
                  if (c.entry if hasattr(c, "entry") else c).torsion)
-        names = [c.describe() for c in classes]
         rows.append([alpha.triv, alpha.sgn, len(classes) - f2, f2,
-                     "; ".join(names)])
-        json_rows.append({"degree": [alpha.triv, alpha.sgn],
-                          "free": len(classes) - f2, "f2": f2,
-                          "classes": names})
-    return 0, _table(cfg, header, rows, json_rows)
+                     [c.describe() for c in classes]])
+    return 0, _table(cfg, ["triv", "sgn", "free", "f2", "classes"], rows)
 
 
 def _lc_oracle(cfg: RunConfig, n: int) -> str:
@@ -206,25 +177,17 @@ def _lc_oracle(cfg: RunConfig, n: int) -> str:
                            "range": k_range, "checked": checked,
                            "convention": notes, "diffs": 0})
     rows = [[name, *k_range, 0] for name in checked]
-    return _table(cfg, ["module", "k_lo", "k_hi", "diffs"], rows, [])
+    return _table(cfg, ["module", "k_lo", "k_hi", "diffs"], rows)
 
 
 def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
-    n = _require_n(cfg)
     if cfg.oracle:   # cli has checked n against ORACLE_HEIGHTS
-        return 0, _lc_oracle(cfg, n)
-    header = ["d", "s", "column", "module"]
-    if cfg.window is None:
-        return 0, _table(cfg, header, [], [])
-    table = lc_of_block(n, cfg.mode, d_lo=cfg.window.triv_min,
-                        d_hi=cfg.window.triv_max)
-    rows, json_rows = [], []
-    for d in sorted(table):
-        for s, column, module in table[d]:
-            rows.append([d, s, column, module.describe()])
-            json_rows.append({"d": d, "s": s, "column": column,
-                              "module": module.describe()})
-    return 0, _table(cfg, header, rows, json_rows)
+        return 0, _lc_oracle(cfg, cfg.n)
+    table = {} if cfg.window is None else lc_of_block(
+        cfg.n, cfg.mode, d_lo=cfg.window.triv_min, d_hi=cfg.window.triv_max)
+    rows = [[d, s, column, module.describe()]
+            for d in sorted(table) for s, column, module in table[d]]
+    return 0, _table(cfg, ["d", "s", "column", "module"], rows)
 
 
 def _report_text(cfg: RunConfig, report: DualityReport) -> str:
@@ -243,16 +206,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
         report = DualityReport([], "empty window: 0 degrees checked")
         return 0, _report_text(cfg, report)
     if cfg.spectrum == "bprn":
-        n = _require_n(cfg)
         ss = None
         if cfg.ssdata is not None:
             try:
                 ss = load_ssdata(cfg.ssdata)
-                ss.check_height(n)
+                ss.check_height(cfg.n)
             except (OSError, ValueError) as err:
                 raise ConfigError(f"cannot load ssdata: {err}")
-        report = verify_gorenstein(n, cfg.window, ss)
-    elif cfg.spectrum == "bpr":
+        report = verify_gorenstein(cfg.n, cfg.window, ss)
+    else:
         records = []
         for k in range(cfg.window.triv_min, cfg.window.triv_max + 1):
             for line in (Window(k, k, k, k), Window(k - 1, k - 1, k, k)):
@@ -263,9 +225,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
             records, f"full ring rho lines k in [{cfg.window.triv_min}, "
                      f"{cfg.window.triv_max}]: {len(records)} degrees, "
                      f"{bad} mismatches")
-    else:
-        raise ConfigError(f"verify supports --spectrum bprn or bpr, "
-                          f"got {cfg.spectrum!r}")
     return (0 if report.clean else 1), _report_text(cfg, report)
 
 
@@ -297,8 +256,6 @@ def _chart_classes(cfg: RunConfig, alpha: Degree) -> list[ChartClass]:
 def cmd_chart(cfg: RunConfig) -> tuple[int, str]:
     if cfg.window is None:
         return 0, ""
-    if cfg.mode != "bpr":
-        _require_n(cfg)
     cells: Cells = {}
     for alpha in _degrees(cfg.window):
         classes = _chart_classes(cfg, alpha)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -54,7 +55,9 @@ def test_missing_n_is_config_error(capsys):
 
 
 def test_bad_caps_and_jobs_are_config_errors(capsys):
-    assert main(["coeff", "--caps", "fast", "--window", "0:0,0:0"]) == 2
+    assert main(["hfpss", "pages", "--caps", "fast",
+                 "--window", "0:0,0:0"]) == 2
+    assert capsys.readouterr().err.startswith("error: caps must be")
     assert main(["coeff", "--jobs", "0", "--window", "0:0,0:0"]) == 2
 
 
@@ -78,11 +81,11 @@ def test_out_of_range_n_is_config_error(capsys, argv):
     ("verify", "--n", "2", "--window", f"-{MAX_COORD + 1}:0,0:0"),
     ("chart", "bpr", "--window", "-1000000:1000000,-1:1"),
     ("hfpss", "tate", "--n", "1", "--window", "1000:0,0:0"),
-    ("coeff", "--caps", "-5", "--window", "0:0,0:0"),
-    ("coeff", "--caps", "0,0", "--window", "0:0,0:0"),
-    ("chart", "bpr", "--caps", "40,-1"),
-    ("coeff", "--caps", "40,4", "--window", "0:0,0:0"),
-    ("coeff", "--caps", "", "--window", "0:0,0:0"),
+    ("hfpss", "pages", "--caps", "-5", "--window", "0:0,0:0"),
+    ("hfpss", "pages", "--caps", "0,0", "--window", "0:0,0:0"),
+    ("hfpss", "pages", "--caps", "40,-1"),
+    ("hfpss", "pages", "--caps", "40,4", "--window", "0:0,0:0"),
+    ("hfpss", "pages", "--caps", "", "--window", "0:0,0:0"),
     ("hfpss", "pages", "--n", "1", "--window", "0:4,-4:0", "--format", "csv"),
 ])
 def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
@@ -99,13 +102,13 @@ def test_oversized_window_and_bad_caps_are_config_errors(capsys, argv):
     ("coeff", "--spectrum", "bpr", "--window", "-2:2,-2:2"),
     ("chart", "bpr", "--window", "-3:3,-3:3"),
     ("verify", "--spectrum", "bpr", "--window", "-2:2,0:0"),
+    ("hfpss", "einf", "--window", "-2:2,-2:2"),
 ], ids=lambda argv: argv[0])
-def test_caps_a_alone_runs(capsys, argv):
-    # only hfpss pages reads --caps: these print the same bytes without it
-    want = run(capsys, *argv)
-    assert want[0] == 0 and want[1]
+def test_caps_outside_hfpss_pages_is_rejected(capsys, argv):
+    # only hfpss pages reads --caps; the other commands do not take it
+    assert run(capsys, *argv)[0] == 0
     for caps in ("0", "60"):
-        assert run(capsys, *argv, "--caps", caps) == want, caps
+        assert run(capsys, *argv, "--caps", caps) == (2, ""), caps
 
 
 def test_caps_bound_the_e2_page_of_hfpss_pages(capsys):
@@ -491,6 +494,21 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
                                               "text": first[1]}
 
 
+def test_cache_keys_on_the_validated_config(capsys, tmp_path, monkeypatch):
+    # argvs that validate to one config, --out aside, share one entry
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(cache))
+    target = tmp_path / "table.json"
+    seen = {run(capsys, *argv) for argv in (
+        ("coeff", "--window", "-2:2,-2:2"),
+        ("coeff", "--format", "json", "--window=-2:2,-2:2"),
+        ("coeff", "--spectrum", "bpr", "--window", "-2:2,-2:2"),
+        ("coeff", "--window", "-2:2,-2:2", "--out", str(target)))}
+    [(code, out)] = seen - {(0, "")}
+    assert code == 0 and out and target.read_text() == out
+    assert len(list(cache.iterdir())) == 1
+
+
 def test_unwritable_cache_dir_only_warns(capsys, tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -589,6 +607,14 @@ def test_cache_hit_loads_no_compute_module(tmp_path):
     ["coeff", "--jobs", "2"],               # argparse error
     ["lc", "--oracle", "--n", "3"],         # no oracle catalogue at n = 3
     ["hfpss", "pages", "--n", "1", "--format", "csv"],   # a log, no table
+    ["blocks", "bb"],                       # missing --n
+    ["coeff", "--spectrum", "tmf"],         # unknown spectrum
+    ["coeff", "--caps", "0"],               # a flag coeff does not take
+    ["verify", "--spectrum", "bpr", "--n", "1"],   # an --n nothing reads
+    ["hfpss", "einf", "--caps", "0"],       # --caps outside hfpss pages
+    ["verify", "--spectrum", "bpr", "--ssdata", "{}"],   # ssdata, no bprn
+    ["verify", "--n", "2", "--ssdata", os.path.join(SRC, "missing.json")],
+    ["verify", "--n", "2", "--window", "-12:12,-12:12", "--out", SRC],
 ])
 def test_rejected_argv_loads_no_compute_module(argv):
     assert fresh_process(argv) == (2, repr(LIGHT))
@@ -627,18 +653,36 @@ def module_run(argv) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def test_python_m_reports_config_errors_of_commands():
+def test_python_m_reports_config_errors_of_commands(tmp_path):
     # `commands` raises this one, after the compute stack is loaded
-    done = module_run(["lc", "bb"])
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("[not ssdata")
+    done = module_run(["verify", "--n", "1", "--window", "0:0,0:0",
+                       "--ssdata", str(garbage)])
     assert "Traceback" not in done.stderr
     assert done.returncode == 2
-    assert done.stderr == "error: lc bb needs --n\n"
+    assert done.stderr.startswith("error: cannot load ssdata: ")
 
 
 def test_missing_n_message_names_the_spectrum(capsys):
     # coeff has no mode: the message joins only the parts it has
     assert main(["coeff", "--spectrum", "bprn"]) == 2
     assert capsys.readouterr().err == "error: coeff --spectrum bprn needs --n\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["blocks", "bb"], "blocks bb needs --n"),
+    (["verify"], "verify needs --n"),
+    (["chart", "nb", "--window", "2:1,0:0"], "chart nb needs --n"),
+    (["coeff", "--n", "1"], "coeff reads no --n"),
+    (["verify", "--spectrum", "bpr", "--n", "1"],
+     "verify --spectrum bpr reads no --n"),
+    (["chart", "bpr", "--n", "2"], "chart bpr reads no --n"),
+])
+def test_n_messages_name_the_invocation(capsys, argv, message):
+    # a --spectrum at the command's default goes unnamed
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_python_m_prints_what_main_prints(capsys):
@@ -659,6 +703,12 @@ FUZZ_MODES = {
     "chart": ("bb", "nb", "assembled", "bpr"),
 }
 FUZZ_FORMATS = ("json", "csv", "ascii", "svg")
+# the flags each command takes beyond --n, --window, --format and --out,
+# and the values drawn for each (None: a switch)
+FUZZ_OWN = {"coeff": ("--spectrum",), "hfpss": ("--caps",),
+            "lc": ("--oracle",), "verify": ("--spectrum", "--ssdata")}
+FUZZ_VALUES = {"--spectrum": ("bpr", "bprn"), "--caps": ("0", "4", "40"),
+               "--oracle": (None,), "--ssdata": ('{"n": 1}', '{"n": 2}')}
 FUZZ_SECONDS = 30   # per call; far above any call here, so only a hang trips
 
 
@@ -666,7 +716,8 @@ FUZZ_SECONDS = 30   # per call; far above any call here, so only a hang trips
 def fuzz_argv(draw) -> list[str]:
     """Any command with one of its modes (now and then a foreign one) or
     none, n in {None, 0, 1, 2}, a window within radius 3 (now and then
-    empty), any format or none, any spectrum or none, --oracle or not."""
+    empty), any format or none, each flag of the command's own or not, and
+    now and then one flag the command does not take."""
     command = draw(st.sampled_from(sorted(FUZZ_MODES)))
     argv = [command]
     mode = draw(st.sampled_from((None, None, "bpr") + FUZZ_MODES[command] * 2))
@@ -683,11 +734,14 @@ def fuzz_argv(draw) -> list[str]:
     fmt = draw(st.sampled_from((None,) + FUZZ_FORMATS))
     if fmt:
         argv += ["--format", fmt]
-    spectrum = draw(st.sampled_from((None, "bpr", "bprn")))
-    if spectrum:
-        argv += ["--spectrum", spectrum]
-    if draw(st.booleans()):
-        argv.append("--oracle")
+    own = FUZZ_OWN.get(command, ())
+    flags = [flag for flag in own if draw(st.booleans())]
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        flags.append(draw(st.sampled_from(
+            sorted(set(FUZZ_VALUES) - set(own)))))
+    for flag in flags:
+        value = draw(st.sampled_from(FUZZ_VALUES[flag]))
+        argv += [flag] if value is None else [flag, value]
     return argv
 
 
@@ -701,7 +755,9 @@ def captured_main(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100, deadline=None)   # 1-2 s of tier-1
+# 125 examples, about 50 of which compute and the rest stop at exit 2;
+# 1-2 s of tier-1
+@settings(max_examples=125, deadline=None)
 @given(argv=fuzz_argv())
 def test_fuzzed_argv_ends_cleanly_and_replays(argv):
     with tempfile.TemporaryDirectory() as cache, \
@@ -711,3 +767,34 @@ def test_fuzzed_argv_ends_cleanly_and_replays(argv):
         assert "Traceback" not in err, argv
         again, out_again, _ = captured_main(argv)
     assert (again, out_again) == (code, out), argv
+
+
+# --- the README's examples --------------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                      "README.md")
+
+
+def readme_commands() -> list[list[str]]:
+    """Each `realspectra ...` line of the README's command block, as argv."""
+    with open(README) as handle:
+        text = handle.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines
+            if line.startswith("realspectra ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, tmp_path, argv):
+    argv = list(argv)
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0, capsys.readouterr().err
