@@ -3,8 +3,6 @@ spectra, their local cohomology, and Anderson/Gorenstein duality."""
 
 __version__ = "0.1.0"
 
-from .grading import Degree, Window, ZERO, SIGMA, RHO, DELTA, generator_degree
+from .grading import Degree, Window, ZERO, SIGMA, RHO, DELTA
 
-__all__ = [
-    "Degree", "Window", "ZERO", "SIGMA", "RHO", "DELTA", "generator_degree",
-]
+__all__ = ["Degree", "Window", "ZERO", "SIGMA", "RHO", "DELTA"]

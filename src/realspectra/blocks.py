@@ -29,7 +29,7 @@ from functools import lru_cache
 from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       map_is_surjective, zeros)
 from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           degree_monomials, rank_summary)
+                           _first_index_above, degree_monomials, rank_summary)
 from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
@@ -252,12 +252,6 @@ def ref_degree(column: int, d: int) -> Degree:
     return Degree(2 * column, 2 * column - d)
 
 
-def _torsion_floor(k: int) -> int:
-    # the number of vbar indices annihilated at a-exponent k: a^k kills
-    # vbar_i once k >= 2^(i+1) - 1
-    return (k + 1).bit_length() - 2
-
-
 def _cell_candidate(n: int, d: int, l: int,
                     kind: str) -> StandardModule | None:
     k = d - 4 * l
@@ -271,7 +265,7 @@ def _cell_candidate(n: int, d: int, l: int,
         if val is None or val >= n:
             return p_module(shift)
         return ideal_z(val, shift)
-    s = _torsion_floor(k)
+    s = _first_index_above(k) - 1   # a^k kills vbar_1 .. vbar_s
     if l == 0:
         if kind == "nb":
             return ideal_f2(s, n, shift) if s < n else None

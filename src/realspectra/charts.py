@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .coefficients import Monomial
-from .grading import RHO, Degree, Window
+from .coefficients import Monomial, vbar_monomial
+from .grading import Degree, Window
 
 GLYPH_FREE = "□"      # square, lattice 1
 GLYPH_DOUBLED = "○"   # circle, lattice 2
@@ -68,20 +68,17 @@ def ascii_chart(cells: Cells, window: Window) -> str:
     return "\n".join(lines + [legend]) + "\n"
 
 
-def _actions(cells: Cells, window: Window,
-             max_index: int) -> list[tuple[Degree, Degree]]:
+def _actions(cells: Cells, max_index: int) -> list[tuple[Degree, Degree]]:
     """(source, target) degree pairs with a drawn multiplication between them."""
     pairs = []
-    mults = [(Monomial(1, 0), Degree(0, -1))]
-    for i in range(1, max_index + 1):
-        vb = Monomial(0, 0, (0,) * (i - 1) + (1,))
-        mults.append((vb, (2 ** i - 1) * RHO))
+    mults = [Monomial(1, 0)] + [vbar_monomial(i)
+                                for i in range(1, max_index + 1)]
     for alpha, classes in cells.items():
         monos = {c.mono for c in classes if c.mono is not None}
         if not monos:
             continue
-        for mult, shift in mults:
-            target = alpha + shift
+        for mult in mults:
+            target = alpha + mult.degree()
             if target not in cells:
                 continue
             hit = {c.mono for c in cells[target] if c.mono is not None}
@@ -138,16 +135,14 @@ def svg_chart(cells: Cells, window: Window, max_index: int = 3) -> str:
             out.append(f'<text x="{left - 6}" y="{cy(s) + 3}" '
                        f'text-anchor="end">{s}</text>')
     # multiplication segments under the glyphs
-    for src, tgt in _actions(cells, window, max_index):
+    for src, tgt in _actions(cells, max_index):
         out.append(f'<line x1="{cx(src.triv)}" y1="{cy(src.sgn)}" '
                    f'x2="{cx(tgt.triv)}" y2="{cy(tgt.sgn)}" '
                    f'stroke="#b0b0b0" stroke-width="0.8"/>')
     # glyphs, spread inside their cell when a degree carries several
     for alpha in sorted(cells, key=lambda d: (d.triv, d.sgn)):
         classes = cells[alpha]
-        if not classes or not (window.triv_min <= alpha.triv <=
-                               window.triv_max and
-                               window.sgn_min <= alpha.sgn <= window.sgn_max):
+        if not classes or alpha not in window:
             continue
         k = len(classes)
         step = min(9.0, (unit - 6) / k) if k > 1 else 0.0

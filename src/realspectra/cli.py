@@ -11,7 +11,7 @@ Commands
 Every command takes --n, --window, --format and --out; on top of them
     coeff    --spectrum {bpr,bprn}   (default bpr)
     hfpss    --caps                  (`hfpss pages` only)
-    lc       --oracle
+    lc       --oracle                (`lc` or `lc bb` only)
     verify   --spectrum {bprn,bpr}   (default bprn), --ssdata (bprn only)
 and any other flag is an argparse error.  --n is refused where no height
 is read (`coeff` and `verify` with --spectrum bpr, `chart bpr`), optional
@@ -19,8 +19,8 @@ in `hfpss einf|pages` (absent: the full ring) and needed elsewhere.  Window
 syntax is `a:b,c:d` (trivial range, sign range); an empty range is
 allowed and yields an empty table.
 
-`lc --oracle` ignores the bb/nb mode: it checks every catalogue closed
-form at height --n against the Koszul oracle on the window's trivial
+`lc --oracle` (or `lc bb --oracle`) checks every catalogue closed form
+at height --n against the Koszul oracle on the window's trivial
 range and prints one row per module checked (module, k_lo, k_hi,
 diffs); JSON lists the modules and the convention report instead.  An
 empty window checks nothing.
@@ -239,6 +239,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{named} reads no --n")
     if cfg.caps is not None and cfg.mode != "pages":
         raise ConfigError(f"--caps bounds only hfpss pages, not {named}")
+    if cfg.oracle and cfg.mode != "bb":
+        raise ConfigError(f"--oracle runs only as lc or lc bb, not {named}")
     if cfg.ssdata is not None and cfg.spectrum != "bprn":
         raise ConfigError(f"--ssdata serves only verify --spectrum bprn, "
                           f"not {named}")

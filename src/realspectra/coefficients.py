@@ -30,7 +30,7 @@ import functools
 from typing import NamedTuple, Sequence
 
 from .abelian import zeros
-from .grading import Degree, Window, generator_degree, v2
+from .grading import Degree, Window, v2
 
 
 class StabilizationFailure(RuntimeError):
@@ -119,6 +119,8 @@ class Monomial(_MonomialFields):
         return tuple.__new__(cls, (k, l, c))
 
     def degree(self) -> Degree:
+        """The package's one grading formula: |a| = -sigma,
+        |u| = 2 - 2 sigma, |vbar_i| = (2^i - 1) rho."""
         w = self.weight()
         return Degree(2 * self.l + w, -self.k - 2 * self.l + w)
 
@@ -516,8 +518,8 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
         entries = basis_in_degree(alpha)
         return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
     below = steps[:-1]
-    index, exp = steps[-1]
-    shift = generator_degree("vbar", index=index, power=exp)
+    mult = vbar_monomial(*steps[-1])
+    shift = mult.degree()
 
     tgt = _stage_group(below, alpha)
     src = _stage_group(below, alpha - shift)
@@ -529,7 +531,6 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
     if not trusted:
         return TowerGroup([], False, False, (-1, -1), (-1, -1))
 
-    mult = vbar_monomial(index, exp)
     sub_entries = _coker_entries(src, tgt, mult)
     ker_entries = _ker_entries(ker_src, ker_tgt, mult)
     quot_entries = [e._replace(betas=e.betas + (len(steps),))

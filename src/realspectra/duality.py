@@ -43,8 +43,8 @@ from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
 from .blocks import (_bbprime_diag_max, _unit_degree, action_matrix,
                      assemble, assemble_groups, lc_of_block)
 from .coefficients import (Monomial, QuotientIdeal, UnknownExtension,
-                           quotient_groups, rank_summary)
-from .grading import DELTA, Degree, RHO, Window
+                           rank_summary, tower_group)
+from .grading import DELTA, Degree, RHO, Window, total_vbar_degree
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import InternalInconsistency, closed_form_state  # noqa: F401
@@ -175,7 +175,7 @@ def default_ssdata(n: int) -> SSData:
 
     n = 0 and n = 1 have collapsed spectral sequences (no differentials);
     n = 1 carries the one non-split extension, n = 2 the three d_2 ranks
-    and four extensions.  Other truncations start empty.
+    and three extensions.  Other truncations start empty.
     """
     path = _shipped_ssdata_path(n)
     if not path.is_file():
@@ -319,8 +319,7 @@ def gorenstein_shift(n: int) -> Degree:
     >>> gorenstein_shift(0), gorenstein_shift(1), gorenstein_shift(2)
     (Degree(triv=2, sgn=-2), Degree(triv=4, sgn=-1), Degree(triv=8, sgn=2))
     """
-    dn = 2 ** (n + 1) - n - 2
-    return dn * RHO + Degree(n, 0) + 2 * DELTA
+    return total_vbar_degree(n) + Degree(n, 0) + 2 * DELTA
 
 
 # --- verification reports -----------------------------------------------------
@@ -632,11 +631,7 @@ def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
     values = []
     for probe in (0, 1):
         stage, offset = _kappa_stage(ideal, gamma, probe)
-        sub, quot, exact = quotient_groups(stage, gamma + offset)
-        if not exact and quot != (0, 0):
-            raise UnknownExtension(
-                f"kappa stage at {gamma} has an unresolved extension")
-        values.append((sub[0] + quot[0], sub[1] + quot[1]))
+        values.append(tower_group(stage, gamma + offset).summarize())
     if len(set(values)) != 1:
         raise InternalInconsistency(
             f"kappa colimit not stable at {gamma}: {values}")
@@ -658,10 +653,7 @@ def verify_quotient_duality(m_seq, window: Window) -> DualityReport:
     kappa_shift = Degree(4, 0) - 2 * RHO - _quotient_weight(ideal) * RHO
 
     def target(alpha: Degree) -> tuple[int, int]:
-        sub, quot, exact = quotient_groups(ideal, alpha)
-        if not exact and quot != (0, 0):
-            raise UnknownExtension(f"quotient group unresolved at {alpha}")
-        return (sub[0] + quot[0], sub[1] + quot[1])
+        return tower_group(ideal, alpha).summarize()
 
     records = []
     for gamma in window:

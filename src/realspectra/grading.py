@@ -123,64 +123,15 @@ def v2(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def generator_degree(name: str, index: int | None = None, twist: int = 0,
-                     n: int | None = None, power: int = 1) -> Degree:
-    """Degree of a named multiplicative generator.
-
-    Args:
-        name: one of 'a', 'u', 'U', 'vbar'.
-        index: for 'vbar', the generator index m >= 0 (vbar_0 means 2).
-        twist: for 'vbar', the u-twist: vbar_m(twist) = u^(2^m * twist) * vbar_m.
-        n: for 'U', the truncation height; U = u^(2^n) has degree 2^(n+1)*delta.
-        power: exponent applied to the generator.
-
-    Returns:
-        The RO(C2) degree, using |a| = -sigma, |u| = 2*delta,
-        |vbar_m(j)| = 2^(m+2)*j + (2^m - 1 - 2^(m+1)*j)*rho.
-
-    Raises:
-        ValueError: unknown generator name or missing parameter.
-
-    >>> generator_degree('a')
-    Degree(triv=0, sgn=-1)
-    >>> generator_degree('vbar', index=2)          # vbar_2 in degree 3*rho
-    Degree(triv=3, sgn=3)
-    >>> generator_degree('vbar', index=1, twist=-1)  # -8 + 5*rho
-    Degree(triv=-3, sgn=5)
-    >>> generator_degree('u', power=0)
-    Degree(triv=0, sgn=0)
-    """
-    if name == "a":
-        base = -SIGMA
-    elif name == "u":
-        base = 2 * DELTA
-    elif name == "U":
-        if n is None:
-            raise ValueError("generator U needs the truncation height n")
-        base = (2 ** (n + 1)) * DELTA
-    elif name == "vbar":
-        if index is None:
-            raise ValueError("generator vbar needs an index")
-        m, j = index, twist
-        base = Degree(2 ** (m + 2) * j, 0) + (2 ** m - 1 - 2 ** (m + 1) * j) * RHO
-    else:
-        raise ValueError(f"unknown generator {name!r}")
-    return power * base
-
-
 def total_vbar_degree(n: int) -> Degree:
-    """Sum |vbar_1| + ... + |vbar_n| = (2^(n+1) - n - 2) * rho.
+    """Sum |vbar_1| + ... + |vbar_n| = D_n * rho, D_n = 2^(n+1) - n - 2.
 
-    The rho-coefficient here is the Gorenstein shift slope for the height-n
-    truncation; both closed forms are exercised by the tests.
+    D_n is the Gorenstein shift slope of the height-n truncation.
 
     >>> total_vbar_degree(2)
     Degree(triv=4, sgn=4)
     """
-    total = ZERO
-    for i in range(1, n + 1):
-        total = total + generator_degree("vbar", index=i)
-    return total
+    return (2 ** (n + 1) - n - 2) * RHO
 
 
 @dataclasses.dataclass(frozen=True)

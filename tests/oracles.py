@@ -580,7 +580,7 @@ def tower_group_fresh(ideal, alpha: Degree):
                 return co.TowerGroup(entries, True, True,
                                      co.rank_summary(entries), (0, 0))
             index, exp = steps[stage - 1]
-            shift = co.generator_degree("vbar", index=index, power=exp)
+            shift = exp * (2 ** index - 1) * RHO
             down = Degree(1, 0)
             tgt, src = group(stage - 1, beta), group(stage - 1, beta - shift)
             ker_tgt = group(stage - 1, beta - down)

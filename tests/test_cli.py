@@ -274,15 +274,17 @@ def test_lc_oracle_empty_window_does_no_oracle_work(capsys, monkeypatch):
 
 
 def test_lc_oracle_csv_has_one_row_per_module(capsys):
-    code, out = run(capsys, "lc", "nb", "--n", "1", "--oracle",
+    code, out = run(capsys, "lc", "bb", "--n", "1", "--oracle",
                     "--window", "0:1,0:0", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows == [["module", "k_lo", "k_hi", "diffs"]] + [
         [mod.describe(), "0", "1", "0"] for mod in localcoh.CATALOGUE[1]]
-    # the oracle ignores the block mode
-    assert run(capsys, "lc", "bb", "--n", "1", "--oracle",
+    # the oracle reads no block mode: `lc` is `lc bb`, and nb is refused
+    assert run(capsys, "lc", "--n", "1", "--oracle",
                "--window", "0:1,0:0", "--format", "csv") == (0, out)
+    assert run(capsys, "lc", "nb", "--n", "1", "--oracle",
+               "--window", "0:1,0:0", "--format", "csv") == (2, "")
     code, out = run(capsys, "lc", "--n", "1", "--oracle",
                     "--window", "0:1,0:0", "--format", "ascii")
     assert code == 0
@@ -430,7 +432,7 @@ def test_chart_action_segments():
              Degree(1, 1): [ChartClass(1, False,
                                        one.times(Monomial(0, 0, (1,))))]}
     window = Window(-1, 2, -2, 2)
-    pairs = _actions(cells, window, max_index=2)
+    pairs = _actions(cells, max_index=2)
     assert (Degree(0, 0), Degree(0, -1)) in pairs
     assert (Degree(0, 0), Degree(1, 1)) in pairs
     art = svg_chart(cells, window)
@@ -615,6 +617,7 @@ def test_cache_hit_loads_no_compute_module(tmp_path):
     ["verify", "--spectrum", "bpr", "--ssdata", "{}"],   # ssdata, no bprn
     ["verify", "--n", "2", "--ssdata", os.path.join(SRC, "missing.json")],
     ["verify", "--n", "2", "--window", "-12:12,-12:12", "--out", SRC],
+    ["lc", "nb", "--oracle", "--n", "1"],   # the oracle reads no nb mode
 ])
 def test_rejected_argv_loads_no_compute_module(argv):
     assert fresh_process(argv) == (2, repr(LIGHT))

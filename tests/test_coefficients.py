@@ -14,7 +14,7 @@ from realspectra.coefficients import (
     nilpotence_check, quotient_groups, restriction_rank, tower_group,
     twisted_vbar, underlying_groups, vbar_monomial, weight_tuples,
 )
-from realspectra.grading import RHO, SIGMA, Degree, Window, generator_degree
+from realspectra.grading import RHO, SIGMA, Degree, Window
 
 import oracles
 

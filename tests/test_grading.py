@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from realspectra import grading
+from realspectra.coefficients import Monomial, twisted_vbar
 from realspectra.grading import (
-    DELTA, RHO, SIGMA, ZERO, Degree, Window, generator_degree,
-    total_vbar_degree,
+    DELTA, RHO, SIGMA, ZERO, Degree, Window, total_vbar_degree,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -61,37 +61,28 @@ def test_diagonal_roundtrip_exhaustive_window():
         assert Degree.from_diagonal(*alpha.diagonal()) == alpha
 
 
-def test_generator_degrees():
-    assert generator_degree("a") == Degree(0, -1)
-    assert generator_degree("u") == 2 * DELTA == Degree(2, -2)
-    assert generator_degree("U", n=1) == 4 * DELTA
-    assert generator_degree("U", n=2) == 8 * DELTA
+def test_degrees_of_the_generators():
+    assert Monomial(1, 0).degree() == Degree(0, -1)                # a
+    assert Monomial(0, 1).degree() == 2 * DELTA == Degree(2, -2)   # u
+    assert Monomial(0, 2).degree() == 4 * DELTA     # U = u^(2^n), n = 1
+    assert Monomial(0, 4).degree() == 8 * DELTA     # U at n = 2
     # vbar_1 twisted by -1: -8 + 5*rho = (-3, 5)
-    assert generator_degree("vbar", index=1, twist=-1) == Degree(-3, 5)
-    assert generator_degree("vbar", index=2) == 3 * RHO == Degree(3, 3)
-    assert generator_degree("u", power=0) == ZERO
+    assert twisted_vbar(1, -1).degree() == Degree(-3, 5)
+    assert twisted_vbar(2).degree() == 3 * RHO == Degree(3, 3)
+    assert Monomial(0, 0).degree() == ZERO                         # u^0
 
 
 def test_untwisted_vbar_degree_is_on_the_zero_diagonal():
     for m in range(0, 9):
-        assert generator_degree("vbar", index=m) == (2 ** m - 1) * RHO
+        assert twisted_vbar(m).degree() == (2 ** m - 1) * RHO
 
 
 def test_twisted_vbar_is_u_power_times_vbar():
     for m in range(0, 5):
         for j in range(-4, 5):
-            expected = (generator_degree("u", power=2 ** m * j)
-                        + generator_degree("vbar", index=m))
-            assert generator_degree("vbar", index=m, twist=j) == expected
-
-
-def test_unknown_generator_rejected():
-    with pytest.raises(ValueError):
-        generator_degree("w")
-    with pytest.raises(ValueError):
-        generator_degree("U")  # needs n
-    with pytest.raises(ValueError):
-        generator_degree("vbar")  # needs index
+            expected = (Monomial(0, 2 ** m * j).degree()
+                        + twisted_vbar(m).degree())
+            assert twisted_vbar(m, j).degree() == expected
 
 
 def test_total_vbar_degree_two_forms():
@@ -101,6 +92,9 @@ def test_total_vbar_degree_two_forms():
         dn_rho = total_vbar_degree(n)
         dn = 2 ** (n + 1) - n - 2
         assert dn_rho == dn * RHO
+        # the sum of the generator degrees, as Monomial.degree() grades them
+        assert sum((twisted_vbar(i).degree() for i in range(1, n + 1)),
+                   ZERO) == dn_rho
         lhs = dn_rho + Degree(n, 0) + 2 * DELTA
         rhs = Degree(dn + n + 2, dn - 2)
         assert lhs == rhs
