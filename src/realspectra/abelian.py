@@ -18,7 +18,6 @@ refuses it loudly rather than rounding it away.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
@@ -469,7 +468,6 @@ def group_from_summary(free: int, f2: int) -> PresGroup:
     return PresGroup(free + f2, f2_relations([False] * free + [True] * f2))
 
 
-@dataclasses.dataclass
 class Subquotient:
     """A subquotient of Z^n: the group (column span of cycles)/(relations).
 
@@ -480,9 +478,13 @@ class Subquotient:
     reducing the lattice again.
     """
 
-    group: PresGroup
-    cycles: Matrix  # n x group.gens
-    cycle_smith: SmithForm = dataclasses.field(repr=False, compare=False)
+    __slots__ = ("group", "cycles", "cycle_smith")
+
+    def __init__(self, group: PresGroup, cycles: Matrix,
+                 cycle_smith: SmithForm):
+        self.group = group
+        self.cycles = cycles  # n x group.gens
+        self.cycle_smith = cycle_smith
 
 
 def _in_span(m: Matrix, cols: Matrix) -> bool:

@@ -23,18 +23,18 @@ J = (vbar_1..vbar_n) cellwise to produce the dual tables.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       map_is_surjective, zeros)
-from .coefficients import (BasisEntry, Monomial, StabilizationFailure,
-                           _first_index_above, degree_monomials, rank_summary)
-from .grading import DELTA, Degree, RHO, SIGMA, Window, v2
+from .coefficients import (BasisEntry, InternalInconsistency, Monomial,
+                           StabilizationFailure, _first_index_above,
+                           degree_monomials, rank_summary)
+from .grading import DELTA, Degree, RHO, SIGMA, Window, record, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
-from .hfpss import (InternalInconsistency, closed_form_state,  # noqa: F401
-                    final_entry)
+from .hfpss import closed_form_state, final_entry  # noqa: F401
 from .localcoh import (StandardModule, ideal_f2, ideal_z, lc_closed_form,
                        module_gens, p_module, pbar)
 
@@ -43,8 +43,8 @@ class UnclassifiedModule(RuntimeError):
     """A diagonal cell fits no module of the standard catalogue."""
 
 
-@dataclasses.dataclass(frozen=True)
-class TowerClass:
+@record
+class TowerClass(NamedTuple):
     """One F_2 class of the negative block's dual tower, at (-1, level)."""
 
     level: int
@@ -137,8 +137,8 @@ def _bbprime_diag_max(n: int) -> int:
     return 3 * 2 ** (n + 1) - 6
 
 
-@dataclasses.dataclass(frozen=True)
-class AssembledClass:
+@record
+class AssembledClass(NamedTuple):
     """A block basis class translated by a power of U = u^(2^n)."""
 
     u_power: int
@@ -238,8 +238,8 @@ def completion_comparison(n: int, alpha: Degree) -> tuple[int, int]:
 
 # --- diagonal decomposition --------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class DiagonalCell:
+@record
+class DiagonalCell(NamedTuple):
     """One column's catalogue module on a fixed diagonal."""
 
     d: int

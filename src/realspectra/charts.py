@@ -10,18 +10,18 @@ drawn classes of the chart.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from .coefficients import Monomial, vbar_monomial
-from .grading import Degree, Window
+from .grading import Degree, Window, record
 
 GLYPH_FREE = "□"      # square, lattice 1
 GLYPH_DOUBLED = "○"   # circle, lattice 2
 GLYPH_TORSION = "•"   # dot, F_2
 
 
-@dataclasses.dataclass(frozen=True)
-class ChartClass:
+@record
+class ChartClass(NamedTuple):
     """One drawable class; mono is None for classes without a monomial name."""
 
     lattice: int

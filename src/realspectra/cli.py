@@ -51,24 +51,25 @@ entry counts as a miss and is overwritten; a failed write only warns.
 This module is the light half of the CLI and the one place that checks
 arguments: it imports the standard library, `__version__` and `grading`
 only, so a cache hit or a bad argument is served without loading any
-compute layer.  `main` imports `commands`, which runs the computation,
-only on a cache miss; the one configuration error left to it is --ssdata
-contents that cannot be read as SSData.
+compute layer (nor `dataclasses`, which nothing in the package loads).
+`main` imports `commands` only on a cache miss, and each command there
+loads only the layers it runs; the one configuration error left to it is
+--ssdata contents that cannot be read as SSData.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import re
 import sys
 import tempfile
+from typing import NamedTuple
 
 from . import __version__
-from .grading import Window
+from .grading import Window, record
 
 
 # largest accepted --n: costs grow with 2^n (U-powers per degree, diagonals
@@ -87,18 +88,22 @@ MAX_COORD = 48
 # compute layer is imported
 ORACLE_HEIGHTS = (1, 2)
 
+# the E_2 cap of `hfpss pages` without --caps; `coefficients.DEFAULT_A_CAP`,
+# kept here so that the cache key holds the cap the run reads
+DEFAULT_A_CAP = 40
+
 
 class ConfigError(Exception):
     """Bad command line input; maps to exit code 2."""
 
 
-@dataclasses.dataclass
-class RunConfig:
+@record
+class RunConfig(NamedTuple):
     """Validated inputs of one run; window is None for an empty range.
 
     A flag the command does not take holds its default.  caps holds the
-    --caps bound A as given, or None for the default E_2 cap; only
-    `hfpss pages` reads it.
+    --caps bound A, DEFAULT_A_CAP without the flag; only `hfpss pages`
+    reads it.
     """
 
     command: str
@@ -106,7 +111,7 @@ class RunConfig:
     n: int | None
     spectrum: str
     window: Window | None
-    caps: int | None
+    caps: int
     fmt: str
     out: str | None
     ssdata: str | None
@@ -224,7 +229,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         command=command, mode=args.mode, n=args.n, spectrum=args.spectrum,
         window=_parse_window(args.window),
-        caps=None if args.caps is None else _parse_caps(args.caps),
+        caps=DEFAULT_A_CAP if args.caps is None else _parse_caps(args.caps),
         fmt=fmt, out=_check_out(args.out), ssdata=args.ssdata,
         oracle=args.oracle)
     # the invocation as typed: command, mode, and a --spectrum other than
@@ -237,7 +242,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{named} needs --n")
     if cfg.n is not None and named in _N_UNREAD:
         raise ConfigError(f"{named} reads no --n")
-    if cfg.caps is not None and cfg.mode != "pages":
+    if args.caps is not None and cfg.mode != "pages":
         raise ConfigError(f"--caps bounds only hfpss pages, not {named}")
     if cfg.oracle and cfg.mode != "bb":
         raise ConfigError(f"--oracle runs only as lc or lc bb, not {named}")
@@ -266,8 +271,9 @@ def _cache_path(cfg: RunConfig, digests: list[str]) -> str | None:
     root = os.environ.get("REALSPECTRA_CACHE_DIR")
     if not root:
         return None
-    fields = dataclasses.asdict(dataclasses.replace(cfg, out=None))
-    blob = json.dumps([__version__, fields, digests], sort_keys=True)
+    fields = cfg._replace(out=None, window=cfg.window and str(cfg.window))
+    blob = json.dumps([__version__, fields._asdict(), digests],
+                      sort_keys=True)
     key = hashlib.sha256(blob.encode()).hexdigest()
     return os.path.join(root, key + ".json")
 

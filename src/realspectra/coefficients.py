@@ -25,13 +25,14 @@ answer degrades to layer summaries with extension_known = False.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import NamedTuple, Sequence
 
-from .abelian import zeros
-from .grading import Degree, Window, v2
+from .grading import Degree, Window, record, v2
 
+
+# the failures of every layer, here in the lowest one, which every command
+# loads: `commands.INCONSISTENT` names them without importing their users
 
 class StabilizationFailure(RuntimeError):
     """Enlarging enumeration caps kept changing a degree's answer."""
@@ -39,6 +40,14 @@ class StabilizationFailure(RuntimeError):
 
 class UnknownExtension(RuntimeError):
     """A requested value depends on an unresolved group extension."""
+
+
+class InternalInconsistency(Exception):
+    """Differential bookkeeping failed an arithmetic self-check."""
+
+
+class InconsistentSSData(RuntimeError):
+    """A differential or extension datum does not fit the available ranks."""
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +449,27 @@ def _basis_cached(alpha: Degree) -> tuple[BasisEntry, ...]:
 # ---------------------------------------------------------------------------
 # quotient towers
 
-@dataclasses.dataclass(frozen=True)
-class QuotientIdeal:
+class _QuotientIdealFields(NamedTuple):
+    exponents: tuple[int, ...] = ()
+    tail: int = 0
+
+
+@record
+class QuotientIdeal(_QuotientIdealFields):
     """Which vbar powers to kill: exponents[i] is the power on vbar_(i+1);
     0 keeps the generator.  tail = 1 kills every generator beyond the listed
     ones (truncations and integral cohomology), tail = 0 keeps them.
     """
 
-    exponents: tuple[int, ...] = ()
-    tail: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tail not in (0, 1):
+    def __new__(cls, exponents: tuple[int, ...] = (),
+                tail: int = 0) -> "QuotientIdeal":
+        if tail not in (0, 1):
             raise ValueError("tail must be 0 or 1")
-        if any(e < 0 for e in self.exponents):
+        if any(e < 0 for e in exponents):
             raise ValueError("negative exponent")
+        return tuple.__new__(cls, (exponents, tail))
 
     @staticmethod
     def of(seq, tail: int = 0) -> "QuotientIdeal":
@@ -475,8 +490,8 @@ class QuotientIdeal:
         return tuple(steps)
 
 
-@dataclasses.dataclass
-class TowerGroup:
+@record
+class TowerGroup(NamedTuple):
     """Groups of one degree of an iterated quotient.
 
     When exact, entries is an honest basis.  mult_trusted marks whether
@@ -656,44 +671,6 @@ def group_in_degree(alpha: Degree, ideal=QuotientIdeal()) -> tuple[int, int]:
     (1, 0)
     """
     return tower_group(ideal, alpha).summarize()
-
-
-def quotient_groups(ideal, alpha: Degree) -> tuple[tuple[int, int],
-                                                   tuple[int, int], bool]:
-    """(sub, quot, extension_known) for the last cofibre step at alpha.
-
-    sub is the cokernel layer, quot the kernel layer one degree down; when
-    extension_known the group is sub + quot exactly (and quot vanishing means
-    the cokernel layer is the whole group).
-    """
-    ideal = QuotientIdeal.of(ideal)
-    g = tower_group(ideal, alpha)
-    if g.sub_summary == (-1, -1):
-        raise UnknownExtension(f"tower multiplication untrusted below {alpha}")
-    return (g.sub_summary, g.quot_summary, g.exact)
-
-
-# ---------------------------------------------------------------------------
-# multiplication matrices
-
-def mult_map(x: Monomial, ideal, alpha: Degree):
-    """Matrix of multiplication by x from degree alpha to alpha + |x|.
-
-    Columns index the source basis, rows the target basis; entries are the
-    integer multipliers of the monomial-to-monomial action.  Raises
-    UnknownExtension when either group lacks a trusted basis.
-    """
-    ideal = QuotientIdeal.of(ideal)
-    src = tower_group(ideal, alpha)
-    tgt = tower_group(ideal, alpha + x.degree())
-    if not (src.exact and tgt.exact and src.mult_trusted and tgt.mult_trusted):
-        raise UnknownExtension(f"no trusted bases for multiplication at {alpha}")
-    out = zeros(len(tgt.entries), len(src.entries))
-    for j, e in enumerate(src.entries):
-        coeff, cand = _image_class(e, x, tgt)
-        if cand is not None and coeff:
-            out[tgt.entries.index(cand), j] = coeff
-    return out
 
 
 # ---------------------------------------------------------------------------

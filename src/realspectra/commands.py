@@ -1,13 +1,15 @@
 """The compute half of the command line: one function per command.
 
 `cli.main` imports this module only on a cache miss, after every argument
-has been validated, because it pulls in every compute layer module; a
-cache hit or a configuration error never pays for it.  Each `cmd_*`
-takes a complete `cli.RunConfig`, in which every field a command reads
-is set, and returns the exit code and the rendered text; the only
-`ConfigError` raised here is for --ssdata contents that are not SSData.
-`main` maps the exceptions listed in `INCONSISTENT` and
-`StabilizationFailure` to exit codes.
+has been validated.  It loads `coefficients`, the lowest layer, which
+every command reads and which defines every failure `main` maps to an
+exit code; each command imports the layers above it that it runs, so
+`verify` alone loads `duality`.  Each `cmd_*` takes a complete
+`cli.RunConfig`, in which every field a command reads is set, and
+returns the exit code and the rendered text; the only `ConfigError`
+raised here is for --ssdata contents that are not SSData.  `main` maps
+the exceptions listed in `INCONSISTENT` and `StabilizationFailure` to
+exit codes.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ import csv
 import io
 import json
 
-from . import localcoh
-from .blocks import (TowerClass, assemble, assemble_groups, bb_basis,
-                     lc_of_block, nb_basis)
-from .charts import ChartClass, Cells, ascii_chart, svg_chart
 from .cli import ConfigError, RunConfig
-from .coefficients import (DEFAULT_A_CAP, Monomial, QuotientIdeal,
-                           StabilizationFailure, UnknownExtension,
-                           group_in_degree, tower_group)
-from .duality import (DualityReport, InconsistentSSData, load_ssdata,
-                      verify_gorenstein, verify_quotient_duality)
+from .coefficients import (InconsistentSSData, InternalInconsistency,
+                           Monomial, QuotientIdeal, StabilizationFailure,
+                           UnknownExtension, group_in_degree, tower_group)
 from .grading import Degree, Window
-from .hfpss import (InternalInconsistency, e_infinity_groups,
-                    geometric_cofibre_groups, run_differentials, tate_groups)
 
 # raised by a command when its data is inconsistent or a self-check fails:
 # exit code 1
@@ -107,11 +101,14 @@ def _group_rows(cfg: RunConfig, fn) -> str:
 
 def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
     if cfg.spectrum == "bprn":
+        from .blocks import assemble_groups
         return 0, _group_rows(cfg, lambda a: assemble_groups(cfg.n, a))
     return 0, _group_rows(cfg, group_in_degree)
 
 
 def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
+    from .hfpss import (e_infinity_groups, geometric_cofibre_groups,
+                        run_differentials, tate_groups)
     if cfg.mode == "einf":
         return 0, _group_rows(cfg, lambda a: e_infinity_groups(cfg.n, a))
     if cfg.mode in ("tate", "geo"):
@@ -119,9 +116,8 @@ def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
         ranks = ((a, fn(cfg.n, a)) for a in _degrees(cfg.window))
         rows = [[a.triv, a.sgn, r] for a, r in ranks if r]
         return 0, _table(cfg, ["triv", "sgn", "rank"], rows)
-    cap = DEFAULT_A_CAP if cfg.caps is None else cfg.caps   # mode pages
-    pages = [] if cfg.window is None else run_differentials(
-        cfg.n, cfg.window, a_cap=cap)
+    pages = [] if cfg.window is None else run_differentials(   # mode pages
+        cfg.n, cfg.window, a_cap=cfg.caps)
     dumped = []
     for page in pages:
         classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]
@@ -141,6 +137,7 @@ def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _block_classes(cfg: RunConfig, n: int, alpha: Degree) -> list:
+    from .blocks import assemble, bb_basis, nb_basis
     if cfg.mode == "bb":
         return bb_basis(n, alpha)
     if cfg.mode == "nb":
@@ -165,6 +162,7 @@ def _lc_oracle(cfg: RunConfig, n: int) -> str:
     """Every catalogue closed form at height n against the Koszul oracle,
     on the window's trivial range; one row per module checked.  A
     mismatch raises AssertionError, so every row reads 0 diffs."""
+    from . import localcoh
     checked, notes, k_range = [], [], None
     if cfg.window is not None:
         k_range = [cfg.window.triv_min, cfg.window.triv_max]
@@ -183,6 +181,7 @@ def _lc_oracle(cfg: RunConfig, n: int) -> str:
 def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
     if cfg.oracle:   # cli has checked n against ORACLE_HEIGHTS
         return 0, _lc_oracle(cfg, cfg.n)
+    from .blocks import lc_of_block
     table = {} if cfg.window is None else lc_of_block(
         cfg.n, cfg.mode, d_lo=cfg.window.triv_min, d_hi=cfg.window.triv_max)
     rows = [[d, s, column, module.describe()]
@@ -190,7 +189,7 @@ def cmd_lc(cfg: RunConfig) -> tuple[int, str]:
     return 0, _table(cfg, ["d", "s", "column", "module"], rows)
 
 
-def _report_text(cfg: RunConfig, report: DualityReport) -> str:
+def _report_text(cfg: RunConfig, report) -> str:
     if cfg.fmt == "json":
         return report.to_json() + "\n"
     lines = [report.summary]
@@ -202,6 +201,8 @@ def _report_text(cfg: RunConfig, report: DualityReport) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
+    from .duality import (DualityReport, load_ssdata, verify_gorenstein,
+                          verify_quotient_duality)
     if cfg.window is None:
         report = DualityReport([], "empty window: 0 degrees checked")
         return 0, _report_text(cfg, report)
@@ -228,35 +229,32 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     return (0 if report.clean else 1), _report_text(cfg, report)
 
 
-def _chart_classes(cfg: RunConfig, alpha: Degree) -> list[ChartClass]:
+def _chart_classes(cfg: RunConfig, alpha: Degree) -> list:
+    from .charts import ChartClass
     if cfg.mode == "bpr":
         group = tower_group(QuotientIdeal(), alpha)
         if not group.exact:
             raise UnknownExtension(f"unresolved extension at {alpha}")
         entries = group.entries
-        n = None
     else:
-        n = cfg.n
-        entries = _block_classes(cfg, n, alpha)
+        entries = _block_classes(cfg, cfg.n, alpha)
     flat = []
     for cls in entries:
         u_power = 0
         if hasattr(cls, "entry"):
             u_power, cls = cls.u_power, cls.entry
-        if isinstance(cls, TowerClass):
-            flat.append(ChartClass(1, True, None))
-            continue
-        mono = cls.mono
-        if u_power:
-            mono = Monomial(mono.k, mono.l + u_power * 2 ** n, mono.c)
+        mono = getattr(cls, "mono", None)   # a TowerClass has none
+        if mono is not None and u_power:
+            mono = Monomial(mono.k, mono.l + u_power * 2 ** cfg.n, mono.c)
         flat.append(ChartClass(cls.lattice, cls.torsion, mono))
     return flat
 
 
 def cmd_chart(cfg: RunConfig) -> tuple[int, str]:
+    from .charts import ascii_chart, svg_chart
     if cfg.window is None:
         return 0, ""
-    cells: Cells = {}
+    cells = {}
     for alpha in _degrees(cfg.window):
         classes = _chart_classes(cfg, alpha)
         if classes:

@@ -33,28 +33,25 @@ distinguishes the correct suspension from the plain one.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
                       zeros)
 from .blocks import (_bbprime_diag_max, _unit_degree, action_matrix,
                      assemble, assemble_groups, lc_of_block)
-from .coefficients import (Monomial, QuotientIdeal, UnknownExtension,
+from .coefficients import (InconsistentSSData, InternalInconsistency,
+                           Monomial, QuotientIdeal, UnknownExtension,
                            rank_summary, tower_group)
-from .grading import DELTA, Degree, RHO, Window, total_vbar_degree
+from .grading import DELTA, Degree, RHO, Window, record, total_vbar_degree
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
-from .hfpss import InternalInconsistency, closed_form_state  # noqa: F401
+from .hfpss import closed_form_state  # noqa: F401
 from .localcoh import module_ranks
 
 ONE = Degree(1, 0)
-
-
-class InconsistentSSData(RuntimeError):
-    """A differential or extension datum does not fit the available ranks."""
 
 
 # --- spectral sequence data --------------------------------------------------
@@ -65,50 +62,60 @@ def _as_degree(value) -> Degree:
     return Degree.from_json(value)
 
 
-@dataclasses.dataclass(frozen=True)
-class Differential:
-    """One rank of d_2: H^0 at source to H^2 at target, block coordinates."""
-
+class _DifferentialFields(NamedTuple):
     block: str
     source: Degree
     target: Degree
     rank: int = 1
 
-    def __post_init__(self):
-        if self.block not in ("bb", "nb"):
-            raise ValueError(f"unknown block {self.block!r}")
-        if self.rank < 1:
+
+@record
+class Differential(_DifferentialFields):
+    """One rank of d_2: H^0 at source to H^2 at target, block coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, block: str, source: Degree, target: Degree,
+                rank: int = 1) -> "Differential":
+        if block not in ("bb", "nb"):
+            raise ValueError(f"unknown block {block!r}")
+        if rank < 1:
             raise ValueError("differential rank must be positive")
         # d_2 raises s by 2 and lands one display diagonal down
-        if self.target.triv - self.target.sgn != \
-                self.source.triv - self.source.sgn - 1:
+        if target.triv - target.sgn != source.triv - source.sgn - 1:
             raise ValueError(
-                f"d_2 from {self.source} must land on the next diagonal "
-                f"down, not at {self.target}")
+                f"d_2 from {source} must land on the next diagonal "
+                f"down, not at {target}")
+        return tuple.__new__(cls, (block, source, target, rank))
 
 
-@dataclasses.dataclass(frozen=True)
-class Extension:
+class _ExtensionFields(NamedTuple):
+    block: str
+    degree: Degree
+
+
+@record
+class Extension(_ExtensionFields):
     """A non-split Z-by-F_2 extension at degree and every rho-step below.
 
     Wherever a free and an F_2 summand share a degree on that line the
     two merge into a single Z (one merge per record per degree).
     """
 
-    block: str
-    degree: Degree
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.block not in ("bb", "nb"):
-            raise ValueError(f"unknown block {self.block!r}")
+    def __new__(cls, block: str, degree: Degree) -> "Extension":
+        if block not in ("bb", "nb"):
+            raise ValueError(f"unknown block {block!r}")
+        return tuple.__new__(cls, (block, degree))
 
     def covers(self, gamma: Degree) -> bool:
         off = self.degree - gamma
         return off.triv == off.sgn and off.triv >= 0
 
 
-@dataclasses.dataclass(frozen=True)
-class SSData:
+@record
+class SSData(NamedTuple):
     """Differentials and extensions of one truncation's torsion assembly."""
 
     n: int
@@ -324,8 +331,8 @@ def gorenstein_shift(n: int) -> Degree:
 
 # --- verification reports -----------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class DualityRecord:
+@record
+class DualityRecord(NamedTuple):
     degree: Degree
     gamma: tuple[int, int]
     dual: tuple[int, int]
@@ -342,8 +349,8 @@ class DualityRecord:
         return out
 
 
-@dataclasses.dataclass
-class DualityReport:
+@record
+class DualityReport(NamedTuple):
     records: list[DualityRecord]
     summary: str = ""
 
@@ -380,8 +387,8 @@ def _placement_note(n: int, ss: SSData) -> str:
     return "; ".join(lines)
 
 
-@dataclasses.dataclass(frozen=True)
-class GorensteinTable:
+@record
+class GorensteinTable(NamedTuple):
     """The SSData-independent half of verify_gorenstein on one window.
 
     entries holds, in (triv, sgn) order, one (record, blocks) pair per
@@ -509,8 +516,8 @@ def verify_gorenstein(n: int, window: Window,
 
 # --- duality shifts of the catalogue spectra -----------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class ShiftSpec:
+@record
+class ShiftSpec(NamedTuple):
     """A duality statement: Anderson dual = shift applied to Gamma_ideal.
 
     An empty ideal means the spectrum is its own derived torsion (a plain
@@ -718,8 +725,8 @@ def _dual_map_summaries(n: int, exps: tuple[int, ...], mirror: Degree,
     return kernel, coker
 
 
-@dataclasses.dataclass(frozen=True)
-class MapGroup:
+@record
+class MapGroup(NamedTuple):
     """A mapping group out of a quotient, with its restriction index.
 
     restriction_index 1 marks a free generator whose restriction hits

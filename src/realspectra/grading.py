@@ -15,7 +15,7 @@ Everything in this module is a pure value type; operations never mutate.
 
 from __future__ import annotations
 
-import dataclasses
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -134,18 +134,49 @@ def total_vbar_degree(n: int) -> Degree:
     return (2 ** (n + 1) - n - 2) * RHO
 
 
-@dataclasses.dataclass(frozen=True)
-class Window:
-    """A nonempty axis-aligned box of degrees in (triv, sgn) coordinates."""
+def record(cls: type) -> type:
+    """Give a tuple-backed record type the equality of a dataclass: an
+    instance equals only an instance of the same type with equal fields,
+    never a plain tuple or a record of another type; it hashes as the
+    tuple of its fields.  `_make`, and so `_replace`, builds through the
+    constructor and its checks."""
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-    triv_min: int
-    triv_max: int
-    sgn_min: int
-    sgn_max: int
+    cls.__eq__, cls.__hash__ = __eq__, tuple.__hash__
+    cls.__ne__ = lambda self, other: not __eq__(self, other)
+    cls._make = classmethod(lambda kind, fields: kind(*fields))
+    return cls
 
-    def __post_init__(self) -> None:
-        if self.triv_min > self.triv_max or self.sgn_min > self.sgn_max:
+
+@record
+class Window(tuple):
+    """A nonempty axis-aligned box of degrees in (triv, sgn) coordinates.
+
+    A tuple of its bounds (triv_min, triv_max, sgn_min, sgn_max), but
+    iteration, len and `in` are over its degrees: len is the area.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, triv_min: int, triv_max: int, sgn_min: int,
+                sgn_max: int) -> "Window":
+        self = tuple.__new__(cls, (triv_min, triv_max, sgn_min, sgn_max))
+        if triv_min > triv_max or sgn_min > sgn_max:
             raise ValueError(f"empty window {self}")
+        return self
+
+    triv_min = property(itemgetter(0))
+    triv_max = property(itemgetter(1))
+    sgn_min = property(itemgetter(2))
+    sgn_max = property(itemgetter(3))
+
+    def __getnewargs__(self) -> tuple[int, int, int, int]:
+        return self[:]   # the bounds: copy and pickle must not iterate
+
+    def __repr__(self) -> str:
+        return ("Window(triv_min=%r, triv_max=%r, sgn_min=%r, sgn_max=%r)"
+                % self)
 
     @staticmethod
     def square(r: int) -> "Window":

@@ -34,18 +34,14 @@ independent route that certifies this one; it lives in the tests
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from .coefficients import (
-    DEFAULT_A_CAP, BasisEntry, Monomial, StabilizationFailure,
-    _a_exponent_bound, _bump, degree_monomials, rank_summary,
+    DEFAULT_A_CAP, BasisEntry, InternalInconsistency, Monomial,
+    StabilizationFailure, _a_exponent_bound, _bump, degree_monomials,
+    rank_summary,
 )
-from .grading import Degree, Window, v2
-
-
-class InternalInconsistency(Exception):
-    """Differential bookkeeping failed an arithmetic self-check."""
-
+from .grading import Degree, Window, record, v2
 
 _DEAD = "dead"
 
@@ -187,8 +183,8 @@ def e_infinity_groups(n: int | None, alpha: Degree) -> tuple[int, int]:
     return rank_summary(e_infinity_basis(n, alpha))
 
 
-@dataclasses.dataclass
-class Page:
+@record
+class Page(NamedTuple):
     """One stable stretch of pages E_{r_first} = ... = E_{r_last}.
 
     classes maps each window degree to its surviving entries; fired lists

@@ -40,7 +40,6 @@ convention_report() reproduces that comparison on explicit witnesses.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -51,7 +50,7 @@ from typing import NamedTuple
 from .abelian import (CochainComplex, Subquotient, f2_relations,
                       induced_map, map_is_surjective, mat_mul, zeros)
 from .coefficients import StabilizationFailure, _bump, weight_tuples
-from .grading import Degree, RHO, ZERO, total_vbar_degree
+from .grading import Degree, RHO, ZERO, record, total_vbar_degree
 
 KINDS = ("P", "DualP", "Pbar", "DualPbar", "IdealZ", "IdealF2",
          "TowerF2", "DualTowerF2")
@@ -527,8 +526,8 @@ def _oracle_run(mod: StandardModule, n: int, alpha: Degree) -> tuple:
 
 # --- closed forms -----------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class LCSummand:
+@record
+class LCSummand(NamedTuple):
     """One summand of the local cohomology of a catalogue module."""
 
     s: int

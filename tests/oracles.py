@@ -10,7 +10,8 @@ direct, slower way (`verify_gorenstein_per_degree`,
 `e2_basis_reference`,
 `smith_normal_form_full_rescan`, `module_gens_uncached`,
 `vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
-`tower_group_fresh`), to check an optimised path against.
+`tower_group_fresh`), to check an optimised path against; `mult_map`
+builds the matrix of multiplication by a monomial between two degrees.
 `PageStatesReference` and `run_differentials_reference` are the second
 route for the spectral sequence: the propagation engine, which the package
 no longer runs, against its closed-form pages.
@@ -611,6 +612,29 @@ def tower_group_fresh(ideal, alpha: Degree):
             raise co.StabilizationFailure(
                 f"tail truncation unstable at {alpha}: index {stop} vs {stop+1}")
     return g
+
+
+def mult_map(x: Monomial, ideal, alpha: Degree):
+    """Matrix of multiplication by x from degree alpha to alpha + |x|.
+
+    Columns index the source basis, rows the target basis; entries are the
+    integer multipliers of the monomial-to-monomial action.  Raises
+    UnknownExtension when either group lacks a trusted basis.
+    """
+    from realspectra import coefficients as co
+    from realspectra.abelian import zeros
+    ideal = co.QuotientIdeal.of(ideal)
+    src = co.tower_group(ideal, alpha)
+    tgt = co.tower_group(ideal, alpha + x.degree())
+    if not (src.exact and tgt.exact and src.mult_trusted and tgt.mult_trusted):
+        raise co.UnknownExtension(
+            f"no trusted bases for multiplication at {alpha}")
+    out = zeros(len(tgt.entries), len(src.entries))
+    for j, e in enumerate(src.entries):
+        coeff, cand = co._image_class(e, x, tgt)
+        if cand is not None and coeff:
+            out[tgt.entries.index(cand), j] = coeff
+    return out
 
 
 class PageStatesReference:

@@ -576,17 +576,21 @@ def test_cache_hit_replays_the_miss(capsys, tmp_path, monkeypatch, argv):
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 LIGHT = ["realspectra", "realspectra.cli", "realspectra.grading"]
+# the package, numpy, and the dataclass machinery, if the interpreter had
+# not loaded them before the package
 PROBE = ("import sys\n"
+         "before = set(sys.modules)\n"
          "from realspectra.cli import main\n"
          "code = main(sys.argv[1:])\n"
-         "print(sorted(m for m in sys.modules\n"
-         "             if m.split('.')[0] in ('realspectra', 'numpy')))\n"
+         "print(sorted(m for m in set(sys.modules) - before\n"
+         "             if m.split('.')[0] in ('realspectra', 'numpy',\n"
+         "                                    'dataclasses', 'inspect')))\n"
          "sys.exit(code)\n")
 
 
 def fresh_process(argv, cache=None) -> tuple[int, str]:
-    """main(argv) in a new interpreter; its exit code and the package and
-    numpy modules it had loaded by the end."""
+    """main(argv) in a new interpreter; its exit code and the package,
+    numpy, dataclasses and inspect modules it loaded."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("REALSPECTRA_CACHE_DIR", None)
     if cache is not None:
@@ -626,6 +630,60 @@ def test_rejected_argv_loads_no_compute_module(argv):
 def test_oracle_heights_are_the_catalogue_heights():
     from realspectra import cli, localcoh
     assert cli.ORACLE_HEIGHTS == tuple(localcoh.CATALOGUE)
+
+
+def test_exit_1_failures_are_one_class_in_every_layer():
+    # `commands` names them from `coefficients`; the layers that raise them
+    # re-export the same class objects
+    from realspectra import coefficients, commands, duality, hfpss
+    assert commands.INCONSISTENT == (
+        coefficients.InternalInconsistency, coefficients.InconsistentSSData,
+        coefficients.UnknownExtension, AssertionError)
+    assert hfpss.InternalInconsistency is coefficients.InternalInconsistency
+    assert duality.InternalInconsistency is coefficients.InternalInconsistency
+    assert duality.InconsistentSSData is coefficients.InconsistentSSData
+
+
+def test_default_caps_is_the_coefficient_default():
+    from realspectra import cli, coefficients
+    assert cli.DEFAULT_A_CAP == coefficients.DEFAULT_A_CAP
+
+
+def test_default_caps_share_one_cache_entry(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(tmp_path))
+    argv = ["hfpss", "pages", "--n", "1", "--window", "0:3,-3:0"]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and run(capsys, *argv, "--caps", "40") == plain
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+# the layers below `commands` that a cache miss of each command loads
+BLOCK_LAYERS = ["abelian", "blocks", "hfpss", "localcoh"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["coeff", "--window", "-1:1,-1:1"], []),
+    (["hfpss", "einf", "--n", "1", "--window", "-1:1,-1:1"], ["hfpss"]),
+    (["hfpss", "pages", "--window", "0:1,-1:0"], ["hfpss"]),
+    (["chart", "bpr", "--window", "-1:1,-1:1"], ["charts"]),
+    (["blocks", "bb", "--n", "1", "--window", "-1:1,-1:1"], BLOCK_LAYERS),
+    (["lc", "bb", "--n", "1", "--window", "-1:1,0:0"], BLOCK_LAYERS),
+    (["coeff", "--spectrum", "bprn", "--n", "1", "--window", "-1:1,-1:1"],
+     BLOCK_LAYERS),
+    (["chart", "assembled", "--n", "1", "--window", "-1:1,-1:1"],
+     BLOCK_LAYERS + ["charts"]),
+    (["lc", "--oracle", "--n", "1", "--window", "0:0,0:0"],
+     ["abelian", "localcoh"]),
+    (["verify", "--n", "1", "--window", "-1:1,-1:1"],
+     BLOCK_LAYERS + ["duality"]),
+    (["verify", "--spectrum", "bpr", "--window", "0:0,0:0"],
+     BLOCK_LAYERS + ["duality"]),
+], ids=["coeff", "hfpss-einf", "hfpss-pages", "chart-bpr", "blocks", "lc",
+        "coeff-bprn", "chart-assembled", "lc-oracle", "verify", "verify-bpr"])
+def test_cache_miss_loads_only_the_layers_it_runs(argv, layers):
+    loaded = LIGHT + [f"realspectra.{m}"
+                      for m in ["coefficients", "commands", *layers]]
+    assert fresh_process(argv) == (0, repr(sorted(loaded)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,8 +10,8 @@ from realspectra import coefficients
 from realspectra.coefficients import (
     BasisEntry, CoeffElement, Monomial, QuotientIdeal,
     StabilizationFailure, basis_in_degree,
-    element, group_in_degree, is_in_subalgebra, mult_map, multiply,
-    nilpotence_check, quotient_groups, restriction_rank, tower_group,
+    element, group_in_degree, is_in_subalgebra, multiply,
+    nilpotence_check, restriction_rank, tower_group,
     twisted_vbar, underlying_groups, vbar_monomial, weight_tuples,
 )
 from realspectra.grading import RHO, SIGMA, Degree, Window
@@ -244,15 +244,15 @@ def test_nonmember_element_rejected():
 
 
 def test_mult_map_examples():
-    m = mult_map(vbar_monomial(1), QuotientIdeal(), Degree(0, 0))
+    m = oracles.mult_map(vbar_monomial(1), QuotientIdeal(), Degree(0, 0))
     assert m.shape == (1, 1) and m[0, 0] == 1
-    m = mult_map(Monomial(1, 0), QuotientIdeal(), Degree(0, 0))
+    m = oracles.mult_map(Monomial(1, 0), QuotientIdeal(), Degree(0, 0))
     assert m.shape == (1, 1) and m[0, 0] == 1
     # vbar_1 from (2,-2): 2u -> 2u vbar_1 on the nose; the target degree
     # (3,-1) also holds the torsion class a^4 vbar_2, which is not hit
     tgt = basis_in_degree(Degree(3, -1))
     assert sorted(e.describe() for e in tgt) == ["2*u v1", "a^4 v2"]
-    m = mult_map(vbar_monomial(1), QuotientIdeal(), Degree(2, -2))
+    m = oracles.mult_map(vbar_monomial(1), QuotientIdeal(), Degree(2, -2))
     assert m.shape == (2, 1)
     hit = [i for i in range(2) if m[i, 0]]
     assert len(hit) == 1 and m[hit[0], 0] == 1
@@ -273,12 +273,15 @@ def test_integral_cohomology_reduction():
 
 def test_single_vbar_quotient_range():
     # killing vbar_1^n: on k rho - c for 0 <= c <= 4 the kernel layer is 0
+    # and the group exact; layers (-1, -1) would mean an untrusted tower
+    # multiplication, an unknown extension
     for n in (1, 2, 3):
         ideal = QuotientIdeal((n,))
         for k in range(-4, 7):
             for c in range(0, 5):
-                sub, quot, known = quotient_groups(ideal, k * RHO - Degree(c, 0))
-                assert known and quot == (0, 0), (n, k, c)
+                g = tower_group(ideal, k * RHO - Degree(c, 0))
+                assert g.sub_summary != (-1, -1), (n, k, c)
+                assert g.exact and g.quot_summary == (0, 0), (n, k, c)
 
 
 def test_quotient_strong_evenness():
@@ -329,8 +332,8 @@ def test_restriction_indices():
 
 def test_quotient_groups_layer_reporting():
     # at (5,1) + rho the kernel layer of B/vbar_1 is genuinely nonzero
-    sub, quot, known = quotient_groups(QuotientIdeal((1,)), Degree(5, 1))
-    assert quot != (0, 0)
+    g = tower_group(QuotientIdeal((1,)), Degree(5, 1))
+    assert g.sub_summary != (-1, -1) and g.quot_summary != (0, 0)
 
 
 # ---------------------------------------------------------------------------

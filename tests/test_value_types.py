@@ -1,9 +1,11 @@
 """Contract of the tuple-backed value types: Degree, Monomial, BasisEntry
-and StandardModule.
+and StandardModule, then Window and the record types.
 
 Each is a tuple of its fields.  The constructors keep their checks and
 messages, instances carry no __dict__ and refuse attribute writes, and
-repr, hash, equality and ordering are those of the field tuple.
+repr and hash are those of the field tuple.  The value types also take
+the field tuple's equality and ordering; a record equals only a record
+of its own type.
 """
 
 import copy
@@ -11,9 +13,17 @@ import pickle
 
 import pytest
 
-from realspectra.coefficients import BasisEntry, Monomial
-from realspectra.grading import Degree
-from realspectra.localcoh import StandardModule, pbar
+from realspectra.blocks import AssembledClass, DiagonalCell, TowerClass
+from realspectra.charts import ChartClass
+from realspectra.cli import RunConfig
+from realspectra.coefficients import (BasisEntry, Monomial, QuotientIdeal,
+                                      TowerGroup)
+from realspectra.duality import (
+    Differential, DualityRecord, DualityReport, Extension, GorensteinTable,
+    MapGroup, ShiftSpec, SSData, default_ssdata)
+from realspectra.grading import Degree, Window
+from realspectra.hfpss import Page
+from realspectra.localcoh import LCSummand, StandardModule, pbar
 
 M = Monomial(1, 2, (0, 1))
 E = BasisEntry(M, 1, True, (2,))
@@ -129,3 +139,129 @@ def test_copies_keep_the_public_type(value):
     for again in (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value))):
         assert type(again) is type(value) and again == value
+
+
+# --- record types: Window and the types that were dataclasses -------------
+#
+# Each is a tuple of its fields too, but equals only an instance of its own
+# type: never a plain tuple, nor a record of another type with equal fields.
+
+D = Differential("bb", Degree(0, 0), Degree(1, 2), 3)
+X = Extension("nb", Degree(2, 2))
+REC = DualityRecord(Degree(1, 0), (1, 0), (1, 0), True)
+# (value, repr); the values hash, their fields being hashable
+HASHABLE = [
+    (Window(-1, 2, 0, 3),
+     "Window(triv_min=-1, triv_max=2, sgn_min=0, sgn_max=3)"),
+    (QuotientIdeal((0, 2), 1), "QuotientIdeal(exponents=(0, 2), tail=1)"),
+    (ChartClass(2, False), "ChartClass(lattice=2, torsion=False, mono=None)"),
+    (TowerClass(3), "TowerClass(level=3)"),
+    (AssembledClass(1, TowerClass(3)),
+     "AssembledClass(u_power=1, entry=TowerClass(level=3))"),
+    (DiagonalCell(4, 1, MOD), f"DiagonalCell(d=4, column=1, module={MOD!r})"),
+    (LCSummand(2, MOD), f"LCSummand(s=2, module={MOD!r})"),
+    (D, "Differential(block='bb', source=Degree(triv=0, sgn=0), "
+        "target=Degree(triv=1, sgn=2), rank=3)"),
+    (X, "Extension(block='nb', degree=Degree(triv=2, sgn=2))"),
+    (SSData(2, (D,), (X,)), f"SSData(n=2, differentials=({D!r},), "
+                            f"extensions=({X!r},))"),
+    (REC, "DualityRecord(degree=Degree(triv=1, sgn=0), gamma=(1, 0), "
+          "dual=(1, 0), ok=True, note='')"),
+    (ShiftSpec("P", Degree(0, 0), ()),
+     "ShiftSpec(tag='P', shift=Degree(triv=0, sgn=0), ideal=())"),
+    (MapGroup(1, 0), "MapGroup(free=1, f2=0, restriction_index=None)"),
+    (RunConfig("coeff", "", None, "bpr", Window(0, 0, 0, 0), 40, "json",
+               None, None, False),
+     "RunConfig(command='coeff', mode='', n=None, spectrum='bpr', "
+     "window=Window(triv_min=0, triv_max=0, sgn_min=0, sgn_max=0), "
+     "caps=40, fmt='json', out=None, ssdata=None, oracle=False)"),
+]
+# records with a list or dict field: equal and repr, but no hash
+UNHASHABLE = [
+    TowerGroup([E], True, True, (0, 1), (0, 0)),
+    Page(2, 3, {Degree(0, 0): [E]}, ()),
+    DualityReport([REC], "1 degree"),
+    GorensteinTable(1, (), {}, {}, {}),
+]
+RECORDS = [value for value, _ in HASHABLE] + UNHASHABLE
+
+
+def _fields(value) -> tuple:
+    """The plain tuple of a record's fields (a Window iterates degrees)."""
+    return value[:]
+
+
+@pytest.mark.parametrize("value, text", HASHABLE,
+                         ids=[type(v).__name__ for v, _ in HASHABLE])
+def test_record_repr_and_hash(value, text):
+    assert repr(value) == text
+    assert hash(value) == hash(_fields(value))
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda v: type(v).__name__)
+def test_record_equals_only_its_own_type(value):
+    twin = copy.deepcopy(value)
+    assert twin is not value and twin == value and not twin != value
+    assert value != _fields(value) and _fields(value) != value
+    for other in RECORDS:
+        if type(other) is not type(value):
+            assert value != other and not value == other
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda v: type(v).__name__)
+def test_record_is_read_only(value):
+    assert not hasattr(value, "__dict__")
+    field = "triv_min" if type(value) is Window else value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_records_with_equal_fields_differ_by_type():
+    assert ChartClass(1, False) != MapGroup(1, False)
+    assert _fields(ChartClass(1, False)) == _fields(MapGroup(1, False))
+    assert Window(0, 1, 0, 1) != (0, 1, 0, 1)
+    assert len({ChartClass(1, False), MapGroup(1, False)}) == 2
+
+
+def test_ssdata_items_equal_only_themselves():
+    # a mutation run drops one record with `without`: it must drop no other
+    ss = default_ssdata(2)
+    items = ss.items()
+    assert {type(item) for item in items} == {Differential, Extension}
+    for i, item in enumerate(items):
+        assert [j for j, other in enumerate(items) if other == item] == [i]
+        assert len(ss.without(item).items()) == len(items) - 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Window(1, 0, 0, 0), "empty window 1:0,0:0"),
+    (lambda: Window(0, 0, 2, -2), "empty window 0:0,2:-2"),
+    (lambda: QuotientIdeal((1,), 2), "tail must be 0 or 1"),
+    (lambda: QuotientIdeal((1, -1)), "negative exponent"),
+    (lambda: QuotientIdeal()._replace(tail=3), "tail must be 0 or 1"),
+    (lambda: Differential("xx", Degree(0, 0), Degree(1, 2)),
+     "unknown block 'xx'"),
+    (lambda: D._replace(rank=0), "differential rank must be positive"),
+    (lambda: D._replace(target=Degree(0, 0)),
+     "d_2 from 0 must land on the next diagonal down, not at 0"),
+    (lambda: Extension("tt", Degree(0, 0)), "unknown block 'tt'"),
+    (lambda: X._replace(block="zz"), "unknown block 'zz'"),
+], ids=["Window-triv", "Window-sgn", "QuotientIdeal-tail",
+        "QuotientIdeal-exponent", "QuotientIdeal-replace",
+        "Differential-block", "Differential-rank", "Differential-diagonal",
+        "Extension-block", "Extension-replace"])
+def test_record_constructors_keep_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_window_copies_its_bounds_not_its_degrees():
+    w = Window(-1, 0, 2, 4)
+    assert len(w) == 6 and _fields(w) == (-1, 0, 2, 4)
+    assert (w.triv_min, w.triv_max, w.sgn_min, w.sgn_max) == (-1, 0, 2, 4)
+    for again in (copy.copy(w), copy.deepcopy(w),
+                  pickle.loads(pickle.dumps(w))):
+        assert type(again) is Window and again == w
