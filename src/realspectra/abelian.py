@@ -2,12 +2,13 @@
 
 A Matrix is a list of rows of Python ints plus a column count, so all
 arithmetic is arbitrary precision and 0 x n and n x 0 shapes survive.  The
-Smith engine provides the unimodular transforms and their inverses, which is
-what makes kernels, integer solves, image lattices, and induced maps on
-subquotients one-liners downstream.  It logs its row and column operations
-and builds each transform from the log the first time it is read, so a
-caller pays only for the transforms it uses; a transform once read is shared
-and must not be altered.
+Smith engine gives D = S A T with the unimodular S and T and the inverse of
+S; each job built on it has one routine: `kernel_basis`, `image_basis`,
+`solve_matrix`, and, for subquotients, `CochainComplex.homology` and
+`induced_map`.  The engine logs its row and column operations and builds
+each transform from the log the first time it is read, so a caller pays
+only for the transforms it uses; a transform once read is shared and must
+not be altered.
 
 Everything is 2-local by convention: an odd integer is a unit, and the only
 torsion the graded summaries admit is elementary 2-torsion (the rings under
@@ -80,9 +81,6 @@ class Matrix:
 
     def any(self) -> bool:
         return any(map(any, self.rows))
-
-    def sum(self) -> int:
-        return sum(map(sum, self.rows))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows!r}, {self.cols})"
@@ -167,7 +165,7 @@ def f2_relations(torsion) -> Matrix:
 # Smith normal form
 
 class SmithForm:
-    """D = S A T with S, T unimodular; S_inv, T_inv their exact inverses.
+    """D = S A T with S, T unimodular; S_inv the exact inverse of S.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r followed by
     zeros.  The nonzero diagonal is read off D once, when the form is made,
@@ -175,9 +173,9 @@ class SmithForm:
     not be altered afterwards.
 
     The reduction logs its elementary row and column operations instead of
-    applying them to four transforms.  Each of S, T, S_inv and T_inv is
-    built from that log the first time it is read and then kept, so a
-    caller pays only for the ones it reads, and must not alter them.
+    applying them to three transforms.  Each of S, T and S_inv is built
+    from that log the first time it is read and then kept, so a caller
+    pays only for the ones it reads, and must not alter them.
     """
 
     def __init__(self, D: Matrix, row_ops: list, col_ops: list):
@@ -207,10 +205,6 @@ class SmithForm:
     def S_inv(self) -> Matrix:
         return _replay_inverse(self._row_ops, len(self.D.rows)).T
 
-    @functools.cached_property
-    def T_inv(self) -> Matrix:
-        return _replay_inverse(self._col_ops, self.D.cols)
-
 
 # one logged operation on rows (or on columns): (_SWAP, i, j, 0) swaps i
 # and j, (_NEGATE, i, i, -1) negates i, (_ADD, i, j, q) adds q times j to i
@@ -236,33 +230,19 @@ def _replay(ops: list, size: int) -> Matrix:
 def _replay_inverse(ops: list, size: int) -> Matrix:
     """The inverse operations, in order, on the rows of the identity.
 
-    The row log gives the transpose of S_inv; the column log gives T_inv.
-    An inverse multiplies from the other side, so adding q times j to i is
-    undone by adding -q times i to j.
+    The row log gives the transpose of S_inv.  An inverse multiplies from
+    the other side, so adding q times j to i is undone by adding -q times
+    i to j.
     """
     return _replay([(op, j, i, -q) if op == _ADD else (op, i, j, q)
                     for op, i, j, q in ops], size)
-
-
-def _in_smith_form(rows: list[list[int]], n: int) -> bool:
-    """Whether the matrix is diagonal with nonnegative d_1 | d_2 | ...
-    followed by zeros, where the reduction would make no operation."""
-    last = 1
-    for i, row in enumerate(rows):
-        x = row[i] if i < n else 0
-        if x < 0 or any(row[:i]) or any(row[i + 1:]):
-            return False
-        if x and (not last or x % last):
-            return False
-        last = x
-    return True
 
 
 def smith_normal_form(a) -> SmithForm:
     """Smith normal form with transforms.
 
     An input already in Smith form comes back as a copy with an empty
-    operation log, after one scan.
+    operation log: each pivot is already in place and divides the rest.
 
     >>> f = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     >>> f.diagonal()
@@ -275,20 +255,18 @@ def smith_normal_form(a) -> SmithForm:
     d = [row[:] for row in a.rows]
     row_ops: list[tuple[int, int, int, int]] = []
     col_ops: list[tuple[int, int, int, int]] = []
-    if _in_smith_form(d, n):
-        return SmithForm(Matrix(d, n), row_ops, col_ops)
-
     k = 0
     chain = 1  # divides every entry in rows and columns k onwards
     while k < m and k < n:
         # pick the nonzero entry of least magnitude as pivot, the first
-        # one in row-major order; none is smaller than chain
+        # one in row-major order; none is smaller than chain.  A row's
+        # magnitudes are listed only when it holds a new least one.
         piv = None
         for i in range(k, m):
-            mags = list(map(abs, d[i][k:]))
-            low = min(filter(None, mags), default=0)
+            row = d[i]
+            low = min(map(abs, filter(None, row[k:])), default=0)
             if low and (piv is None or low < least):
-                piv, least = (i, k + mags.index(low)), low
+                piv, least = (i, k + list(map(abs, row[k:])).index(low)), low
                 if low == chain:
                     break
         if piv is None:
@@ -359,26 +337,16 @@ def kernel_basis(a) -> Matrix:
 
 
 def image_basis(a) -> Matrix:
-    """Basis (as columns) of the image lattice of A inside Z^rows.
+    """Basis (as columns) of the image lattice of A inside Z^rows: the
+    first rank columns of S^-1 D.
 
-    Public API beside `kernel_basis`; the package itself reads image
-    lattices through `_image`, which also hands back their Smith form.
-
-    >>> image_basis([[2, 4], [0, 0]]).shape
-    (2, 1)
+    >>> image_basis([[2, 4], [0, 0]])
+    Matrix([[2], [0]], 1)
     """
-    return _image(smith_normal_form(a))[0]
-
-
-def _image(f: SmithForm) -> tuple[Matrix, SmithForm]:
-    """The image lattice S^-1 D of f's matrix, as columns, with its own
-    Smith form: S (S^-1 D) = D cut to its nonzero columns, so the lattice
-    shares f's row log and needs no column operation."""
+    f = smith_normal_form(a)
     scale = f._diagonal
-    lattice = Matrix([[x * dj for x, dj in zip(row, scale)]
-                      for row in f.S_inv.rows], len(scale))
-    top = Matrix([row[:len(scale)] for row in f.D.rows], len(scale))
-    return lattice, SmithForm(top, f._row_ops, [])
+    return Matrix([[x * dj for x, dj in zip(row, scale)]
+                   for row in f.S_inv.rows], len(scale))
 
 
 def solve_matrix(a, b) -> Matrix | None:
@@ -391,13 +359,9 @@ def solve_matrix(a, b) -> Matrix | None:
     True
     """
     a, b = to_matrix(a), to_matrix(b)
-    if a.shape[0] != b.shape[0]:
+    if len(a.rows) != len(b.rows):
         raise ValueError("solve shape mismatch")
-    return _solve(smith_normal_form(a), b)
-
-
-def _solve(f: SmithForm, b: Matrix) -> Matrix | None:
-    """solve_matrix for the matrix whose Smith form is f."""
+    f = smith_normal_form(a)
     scale = f._diagonal
     w = zeros(f.D.cols, b.cols)
     # an empty operation log means S (or T) is the identity
@@ -463,28 +427,19 @@ class PresGroup:
         return self.free_rank == 0 and not self.invariant_factors
 
 
-def group_from_summary(free: int, f2: int) -> PresGroup:
-    """The group Z^free + (Z/2)^f2, free generators first."""
-    return PresGroup(free + f2, f2_relations([False] * free + [True] * f2))
-
-
 class Subquotient:
     """A subquotient of Z^n: the group (column span of cycles)/(relations).
 
     group.gens equals cycles.shape[1]; cycles columns are a lattice basis, so
     elements of the subquotient have unique coordinate vectors and induced
-    maps are exact solves.  `cycle_smith` is the Smith form of `cycles`
-    kept from building them; `induced_map` solves against it instead of
-    reducing the lattice again.
+    maps are exact solves against `cycles`.
     """
 
-    __slots__ = ("group", "cycles", "cycle_smith")
+    __slots__ = ("group", "cycles")
 
-    def __init__(self, group: PresGroup, cycles: Matrix,
-                 cycle_smith: SmithForm):
+    def __init__(self, group: PresGroup, cycles: Matrix):
         self.group = group
         self.cycles = cycles  # n x group.gens
-        self.cycle_smith = cycle_smith
 
 
 def _in_span(m: Matrix, cols: Matrix) -> bool:
@@ -498,25 +453,21 @@ def _cycles_modulo(g_mat: Matrix, rels_tgt: Matrix,
                    boundaries: Matrix) -> Subquotient:
     """ker(g into Z^c/rels_tgt) modulo the columns of boundaries."""
     ker = kernel_basis(hstack(g_mat, rels_tgt))
-    lattice, smith = _image(smith_normal_form(
-        Matrix(ker.rows[: g_mat.cols], ker.cols)))
-    coords = _solve(smith, boundaries)
+    lattice = image_basis(Matrix(ker.rows[: g_mat.cols], ker.cols))
+    coords = solve_matrix(lattice, boundaries)
     if coords is None:
         raise AssertionError("boundaries escaped the cycle lattice")
-    return Subquotient(PresGroup(lattice.cols, coords), lattice, smith)
+    return Subquotient(PresGroup(lattice.cols, coords), lattice)
 
 
 def kernel_of_map(f_mat, rels_src, rels_tgt) -> Subquotient:
     """Kernel of a map of presented groups Z^a/R_a -> Z^b/R_b.
 
     f_mat is b x a on generators and must be well defined
-    (f * R_a inside span R_b).
+    (f * R_a inside span R_b).  The one-map case of `CochainComplex`: its
+    homology at the source, and the same ValueError when f is not.
     """
-    f_mat = to_matrix(f_mat)
-    rels_src, rels_tgt = to_matrix(rels_src), to_matrix(rels_tgt)
-    if not _in_span(rels_tgt, mat_mul(f_mat, rels_src)):
-        raise ValueError("map does not respect source relations")
-    return _cycles_modulo(f_mat, rels_tgt, rels_src)
+    return CochainComplex([f_mat], [rels_src, rels_tgt]).homology(0)
 
 
 def cokernel_of_map(f_mat, rels_tgt) -> PresGroup:
@@ -591,7 +542,7 @@ def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:
     tgt.cycles and must carry the cycle lattice into the cycle lattice.
     """
     moved = mat_mul(to_matrix(chain_map), src.cycles)
-    coords = _solve(tgt.cycle_smith, moved)
+    coords = solve_matrix(tgt.cycles, moved)
     if coords is None:
         raise ValueError("chain map does not preserve cycles")
     return coords

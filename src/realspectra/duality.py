@@ -45,7 +45,8 @@ from .blocks import (_bbprime_diag_max, _unit_degree, action_matrix,
 from .coefficients import (InconsistentSSData, InternalInconsistency,
                            Monomial, QuotientIdeal, UnknownExtension,
                            rank_summary, tower_group)
-from .grading import DELTA, Degree, RHO, Window, record, total_vbar_degree
+from .grading import (DELTA, Degree, RHO, Window, json_int, record,
+                      total_vbar_degree)
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import closed_form_state  # noqa: F401
@@ -55,12 +56,6 @@ ONE = Degree(1, 0)
 
 
 # --- spectral sequence data --------------------------------------------------
-
-def _as_degree(value) -> Degree:
-    if isinstance(value, Degree):
-        return value
-    return Degree.from_json(value)
-
 
 class _DifferentialFields(NamedTuple):
     block: str
@@ -141,12 +136,13 @@ class SSData(NamedTuple):
     def from_dict(data: dict) -> "SSData":
         try:
             diffs = tuple(
-                Differential(d["block"], _as_degree(d["source"]),
-                             _as_degree(d["target"]), int(d.get("rank", 1)))
+                Differential(d["block"], Degree.from_json(d["source"]),
+                             Degree.from_json(d["target"]),
+                             json_int(d.get("rank", 1)))
                 for d in data.get("differentials", ()))
-            exts = tuple(Extension(e["block"], _as_degree(e["degree"]))
+            exts = tuple(Extension(e["block"], Degree.from_json(e["degree"]))
                          for e in data.get("extensions", ()))
-            return SSData(int(data["n"]), diffs, exts)
+            return SSData(json_int(data["n"]), diffs, exts)
         except (AttributeError, KeyError, TypeError) as err:
             raise ValueError(f"malformed SSData: {err!r}") from None
 
@@ -645,16 +641,16 @@ def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
     return values[0]
 
 
-def verify_quotient_duality(m_seq, window: Window) -> DualityReport:
+def verify_quotient_duality(m_seq, k_lo: int, k_hi: int) -> DualityReport:
     """Check the Koszul colimit of a quotient against its Anderson dual.
 
     The dual of B/vbar^m is the kappa complex of the kept generators,
     suspended by -m' + 4 - 2 rho; equivalently pi_gamma of the colimit
-    is pi_{gamma + shift} of the dual.  window lists the colimit-side
-    degrees gamma; the colimit reading is single-staged on the k rho and
-    k rho - 1 lines, which is where callers should point it.  Degrees
-    whose quotient groups carry an unresolved extension are listed but
-    not judged.
+    is pi_{gamma + shift} of the dual.  The colimit reading is
+    single-staged on the k rho and k rho - 1 lines, so those are the
+    colimit-side degrees gamma checked, for k_lo <= k <= k_hi, in
+    ascending order.  Degrees whose quotient groups carry an unresolved
+    extension are listed but not judged.
     """
     ideal = QuotientIdeal.of(m_seq)
     kappa_shift = Degree(4, 0) - 2 * RHO - _quotient_weight(ideal) * RHO
@@ -663,21 +659,21 @@ def verify_quotient_duality(m_seq, window: Window) -> DualityReport:
         return tower_group(ideal, alpha).summarize()
 
     records = []
-    for gamma in window:
-        try:
-            dual = anderson_dual_groups(target, gamma + kappa_shift)
-            kappa = kappa_groups(ideal, gamma)
-        except UnknownExtension as err:
-            records.append(DualityRecord(
-                gamma, (0, 0), (0, 0), True, f"skipped: {err}"))
-            continue
-        records.append(DualityRecord(gamma, kappa, dual, kappa == dual))
-    records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
+    for k in range(k_lo, k_hi + 1):
+        for gamma in (k * RHO - ONE, k * RHO):
+            try:
+                dual = anderson_dual_groups(target, gamma + kappa_shift)
+                kappa = kappa_groups(ideal, gamma)
+            except UnknownExtension as err:
+                records.append(DualityRecord(
+                    gamma, (0, 0), (0, 0), True, f"skipped: {err}"))
+                continue
+            records.append(DualityRecord(gamma, kappa, dual, kappa == dual))
     bad = sum(1 for r in records if not r.ok)
-    skipped = sum(1 for r in records if r.ok and r.note)
-    summary = (f"quotient {tuple(ideal.exponents)} tail={ideal.tail}: "
-               f"{len(records)} degrees, {bad} mismatches, "
-               f"{skipped} skipped")
+    name = ("full ring" if ideal == QuotientIdeal() else
+            f"quotient {tuple(ideal.exponents)} tail={ideal.tail}")
+    summary = (f"{name} rho lines k in [{k_lo}, {k_hi}]: "
+               f"{len(records)} degrees, {bad} mismatches")
     return DualityReport(records, summary)
 
 
@@ -739,10 +735,11 @@ class MapGroup(NamedTuple):
     restriction_index: int | None = None
 
 
-def maps_from_quotient(n_exp: int, alpha: Degree | None = None,
-                       dual_shift: Degree = 2 * RHO - Degree(4, 0),
-                       n: int = 1) -> MapGroup:
-    """Maps from the alpha-suspended vbar_1^n_exp quotient to the dual.
+def maps_from_quotient(n_exp: int,
+                       dual_shift: Degree = 2 * RHO - Degree(4, 0)
+                       ) -> MapGroup:
+    """Maps from the vbar_1^n_exp quotient of the height-1 ring, suspended
+    by alpha = -(n_exp - 1) rho, to the dual.
 
     Computes [quotient, X] for X the dual_shift suspension of the
     Anderson dual via the cofibre sequence: a kernel of multiplication
@@ -753,8 +750,7 @@ def maps_from_quotient(n_exp: int, alpha: Degree | None = None,
     >>> maps_from_quotient(1)
     MapGroup(free=1, f2=0, restriction_index=1)
     """
-    if alpha is None:
-        alpha = -(n_exp - 1) * RHO
+    n, alpha = 1, -(n_exp - 1) * RHO
     exps = (n_exp,)
     vdeg = Monomial(0, 0, exps).degree()
     mirror = dual_shift  # pi_gamma X has Hom at mirror - gamma

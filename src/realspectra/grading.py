@@ -84,9 +84,11 @@ class Degree(_DegreeFields):
 
     @staticmethod
     def from_json(pair: Sequence[int]) -> "Degree":
+        """The inverse of to_json; TypeError unless both coordinates are
+        JSON integers."""
         if len(pair) != 2:
             raise ValueError(f"degree must be a [triv, sgn] pair, got {pair!r}")
-        return Degree(int(pair[0]), int(pair[1]))
+        return Degree(json_int(pair[0]), json_int(pair[1]))
 
     def __str__(self) -> str:
         """Human form like '3+2s', '-s', '0' (s denotes sigma).
@@ -112,6 +114,14 @@ ZERO = Degree(0, 0)
 SIGMA = Degree(0, 1)
 RHO = Degree(1, 1)
 DELTA = Degree(1, -1)
+
+
+def json_int(value) -> int:
+    """value if it is a JSON integer; TypeError for a bool, float, string
+    or anything else, which int() would truncate or coerce."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def v2(m: int) -> int:

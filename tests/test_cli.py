@@ -347,6 +347,22 @@ _MALFORMED_SSDATA = (
         {"block": "bb", "source": [0, -7], "target": [-1, -7],
          "rank": None}]}),
     ("inline", {"n": 2, "extensions": [{"block": "bb", "degree": None}]}),
+    # int() would truncate or coerce each of these to a height, a rank or
+    # a degree the input does not hold
+    ("inline", {"n": 2.5}),
+    ("inline", {"n": 2.9}),
+    ("inline", {"n": "2"}),
+    ("inline", {"n": 2, "differentials": [
+        {"block": "bb", "source": [0.9, -7.2], "target": [-1, -7]}]}),
+    ("inline", {"n": 2, "differentials": [
+        {"block": "bb", "source": [0, -7], "target": [-1, -7],
+         "rank": 1.5}]}),
+    ("inline", {"n": 2, "differentials": [
+        {"block": "bb", "source": [0, -7], "target": [-1, -7],
+         "rank": True}]}),
+    ("inline", {"n": 2, "extensions": [
+        {"block": "bb", "degree": [-4.4, True]}]}),
+    ("inline", {"n": 2, "extensions": [{"block": "bb", "degree": "12"}]}),
 )
 
 

@@ -441,19 +441,23 @@ def test_kappa_groups_boxed_quotient():
 
 
 def test_verify_quotient_duality_lines():
-    lines = [k * RHO for k in range(-5, 6)] + \
-        [k * RHO - ONE for k in range(-5, 6)]
+    summaries = []
     for m in ((), QuotientIdeal.truncation(1), (2,)):
-        rep = verify_quotient_duality(m, lines)
+        rep = verify_quotient_duality(m, -5, 5)
         assert not rep.mismatches, (m, rep.summary)
         assert not rep.skipped
+        assert [r.degree for r in rep.records] == \
+            [g for k in range(-5, 6) for g in (k * RHO - ONE, k * RHO)]
+        summaries.append(rep.summary)
+    assert summaries[0] == \
+        "full ring rho lines k in [-5, 5]: 22 degrees, 0 mismatches"
+    assert summaries[2] == \
+        "quotient (2,) tail=0 rho lines k in [-5, 5]: 22 degrees, 0 mismatches"
 
 
 def test_quotient_route_agrees_with_gorenstein_route():
     # two independent pipelines for the height-1 ring must both be clean
-    rep_q = verify_quotient_duality(
-        QuotientIdeal.truncation(1),
-        [k * RHO for k in range(-4, 5)] + [k * RHO - ONE for k in range(-4, 5)])
+    rep_q = verify_quotient_duality(QuotientIdeal.truncation(1), -4, 4)
     rep_g = verify_gorenstein(1, Window.square(8))
     assert not rep_q.mismatches and not rep_g.mismatches
 

@@ -106,6 +106,10 @@ def test_degree_json_roundtrip():
     assert Degree(3, -2).to_json() == [3, -2]
     with pytest.raises(ValueError):
         Degree.from_json([1, 2, 3])
+    # int() would read each of these as some degree
+    for pair in ([0.9, -7], [1, 2.0], [-4, True], ["1", 2], "12"):
+        with pytest.raises(TypeError):
+            Degree.from_json(pair)
 
 
 def test_window_str_reads_back_through_the_cli_parser():
