@@ -15,10 +15,12 @@ Along each diagonal d = (trivial) - (sign) and in each column u^l the
 blocks split into catalogue modules over P = Z_(2)[vbar_1..vbar_n]:
 diagonal_decompose classifies the cells from their generator lattices
 and annihilator exponents and validates the match degreewise, so the
-same code covers truncations no chart has been drawn for.  gamma_a
-recomputes NB honestly as the (a)-local cohomology of BB, and
+same code covers truncations no chart has been drawn for, and
 lc_of_block applies the closed-form local cohomology at
-J = (vbar_1..vbar_n) cellwise to produce the dual tables.
+J = (vbar_1..vbar_n) cellwise to produce the dual tables.  The tests
+recompute NB honestly as the (a)-local cohomology of BB and compare the
+assembly with the Borel completion (`gamma_a` and
+`completion_comparison` in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
-                      map_is_surjective, zeros)
+from .abelian import Matrix, zeros
 from .coefficients import (BasisEntry, InternalInconsistency, Monomial,
-                           StabilizationFailure, _first_index_above,
-                           degree_monomials, rank_summary)
-from .grading import DELTA, Degree, RHO, SIGMA, Window, record, v2
+                           _first_index_above, degree_monomials, rank_summary)
+from .grading import DELTA, Degree, RHO, record, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import closed_form_state, final_entry  # noqa: F401
@@ -84,11 +84,6 @@ def bb_basis(n: int, alpha: Degree) -> list[BasisEntry]:
     return list(_bb_cached(n, alpha))
 
 
-def bb_groups(n: int, alpha: Degree) -> tuple[int, int]:
-    """(free rank, F_2 rank) of the basic block at alpha."""
-    return rank_summary(_bb_cached(n, alpha))
-
-
 def _is_pure_tower(entry: BasisEntry) -> bool:
     return entry.mono.c == () and entry.mono.l == 0 and entry.lattice == 1
 
@@ -119,10 +114,6 @@ def nb_basis(n: int, alpha: Degree) -> list[BasisEntry | TowerClass]:
     if alpha.triv == -1 and alpha.sgn >= 1:
         out.append(TowerClass(alpha.sgn))
     return out
-
-
-def nb_groups(n: int, alpha: Degree) -> tuple[int, int]:
-    return rank_summary(nb_basis(n, alpha))
 
 
 # --- assembling the whole coefficient ring ----------------------------------
@@ -190,50 +181,6 @@ def assemble_groups(n: int, alpha: Degree) -> tuple[int, int]:
     (2, 0)
     """
     return rank_summary(c.entry for c in assemble(n, alpha))
-
-
-def borel_classes(n: int, alpha: Degree) -> list[AssembledClass]:
-    """Basis of BB[U^(+-1)] at alpha (the Borel-complete coefficients)."""
-    step = _unit_degree(n)
-    period = 2 ** (n + 1)
-    t = alpha.triv
-    d = t - alpha.sgn
-    k_hi = t // period  # need t - k*period >= 0
-    k_lo = min(k_hi, -((_bbprime_diag_max(n) - d) // (2 * period)))
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        for entry in bb_basis(n, alpha - step * k):
-            out.append(AssembledClass(k, entry))
-    return out
-
-
-def completion_comparison(n: int, alpha: Degree) -> tuple[int, int]:
-    """(cokernel F_2 rank at alpha, kernel F_2 rank at alpha).
-
-    The comparison map sends every assembled BB[U]- and BB'-class to its
-    Borel monomial (the doubled unit lands with index 2) and the dual
-    tower to zero, so the kernel is the tower and the cokernel counts the
-    missed pure a-power translates plus one F_2 per doubled unit.  The
-    long exact sequence of the completion puts these against the
-    geometric cofibre: cofibre(alpha) = coker(alpha) + ker(alpha - 1).
-    """
-    ours = assemble(n, alpha)
-    kernel = sum(1 for c in ours if isinstance(c.entry, TowerClass))
-    doubles = sum(1 for c in ours
-                  if isinstance(c.entry, BasisEntry)
-                  and not c.entry.torsion and c.u_power < 0
-                  and c.entry.mono.c == () and c.entry.mono.l == 0)
-    mapped = {(c.u_power, c.entry.mono)
-              for c in ours if isinstance(c.entry, BasisEntry)}
-    missed = 0
-    for b in borel_classes(n, alpha):
-        key = (b.u_power, b.entry.mono)
-        if key not in mapped:
-            if not b.entry.torsion:
-                raise InternalInconsistency(
-                    f"free Borel class {b.describe()} not hit at {alpha}")
-            missed += 1
-    return (missed + doubles, kernel)
 
 
 # --- diagonal decomposition --------------------------------------------------
@@ -387,93 +334,3 @@ def action_matrix(n: int, x: Monomial, src: list[AssembledClass],
         mat[row, col] = lattice % 2 if te.torsion else lattice // te.lattice
     return mat
 
-
-def bb_mult_matrix(n: int, x: Monomial, alpha: Degree) -> Matrix:
-    """Matrix of multiplication by x from BB at alpha to BB at alpha + |x|.
-
-    x must keep the column (u-exponent zero): the block is a module over
-    Z_(2)[a, vbar_1..vbar_n]/2a only.  See action_matrix.
-    """
-    if x.l:
-        raise ValueError("block action is u-free")
-    return action_matrix(
-        n, x, [AssembledClass(0, e) for e in _bb_cached(n, alpha)],
-        [AssembledClass(0, e) for e in _bb_cached(n, alpha + x.degree())])
-
-
-# --- a-local cohomology of BB ------------------------------------------------
-
-def _stable_kernel(n: int, alpha: Degree) -> tuple[int, int]:
-    # by e = 2^(n+1) every class has settled: vbar-content classes are
-    # past their annihilator exponent, doubled frees died at e = 1, and
-    # pure a-powers plus the unit never die, so ker(a^e) is constant
-    rels_src = f2_relations(c.torsion for c in _bb_cached(n, alpha))
-    prev = None
-    for e in range(2 ** (n + 1), 2 ** (n + 1) + 2):
-        mat = bb_mult_matrix(n, Monomial(e, 0, ()), alpha)
-        tgt = _bb_cached(n, alpha - SIGMA * e)
-        rels_tgt = f2_relations(c.torsion for c in tgt)
-        ker = kernel_of_map(mat, rels_src, rels_tgt).group.summarize()
-        if prev is not None and ker != prev:
-            raise StabilizationFailure(
-                f"a-power kernel at {alpha} moved past its floor")
-        prev = ker
-    return prev
-
-
-def _cokernel_floor(n: int, alpha: Degree) -> int:
-    # past this stage the target degree alpha - e sigma holds pure
-    # a-powers only: every vbar-content class has hit its annihilator
-    # exponent and every weight-zero free class has scrolled by, so the
-    # colimit transitions are structurally constant
-    return 2 ** (n + 1) + 4 * (2 ** n - 1) + max(0, alpha.sgn - alpha.triv) + 2
-
-
-def _stable_cokernel(n: int, alpha: Degree) -> tuple[int, int]:
-    floor = _cokernel_floor(n, alpha)
-    prev = None
-    for e in range(floor, floor + 3):
-        mat = bb_mult_matrix(n, Monomial(e, 0, ()), alpha)
-        tgt = _bb_cached(n, alpha - SIGMA * e)
-        coker = cokernel_of_map(mat, f2_relations(c.torsion for c in tgt))
-        if prev is not None:
-            step = bb_mult_matrix(n, Monomial(1, 0, ()), alpha - SIGMA * (e - 1))
-            if (prev.summarize() != coker.summarize()
-                    or not map_is_surjective(step, coker)):
-                raise StabilizationFailure(
-                    f"a-power cokernel at {alpha} moved past its floor")
-        prev = coker
-    return prev.summarize()
-
-
-def gamma_a(n: int, window: Window) -> tuple[dict, dict]:
-    """(H^0, H^1) of the a-multiplication colimit on BB, degreewise.
-
-    H^0 is the kernel of a^e for e past the annihilator exponents (the
-    a-power torsion).  H^1 is the cokernel colimit along the tower one
-    sigma down at a time, read past the structural floor where only pure
-    a-powers remain, with two transition isomorphisms confirmed.  Both
-    floors are forced by the annihilator bounds, not guessed from
-    repeated values, since a class can enter a kernel or cokernel stage
-    late even after several equal stages.  Certifies against the
-    negative block: NB = H^0 + H^1 shifted one trivial suspension down,
-    degree by degree; InternalInconsistency otherwise.  Returns dicts
-    over the window (H^1 also covers the right-shifted column the
-    certificate needs).
-    """
-    h0: dict[Degree, tuple[int, int]] = {}
-    h1: dict[Degree, tuple[int, int]] = {}
-    one = Degree(1, 0)
-    for alpha in window:
-        h0[alpha] = _stable_kernel(n, alpha)
-        for at in (alpha, alpha + one):
-            if at not in h1:
-                h1[at] = _stable_cokernel(n, at)
-    for alpha in window:
-        a0, b0 = h0[alpha]
-        a1, b1 = h1[alpha + one]
-        if nb_groups(n, alpha) != (a0 + a1, b0 + b1):
-            raise InternalInconsistency(
-                f"negative block at {alpha} is {nb_groups(n, alpha)}, "
-                f"local cohomology gives {(a0 + a1, b0 + b1)}")
-    return h0, h1

@@ -12,7 +12,7 @@ A monomial a^k u^l vbar^c with 2-adic coefficient valuation v lies in the
 subalgebra iff l = 0 or 2^m divides l, where m is the least index with
 positive content (v supplies vbar_0-content).  This divisibility shortcut is
 not part of the presentation; it is validated against products of generators
-by the test suite.
+in tests/oracles.py.
 
 Quotients by powers of the vbar_i are computed through the cofibre sequence
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Sequence
 
-from .grading import Degree, Window, record, v2
+from .grading import Degree, record, v2
 
 
 # the failures of every layer, here in the lowest one, which every command
@@ -191,99 +191,6 @@ def is_in_subalgebra(m: Monomial, coeff_2val: int = 0) -> bool:
         return True
     mc = m.min_content(coeff_2val)
     return mc is not None and m.l % (2 ** mc) == 0
-
-
-# ---------------------------------------------------------------------------
-# elements and multiplication
-
-class CoeffElement:
-    """A 2-locally integral combination of subalgebra monomials.
-
-    Stored as monomial -> integer coefficient; coefficients on a-divisible
-    monomials are reduced mod 2, and every stored monomial is nonzero and a
-    subalgebra member (with its coefficient's 2-valuation as vbar_0 content).
-    """
-
-    def __init__(self, terms: dict[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            self._accumulate(mono, coeff)
-
-    def _accumulate(self, mono: Monomial, coeff: int) -> None:
-        if coeff == 0 or mono.is_zero():
-            return
-        if mono.k > 0:
-            coeff %= 2
-            if coeff == 0:
-                return
-        if not is_in_subalgebra(mono, v2(coeff)):
-            raise ValueError(f"{coeff}*{mono} is not in the coefficient ring")
-        self.terms[mono] = self.terms.get(mono, 0) + coeff
-        if self.terms[mono] == 0 or (mono.k > 0 and self.terms[mono] % 2 == 0):
-            del self.terms[mono]
-
-    def __add__(self, other: "CoeffElement") -> "CoeffElement":
-        out = CoeffElement(dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out._accumulate(mono, coeff)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoeffElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> Degree | None:
-        degs = {m.degree() for m in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            head = "" if coeff == 1 else f"{coeff}*"
-            bits.append(f"{head}{mono}")
-        return " + ".join(bits)
-
-
-def element(mono: Monomial, coeff: int = 1) -> CoeffElement:
-    return CoeffElement({mono: coeff})
-
-
-def twisted_vbar(m: int, twist: int = 0) -> CoeffElement:
-    """The generator vbar_m(twist); vbar_0(j) is the element 2u^j.
-
-    >>> str(twisted_vbar(1, 1))
-    'u^2 v1'
-    >>> str(twisted_vbar(0, 3))
-    '2*u^3'
-    """
-    if m == 0:
-        return element(Monomial(0, twist), 2)
-    return element(Monomial(0, 2 ** m * twist, vbar_monomial(m).c))
-
-
-def multiply(x: CoeffElement, y: CoeffElement) -> CoeffElement:
-    """Product in the coefficient ring; the result re-checks membership.
-
-    >>> str(multiply(twisted_vbar(1, 1), twisted_vbar(0, 3)))
-    '2*u^5 v1'
-    >>> multiply(element(Monomial(1, 0)), twisted_vbar(0, 1)).is_zero()
-    True
-    """
-    out = CoeffElement()
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            out._accumulate(mx.times(my), cx * cy)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -671,97 +578,3 @@ def group_in_degree(alpha: Degree, ideal=QuotientIdeal()) -> tuple[int, int]:
     (1, 0)
     """
     return tower_group(ideal, alpha).summarize()
-
-
-# ---------------------------------------------------------------------------
-# underlying (non-equivariant) homotopy and restriction
-
-def underlying_groups(ideal, t: int) -> tuple[int, int]:
-    """Degree-t part of Z_(2)[v_1, v_2, ...]/(v^l), |v_i| = 2(2^i - 1).
-
-    >>> underlying_groups(QuotientIdeal(), 6)
-    (2, 0)
-    >>> underlying_groups(QuotientIdeal(), 5)
-    (0, 0)
-    """
-    ideal = QuotientIdeal.of(ideal)
-    if t % 2 != 0 or t < 0:
-        return (0, 0)
-    # tail = 1 kills every vbar_i past the listed ones
-    hi = len(ideal.exponents) if ideal.tail else None
-    count = sum(1 for c in weight_tuples(t // 2, 1, hi)
-                if not any(0 < e <= ci
-                           for e, ci in zip(ideal.exponents, c)))
-    return (count, 0)
-
-
-def restriction_rank(ideal, alpha: Degree) -> int | None:
-    """Per-summand index of the restriction image in the underlying group.
-
-    Restriction sends a to 0, u to a unit, vbar_i to v_i; a lattice-2 free
-    generator therefore lands on twice a monomial.  When all free summands
-    at alpha share one lattice index that index is returned (1 for constant
-    behaviour, 2 for the dual pattern); mixed degrees return None, no free
-    part returns 1.  Rank agreement with the underlying group is asserted.
-    """
-    g = tower_group(ideal, alpha)
-    free = [e for e in g.entries if not e.torsion]
-    under_free, _ = underlying_groups(ideal, alpha.triv + alpha.sgn)
-    if len(free) != under_free:
-        raise AssertionError(
-            f"free rank {len(free)} at {alpha} vs underlying rank {under_free}")
-    lattices = {e.lattice for e in free}
-    if not lattices:
-        return 1
-    if len(lattices) > 1:
-        return None
-    return lattices.pop()
-
-
-# ---------------------------------------------------------------------------
-# nilpotence of vbar_i on B/vbar_i^k
-
-def nilpotence_check(i: int, k: int, window: Window,
-                     exponent: int | None = None) -> bool:
-    """Whether vbar_i^exponent provably acts as zero on pi(B/vbar_i^k).
-
-    exponent defaults to 3k.  For exponent >= 2k the action is zero by the
-    two layer factorization (the first k factors land the class in the
-    cokernel layer, the next k kill it); the induced layer maps are computed
-    and asserted zero as a sanity check.  For smaller exponents: a nonzero
-    induced layer map decides False; all-zero layer maps decide True only
-    when no degree leaves room for a filtration jump, else False (a jump
-    cannot be excluded from layer data).  Raises UnknownExtension when a
-    tested degree's group is not even known as a sum of layers.
-    """
-    if exponent is None:
-        exponent = 3 * k
-    ideal = QuotientIdeal.of([0] * (i - 1) + [k])
-    mult = vbar_monomial(i, exponent)
-    shift = mult.degree()
-
-    jump_room = False
-    for alpha in window:
-        src = tower_group(ideal, alpha)
-        tgt = tower_group(ideal, alpha + shift)
-        for g in (src, tgt):
-            if g.sub_summary == (-1, -1):
-                raise UnknownExtension(f"layers unknown at {alpha}")
-        if not src.entries or not tgt.entries:
-            continue
-        # induced maps on both layers, computed symbolically
-        for e in src.entries:
-            coeff, cand = _image_class(e, mult, tgt)
-            if cand is not None and coeff:
-                if exponent >= 2 * k:
-                    raise AssertionError(
-                        "layer map should vanish for exponent >= 2k")
-                return False
-        # layers all zero here; can a jump happen?
-        src_quot = [e for e in src.entries if e.betas]
-        tgt_sub = [e for e in tgt.entries if not e.betas]
-        if src_quot and tgt_sub:
-            jump_room = True
-    if exponent >= 2 * k:
-        return True
-    return not jump_room

@@ -25,26 +25,24 @@ pass per SSData then recomputes only the blocks a record touches, so a
 mutation sweep over many record subsets costs about one verification.
 
 verify_quotient_duality checks the quotient counterpart against a Koszul
-colimit built degreewise from quotient tower groups, and
-maps_from_quotient resolves the mapping-group computation that pins the
-duality equivalence down, including the restriction index that
-distinguishes the correct suspension from the plain one.
+colimit built degreewise from quotient tower groups.  The mapping-group
+computation that pins the duality equivalence down, including the
+restriction index that distinguishes the correct suspension from the
+plain one, and the duality shifts of the named spectra are certificates
+in the tests (`maps_from_quotient` and `shift_for` in tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import NamedTuple
 
-from .abelian import (Matrix, cokernel_of_map, f2_relations, kernel_of_map,
-                      zeros)
-from .blocks import (_bbprime_diag_max, _unit_degree, action_matrix,
-                     assemble, assemble_groups, lc_of_block)
+from .blocks import (_bbprime_diag_max, _unit_degree, assemble_groups,
+                     lc_of_block)
 from .coefficients import (InconsistentSSData, InternalInconsistency,
-                           Monomial, QuotientIdeal, UnknownExtension,
-                           rank_summary, tower_group)
+                           QuotientIdeal, UnknownExtension, tower_group)
 from .grading import (DELTA, Degree, RHO, Window, json_int, record,
                       total_vbar_degree)
 # closed_form_state is not called here: perfbench/selftest.py checks that
@@ -134,6 +132,9 @@ class SSData(NamedTuple):
 
     @staticmethod
     def from_dict(data: dict) -> "SSData":
+        """SSData from its JSON form; ValueError if it is malformed or holds
+        a key that names no field (a misspelt key would load as absent
+        data)."""
         try:
             diffs = tuple(
                 Differential(d["block"], Degree.from_json(d["source"]),
@@ -142,9 +143,15 @@ class SSData(NamedTuple):
                 for d in data.get("differentials", ()))
             exts = tuple(Extension(e["block"], Degree.from_json(e["degree"]))
                          for e in data.get("extensions", ()))
-            return SSData(json_int(data["n"]), diffs, exts)
+            ss = SSData(json_int(data["n"]), diffs, exts)
         except (AttributeError, KeyError, TypeError) as err:
             raise ValueError(f"malformed SSData: {err!r}") from None
+        _check_keys(data, ("n", "differentials", "extensions"))
+        for d in data.get("differentials", ()):
+            _check_keys(d, ("block", "source", "target", "rank"))
+        for e in data.get("extensions", ()):
+            _check_keys(e, ("block", "degree"))
+        return ss
 
     def to_dict(self) -> dict:
         return {
@@ -157,6 +164,13 @@ class SSData(NamedTuple):
                 {"block": e.block, "degree": e.degree.to_json()}
                 for e in self.extensions],
         }
+
+
+def _check_keys(entry: dict, fields: tuple[str, ...]) -> None:
+    """ValueError naming the first key of entry that is not in fields."""
+    for key in entry:
+        if key not in fields:
+            raise ValueError(f"malformed SSData: unknown key {key!r}")
 
 
 def load_ssdata(text_or_path) -> SSData:
@@ -300,22 +314,6 @@ def anderson_dual_groups(groups, alpha: Degree) -> tuple[int, int]:
     return (groups(-alpha)[0], groups(-alpha - ONE)[1])
 
 
-def spectrum_groups(n: int):
-    """The assembled coefficient groups of one truncation, as a callable."""
-    return lambda alpha: assemble_groups(n, alpha)
-
-
-def part_groups(n: int, alpha: Degree, part: str) -> tuple[int, int]:
-    """(free, F_2) of one side of the assembly split at alpha.
-
-    part "bb" is BB[U] (u-powers >= 0), "nb" is U^(-1) NB[U^(-1)].
-    """
-    if part not in ("bb", "nb"):
-        raise ValueError(f"unknown part {part!r}")
-    return rank_summary(c.entry for c in assemble(n, alpha)
-                        if (c.u_power >= 0) == (part == "bb"))
-
-
 def gorenstein_shift(n: int) -> Degree:
     """W with Gamma = Sigma^(-W) of the Anderson dual, W = D rho + n + 2 delta.
 
@@ -411,7 +409,7 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
     built once per (n, window) and cached.
     """
     shift = gorenstein_shift(n)
-    dual_of = spectrum_groups(n)
+    dual_of = partial(assemble_groups, n)
     empty = SSData(n)
     entries = []
     base: dict[tuple[str, Degree], tuple[int, int]] = {}
@@ -510,20 +508,7 @@ def verify_gorenstein(n: int, window: Window,
     return DualityReport(records, summary)
 
 
-# --- duality shifts of the catalogue spectra -----------------------------------
-
-@record
-class ShiftSpec(NamedTuple):
-    """A duality statement: Anderson dual = shift applied to Gamma_ideal.
-
-    An empty ideal means the spectrum is its own derived torsion (a plain
-    self-duality up to suspension).
-    """
-
-    tag: str
-    shift: Degree
-    ideal: tuple[str, ...]
-
+# --- quotient duality ----------------------------------------------------------
 
 def _quotient_weight(ideal: QuotientIdeal) -> int:
     """m' = sum (e - 1)(2^i - 1) over the vbar_i killed at a power e > 1.
@@ -534,53 +519,6 @@ def _quotient_weight(ideal: QuotientIdeal) -> int:
     return sum((e - 1) * (2 ** (i + 1) - 1)
                for i, e in enumerate(ideal.exponents) if e > 1)
 
-
-def _vbar_names(lo: int, hi: int) -> tuple[str, ...]:
-    return tuple(f"vbar{i}" for i in range(lo, hi + 1))
-
-
-def shift_for(tag: str, n: int | None = None, m=None) -> ShiftSpec:
-    """Suspension and support ideal of one catalogue duality.
-
-    Tags: BPRn, kR, kRn, KRn, ERn (integral grading), TMF13, Tmf13, and
-    quotient (pass m, exponents as for QuotientIdeal).  kRn is
-    normalised on the cofibre of the completion map, KRn and Tmf13 are
-    self-dualities, ERn returns the integral suspension.
-
-    >>> shift_for("BPRn", 1).shift
-    Degree(triv=4, sgn=-1)
-    >>> shift_for("ERn", 1).shift
-    Degree(triv=4, sgn=0)
-    >>> shift_for("KRn", 5).shift
-    Degree(triv=2, sgn=-2)
-    """
-    if tag == "BPRn":
-        return ShiftSpec(tag, gorenstein_shift(n), _vbar_names(1, n))
-    if tag == "kR":
-        return ShiftSpec(tag, gorenstein_shift(1), ("vbar1",))
-    if tag == "kRn":
-        return ShiftSpec(tag, (2 ** n - 3) * RHO + Degree(4, 0),
-                         (f"vbar{n}",))
-    if tag == "KRn":
-        return ShiftSpec(tag, Degree(4, 0) - 2 * RHO, ())
-    if tag == "ERn":
-        t = (n + 2) * (2 ** (2 * n + 1) - 2 ** (n + 2)) + n + 3
-        return ShiftSpec(tag, Degree(t, 0), _vbar_names(1, n - 1))
-    if tag == "TMF13":
-        return ShiftSpec(tag, Degree(5, 0) + 2 * RHO, ("vbar1",))
-    if tag == "Tmf13":
-        return ShiftSpec(tag, Degree(5, 0) + 2 * RHO, ())
-    if tag == "quotient":
-        ideal = QuotientIdeal.of(m)
-        mprime = _quotient_weight(ideal)
-        kept = [i + 1 for i, e in enumerate(ideal.exponents) if e == 0]
-        vbar = sum(2 ** i - 1 for i in kept)
-        shift = (vbar - mprime - 2) * RHO + Degree(len(kept) + 4, 0)
-        return ShiftSpec(tag, shift, tuple(f"vbar{i}" for i in kept))
-    raise ValueError(f"unknown spectrum tag {tag!r}")
-
-
-# --- quotient duality ----------------------------------------------------------
 
 def _kappa_stage(ideal: QuotientIdeal, gamma: Degree,
                  probe: int) -> tuple[QuotientIdeal, Degree]:
@@ -676,96 +614,3 @@ def verify_quotient_duality(m_seq, k_lo: int, k_hi: int) -> DualityReport:
                f"{len(records)} degrees, {bad} mismatches")
     return DualityReport(records, summary)
 
-
-# --- mapping groups out of kR quotients -----------------------------------------
-
-def _mult_blocks(n: int, exps: tuple[int, ...], alpha: Degree):
-    """Free-to-free and torsion-to-torsion blocks of vbar^exps at alpha."""
-    x = Monomial(0, 0, exps)
-    src = assemble(n, alpha)
-    tgt = assemble(n, alpha + x.degree())
-    mat = action_matrix(n, x, src, tgt)
-
-    def block(torsion: bool) -> Matrix:
-        cols = [j for j, c in enumerate(src) if c.entry.torsion == torsion]
-        return Matrix([[mat[i, j] for j in cols]
-                       for i, c in enumerate(tgt)
-                       if c.entry.torsion == torsion], len(cols))
-
-    return block(False), block(True)
-
-
-def _dual_map_summaries(n: int, exps: tuple[int, ...], mirror: Degree,
-                        gamma: Degree, vdeg: Degree):
-    """Kernel and cokernel of vbar^exps on the dual, at gamma -> gamma+v.
-
-    The dual of a degreewise multiplication is its transpose on the Hom
-    part (the free block of the mirrored multiplication) plus the
-    transpose of the torsion block one degree down on the Ext part; both
-    are folded through honest presentations so unsaturated images
-    contribute their finite cokernels.
-    """
-    free, _ = _mult_blocks(n, exps, mirror - gamma - vdeg)
-    _, tors = _mult_blocks(n, exps, mirror - gamma - vdeg - ONE)
-    hom_t = free.T
-    ext_t = tors.T
-    a, b = hom_t.shape
-    ker = kernel_of_map(hom_t, zeros(b, 0), zeros(a, 0)).group.summarize()
-    cok = cokernel_of_map(hom_t, zeros(a, 0)).summarize()
-    c, d = ext_t.shape
-    rels_d, rels_c = f2_relations([True] * d), f2_relations([True] * c)
-    ker2 = kernel_of_map(ext_t, rels_d, rels_c).group.summarize()
-    cok2 = cokernel_of_map(ext_t, rels_c).summarize()
-    kernel = (ker[0] + ker2[0], ker[1] + ker2[1])
-    coker = (cok[0] + cok2[0], cok[1] + cok2[1])
-    return kernel, coker
-
-
-@record
-class MapGroup(NamedTuple):
-    """A mapping group out of a quotient, with its restriction index.
-
-    restriction_index 1 marks a free generator whose restriction hits
-    the full underlying group, 2 one landing on doubles; None when the
-    group is not free of rank one or the index is not forced.
-    """
-
-    free: int
-    f2: int
-    restriction_index: int | None = None
-
-
-def maps_from_quotient(n_exp: int,
-                       dual_shift: Degree = 2 * RHO - Degree(4, 0)
-                       ) -> MapGroup:
-    """Maps from the vbar_1^n_exp quotient of the height-1 ring, suspended
-    by alpha = -(n_exp - 1) rho, to the dual.
-
-    Computes [quotient, X] for X the dual_shift suspension of the
-    Anderson dual via the cofibre sequence: a kernel of multiplication
-    by vbar_1^n_exp on pi_alpha(X) against a cokernel one degree up.
-    Raises UnknownExtension when both sides are nonzero (the group is
-    then only known up to extension).
-
-    >>> maps_from_quotient(1)
-    MapGroup(free=1, f2=0, restriction_index=1)
-    """
-    n, alpha = 1, -(n_exp - 1) * RHO
-    exps = (n_exp,)
-    vdeg = Monomial(0, 0, exps).degree()
-    mirror = dual_shift  # pi_gamma X has Hom at mirror - gamma
-    kernel, _ = _dual_map_summaries(n, exps, mirror, alpha, vdeg)
-    _, coker = _dual_map_summaries(n, exps, mirror, alpha + ONE, vdeg)
-    if kernel != (0, 0) and coker != (0, 0):
-        raise UnknownExtension(
-            f"mapping group at {alpha} is an unresolved extension")
-    free = kernel[0] + coker[0]
-    f2 = kernel[1] + coker[1]
-    index = None
-    if (free, f2) == (1, 0) and kernel == (1, 0):
-        basis = [c for c in assemble(n, mirror - alpha)
-                 if not c.entry.torsion]
-        free_block, _ = _mult_blocks(n, exps, mirror - alpha - vdeg)
-        if len(basis) == 1 and not free_block.size:
-            index = 3 - basis[0].entry.lattice
-    return MapGroup(free, f2, index)

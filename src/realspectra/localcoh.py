@@ -433,24 +433,6 @@ def _stage_onto(mod: StandardModule, prev: dict, here: dict,
                for m, (key, _) in here.items() if m not in prev)
 
 
-def koszul_cohomology(mod: StandardModule, n: int, e: int, s: int,
-                      alpha: Degree) -> tuple[int, int]:
-    """H^s of the stage-e Koszul complex on (vbar_1^e, ..., vbar_n^e).
-
-    This is one stage of the colimit defining H^s_J; lc_oracle drives e
-    upward until the stages stabilize.  The stage is the direct sum of its
-    pieces, and H^s sums theirs.
-
-    >>> koszul_cohomology(p_module(), 1, 6, 1, -2 * RHO)
-    (1, 0)
-    >>> koszul_cohomology(pbar(0), 1, 5, 0, ZERO)
-    (0, 0)
-    """
-    if s < 0 or s > n:
-        return (0, 0)
-    return _stage_homology(_shapes(_stage(mod, n, e, alpha)), s)
-
-
 # the last stage an oracle run builds before it gives up
 MAX_E = 60
 

@@ -363,6 +363,10 @@ _MALFORMED_SSDATA = (
     ("inline", {"n": 2, "extensions": [
         {"block": "bb", "degree": [-4.4, True]}]}),
     ("inline", {"n": 2, "extensions": [{"block": "bb", "degree": "12"}]}),
+    # a misspelt key would load as absent data: no differentials, rank 1
+    ("inline", {"n": 2, "differentails": []}),
+    ("inline", {"n": 2, "differentials": [
+        {"block": "bb", "source": [0, -7], "target": [-1, -7], "rnak": 2}]}),
 )
 
 

@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from realspectra import coefficients
 from realspectra.coefficients import (
-    BasisEntry, CoeffElement, Monomial, QuotientIdeal,
+    BasisEntry, Monomial, QuotientIdeal,
     StabilizationFailure, basis_in_degree,
-    element, group_in_degree, is_in_subalgebra, multiply,
-    nilpotence_check, restriction_rank, tower_group,
-    twisted_vbar, underlying_groups, vbar_monomial, weight_tuples,
+    group_in_degree, is_in_subalgebra,
+    tower_group, vbar_monomial, weight_tuples,
 )
 from realspectra.grading import RHO, SIGMA, Degree, Window
 
 import oracles
+from oracles import (CoeffElement, element, multiply, nilpotence_check,
+                     restriction_rank, twisted_vbar, underlying_groups)
 
 
 def test_doctests():
@@ -304,6 +305,17 @@ def test_quotient_kro_basis_counts():
         full = oracles.polynomial_rank([1, 3, 7], k)
         killed = oracles.polynomial_rank([1, 3, 7], k - 2)  # vbar_1^2 multiples
         assert (free, tors) == (full - killed, 0)
+
+
+def test_er1_reads_pi_ko():
+    # ER(1) = BPR<1>[vbar_1^-1] is 2-local Real K-theory, whose fixed points
+    # are KO_(2) (Hu-Kriz); vbar_1 steps (t + k, k) by rho, so far enough
+    # out along it the 1-truncation reads pi_t KO = Z, Z/2, Z/2, 0, Z, 0, 0, 0
+    ko = [(1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0)]
+    for t, want in enumerate(ko):
+        for k in range(6, 13):
+            g = tower_group(QuotientIdeal.truncation(1), Degree(t + k, k))
+            assert g.summarize() == want, (t, k)
 
 
 def test_truncation_matches_small_polynomial_ring():

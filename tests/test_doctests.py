@@ -1,5 +1,6 @@
 """Every example in the docstrings of the realspectra modules that have no
-doctest runner in their own test file runs."""
+doctest runner in their own test file runs, and so does every example in
+tests/oracles.py."""
 
 import doctest
 import importlib
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import realspectra
+
+import oracles
 
 # modules whose test_<name>.py runs their doctests in its own test_doctests
 OWN_RUNNER = {"abelian", "blocks", "coefficients", "duality", "grading",
@@ -33,3 +36,8 @@ def test_every_module_has_one_runner():
 def test_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0, name
+
+
+def test_oracle_doctests():
+    result = doctest.testmod(oracles)
+    assert result.failed == 0 and result.attempted > 0

@@ -3,22 +3,25 @@
 import collections
 import doctest
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspectra import blocks, duality
-from realspectra.coefficients import (Monomial, QuotientIdeal, group_in_degree,
-                                      nilpotence_check, weight_tuples)
+from realspectra.blocks import assemble, assemble_groups
+from realspectra.coefficients import (Monomial, QuotientIdeal,
+                                      StabilizationFailure, group_in_degree,
+                                      rank_summary, weight_tuples)
 from realspectra.duality import (
     Differential, DualityRecord, Extension, InconsistentSSData, SSData,
     anderson_dual_groups, default_ssdata, gamma_block, gamma_groups,
-    gorenstein_shift, kappa_groups, load_ssdata, maps_from_quotient,
-    part_groups, shift_for, spectrum_groups, verify_gorenstein,
+    gorenstein_shift, kappa_groups, load_ssdata, verify_gorenstein,
     verify_quotient_duality)
-from realspectra.grading import RHO, Degree, Window
+from realspectra.grading import RHO, Degree, Window, total_vbar_degree
 
-from oracles import verify_gorenstein_per_degree
+from oracles import (maps_from_quotient, nilpotence_check, shift_for,
+                     verify_gorenstein_per_degree)
 
 ONE = Degree(1, 0)
 
@@ -148,7 +151,7 @@ def test_anderson_dual_reads_mirror_degrees():
 
 
 def test_double_dual_is_identity_on_ranks():
-    groups = spectrum_groups(1)
+    groups = partial(assemble_groups, 1)
     double = lambda a: anderson_dual_groups(
         lambda b: anderson_dual_groups(groups, b), a)
     for a in Window.square(6):
@@ -157,7 +160,7 @@ def test_double_dual_is_identity_on_ranks():
 
 def test_base_case_self_duality():
     # height 0 is ordinary integral cohomology: dual = itself twisted by 2 delta
-    groups = spectrum_groups(0)
+    groups = partial(assemble_groups, 0)
     twist = 2 * (ONE - Degree(0, 1))
     for a in Window.square(6):
         assert anderson_dual_groups(groups, a + twist) == groups(a), a
@@ -375,6 +378,15 @@ def test_duality_record_json_shape():
 # ---------------------------------------------------------------------------
 # block pairing across the duality
 
+def part_groups(n: int, alpha: Degree, part: str) -> tuple[int, int]:
+    """(free, F_2) of one side of the assembly split at alpha.
+
+    part "bb" is BB[U] (u-powers >= 0), "nb" is U^(-1) NB[U^(-1)].
+    """
+    return rank_summary(c.entry for c in assemble(n, alpha)
+                        if (c.u_power >= 0) == (part == "bb"))
+
+
 def test_blocks_pair_under_duality():
     for n in (1, 2):
         shift = gorenstein_shift(n)
@@ -440,6 +452,33 @@ def test_kappa_groups_boxed_quotient():
     assert kappa_groups(QuotientIdeal.truncation(1), -2 * RHO) == (1, 0)
 
 
+def test_kappa_route_agrees_with_gamma_groups_on_the_rho_lines():
+    # Gamma_J of the n-truncation is the colimit of its quotients by
+    # (vbar_1^e, ..., vbar_n^e), suspended by -D_n rho - n (Greenlees-May);
+    # kappa_groups reads that colimit on the k rho and k rho - 1 lines, with
+    # no SSData.  Degrees whose quotient towers do not stabilize are
+    # counted, not dropped from the range.
+    agreeing, raising = [], []
+    for n in range(1, 5):
+        ideal = QuotientIdeal.truncation(n)
+        offset = total_vbar_degree(n) + Degree(n, 0)
+        agree = fail = 0
+        for k in range(-16, 9):
+            for gamma in (k * RHO - ONE, k * RHO):
+                try:
+                    kappa = kappa_groups(ideal, gamma)
+                except StabilizationFailure:
+                    fail += 1
+                    continue
+                assert kappa == gamma_groups(n, None, gamma - offset), \
+                    (n, gamma)
+                agree += 1
+        agreeing.append(agree)
+        raising.append(fail)
+    assert agreeing == [50, 49, 47, 46]
+    assert raising == [0, 1, 3, 4]
+
+
 def test_verify_quotient_duality_lines():
     summaries = []
     for m in ((), QuotientIdeal.truncation(1), (2,)):
@@ -499,6 +538,6 @@ def test_dual_window_symmetry(t, s):
     # duality pairs a with -a - shift; verifying at a and reading the
     # record back gives the same verdict as the defining comparison
     a = Degree(t, s)
-    groups = spectrum_groups(1)
+    groups = partial(assemble_groups, 1)
     dual = anderson_dual_groups(groups, a + gorenstein_shift(1))
     assert dual == gamma_groups(1, None, a)

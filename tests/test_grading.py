@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from realspectra import grading
-from realspectra.coefficients import Monomial, twisted_vbar
+from realspectra.coefficients import Monomial
 from realspectra.grading import (
     DELTA, RHO, SIGMA, ZERO, Degree, Window, total_vbar_degree,
 )
+
+from oracles import twisted_vbar
 
 small_ints = st.integers(min_value=-50, max_value=50)
 degrees = st.builds(Degree, small_ints, small_ints)

@@ -1,8 +1,18 @@
-"""Every name a realspectra module imports at module level is read there.
+"""Every name a realspectra module imports at module level is read there,
+and every top-level definition is reached from a command.
 
 Each `src/realspectra/*.py` is parsed with `ast`; a module-level import
 binds names, and each must occur as a loaded name somewhere in the module.
 `from __future__` imports are exempt, and so are the names in `KEPT`.
+
+The package holds what a `realspectra` command runs.  Starting from
+`cli.main`, every `commands.cmd_*` and the package's `__all__`, a
+definition reaches each top-level definition whose name it loads, in its
+own module or through a relative import, lazy ones inside functions
+included, and `mod.name` where `mod` is an imported module; a class
+reaches what its methods load.  Every other top-level definition fails
+the check unless `KEPT_UNREACHED` says why it stays.  Certificates that
+no command runs live in `tests/oracles.py`.
 """
 
 import ast
@@ -77,3 +87,124 @@ def test_the_check_sees_an_unread_import(tmp_path):
                      "import os.path\nfrom re import compile as c, sub\n"
                      "print(sub)\n")
     assert _unused(probe) == ["probe.py:3 imports c", "probe.py:2 imports os"]
+
+
+# (module, name): why a definition no command reaches stays in the package
+KEPT_UNREACHED = {
+    ("duality", "gamma_groups"):
+        "pi of Gamma degree by degree; the SSData-free second route to it "
+        "(ROADMAP item 2) reads it",
+    ("blocks", "action_matrix"):
+        "the block action; the block check of the Koszul oracle "
+        "(ROADMAP item 4) reads it",
+    ("abelian", "homology_at"):
+        "public API of the linear-algebra core",
+    ("abelian", "kernel_of_map"):
+        "public API of the linear-algebra core, which the certificates "
+        "call rather than a copy",
+}
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Top-level functions, classes and assigned names -> their node;
+    dunder names such as `__all__` are module protocol, not definitions."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update((t.id, node) for t in targets
+                       if isinstance(t, ast.Name))
+    return {name: node for name, node in out.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _relative_imports(tree: ast.Module, stems) -> dict[str, tuple]:
+    """Names bound by `from .mod import name` and `from . import mod`,
+    anywhere in the module -> (module, name), or (module, None) for a
+    module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            if node.module:
+                target = (node.module, alias.name)
+            elif alias.name in stems:
+                target = (alias.name, None)
+            else:
+                target = ("__init__", alias.name)
+            bound[alias.asname or alias.name] = target
+    return bound
+
+
+def _unreached(package: Path) -> list[str]:
+    """module.name of each top-level definition no root reaches."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in package.glob("*.py")}
+    defs = {stem: _definitions(tree) for stem, tree in trees.items()}
+    imports = {stem: _relative_imports(tree, trees)
+               for stem, tree in trees.items()}
+    todo = [("cli", "main")]
+    todo += [("commands", name) for name in defs.get("commands", ())
+             if name.startswith("cmd_")]
+    if "__init__" in trees:
+        exported = next((node.value for node in trees["__init__"].body
+                         if isinstance(node, ast.Assign)
+                         and node.targets[0].id == "__all__"), None)
+        if exported is not None:
+            todo += [imports["__init__"].get(name, ("__init__", name))
+                     for name in ast.literal_eval(exported)]
+    seen = set()
+    while todo:
+        stem, name = todo.pop()
+        if (stem, name) in seen or name not in defs.get(stem, {}):
+            continue
+        seen.add((stem, name))
+        for node in ast.walk(defs[stem][name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in defs[stem]:
+                    todo.append((stem, node.id))
+                target = imports[stem].get(node.id)
+                if target is not None and target[1] is not None:
+                    todo.append(target)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name):
+                target = imports[stem].get(node.value.id)
+                if target is not None and target[1] is None:
+                    todo.append((target[0], node.attr))
+    return sorted(f"{stem}.{name}" for stem, names in defs.items()
+                  for name in names if (stem, name) not in seen)
+
+
+def test_every_definition_is_reached_from_a_command():
+    kept = {f"{stem}.{name}" for stem, name in KEPT_UNREACHED}
+    assert [name for name in _unreached(PACKAGE) if name not in kept] == []
+
+
+def test_every_kept_definition_is_still_unreached():
+    # an entry that a command now reaches (or that is gone) is stale and goes
+    unreached = _unreached(PACKAGE)
+    for (stem, name), why in KEPT_UNREACHED.items():
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        assert name in _definitions(tree), (stem, name, why)
+        assert f"{stem}.{name}" in unreached, (stem, name, why)
+
+
+def test_the_check_sees_an_unreached_definition(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .lib import exported\n__all__ = ['exported']\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import lib\n\ndef main():\n    return lib.direct()\n\n"
+        "def unused():\n    pass\n")
+    (tmp_path / "commands.py").write_text(
+        "LIMIT = 3\n\ndef cmd_run():\n    from .lib import Lazy\n"
+        "    return Lazy().go(LIMIT)\n")
+    (tmp_path / "lib.py").write_text(
+        "def direct():\n    pass\n\ndef exported():\n    pass\n\n"
+        "def helper():\n    pass\n\nclass Lazy:\n"
+        "    def go(self, n):\n        return helper()\n\n"
+        "def planted():\n    return direct()\n")
+    assert _unreached(tmp_path) == ["cli.unused", "lib.planted"]

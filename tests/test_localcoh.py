@@ -11,7 +11,7 @@ from realspectra.coefficients import StabilizationFailure
 from realspectra.grading import RHO, Degree
 from realspectra.localcoh import (
     StandardModule, check_closed_form, convention_report, dual_p, dual_pbar,
-    dual_tower_f2, ideal_f2, ideal_z, koszul_cohomology, lc_closed_form,
+    dual_tower_f2, ideal_f2, ideal_z, lc_closed_form,
     lc_oracle, lc_ranks, module_gens, module_ranks, p_module, pbar, tower_f2,
 )
 
@@ -94,9 +94,12 @@ def test_shift_moves_support():
 # Koszul oracle
 
 def test_koszul_spot_values():
-    assert koszul_cohomology(p_module(), 1, 6, 1, RHO * -2) == (1, 0)
-    assert koszul_cohomology(p_module(), 1, 6, 0, RHO * 2) == (0, 0)
-    assert koszul_cohomology(pbar(0), 1, 5, 0, ZERO) == (0, 0)
+    # H^s of the single stage e of the oracle's colimit, at n = 1
+    for mod, e, s, alpha, want in ((p_module(), 6, 1, RHO * -2, (1, 0)),
+                                   (p_module(), 6, 0, RHO * 2, (0, 0)),
+                                   (pbar(0), 5, 0, ZERO, (0, 0))):
+        stage = localcoh._stage(mod, 1, e, alpha)
+        assert localcoh._stage_homology(localcoh._shapes(stage), s) == want
 
 
 def test_oracle_stabilizes_and_is_radical_invariant(monkeypatch,

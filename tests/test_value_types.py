@@ -20,10 +20,12 @@ from realspectra.coefficients import (BasisEntry, Monomial, QuotientIdeal,
                                       TowerGroup)
 from realspectra.duality import (
     Differential, DualityRecord, DualityReport, Extension, GorensteinTable,
-    MapGroup, ShiftSpec, SSData, default_ssdata)
+    SSData, default_ssdata)
 from realspectra.grading import Degree, Window
 from realspectra.hfpss import Page
 from realspectra.localcoh import LCSummand, StandardModule, pbar
+
+from oracles import MapGroup, ShiftSpec
 
 M = Monomial(1, 2, (0, 1))
 E = BasisEntry(M, 1, True, (2,))
