@@ -31,13 +31,14 @@ class Matrix:
     """An integer matrix stored as row lists, with its column count.
 
     m[i, j] reads and writes one entry and m[:, j] lists a column; ==
-    compares entrywise and gives a matrix of bools for all() or any().
+    is True when shapes and entries agree, and any() whether an entry is
+    nonzero.
 
     >>> m = to_matrix([[1, 2], [3, 4]])
     >>> m.T[0, 1], m[:, 1], m.shape
     (3, [2, 4], (2, 2))
-    >>> (m == m).all(), zeros(2, 0).T.shape
-    (True, (0, 2))
+    >>> m == m, m == m.T, zeros(2, 0).T.shape
+    (True, False, (0, 2))
     """
 
     __slots__ = ("rows", "cols")
@@ -70,14 +71,10 @@ class Matrix:
         i, j = key
         self.rows[i][j] = value
 
-    def __eq__(self, other: Matrix) -> Matrix:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} == {other.shape}")
-        return Matrix([[x == y for x, y in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)], self.cols)
-
-    def all(self) -> bool:
-        return all(map(all, self.rows))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.cols == other.cols and self.rows == other.rows
 
     def any(self) -> bool:
         return any(map(any, self.rows))
@@ -247,7 +244,7 @@ def smith_normal_form(a) -> SmithForm:
     >>> f = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     >>> f.diagonal()
     [2, 2, 156]
-    >>> bool((mat_mul(mat_mul(f.S, to_matrix([[2,4,4],[-6,6,12],[10,4,16]])), f.T) == f.D).all())
+    >>> mat_mul(mat_mul(f.S, to_matrix([[2,4,4],[-6,6,12],[10,4,16]])), f.T) == f.D
     True
     """
     a = to_matrix(a)

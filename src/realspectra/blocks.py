@@ -45,11 +45,13 @@ class UnclassifiedModule(RuntimeError):
 
 @record
 class TowerClass(NamedTuple):
-    """One F_2 class of the negative block's dual tower, at (-1, level)."""
+    """One F_2 class of the negative block's dual tower, at (-1, level);
+    it has no monomial name."""
 
     level: int
     torsion = True
     lattice = 1
+    mono = None
 
     def degree(self) -> Degree:
         return Degree(-1, self.level)

@@ -84,7 +84,7 @@ def _actions(cells: Cells, max_index: int) -> list[tuple[Degree, Degree]]:
             hit = {c.mono for c in cells[target] if c.mono is not None}
             for m in monos:
                 prod = m.times(mult)
-                if not prod.is_zero() and prod in hit:
+                if prod in hit:
                     pairs.append((alpha, target))
                     break
     return sorted(set(pairs), key=lambda p: (p[0].triv, p[0].sgn,

@@ -8,11 +8,14 @@ generated by a and the twisted classes vbar_m(j) = u^(2^m j) vbar_m, with
 vbar_0 = 2 (so vbar_0(j) = 2u^j).  Degrees: |a| = -sigma, |u| = 2 - 2 sigma,
 |vbar_i| = (2^i - 1) rho.
 
-A monomial a^k u^l vbar^c with 2-adic coefficient valuation v lies in the
-subalgebra iff l = 0 or 2^m divides l, where m is the least index with
-positive content (v supplies vbar_0-content).  This divisibility shortcut is
-not part of the presentation; it is validated against products of generators
-in tests/oracles.py.
+The ring is the final page, at n = infinity, of the homotopy fixed point
+spectral sequence (`hfpss`), and one rule, `_page_lattice`, reads both: a
+nonzero monomial a^k u^l vbar^c lies in the subalgebra iff l = 0 or 2^m
+divides l, where m is the least index with positive content, and 2 u^l
+(vbar_0 content) always does.  This divisibility shortcut is not part of the
+presentation; it is validated against products of generators in
+tests/oracles.py.  `_page_basis` lists a degree's classes once, certified
+by the provable a-exponent bound, for the ring and for every final page.
 
 Quotients by powers of the vbar_i are computed through the cofibre sequence
 
@@ -98,8 +101,6 @@ class Monomial(_MonomialFields):
 
     >>> Monomial(1, 0, (2,)).degree()
     Degree(triv=2, sgn=1)
-    >>> Monomial(3, 0, (1,)).is_zero()   # vbar_1 a^3 = 0
-    True
     """
 
     __slots__ = ()
@@ -137,20 +138,6 @@ class Monomial(_MonomialFields):
         """Sum c_i (2^i - 1), the rho-weight of the vbar part."""
         return sum(ci * (2 ** i - 1) for i, ci in enumerate(self.c, start=1))
 
-    def is_zero(self) -> bool:
-        """Whether a relation vbar_i a^(2^(i+1)-1) = 0 applies."""
-        return any(ci > 0 and self.k >= 2 ** (i + 1) - 1
-                   for i, ci in enumerate(self.c, start=1))
-
-    def min_content(self, coeff_2val: int = 0) -> int | None:
-        """Least index with positive content; coefficient 2s count as index 0."""
-        if coeff_2val >= 1:
-            return 0
-        for i, ci in enumerate(self.c, start=1):
-            if ci > 0:
-                return i
-        return None
-
     def times(self, other: "Monomial") -> "Monomial":
         n = max(len(self.c), len(other.c))
         c = tuple((self.c[i] if i < len(self.c) else 0)
@@ -177,20 +164,34 @@ def vbar_monomial(i: int, power: int = 1) -> Monomial:
     return Monomial(0, 0, c)
 
 
-def is_in_subalgebra(m: Monomial, coeff_2val: int = 0) -> bool:
-    """Membership in the coefficient subalgebra.
+def _page_lattice(x: Monomial, cap: int | None = None) -> int:
+    """The lattice of the class on x on a page whose relations and twists
+    reach vbar_1 .. vbar_cap (cap = None: every index, the ring itself);
+    0 when x is zero or off the page.
 
-    >>> is_in_subalgebra(Monomial(0, 1))        # u alone
-    False
-    >>> is_in_subalgebra(Monomial(0, 1), 1)     # 2u = vbar_0(1)
-    True
-    >>> is_in_subalgebra(Monomial(0, 2, (1,)))  # u^2 vbar_1 = vbar_1(1)
-    True
+    With m the least index of positive content, x is zero once a^k
+    annihilates vbar_m (m <= cap, k >= 2^(m+1) - 1), and otherwise lies
+    on the page iff 2^e divides l, e = min(m, cap); without content and
+    with cap = None, iff l = 0.  An a-free monomial off the page still
+    carries its double, a vbar_0 twist, on lattice 2.
+
+    >>> _page_lattice(Monomial(0, 1)), _page_lattice(Monomial(0, 2, (1,)))
+    (2, 1)
+    >>> x = Monomial(3, 0, (1,))   # vbar_1 a^3: zero in the ring, not on E_2
+    >>> _page_lattice(x), _page_lattice(x, 0)
+    (0, 1)
     """
-    if m.l == 0:
-        return True
-    mc = m.min_content(coeff_2val)
-    return mc is not None and m.l % (2 ** mc) == 0
+    e = cap
+    for i, ci in enumerate(x.c, start=1):
+        if ci:
+            if cap is None or i <= cap:
+                if x.k >= 2 ** (i + 1) - 1:
+                    return 0
+                e = i
+            break
+    if x.l == 0 if e is None else x.l % 2 ** e == 0:
+        return 1
+    return 2 if x.k == 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,8 @@ def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
     each k, in `weight_tuples` order.
 
     A vbar_i with i <= cap that a^k annihilates (k >= 2^(i+1) - 1) is left
-    out; cap is the cap of `hfpss.closed_form_state`: 0 on E_2, n on the
-    final page, None (every i) for the full ring.  The one inversion of
+    out; cap is the page cap of `_page_lattice`: 0 on E_2, n on the final
+    page, None (every i) for the full ring.  The one inversion of
     |a^k u^l vbar^c| = (2l + w, -k - 2l + w): k = triv - sgn (mod 4),
     l = (triv - sgn - k) / 4 and w = (triv + sgn + k) / 2.
 
@@ -301,15 +302,20 @@ def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
     return out
 
 
-def _a_exponent_bound(alpha: Degree) -> int:
-    """Past this a-exponent the degree provably holds no more classes.
+def _a_exponent_bound(alpha: Degree, n: int | None = None) -> int:
+    """Past this a-exponent the degree provably holds no more classes of
+    the ring (n = None) or of the final page of the n-truncated theory.
 
-    For k > triv + sgn + 2 a nonzero member class has at most one vbar
+    On a final page a class with vbar content needs k < 2^(n+1) - 1, and
+    the only content-free class at alpha has k = -sgn - triv.  In the ring,
+    for k > triv + sgn + 2 a nonzero member class has at most one vbar
     factor.  With none at all it is a pure a-power (u-exponent 0 forces
     triv = 0, k = -sgn); with one factor vbar_i the weight 2^i - 1 and the
     divisibility 2^i | l pin i to the 2-valuation of triv + 1.
     """
     t, s = alpha.triv, alpha.sgn
+    if n is not None:
+        return max(2 ** (n + 1) - 2, -s - t, 0)
     bound = max(t + s + 2, 0)
     if t == 0:
         bound = max(bound, -s)
@@ -319,12 +325,31 @@ def _a_exponent_bound(alpha: Degree) -> int:
     return bound
 
 
-def basis_in_degree(alpha: Degree) -> list[BasisEntry]:
-    """Certified basis of the coefficient ring in one degree.
+def _page_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
+    """Certified classes at alpha of the final page of the n-truncated
+    theory; n = None is the ring itself.
 
-    Lists the degree once, up to filtration bound + 12, where bound is the
-    provable a-exponent bound.  Raises StabilizationFailure if a class lies
-    past bound + 4.
+    Lists the degree once, up to filtration bound + 8, where bound is
+    `_a_exponent_bound`, and reads each class off `_page_lattice`.  Raises
+    StabilizationFailure if a class lies past the bound.  Classes come in
+    `degree_monomials` order.
+    """
+    bound = _a_exponent_bound(alpha, n)
+    entries = []
+    for x in degree_monomials(n, alpha, 0, bound + 8, n):
+        lattice = _page_lattice(x, n)
+        if not lattice:
+            continue
+        if x.k > bound:
+            raise StabilizationFailure(f"final-page classes at {alpha} "
+                                       f"appear past filtration {bound}")
+        entries.append(BasisEntry(x, lattice, x.k > 0))
+    return entries
+
+
+def basis_in_degree(alpha: Degree) -> list[BasisEntry]:
+    """Certified basis of the coefficient ring in one degree, sorted by
+    monomial: `_page_basis` at n = None.
 
     >>> [e.describe() for e in basis_in_degree(Degree(0, 0))]
     ['1']
@@ -338,19 +363,7 @@ def basis_in_degree(alpha: Degree) -> list[BasisEntry]:
 
 @functools.lru_cache(maxsize=None)
 def _basis_cached(alpha: Degree) -> tuple[BasisEntry, ...]:
-    cap = _a_exponent_bound(alpha) + 4
-    entries = []
-    for x in degree_monomials(None, alpha, 0, cap + 8, None):
-        if x.k == 0:
-            lattice = 1 if is_in_subalgebra(x) else 2
-            entries.append(BasisEntry(x, lattice, torsion=False))
-        elif is_in_subalgebra(x):
-            entries.append(BasisEntry(x, 1, torsion=True))
-    entries.sort()  # by monomial, so by a-exponent first
-    if entries and entries[-1].mono.k > cap:
-        raise StabilizationFailure(
-            f"basis at {alpha} did not stabilize by cap {cap + 8}")
-    return tuple(entries)
+    return tuple(sorted(_page_basis(None, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +487,6 @@ def _image_class(entry: BasisEntry, mult: Monomial,
                  tgt: TowerGroup) -> tuple[int, BasisEntry | None]:
     """(coefficient, target entry) of mult * entry, or (0, None)."""
     prod = entry.mono.times(mult)
-    if prod.is_zero():
-        return (0, None)
     for cand in tgt.entries:
         if cand.betas == entry.betas and cand.mono == prod:
             if entry.torsion:

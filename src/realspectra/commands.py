@@ -137,11 +137,13 @@ def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _block_classes(cfg: RunConfig, n: int, alpha: Degree) -> list:
-    from .blocks import assemble, bb_basis, nb_basis
+    """The mode's classes at alpha, each an `AssembledClass`; the basic
+    and negative blocks sit at U-power 0."""
+    from .blocks import AssembledClass, assemble, bb_basis, nb_basis
     if cfg.mode == "bb":
-        return bb_basis(n, alpha)
+        return [AssembledClass(0, e) for e in bb_basis(n, alpha)]
     if cfg.mode == "nb":
-        return nb_basis(n, alpha)
+        return [AssembledClass(0, e) for e in nb_basis(n, alpha)]
     return assemble(n, alpha)
 
 
@@ -151,8 +153,7 @@ def cmd_blocks(cfg: RunConfig) -> tuple[int, str]:
         classes = _block_classes(cfg, cfg.n, alpha)
         if not classes:
             continue
-        f2 = sum(1 for c in classes
-                 if (c.entry if hasattr(c, "entry") else c).torsion)
+        f2 = sum(1 for c in classes if c.entry.torsion)
         rows.append([alpha.triv, alpha.sgn, len(classes) - f2, f2,
                      [c.describe() for c in classes]])
     return 0, _table(cfg, ["triv", "sgn", "free", "f2", "classes"], rows)
@@ -227,18 +228,14 @@ def _chart_classes(cfg: RunConfig, alpha: Degree) -> list:
         group = tower_group(QuotientIdeal(), alpha)
         if not group.exact:
             raise UnknownExtension(f"unresolved extension at {alpha}")
-        entries = group.entries
-    else:
-        entries = _block_classes(cfg, cfg.n, alpha)
+        return [ChartClass(e.lattice, e.torsion, e.mono)
+                for e in group.entries]
     flat = []
-    for cls in entries:
-        u_power = 0
-        if hasattr(cls, "entry"):
-            u_power, cls = cls.u_power, cls.entry
-        mono = getattr(cls, "mono", None)   # a TowerClass has none
-        if mono is not None and u_power:
-            mono = Monomial(mono.k, mono.l + u_power * 2 ** cfg.n, mono.c)
-        flat.append(ChartClass(cls.lattice, cls.torsion, mono))
+    for c in _block_classes(cfg, cfg.n, alpha):
+        mono = c.entry.mono   # None on a TowerClass
+        if mono is not None and c.u_power:
+            mono = Monomial(mono.k, mono.l + c.u_power * 2 ** cfg.n, mono.c)
+        flat.append(ChartClass(c.entry.lattice, c.entry.torsion, mono))
     return flat
 
 

@@ -17,16 +17,18 @@ killed by 2a = 0 or by a lower a-power relation.  Each class therefore fires
 at most once, on the page matching the 2-valuation of its u-exponent, and
 each target has a unique firing source.
 
-Every page is read off one closed form (`closed_form_state`): page E_{2^p}
-is the subalgebra of E_2 / (a^3 vbar_1, ..., a^(2^p - 1) vbar_{p-1})
-generated by a, u^{+-2^(p-1)}, the vbar_i, and the twisted classes
-vbar_i u^(2^i j) for i < p - 1; membership reduces to a 2-adic divisibility
-of the u-exponent against the least vbar content.  `run_differentials`
-steps each listed class through the pages with it and names the
-differentials from one page to the next.  `final_entry` turns its final
-page into the class on one monomial, or None; it is the one constructor of
-final-page classes, for `e_infinity_basis` (once per monomial, past the
-provable filtration bound) and for the blocks and their action.  The
+Every page is read off one closed form: page E_{2^p} is the subalgebra of
+E_2 / (a^3 vbar_1, ..., a^(2^p - 1) vbar_{p-1}) generated by a,
+u^{+-2^(p-1)}, the vbar_i, and the twisted classes vbar_i u^(2^i j) for
+i < p - 1, so membership reduces to a 2-adic divisibility of the
+u-exponent against the least vbar content.  That rule is
+`coefficients._page_lattice`, which reads the coefficient ring as the final
+page at n = infinity; `closed_form_state` works out a page's cap for it.
+`run_differentials` steps each listed class through the pages with it and
+names the differentials from one page to the next.  `final_entry` is the
+final-page class on one monomial, or None, for the blocks and their
+action; `e_infinity_basis` is the certified listing
+`coefficients._page_basis`, which the ring's basis reads too.  The
 propagation engine that follows the differentials class by class is the
 independent route that certifies this one; it lives in the tests
 (`tests/oracles.py`, `PageStatesReference`).
@@ -37,9 +39,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coefficients import (
-    DEFAULT_A_CAP, BasisEntry, InternalInconsistency, Monomial,
-    StabilizationFailure, _a_exponent_bound, _bump, degree_monomials,
-    rank_summary,
+    DEFAULT_A_CAP, BasisEntry, InternalInconsistency, Monomial, _bump,
+    _page_basis, _page_lattice, degree_monomials, rank_summary,
 )
 from .grading import Degree, Window, record, v2
 
@@ -88,12 +89,13 @@ def _fires(x: Monomial, p: int, now, after) -> bool:
 
 
 def closed_form_state(n: int | None, x: Monomial, p: int | None = None):
-    """State of x on page E_{2^p} (p = None: the final page) by membership.
+    """State of x on page E_{2^p} (p = None: the final page): `_DEAD`, or
+    the lattice 1 or 2 of an a-free class, or True for an F_2 class.
 
-    The page is the subalgebra of E_2/(a^3 vbar_1, ..., a^(2^p-1) vbar_{p-1})
-    generated by a, u^{+-2^(p-1)}, the vbar_i, and vbar_i u^(2^i j) for
-    i < p - 1.  The lattice-2 option for k = 0 comes from the 2 u^j classes
-    (vbar_0 twists), which are cycles for every differential.
+    Page E_{2^p} reaches vbar_1 .. vbar_(p-1), the final page vbar_1 ..
+    vbar_n; `_page_lattice` reads x on it.  The lattice-2 option for k = 0
+    comes from the 2 u^j classes (vbar_0 twists), which are cycles for
+    every differential.
     """
     if p is None:
         cap = n
@@ -101,75 +103,40 @@ def closed_form_state(n: int | None, x: Monomial, p: int | None = None):
         cap = p - 1
     else:
         cap = min(p - 1, n)
-    if x.k > 0:
-        for i, ci in enumerate(x.c, start=1):
-            if ci and (cap is None or i <= cap) and x.k >= 2 ** (i + 1) - 1:
-                return _DEAD
-    m = x.min_content()
-    if cap is None:
-        ok = x.l == 0 if m is None else x.l % 2 ** m == 0
-    else:
-        e = cap if m is None else min(m, cap)
-        ok = x.l % 2 ** e == 0
-    if x.k == 0:
-        return 1 if ok else 2
-    return True if ok else _DEAD
+    lattice = _page_lattice(x, cap)
+    if not lattice:
+        return _DEAD
+    return lattice if x.k == 0 else True
 
 
 def final_entry(n: int | None, x: Monomial) -> BasisEntry | None:
     """The final-page class on x, or None when x dies.
 
-    A surviving a-free monomial is a free class on the lattice its state
-    names (1, or 2 for a doubled class); an a-divisible one is an F_2
-    class.
+    A surviving a-free monomial is a free class on the lattice
+    `_page_lattice` names (1, or 2 for a doubled class); an a-divisible
+    one is an F_2 class.
 
     >>> final_entry(1, Monomial(0, 1)).describe()
     '2*u'
     >>> final_entry(1, Monomial(3, 0, (1,))) is None
     True
     """
-    st = closed_form_state(n, x)
-    if st == _DEAD:
-        return None
-    if x.k == 0:
-        return BasisEntry(x, st, False)
-    return BasisEntry(x, 1, True)
-
-
-def _exponent_bound(n: int | None, alpha: Degree) -> int:
-    """Filtration above which no class survives to the final page."""
-    if n is None:
-        return _a_exponent_bound(alpha)
-    # torsion survivors need k < 2^(n+1) - 1 against any content; the only
-    # content-free class at alpha has k = -s - t
-    return max(2 ** (n + 1) - 2, -alpha.sgn - alpha.triv, 0)
+    lattice = _page_lattice(x, n)
+    return BasisEntry(x, lattice, x.k > 0) if lattice else None
 
 
 def e_infinity_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
-    """Certified final-page classes at alpha.
+    """Certified final-page classes at alpha: `_page_basis`.
 
-    Lists once, up to filtration bound + 8, the monomials that no a-relation
-    of the final page kills, where bound is the provable filtration bound,
-    and takes the class on each from `final_entry`.
-    Raises StabilizationFailure if a class above the bound survives; the
-    classes returned are those of filtration at most the bound.
+    Lists once, up to filtration bound + 8, where bound is the provable
+    filtration bound; raises StabilizationFailure if a class lies past it.
 
     >>> [e.describe() for e in e_infinity_basis(1, Degree(2, -2))]
     ['2*u']
     >>> [e.describe() for e in e_infinity_basis(1, Degree(4, -4))]
     ['u^2']
     """
-    bound = _exponent_bound(n, alpha)
-    entries = []
-    for x in degree_monomials(n, alpha, 0, bound + 8, n):
-        entry = final_entry(n, x)
-        if entry is None:
-            continue
-        if x.k > bound:
-            raise StabilizationFailure(f"final-page classes at {alpha} "
-                                       f"appear past filtration {bound}")
-        entries.append(entry)
-    return entries
+    return _page_basis(n, alpha)
 
 
 def e_infinity_groups(n: int | None, alpha: Degree) -> tuple[int, int]:

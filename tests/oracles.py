@@ -42,11 +42,18 @@ from realspectra.blocks import (AssembledClass, TowerClass, _bbprime_diag_max,
 from realspectra.coefficients import (BasisEntry, InternalInconsistency,
                                       Monomial, QuotientIdeal,
                                       StabilizationFailure, UnknownExtension,
-                                      _image_class, is_in_subalgebra,
+                                      _image_class, _page_lattice,
                                       rank_summary, tower_group,
                                       vbar_monomial, weight_tuples)
 from realspectra.duality import _quotient_weight, gorenstein_shift
-from realspectra.grading import RHO, SIGMA, Degree, Window, record, v2
+from realspectra.grading import RHO, SIGMA, Degree, Window, record
+
+
+def annihilated(mono: Monomial) -> bool:
+    """Whether a relation vbar_i a^(2^(i+1)-1) = 0 of the presentation
+    applies to mono."""
+    return any(ci > 0 and mono.k >= 2 ** (i + 1) - 1
+               for i, ci in enumerate(mono.c, start=1))
 
 
 def generator_pool(max_index: int, max_twist: int):
@@ -76,7 +83,7 @@ def reachable_products(max_factors: int, max_index: int, max_twist: int):
         for mono, val in level.items():
             for g, gval in gens:
                 prod = mono.times(g)
-                if prod.is_zero():
+                if annihilated(prod):
                     continue
                 v = val + gval
                 if prod.k > 0 and v >= 1:
@@ -102,8 +109,9 @@ class CoeffElement:
     """A 2-locally integral combination of subalgebra monomials.
 
     Stored as monomial -> integer coefficient; coefficients on a-divisible
-    monomials are reduced mod 2, and every stored monomial is nonzero and a
-    subalgebra member (with its coefficient's 2-valuation as vbar_0 content).
+    monomials are reduced mod 2, terms the presentation's relations kill
+    are dropped, and every stored term is certified by the package's page
+    rule: its lattice (`_page_lattice`, 1 or 2) divides the coefficient.
     """
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
@@ -112,13 +120,14 @@ class CoeffElement:
             self._accumulate(mono, coeff)
 
     def _accumulate(self, mono: Monomial, coeff: int) -> None:
-        if coeff == 0 or mono.is_zero():
+        if coeff == 0 or annihilated(mono):
             return
         if mono.k > 0:
             coeff %= 2
             if coeff == 0:
                 return
-        if not is_in_subalgebra(mono, v2(coeff)):
+        lattice = _page_lattice(mono)
+        if not lattice or coeff % lattice:
             raise ValueError(f"{coeff}*{mono} is not in the coefficient ring")
         self.terms[mono] = self.terms.get(mono, 0) + coeff
         if self.terms[mono] == 0 or (mono.k > 0 and self.terms[mono] % 2 == 0):
@@ -220,8 +229,6 @@ def brute_coefficient_group(alpha: Degree, a_cap: int = 60):
     Used to cross-check the certified enumerator on windows where the cap
     is visibly sufficient.
     """
-    from realspectra.coefficients import is_in_subalgebra
-
     t, s = alpha.triv, alpha.sgn
     d = t - s
     free = tors = 0
@@ -236,7 +243,7 @@ def brute_coefficient_group(alpha: Degree, a_cap: int = 60):
                 # vbar_i a^k = 0 once k >= 2^(i+1) - 1
                 lo = next(i for i in range(1, k + 2) if k < 2 ** (i + 1) - 1)
                 for c in weight_tuples_reference(w, lo):
-                    if is_in_subalgebra(Monomial(k, l, c)):
+                    if _page_lattice(Monomial(k, l, c)):
                         tors += 1
         k += 4
     return (free, tors)
@@ -312,13 +319,13 @@ def e_infinity_basis_two_rounds(n, alpha):
     Each round runs a fresh `PageStatesReference` against the closed form on
     every monomial and raises MismatchError where they disagree; the answers
     must agree between the rounds, else a survivor lies past the bound.  The
-    closed form and the bound are looked up through the hfpss module, so a
-    test that patches them there patches this reference too.
+    closed form is looked up through the hfpss module and the bound through
+    coefficients, so a test that patches them there patches this reference
+    too.
     """
-    from realspectra import hfpss
-    from realspectra.coefficients import BasisEntry, StabilizationFailure
+    from realspectra import coefficients, hfpss
 
-    bound = hfpss._exponent_bound(n, alpha)
+    bound = coefficients._a_exponent_bound(alpha, n)
     rounds = []
     for cap in (bound, bound + 8):
         engine = PageStatesReference(n)
@@ -346,8 +353,7 @@ def e_infinity_basis_two_rounds(n, alpha):
 def enumerate_with_cap_reference(alpha, a_cap):
     """The full ring's basis at alpha up to filtration a_cap, listed by its
     own inversion of the degree, a-exponent by a-exponent, and sorted."""
-    from realspectra.coefficients import (BasisEntry, _first_index_above,
-                                          is_in_subalgebra, weight_tuples)
+    from realspectra.coefficients import _first_index_above, weight_tuples
 
     t, s = alpha.triv, alpha.sgn
     d = t - s
@@ -358,16 +364,12 @@ def enumerate_with_cap_reference(alpha, a_cap):
             w = (t + s + k) // 2
             l = (d - k) // 4
             if w >= 0:
-                if k == 0:
-                    for c in weight_tuples(w):
-                        mono = Monomial(0, l, c)
-                        lat = 1 if is_in_subalgebra(mono) else 2
-                        out.append(BasisEntry(mono, lat, torsion=False))
-                else:
-                    for c in weight_tuples(w, _first_index_above(k)):
-                        mono = Monomial(k, l, c)
-                        if not mono.is_zero() and is_in_subalgebra(mono):
-                            out.append(BasisEntry(mono, 1, torsion=True))
+                lo = 1 if k == 0 else _first_index_above(k)
+                for c in weight_tuples(w, lo):
+                    mono = Monomial(k, l, c)
+                    lattice = _page_lattice(mono)
+                    if lattice:
+                        out.append(BasisEntry(mono, lattice, k > 0))
         k += 4
     return sorted(out)
 
@@ -414,22 +416,21 @@ def bb_cached_reference(n, alpha):
     return tuple(sorted(out, key=lambda e: (e.mono.l, e.mono.k, e.mono.c)))
 
 
-def basis_cached_two_listings(alpha, a_cap):
+def basis_cached_two_listings(alpha):
     """coefficients._basis_cached as two full listings by
-    `enumerate_with_cap_reference`: to the cap max(a_cap, bound + 4) and to
-    cap + 8.  They must agree, else a class lies past the cap.
+    `enumerate_with_cap_reference`: to the provable bound and to bound + 8.
+    They must agree, else a class lies past the bound.
 
     The bound is looked up through the coefficients module, so a test that
     patches it there patches this reference too.
     """
     from realspectra import coefficients
 
-    cap = max(a_cap, coefficients._a_exponent_bound(alpha) + 4)
-    first = enumerate_with_cap_reference(alpha, cap)
-    second = enumerate_with_cap_reference(alpha, cap + 8)
-    if first != second:
+    bound = coefficients._a_exponent_bound(alpha)
+    first = enumerate_with_cap_reference(alpha, bound)
+    if first != enumerate_with_cap_reference(alpha, bound + 8):
         raise coefficients.StabilizationFailure(
-            f"basis at {alpha} did not stabilize by cap {cap + 8}")
+            f"final-page classes at {alpha} appear past filtration {bound}")
     return tuple(first)
 
 

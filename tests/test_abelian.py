@@ -30,8 +30,8 @@ def test_smith_known_matrix():
     f = smith_normal_form(a)
     assert f.diagonal() == [2, 2, 156]
     am = to_matrix(a)
-    assert (mat_mul(mat_mul(f.S, am), f.T) == f.D).all()
-    assert (mat_mul(f.S, f.S_inv) == identity(3)).all()
+    assert mat_mul(mat_mul(f.S, am), f.T) == f.D
+    assert mat_mul(f.S, f.S_inv) == identity(3)
     assert _is_unimodular(f.T)
 
 
@@ -150,9 +150,9 @@ small = st.integers(min_value=-9, max_value=9)
 def test_smith_properties_random(m, n, data):
     a = to_matrix([[data.draw(small) for _ in range(n)] for _ in range(m)])
     f = smith_normal_form(a)
-    assert (mat_mul(mat_mul(f.S, a), f.T) == f.D).all()
-    assert (mat_mul(f.S, f.S_inv) == identity(m)).all()
-    assert (mat_mul(f.S_inv, f.S) == identity(m)).all()
+    assert mat_mul(mat_mul(f.S, a), f.T) == f.D
+    assert mat_mul(f.S, f.S_inv) == identity(m)
+    assert mat_mul(f.S_inv, f.S) == identity(m)
     assert _is_unimodular(f.T)
     d = f.diagonal()
     assert all(x > 0 for x in d)
@@ -161,7 +161,7 @@ def test_smith_properties_random(m, n, data):
     k = kernel_basis(a)
     assert k.shape == (n, n - f.rank)
     prod = mat_mul(a, k)
-    assert (prod == zeros(*prod.shape)).all()
+    assert prod == zeros(*prod.shape)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,13 +184,24 @@ def test_solve_finds_exact_solutions(m, n, data):
     b = mat_mul(a, x)
     sol = solve_matrix(a, b)
     assert sol is not None
-    assert (mat_mul(a, sol) == b).all()
+    assert mat_mul(a, sol) == b
+
+
+def test_matrix_equality_is_one_bool():
+    # an entrywise matrix of bools is always truthy, so `assert a == b`
+    # could never fail
+    assert not (zeros(1, 1) == identity(1))
+    assert (zeros(1, 1) == identity(1)) is False
+    assert to_matrix([[1, 2]]) == to_matrix([[1, 2]])
+    # shapes count, empty ones included
+    assert zeros(0, 2) != zeros(0, 3) and zeros(2, 0) != zeros(3, 0)
+    assert zeros(2, 2) != zeros(2, 3) and zeros(2, 2) != [[0, 0], [0, 0]]
 
 
 def test_hstack_vstack_edge_cases():
     a = zeros(2, 0)
     b = to_matrix([[1, 2], [3, 4]])
-    assert (hstack(a, b) == b).all()
+    assert hstack(a, b) == b
     assert hstack(a, a).shape[1] == 0
     with pytest.raises(ValueError):
         hstack(b, zeros(3, 1))

@@ -27,10 +27,9 @@ from oracles import (basis_cached_two_listings, bb_cached_reference,
 from realspectra import coefficients, hfpss, localcoh
 from realspectra.abelian import smith_normal_form, to_matrix, zeros
 from realspectra.blocks import _bb_cached
-from realspectra.coefficients import (BasisEntry, QuotientIdeal,
-                                      StabilizationFailure,
-                                      _first_index_above, is_in_subalgebra,
-                                      tower_group, weight_tuples)
+from realspectra.coefficients import (QuotientIdeal, StabilizationFailure,
+                                      _first_index_above, tower_group,
+                                      weight_tuples)
 from realspectra.grading import RHO, SIGMA, Degree, Window
 
 
@@ -301,7 +300,7 @@ def _bb_unpruned(n, alpha):
 
 
 def _e_infinity_unpruned(n, alpha):
-    bound = hfpss._exponent_bound(n, alpha)
+    bound = coefficients._a_exponent_bound(alpha, n)
     entries = []
     for x in hfpss.e2_basis(n, alpha, bound + 8):
         entry = hfpss.final_entry(n, x)
@@ -315,23 +314,7 @@ def _e_infinity_unpruned(n, alpha):
 
 
 def _basis_unpruned(alpha):
-    cap = coefficients._a_exponent_bound(alpha) + 4
-    entries = []
-    for x in hfpss.e2_basis(None, alpha, cap + 8):
-        if x.k == 0:
-            lattice = 1 if is_in_subalgebra(x) else 2
-            entries.append(BasisEntry(x, lattice, False))
-        elif not x.is_zero() and is_in_subalgebra(x):
-            entries.append(BasisEntry(x, 1, True))
-    entries.sort()
-    if entries and entries[-1].mono.k > cap:
-        raise StabilizationFailure(
-            f"basis at {alpha} did not stabilize by cap {cap + 8}")
-    return entries
-
-
-def _basis_two_listings(alpha):
-    return basis_cached_two_listings(alpha, 0)
+    return sorted(_e_infinity_unpruned(None, alpha))
 
 
 def _listing_outcome(fn, *args):
@@ -357,7 +340,7 @@ _DEGREE_LISTINGS = {
                  for alpha in Window(-16, 16, -16, 16))),
     "basis_cached": (
         coefficients._basis_cached.__wrapped__,
-        (_basis_two_listings, _basis_unpruned),
+        (basis_cached_two_listings, _basis_unpruned),
         lambda: ((alpha,) for alpha in Window(-30, 30, -30, 30))),
     "e2_basis": (
         hfpss.e2_basis, (e2_basis_reference,),

@@ -201,6 +201,15 @@ def test_hfpss_einf_matches_api(capsys):
     assert (0, 1) not in rows   # evenness at rho - 1
 
 
+def test_coeff_is_the_untruncated_final_page(capsys):
+    # the ring is the final page at n = infinity, byte for byte
+    window = ("--window", "-12:12,-12:12", "--format", "csv")
+    code, ring = run(capsys, "coeff", *window)
+    code2, einf = run(capsys, "hfpss", "einf", *window)
+    assert (code, code2) == (0, 0)
+    assert ring.count("\n") > 100 and ring == einf
+
+
 def test_hfpss_tate_and_geo_periodicity(capsys):
     code, out = run(capsys, "hfpss", "tate", "--n", "1",
                     "--window", "-8:8,0:0")

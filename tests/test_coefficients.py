@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from realspectra import coefficients
 from realspectra.coefficients import (
     BasisEntry, Monomial, QuotientIdeal,
-    StabilizationFailure, basis_in_degree,
-    group_in_degree, is_in_subalgebra,
-    tower_group, vbar_monomial, weight_tuples,
+    StabilizationFailure, _page_lattice, basis_in_degree, degree_monomials,
+    group_in_degree, tower_group, vbar_monomial, weight_tuples,
 )
 from realspectra.grading import RHO, SIGMA, Degree, Window
 
@@ -54,40 +53,57 @@ def test_monomial_degree_and_zero():
     assert Monomial(1, 0).degree() == Degree(0, -1)
     assert Monomial(0, 1).degree() == Degree(2, -2)
     assert vbar_monomial(2).degree() == Degree(3, 3)
-    assert Monomial(3, 0, (1,)).is_zero()       # vbar_1 a^3 = 0
-    assert not Monomial(2, 0, (1,)).is_zero()
-    assert Monomial(7, 0, (0, 1)).is_zero()     # vbar_2 a^7 = 0
-    assert not Monomial(6, 0, (0, 1)).is_zero()
+    assert _page_lattice(Monomial(3, 0, (1,))) == 0      # vbar_1 a^3 = 0
+    assert _page_lattice(Monomial(2, 0, (1,))) == 1
+    assert _page_lattice(Monomial(7, 0, (0, 1))) == 0    # vbar_2 a^7 = 0
+    assert _page_lattice(Monomial(6, 0, (0, 1))) == 1
+    # a page reaching only vbar_1 keeps vbar_2 a^7, not vbar_1 a^3
+    assert _page_lattice(Monomial(7, 0, (0, 1)), 1) == 1
+    assert _page_lattice(Monomial(3, 0, (1, 1)), 1) == 0
     assert Monomial(0, -5, (3, 1)).weight() == 6
 
 
 def test_membership_examples():
-    assert not is_in_subalgebra(Monomial(0, 1))          # u
-    assert is_in_subalgebra(Monomial(0, 1), 1)           # 2u
-    assert is_in_subalgebra(Monomial(0, 2, (1,)))        # u^2 vbar_1
-    assert not is_in_subalgebra(Monomial(0, 1, (1,)))    # u vbar_1
-    assert is_in_subalgebra(Monomial(0, 4, (0, 1)))      # u^4 vbar_2
-    assert not is_in_subalgebra(Monomial(0, 2, (0, 1)))  # u^2 vbar_2
-    assert is_in_subalgebra(Monomial(0, 2, (1, 1)))      # vbar_1 absorbs u^2
-    assert is_in_subalgebra(Monomial(5, 0, (0, 1)))      # l = 0 always in
-    assert is_in_subalgebra(Monomial(0, -6, (1,)))       # negative twists too
+    # lattice 1: the monomial is a class; 2: only its double is; 0: neither
+    assert _page_lattice(Monomial(0, 1)) == 2            # u off, 2u on
+    assert _page_lattice(Monomial(0, 2, (1,))) == 1      # u^2 vbar_1
+    assert _page_lattice(Monomial(0, 1, (1,))) == 2      # u vbar_1
+    assert _page_lattice(Monomial(0, 4, (0, 1))) == 1    # u^4 vbar_2
+    assert _page_lattice(Monomial(0, 2, (0, 1))) == 2    # u^2 vbar_2
+    assert _page_lattice(Monomial(0, 2, (1, 1))) == 1    # vbar_1 absorbs u^2
+    assert _page_lattice(Monomial(5, 0, (0, 1))) == 1    # l = 0 always in
+    assert _page_lattice(Monomial(0, -6, (1,))) == 1     # negative twists too
+    assert _page_lattice(Monomial(1, 1)) == 0            # a u: 2a = 0
+    assert _page_lattice(Monomial(2, 2, (0, 1))) == 0    # a^2 u^2 vbar_2
+    # a page's cap: E_2 (cap 0) holds every monomial, E_4 (cap 1) u^2
+    assert _page_lattice(Monomial(1, 1), 0) == 1
+    assert _page_lattice(Monomial(1, 1), 1) == 0
+    assert _page_lattice(Monomial(1, 2), 1) == 1
+    assert _page_lattice(Monomial(0, 2, (0, 1)), 1) == 1  # 2^min(2, 1) | 2
 
 
 def test_membership_equals_generation():
-    """The 2-adic membership shortcut agrees with honest generator products.
+    """The page rule at cap None agrees with honest generator products.
 
-    Every degree in a small window is compared against the span of all
+    Every E_2 monomial of a degree in a small window, up to the degree's
+    provable a-exponent bound, is compared against the span of all
     products of at most seven generators (a^6 vbar_2 at (3,-3) needs all
-    seven): same monomials, same least 2-valuations (free lattice 1 or 2,
-    torsion classes on the nose).
+    seven): the rule's lattice 1 or 2 is a reachable monomial of least
+    2-valuation 0 or 1, and its 0 an unreachable one, zero monomials
+    included.  The certified basis is the same span.
     """
     best = oracles.reachable_products(max_factors=7, max_index=3, max_twist=4)
     for alpha in Window(-4, 4, -3, 3):
         span = oracles.span_in_degree(best, alpha)
-        expected = {}
-        for e in basis_in_degree(alpha):
-            expected[e.mono] = 1 if e.lattice == 2 else 0
-        assert span == expected, f"degree {alpha}"
+        bound = coefficients._a_exponent_bound(alpha)
+        ruled = {}
+        for x in degree_monomials(None, alpha, 0, bound, 0):
+            lattice = _page_lattice(x)
+            if lattice:
+                ruled[x] = lattice - 1
+        assert span == ruled, f"degree {alpha}"
+        assert span == {e.mono: e.lattice - 1
+                        for e in basis_in_degree(alpha)}, f"degree {alpha}"
 
 
 def test_basis_examples():
@@ -120,31 +136,30 @@ def test_single_listing_matches_every_round():
         got = _basis_outcome(coefficients._basis_cached.__wrapped__, alpha)
         assert got[0] == "ok", (alpha, got)
         assert got == _basis_outcome(oracles.basis_cached_two_listings,
-                                     alpha, 0), alpha
+                                     alpha), alpha
 
 
 def test_single_listing_fails_as_every_round(monkeypatch):
-    # a bound far too low: with bound = cap - 4 the listing goes to
-    # filtration cap + 8 only, so every degree with a class in
-    # (cap, cap + 8] must raise
+    # a bound far too low: the listing goes to filtration bound + 8 only,
+    # so every degree with a class in (bound, bound + 8] must raise
     truth = {alpha: basis_in_degree(alpha)
              for alpha in Window(-10, 10, -10, 10)}
     seen = set()
-    for cap in (0, 4):
+    for bound in (-4, 0, 4):
         monkeypatch.setattr(coefficients, "_a_exponent_bound",
-                            lambda alpha, bound=cap - 4: bound)
+                            lambda alpha, n=None, bound=bound: bound)
         for alpha, basis in truth.items():
             got = _basis_outcome(coefficients._basis_cached.__wrapped__,
                                  alpha)
             assert got == _basis_outcome(oracles.basis_cached_two_listings,
-                                         alpha, 0), (alpha, cap)
-            if any(cap < e.mono.k <= cap + 8 for e in basis):
+                                         alpha), (alpha, bound)
+            if any(bound < e.mono.k <= bound + 8 for e in basis):
                 assert got == ("raised", StabilizationFailure,
-                               f"basis at {alpha} did not stabilize by "
-                               f"cap {cap + 8}")
+                               f"final-page classes at {alpha} appear "
+                               f"past filtration {bound}")
             else:
                 assert got == ("ok", tuple(e for e in basis
-                                           if e.mono.k <= cap)), alpha
+                                           if e.mono.k <= bound)), alpha
             seen.add(got[0])
     assert seen == {"ok", "raised"}
 
@@ -193,7 +208,7 @@ def test_shared_degree_of_twisted_products():
     x = Monomial(0, 2, (1, 0, 0, 0, 1))
     y = Monomial(8, 0, (0, 0, 3, 1))
     assert x.degree() == y.degree() == Degree(36, 28)
-    assert not y.is_zero() and is_in_subalgebra(x)
+    assert _page_lattice(y) == _page_lattice(x) == 1
     entries = basis_in_degree(Degree(36, 28))
     assert BasisEntry(x, 1, False) in entries
     assert BasisEntry(y, 1, True) in entries

@@ -5,7 +5,7 @@ import doctest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realspectra import hfpss
+from realspectra import coefficients, hfpss
 from realspectra.coefficients import (Monomial, StabilizationFailure,
                                       basis_in_degree, vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
@@ -64,7 +64,8 @@ def test_single_enumeration_matches_two_rounds(n):
 
 
 def test_survivor_past_the_bound_is_stabilization_failure(monkeypatch):
-    monkeypatch.setattr(hfpss, "_exponent_bound", lambda n, alpha: 0)
+    monkeypatch.setattr(coefficients, "_a_exponent_bound",
+                        lambda alpha, n=None: 0)
     alpha = Degree(0, -3)    # a^3 survives, at filtration 3
     got = _assert_matches_two_rounds(1, alpha)
     assert got == (StabilizationFailure,
