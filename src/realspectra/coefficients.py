@@ -64,8 +64,15 @@ def _strip(c: Sequence[int]) -> tuple[int, ...]:
     return c[:end]
 
 
+@functools.lru_cache(maxsize=None)
 def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
     """The exponent tuple c with its vbar_i entry moved by `by`, stripped.
+
+    Memoized, so work that depends only on the exponent tuple is done once
+    per tuple: c must be a stripped tuple of ints (a list is unhashable)
+    and the result is one, shared by every caller.  The tuples reaching it
+    are `weight_tuples` listings and their bumps, so the memo stays as
+    small as those listings.
 
     >>> _bump((2, 1), 2, -1), _bump((1,), 3, 1), _bump((0, 0, 1), 3, -1)
     ((2,), (1, 0, 1), ())
@@ -78,6 +85,11 @@ def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
     while end and out[end - 1] == 0:
         end -= 1
     return out if end == len(out) else out[:end]
+
+
+@functools.lru_cache(maxsize=None)
+def _weight(c: tuple[int, ...]) -> int:
+    return sum(ci * (2 ** i - 1) for i, ci in enumerate(c, start=1))
 
 
 class _MonomialFields(NamedTuple):
@@ -135,8 +147,12 @@ class Monomial(_MonomialFields):
         return Degree(2 * self.l + w, -self.k - 2 * self.l + w)
 
     def weight(self) -> int:
-        """Sum c_i (2^i - 1), the rho-weight of the vbar part."""
-        return sum(ci * (2 ** i - 1) for i, ci in enumerate(self.c, start=1))
+        """Sum c_i (2^i - 1), the rho-weight of the vbar part.
+
+        Read from a memo keyed by the exponent tuple c, which the
+        constructor makes an immutable stripped tuple; like `_bump`'s, the
+        memo holds the `weight_tuples` listings and their bumps."""
+        return _weight(self.c)
 
     def times(self, other: "Monomial") -> "Monomial":
         n = max(len(self.c), len(other.c))

@@ -23,9 +23,13 @@ u^{+-2^(p-1)}, the vbar_i, and the twisted classes vbar_i u^(2^i j) for
 i < p - 1, so membership reduces to a 2-adic divisibility of the
 u-exponent against the least vbar content.  That rule is
 `coefficients._page_lattice`, which reads the coefficient ring as the final
-page at n = infinity; `closed_form_state` works out a page's cap for it.
-`run_differentials` steps each listed class through the pages with it and
-names the differentials from one page to the next.  `final_entry` is the
+page at n = infinity; `_page_cap` names the vbar indices a page reaches,
+and `closed_form_state` reads one class on one page with them.
+`run_differentials` builds each listed class's `BasisEntry` once, on E_2,
+and carries it from page to page: one `_page_lattice` call per live class
+per page gives its lattice on the next page, which decides whether it
+lives on and whether it fires, and the entry is rebuilt only when an
+a-free class moves from lattice 1 to lattice 2.  `final_entry` is the
 final-page class on one monomial, or None, for the blocks and their
 action; `e_infinity_basis` is the certified listing
 `coefficients._page_basis`, which the ring's basis reads too.  The
@@ -80,30 +84,36 @@ def _final_page(n: int | None, x: Monomial) -> int:
 
 
 def _fires(x: Monomial, p: int, now, after) -> bool:
-    """Whether x, in state `now` on page p and `after` on page p + 1, fires
-    d_{2^(p+1)-1}: alive and not on lattice 2 on page p, l = 2^(p-1)
-    (mod 2^p), and dead (k > 0) or on lattice 2 (k = 0) on page p + 1."""
+    """Whether x, on lattice `now` on page p and `after` on page p + 1,
+    fires d_{2^(p+1)-1}: a lattice-1 class on page p with l = 2^(p-1)
+    (mod 2^p) that is no lattice-1 class on page p + 1, being dead (k > 0)
+    or on lattice 2 (k = 0) there.
+
+    A lattice is 0 (dead), 1 or 2, as `_page_lattice` reads it; a
+    `closed_form_state` value reads the same way, True (an F_2 class,
+    whose entry has lattice 1) as 1 and `_DEAD` as no lattice."""
     step = 2 ** (p - 1)
-    return (now != _DEAD and now != 2 and x.l % (2 * step) == step
-            and (after == _DEAD or after == 2))
+    return now == 1 and x.l % (2 * step) == step and after != 1
+
+
+def _page_cap(n: int | None, p: int | None) -> int | None:
+    """The last vbar index whose relation and twists page E_{2^p} reaches
+    (p = None: the final page), the cap `_page_lattice` reads: vbar_1 ..
+    vbar_(p-1), and at most vbar_n."""
+    if p is None:
+        return n
+    return p - 1 if n is None else min(p - 1, n)
 
 
 def closed_form_state(n: int | None, x: Monomial, p: int | None = None):
     """State of x on page E_{2^p} (p = None: the final page): `_DEAD`, or
     the lattice 1 or 2 of an a-free class, or True for an F_2 class.
 
-    Page E_{2^p} reaches vbar_1 .. vbar_(p-1), the final page vbar_1 ..
-    vbar_n; `_page_lattice` reads x on it.  The lattice-2 option for k = 0
-    comes from the 2 u^j classes (vbar_0 twists), which are cycles for
-    every differential.
+    `_page_lattice` reads x at the page's cap, `_page_cap`.  The
+    lattice-2 option for k = 0 comes from the 2 u^j classes (vbar_0
+    twists), which are cycles for every differential.
     """
-    if p is None:
-        cap = n
-    elif n is None:
-        cap = p - 1
-    else:
-        cap = min(p - 1, n)
-    lattice = _page_lattice(x, cap)
+    lattice = _page_lattice(x, _page_cap(n, p))
     if not lattice:
         return _DEAD
     return lattice if x.k == 0 else True
@@ -170,19 +180,25 @@ def run_differentials(n: int | None, window: Window,
     """All pages of the spectral sequence over a degree window.
 
     Returns one Page per stable stretch E_{2^p} .. E_{2^(p+1)-1}; the last
-    entry is the final page.  Each listed class carries its closed-form
-    state from page to page and leaves the list when it dies.  x fires on
-    page p when it is alive there, not on lattice 2, has l = 2^(p-1)
-    (mod 2^p) (a hit class has 2^p | l), and is dead (k > 0) or on lattice
-    2 (k = 0) on page p + 1; only the targets of fired pairs are built.
+    entry is the final page.  Each listed class's `BasisEntry` is built
+    once, on E_2, and carried from page to page: one `_page_lattice` call
+    per live class per page gives its lattice on the next page, and it
+    leaves the list when it dies.  An a-free entry is rebuilt only when its
+    lattice moves from 1 to 2.  A page's `classes[alpha]` is the list of
+    that page's live entries, and the next page gets a fresh one, so no
+    two pages share a list.  x fires on page p when it is alive there on
+    lattice 1, has l = 2^(p-1) (mod 2^p) (a hit class has 2^p | l), and is
+    dead (k > 0) or on lattice 2 (k = 0) on page p + 1 (`_fires`); only
+    the targets of fired pairs are built.
     Raises InternalInconsistency if a fired differential fails degree
     bookkeeping (total degree must drop by exactly (1,0) and filtration
     rise by exactly r) or hits a class that fires again on the same page
     (d*d must vanish).  That d*d check is decided on the target's
     u-exponent residue first, and only a target with l = 2^(p-1)
-    (mod 2^p) pays for its two page states.  An honest target never gets
-    that far: its u-exponent is l - 2^(p-1) with l = 2^(p-1) (mod 2^p),
-    so it is 0 (mod 2^p) and the target cannot fire on page p.
+    (mod 2^p) pays for its two page states, read by `closed_form_state`.
+    An honest target never gets that far: its u-exponent is l - 2^(p-1)
+    with l = 2^(p-1) (mod 2^p), so it is 0 (mod 2^p) and the target cannot
+    fire on page p.
     """
     degrees = list(window)
     per_degree = {alpha: e2_basis(n, alpha, a_cap) for alpha in degrees}
@@ -192,25 +208,28 @@ def run_differentials(n: int | None, window: Window,
         p_top = max([1] + [_final_page(n, x)
                            for monos in per_degree.values() for x in monos])
     # every listed class is alive on E_2, on lattice 1
-    live = {alpha: [(x, 1 if x.k == 0 else True) for x in monos]
+    live = {alpha: [BasisEntry(x, 1, x.k > 0) for x in monos]
             for alpha, monos in per_degree.items()}
     pages = []
     for p in range(1, p_top + 1):
         classes = {}
         fired = []
         r, step = 2 ** (p + 1) - 1, 2 ** (p - 1)
+        cap = _page_cap(n, p + 1)
         for alpha in degrees:
-            classes[alpha] = [BasisEntry(x, st if x.k == 0 else 1, x.k > 0)
-                              for x, st in live[alpha]]
+            classes[alpha] = entries = live[alpha]
             if p == p_top:
                 continue
             below = alpha - Degree(1, 0)
             carried = []
-            for x, st in live[alpha]:
-                after = closed_form_state(n, x, p + 1)
-                if after != _DEAD:
-                    carried.append((x, after))
-                if not _fires(x, p, st, after):
+            for e in entries:
+                x = e.mono
+                after = _page_lattice(x, cap)
+                if after == e.lattice:
+                    carried.append(e)
+                elif after:
+                    carried.append(e._replace(lattice=after))
+                if not _fires(x, p, e.lattice, after):
                     continue
                 y = _fire_target(x, p)
                 if y.degree() != below or y.k != x.k + r:

@@ -56,6 +56,14 @@ def annihilated(mono: Monomial) -> bool:
                for i, ci in enumerate(mono.c, start=1))
 
 
+def bumped(c, i: int, by: int) -> list[int]:
+    """c with its vbar_i entry moved by `by`, padded, not stripped: the
+    plain formula for `coefficients._bump`."""
+    out = list(c) + [0] * i
+    out[i - 1] += by
+    return out
+
+
 def generator_pool(max_index: int, max_twist: int):
     """(monomial, coeff_2val) pairs for a and all vbar_m(n) within bounds.
 

@@ -63,6 +63,36 @@ def test_monomial_degree_and_zero():
     assert Monomial(0, -5, (3, 1)).weight() == 6
 
 
+def test_exponent_tuple_memos_match_their_formulas():
+    """`Monomial.weight` and `_bump` are memoized on the exponent tuple;
+    each answers as its formula, computed here, cold or warm."""
+    coefficients._bump.cache_clear()
+    coefficients._weight.cache_clear()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(-20, 20),
+           st.lists(st.integers(0, 5), max_size=8), st.integers(1, 9),
+           st.integers(-5, 5))
+    def check(k, l, c, i, by):
+        x = Monomial(k, l, c)
+        w = 0
+        for j, cj in enumerate(c):
+            w += cj * (2 ** (j + 1) - 1)
+        for _ in range(2):
+            assert x.weight() == w
+            assert x.degree() == Degree(2 * l + w, -k - 2 * l + w)
+            want = oracles.bumped(x.c, i, by)
+            while want and want[-1] == 0:
+                want.pop()
+            got = coefficients._bump(x.c, i, by)
+            assert type(got) is tuple and all(type(e) is int for e in got)
+            assert got == tuple(want)
+
+    check()
+    with pytest.raises(TypeError):
+        coefficients._bump([1], 1, 1)     # a tuple-only memo
+
+
 def test_membership_examples():
     # lattice 1: the monomial is a class; 2: only its double is; 0: neither
     assert _page_lattice(Monomial(0, 1)) == 2            # u off, 2u on

@@ -207,13 +207,22 @@ def test_kernel_matches_reference_engine(n):
     """The closed form, the kernel of the product path, answers as the
     propagation engine: every state on every page up to one past the
     final page, the final state, and every page of run_differentials with
-    its classes, lattices and fired pairs in order."""
+    its classes, lattices and fired pairs in order.  A second call, with
+    the exponent-tuple memos warm, answers as the first with them cold,
+    and no two pages of either call share a classes list."""
     window = Window.square(8)
     reference = oracles.PageStatesReference(n)
     for alpha in window:
         for x in e2_basis(n, alpha, a_cap=40):
             _assert_states_match_reference(n, reference, x)
-    assert run_differentials(n, window, a_cap=40) == \
+    coefficients._bump.cache_clear()
+    coefficients._weight.cache_clear()
+    first = run_differentials(n, window, a_cap=40)
+    second = run_differentials(n, window, a_cap=40)
+    lists = [id(entries) for pages in (first, second) for page in pages
+             for entries in page.classes.values()]
+    assert len(set(lists)) == len(lists)
+    assert second == first == \
         oracles.run_differentials_reference(n, window, a_cap=40)
 
 
@@ -229,6 +238,23 @@ def test_kernel_matches_reference_engine_on_single_monomials():
             n, oracles.PageStatesReference(n), Monomial(k, l, c))
 
     check()
+
+
+def test_page_loop_reads_one_state_per_live_class(monkeypatch):
+    """One `_page_lattice` call per live class per page transition, and no
+    `closed_form_state` call: no honest target reaches the d*d states."""
+    calls = {"_page_lattice": 0, "closed_form_state": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(hfpss, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(hfpss, name, counted)
+    pages = run_differentials(4, Window.square(8), a_cap=40)
+    live = [sum(map(len, page.classes.values())) for page in pages]
+    assert live == [21606, 1347, 298, 183, 166]
+    assert [len(page.fired) for page in pages] == [10804, 604, 76, 17, 0]
+    assert calls == {"_page_lattice": sum(live[:-1]),     # 23,434
+                     "closed_form_state": 0}
 
 
 def test_wrong_fire_target_is_internal_inconsistency(monkeypatch):
@@ -282,13 +308,6 @@ def _assert_same_monomial(got: Monomial, want: Monomial):
     assert str(got) == str(want) and repr(got) == repr(want)
 
 
-def _bumped(c, i: int, by: int) -> list[int]:
-    """c with its vbar_i entry moved by `by`, padded, not stripped."""
-    out = list(c) + [0] * i
-    out[i - 1] += by
-    return out
-
-
 _exponents = st.lists(st.integers(0, 3), max_size=4)
 
 
@@ -312,9 +331,9 @@ def test_trusted_fire_targets_and_hit_sources_equal_validated():
         r = 2 ** (i + 1) - 1
         y = hfpss._fire_target(x, i)
         _assert_same_monomial(
-            y, Monomial(k + r, l - 2 ** (i - 1), _bumped(x.c, i, 1)))
+            y, Monomial(k + r, l - 2 ** (i - 1), oracles.bumped(x.c, i, 1)))
         # the validated hit source of the target is the class it came from
-        _assert_same_monomial(
-            Monomial(y.k - r, y.l + 2 ** (i - 1), _bumped(y.c, i, -1)), x)
+        _assert_same_monomial(Monomial(y.k - r, y.l + 2 ** (i - 1),
+                                       oracles.bumped(y.c, i, -1)), x)
 
     check()
