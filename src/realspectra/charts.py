@@ -6,42 +6,36 @@ the standard lattice, a circle a free class on the doubled lattice, a
 dot an F_2 class.  Thin vertical segments join a class to its a-multiple
 and diagonal segments to its vbar-multiples, whenever both ends are
 drawn classes of the chart.
+
+A drawn class is a `coefficients.BasisEntry` or a `blocks.TowerClass`;
+a chart reads its lattice, its torsion flag and its monomial, which is
+None, and joins no segment, for a class without a monomial name.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .coefficients import Monomial, vbar_monomial
-from .grading import Degree, Window, record
+from .grading import Degree, Window
 
 GLYPH_FREE = "□"      # square, lattice 1
 GLYPH_DOUBLED = "○"   # circle, lattice 2
 GLYPH_TORSION = "•"   # dot, F_2
 
-
-@record
-class ChartClass(NamedTuple):
-    """One drawable class; mono is None for classes without a monomial name."""
-
-    lattice: int
-    torsion: bool
-    mono: Monomial | None = None
-
-    def glyph(self) -> str:
-        if self.torsion:
-            return GLYPH_TORSION
-        return GLYPH_DOUBLED if self.lattice == 2 else GLYPH_FREE
+# degree -> its classes, each a BasisEntry or a TowerClass
+Cells = dict[Degree, list]
 
 
-Cells = dict[Degree, list[ChartClass]]
+def _glyph(cls) -> str:
+    if cls.torsion:
+        return GLYPH_TORSION
+    return GLYPH_DOUBLED if cls.lattice == 2 else GLYPH_FREE
 
 
-def _cell_char(classes: list[ChartClass]) -> str:
+def _cell_char(classes: list) -> str:
     if not classes:
         return " "
     if len(classes) == 1:
-        return classes[0].glyph()
+        return _glyph(classes[0])
     return str(len(classes)) if len(classes) <= 9 else "#"
 
 

@@ -23,7 +23,7 @@ Quotients by powers of the vbar_i are computed through the cofibre sequence
 
 iterated one generator at a time.  Groups are kept as lists of tagged
 monomial symbols whenever every step stays exact and monomial; otherwise the
-answer degrades to layer summaries with extension_known = False.
+group has exact = False, and its two layers' ranks are read off its entries.
 """
 
 from __future__ import annotations
@@ -432,14 +432,33 @@ class TowerGroup(NamedTuple):
 
     When exact, entries is an honest basis.  mult_trusted marks whether
     multiplication by further monomials on these entries is filtration safe
-    (no boundary classes anywhere in the dependency cone).
+    (no boundary classes anywhere in the dependency cone); a trusted group
+    is exact.  The entries fix both layers of the last step: the cokernel
+    classes have empty betas, the kernel classes end in that step.  A group
+    built on an untrusted stage has no entries and is not exact, and both
+    its layers read (-1, -1); an inexact group with known layers has a free
+    class, so it is never empty.
     """
 
     entries: list[BasisEntry]
     exact: bool
     mult_trusted: bool
-    sub_summary: tuple[int, int]
-    quot_summary: tuple[int, int]
+
+    @property
+    def sub_summary(self) -> tuple[int, int]:
+        """(free, F_2) ranks of the cokernel layer pi(M)/x."""
+        return self._layer(False)
+
+    @property
+    def quot_summary(self) -> tuple[int, int]:
+        """(free, F_2) ranks of the kernel layer ker(x)."""
+        return self._layer(True)
+
+    def _layer(self, boundary: bool) -> tuple[int, int]:
+        if not (self.exact or self.entries):
+            return (-1, -1)
+        return rank_summary(e for e in self.entries
+                            if bool(e.betas) == boundary)
 
     def summarize(self) -> tuple[int, int]:
         if not self.exact:
@@ -466,8 +485,7 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
     their stages but the last.
     """
     if not steps:
-        entries = basis_in_degree(alpha)
-        return TowerGroup(entries, True, True, rank_summary(entries), (0, 0))
+        return TowerGroup(basis_in_degree(alpha), True, True)
     below = steps[:-1]
     mult = vbar_monomial(*steps[-1])
     shift = mult.degree()
@@ -476,87 +494,65 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
     src = _stage_group(below, alpha - shift)
     ker_tgt = _stage_group(below, alpha - Degree(1, 0))
     ker_src = _stage_group(below, alpha - Degree(1, 0) - shift)
+    if not all(g.mult_trusted for g in (tgt, src, ker_tgt, ker_src)):
+        return TowerGroup([], False, False)
 
-    trusted = all(g.exact and g.mult_trusted
-                  for g in (tgt, src, ker_tgt, ker_src))
-    if not trusted:
-        return TowerGroup([], False, False, (-1, -1), (-1, -1))
-
-    sub_entries = _coker_entries(src, tgt, mult)
-    ker_entries = _ker_entries(ker_src, ker_tgt, mult)
-    quot_entries = [e._replace(betas=e.betas + (len(steps),))
-                    for e in ker_entries]
-
-    sub_sum, quot_sum = rank_summary(sub_entries), rank_summary(quot_entries)
-    if quot_sum == (0, 0):
-        return TowerGroup(sub_entries, True, True, sub_sum, quot_sum)
-    if sub_sum[0] == 0 and quot_sum[0] == 0:
-        # both layers are F2 vector spaces; group is their sum, but
-        # further multiplication could jump filtration
-        return TowerGroup(sub_entries + quot_entries, True, False,
-                          sub_sum, quot_sum)
-    return TowerGroup(sub_entries + quot_entries, False, False,
-                      sub_sum, quot_sum)
+    sub_entries, _ = _multiply(src, tgt, mult)
+    _, ker_entries = _multiply(ker_src, ker_tgt, mult)
+    for e in ker_entries:
+        if not e.torsion:
+            raise AssertionError(
+                f"free class {e.describe()} unexpectedly in a kernel")
+    if not ker_entries:
+        return TowerGroup(sub_entries, True, True)
+    entries = sub_entries + [e._replace(betas=e.betas + (len(steps),))
+                             for e in ker_entries]
+    # when both layers are F2 vector spaces the group is their sum, but
+    # further multiplication could jump filtration
+    return TowerGroup(entries, all(e.torsion for e in entries), False)
 
 
-def _image_class(entry: BasisEntry, mult: Monomial,
-                 tgt: TowerGroup) -> tuple[int, BasisEntry | None]:
-    """(coefficient, target entry) of mult * entry, or (0, None)."""
-    prod = entry.mono.times(mult)
-    for cand in tgt.entries:
-        if cand.betas == entry.betas and cand.mono == prod:
-            if entry.torsion:
-                return (1, cand) if cand.torsion else (0, None)
-            # free source: class lattice*mono lands on lattice'*mono'
-            coeff = entry.lattice
-            if cand.torsion:
-                return (coeff % 2, cand if coeff % 2 else None)
-            q, r = divmod(coeff, cand.lattice)
-            if r != 0:
-                raise AssertionError(
-                    f"lattice mismatch {entry.describe()} -> {cand.describe()}")
-            return (q, cand)
-    return (0, None)
+def _image_class(entry: BasisEntry, cand: BasisEntry) -> int:
+    """The coefficient on the target class cand of the product of entry
+    whose monomial and betas are cand's; 0 when it is zero there."""
+    if entry.torsion:
+        return 1 if cand.torsion else 0
+    # free source: class lattice*mono lands on lattice'*mono'
+    coeff = entry.lattice
+    if cand.torsion:
+        return coeff % 2
+    q, r = divmod(coeff, cand.lattice)
+    if r != 0:
+        raise AssertionError(
+            f"lattice mismatch {entry.describe()} -> {cand.describe()}")
+    return q
 
 
-def _coker_entries(src: TowerGroup, tgt: TowerGroup,
-                   mult: Monomial) -> list[BasisEntry]:
+def _multiply(src: TowerGroup, tgt: TowerGroup,
+              mult: Monomial) -> tuple[list[BasisEntry], list[BasisEntry]]:
+    """Multiplication by mult from src to tgt, in one pass over src:
+    (the cokernel's classes, from tgt's; the kernel's classes, from src's),
+    each a fresh list."""
+    if not src.entries:
+        return list(tgt.entries), []
+    classes = {(e.betas, e.mono): e for e in tgt.entries}
     erased: set[BasisEntry] = set()
     torsionized: set[BasisEntry] = set()
+    kernel = []
     for e in src.entries:
-        coeff, cand = _image_class(e, mult, tgt)
-        if cand is None or coeff == 0:
-            continue
-        if cand.torsion:
+        cand = classes.get((e.betas, e.mono.times(mult)))
+        coeff = 0 if cand is None else _image_class(e, cand)
+        if coeff == 0:
+            kernel.append(e)
+        elif cand.torsion or coeff % 2 == 1:
             erased.add(cand)
-        elif coeff % 2 == 1:
-            erased.add(cand)
+        elif coeff != 2:
+            raise AssertionError("unexpected image multiplier")
         else:
-            if coeff != 2:
-                raise AssertionError("unexpected image multiplier")
             torsionized.add(cand)
-    out = []
-    for e in tgt.entries:
-        if e in erased:
-            continue
-        if e in torsionized:
-            out.append(e._replace(torsion=True))
-        else:
-            out.append(e)
-    return out
-
-
-def _ker_entries(src: TowerGroup, tgt: TowerGroup,
-                 mult: Monomial) -> list[BasisEntry]:
-    out = []
-    for e in src.entries:
-        coeff, cand = _image_class(e, mult, tgt)
-        if cand is None or coeff == 0:
-            if not e.torsion:
-                raise AssertionError(
-                    f"free class {e.describe()} unexpectedly in a kernel")
-            out.append(e)
-    return out
+    coker = [e._replace(torsion=True) if e in torsionized else e
+             for e in tgt.entries if e not in erased]
+    return coker, kernel
 
 
 def _tail_stop(ideal: QuotientIdeal, alpha: Degree) -> int:

@@ -20,8 +20,8 @@ import json
 
 from .cli import ConfigError, RunConfig
 from .coefficients import (InconsistentSSData, InternalInconsistency,
-                           Monomial, QuotientIdeal, StabilizationFailure,
-                           UnknownExtension, group_in_degree, tower_group)
+                           StabilizationFailure, UnknownExtension,
+                           basis_in_degree, group_in_degree)
 from .grading import Degree, Window
 
 # raised by a command when its data is inconsistent or a self-check fails:
@@ -223,19 +223,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _chart_classes(cfg: RunConfig, alpha: Degree) -> list:
-    from .charts import ChartClass
     if cfg.mode == "bpr":
-        group = tower_group(QuotientIdeal(), alpha)
-        if not group.exact:
-            raise UnknownExtension(f"unresolved extension at {alpha}")
-        return [ChartClass(e.lattice, e.torsion, e.mono)
-                for e in group.entries]
+        return basis_in_degree(alpha)
     flat = []
     for c in _block_classes(cfg, cfg.n, alpha):
-        mono = c.entry.mono   # None on a TowerClass
-        if mono is not None and c.u_power:
-            mono = Monomial(mono.k, mono.l + c.u_power * 2 ** cfg.n, mono.c)
-        flat.append(ChartClass(c.entry.lattice, c.entry.torsion, mono))
+        entry = c.entry   # at U-power p, its monomial times u^(p 2^n)
+        if entry.mono is not None and c.u_power:   # a TowerClass has none
+            l = entry.mono.l + c.u_power * 2 ** cfg.n
+            entry = entry._replace(mono=entry.mono._replace(l=l))
+        flat.append(entry)
     return flat
 
 

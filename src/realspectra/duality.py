@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .blocks import (_bbprime_diag_max, _unit_degree, assemble_groups,
                      lc_of_block)
 from .coefficients import (InconsistentSSData, InternalInconsistency,
-                           QuotientIdeal, UnknownExtension, tower_group)
+                           QuotientIdeal, UnknownExtension, group_in_degree)
 from .grading import (DELTA, Degree, RHO, Window, json_int, record,
                       total_vbar_degree)
 # closed_form_state is not called here: perfbench/selftest.py checks that
@@ -572,7 +572,7 @@ def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
     values = []
     for probe in (0, 1):
         stage, offset = _kappa_stage(ideal, gamma, probe)
-        values.append(tower_group(stage, gamma + offset).summarize())
+        values.append(group_in_degree(gamma + offset, stage))
     if len(set(values)) != 1:
         raise InternalInconsistency(
             f"kappa colimit not stable at {gamma}: {values}")
@@ -593,8 +593,7 @@ def verify_quotient_duality(m_seq, k_lo: int, k_hi: int) -> DualityReport:
     ideal = QuotientIdeal.of(m_seq)
     kappa_shift = Degree(4, 0) - 2 * RHO - _quotient_weight(ideal) * RHO
 
-    def target(alpha: Degree) -> tuple[int, int]:
-        return tower_group(ideal, alpha).summarize()
+    target = partial(group_in_degree, ideal=ideal)
 
     records = []
     for k in range(k_lo, k_hi + 1):

@@ -690,7 +690,10 @@ def tower_group_fresh(ideal, alpha: Degree):
     """coefficients.tower_group with one memo per tower, as before towers
     shared their stages: the towers at the tail stop and one index past it
     each compute every stage from the basis up.  The per-stage cokernel and
-    kernel layers are the package's."""
+    kernel layers are the package's.  Returns the group and its layers'
+    (free, F_2) ranks, (sub, quot), summed here from the two lists a stage
+    joins, not read off the entries' betas; (-1, -1) each on a stage built
+    from an untrusted one."""
     from realspectra import coefficients as co
 
     def tower(steps):
@@ -704,8 +707,8 @@ def tower_group_fresh(ideal, alpha: Degree):
         def compute(stage, beta):
             if stage == 0:
                 entries = co.basis_in_degree(beta)
-                return co.TowerGroup(entries, True, True,
-                                     co.rank_summary(entries), (0, 0))
+                return (co.TowerGroup(entries, True, True),
+                        (co.rank_summary(entries), (0, 0)))
             index, exp = steps[stage - 1]
             shift = exp * (2 ** index - 1) * RHO
             down = Degree(1, 0)
@@ -713,31 +716,41 @@ def tower_group_fresh(ideal, alpha: Degree):
             ker_tgt = group(stage - 1, beta - down)
             ker_src = group(stage - 1, beta - down - shift)
             if not all(g.exact and g.mult_trusted
-                       for g in (tgt, src, ker_tgt, ker_src)):
-                return co.TowerGroup([], False, False, (-1, -1), (-1, -1))
+                       for g, _ in (tgt, src, ker_tgt, ker_src)):
+                return co.TowerGroup([], False, False), ((-1, -1), (-1, -1))
             mult = co.vbar_monomial(index, exp)
-            sub = co._coker_entries(src, tgt, mult)
-            quot = [e._replace(betas=e.betas + (stage,))
-                    for e in co._ker_entries(ker_src, ker_tgt, mult)]
-            sub_sum, quot_sum = co.rank_summary(sub), co.rank_summary(quot)
-            if quot_sum == (0, 0):
-                return co.TowerGroup(sub, True, True, sub_sum, quot_sum)
-            return co.TowerGroup(sub + quot,
-                                 sub_sum[0] == 0 and quot_sum[0] == 0,
-                                 False, sub_sum, quot_sum)
+            sub, _ = co._multiply(src[0], tgt[0], mult)
+            _, ker = co._multiply(ker_src[0], ker_tgt[0], mult)
+            quot = [e._replace(betas=e.betas + (stage,)) for e in ker]
+            layers = co.rank_summary(sub), co.rank_summary(quot)
+            if not quot:
+                return co.TowerGroup(sub, True, True), layers
+            exact = layers[0][0] == 0 and layers[1][0] == 0
+            return co.TowerGroup(sub + quot, exact, False), layers
 
         return group(len(steps), alpha)
 
     ideal = co.QuotientIdeal.of(ideal)
     stop = co._tail_stop(ideal, alpha)
-    g = tower(ideal.steps_up_to(stop))
+    g, layers = tower(ideal.steps_up_to(stop))
     if ideal.tail:
-        g2 = tower(ideal.steps_up_to(stop + 1))
-        if (g.exact, g.entries if g.exact else g.sub_summary) != \
-           (g2.exact, g2.entries if g2.exact else g2.sub_summary):
+        g2, layers2 = tower(ideal.steps_up_to(stop + 1))
+        if (g.exact, g.entries if g.exact else layers[0]) != \
+           (g2.exact, g2.entries if g2.exact else layers2[0]):
             raise co.StabilizationFailure(
                 f"tail truncation unstable at {alpha}: index {stop} vs {stop+1}")
-    return g
+    return g, layers
+
+
+def _product_class(e: BasisEntry, x: Monomial, tgt) -> tuple[int, int | None]:
+    """(coefficient, index in tgt.entries) of x times the class e, found
+    by a scan of tgt's entries; (0, None) when no entry carries the
+    product."""
+    prod = e.mono.times(x)
+    for i, cand in enumerate(tgt.entries):
+        if cand.betas == e.betas and cand.mono == prod:
+            return _image_class(e, cand), i
+    return 0, None
 
 
 def mult_map(x: Monomial, ideal, alpha: Degree):
@@ -757,9 +770,9 @@ def mult_map(x: Monomial, ideal, alpha: Degree):
             f"no trusted bases for multiplication at {alpha}")
     out = zeros(len(tgt.entries), len(src.entries))
     for j, e in enumerate(src.entries):
-        coeff, cand = co._image_class(e, x, tgt)
-        if cand is not None and coeff:
-            out[tgt.entries.index(cand), j] = coeff
+        coeff, i = _product_class(e, x, tgt)
+        if coeff:
+            out[i, j] = coeff
     return out
 
 
@@ -956,8 +969,7 @@ def nilpotence_check(i: int, k: int, window: Window,
             continue
         # induced maps on both layers, computed symbolically
         for e in src.entries:
-            coeff, cand = _image_class(e, mult, tgt)
-            if cand is not None and coeff:
+            if _product_class(e, mult, tgt)[0]:
                 if exponent >= 2 * k:
                     raise AssertionError(
                         "layer map should vanish for exponent >= 2k")

@@ -264,13 +264,18 @@ def test_shared_tower_stages_match_fresh_towers(ideal, monkeypatch):
             for s in range(-3, 4):
                 alpha = Degree(t, s)
                 try:
-                    want = tower_group_fresh(ideal, alpha)
+                    want, layers = tower_group_fresh(ideal, alpha)
                 except StabilizationFailure as exc:
                     with pytest.raises(StabilizationFailure) as got:
                         tower_group(ideal, alpha)
                     assert str(got.value) == str(exc)
                     continue
-                assert tower_group(ideal, alpha) == want, (alpha, floor)
+                g = tower_group(ideal, alpha)
+                assert g == want, (alpha, floor)
+                # the layer ranks read off the entries' betas against the
+                # sums of the cokernel and kernel lists the stage joined
+                assert (g.sub_summary, g.quot_summary) == layers, \
+                    (alpha, floor)
 
 
 @pytest.mark.parametrize("w", range(-2, 41))

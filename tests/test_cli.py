@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspectra import localcoh
-from realspectra.blocks import lc_of_block
-from realspectra.charts import ChartClass, ascii_chart, svg_chart, _actions
+from realspectra.blocks import TowerClass, lc_of_block
+from realspectra.charts import ascii_chart, svg_chart, _actions
 from realspectra.cli import MAX_COORD, MAX_N, main
-from realspectra.coefficients import Monomial
+from realspectra.coefficients import BasisEntry, Monomial
 from realspectra.duality import default_ssdata
 from realspectra.grading import Degree, Window
 from realspectra.hfpss import e_infinity_groups
@@ -456,21 +456,23 @@ def test_chart_empty_region_renders_empty_grid(capsys):
 
 def test_chart_action_segments():
     one = Monomial(0, 0)
-    cells = {Degree(0, 0): [ChartClass(1, False, one)],
-             Degree(0, -1): [ChartClass(1, True, one.times(Monomial(1, 0)))],
-             Degree(1, 1): [ChartClass(1, False,
-                                       one.times(Monomial(0, 0, (1,))))]}
+    cells = {Degree(0, 0): [BasisEntry(one, 1, False)],
+             Degree(0, -1): [BasisEntry(one.times(Monomial(1, 0)), 1, True)],
+             Degree(1, 1): [BasisEntry(one.times(Monomial(0, 0, (1,))), 1,
+                                       False)],
+             Degree(-1, 1): [TowerClass(1)]}   # no monomial: no segment
     window = Window(-1, 2, -2, 2)
     pairs = _actions(cells, max_index=2)
     assert (Degree(0, 0), Degree(0, -1)) in pairs
     assert (Degree(0, 0), Degree(1, 1)) in pairs
+    assert not any(Degree(-1, 1) in pair for pair in pairs)
     art = svg_chart(cells, window)
     assert art.count("<line") > 4   # grid plus the two action segments
 
 
 def test_ascii_chart_multiplicity_digit():
-    cells = {Degree(0, 0): [ChartClass(1, False, None),
-                            ChartClass(1, True, None)]}
+    cells = {Degree(0, 0): [BasisEntry(Monomial(0, 0), 1, False),
+                            TowerClass(0)]}
     art = ascii_chart(cells, Window(0, 0, 0, 0))
     assert "|2|" in art
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from realspectra import coefficients
 from realspectra.coefficients import (
-    BasisEntry, Monomial, QuotientIdeal,
-    StabilizationFailure, _page_lattice, basis_in_degree, degree_monomials,
+    BasisEntry, Monomial, QuotientIdeal, StabilizationFailure, TowerGroup,
+    _multiply, _page_lattice, basis_in_degree, degree_monomials,
     group_in_degree, tower_group, vbar_monomial, weight_tuples,
 )
 from realspectra.grading import RHO, SIGMA, Degree, Window
@@ -391,6 +391,82 @@ def test_quotient_groups_layer_reporting():
     # at (5,1) + rho the kernel layer of B/vbar_1 is genuinely nonzero
     g = tower_group(QuotientIdeal((1,)), Degree(5, 1))
     assert g.sub_summary != (-1, -1) and g.quot_summary != (0, 0)
+
+
+# the tower layer's self-checks, on hand-built groups: a stage reads its
+# four groups one stage down, at alpha (tgt), alpha - |x| (src), and one
+# triv lower each for the kernel map (ker_tgt, ker_src)
+
+ONE, V1 = Monomial(0, 0), vbar_monomial(1)
+
+
+def test_layers_are_read_off_the_entries():
+    assert TowerGroup([], False, False).sub_summary == (-1, -1)
+    assert TowerGroup([], False, False).quot_summary == (-1, -1)
+    assert TowerGroup([], True, True).sub_summary == (0, 0)
+    g = TowerGroup([BasisEntry(ONE, 2, False), BasisEntry(V1, 1, True),
+                    BasisEntry(ONE, 1, True, (1,))], False, False)
+    assert (g.sub_summary, g.quot_summary) == ((1, 1), (0, 1))
+    with pytest.raises(coefficients.UnknownExtension,
+                       match=r"layers \(1, 1\) / \(0, 1\)"):
+        g.summarize()
+
+
+def test_multiply_rejects_a_lattice_mismatch():
+    src = TowerGroup([BasisEntry(ONE, 1, False)], True, True)
+    tgt = TowerGroup([BasisEntry(V1, 2, False)], True, True)
+    with pytest.raises(AssertionError, match=r"lattice mismatch 1 -> 2\*v1"):
+        _multiply(src, tgt, V1)
+
+
+def test_multiply_rejects_an_image_multiplier_past_two():
+    # a lattice-4 class cannot arise from lattices 1 and 2
+    src = TowerGroup([BasisEntry(ONE, 4, False)], True, True)
+    tgt = TowerGroup([BasisEntry(V1, 1, False)], True, True)
+    with pytest.raises(AssertionError, match="unexpected image multiplier"):
+        _multiply(src, tgt, V1)
+
+
+def test_multiply_returns_fresh_lists():
+    tgt = TowerGroup([BasisEntry(V1, 1, False)], True, True)
+    for src in (TowerGroup([], True, True),
+                TowerGroup([BasisEntry(ONE, 1, True)], True, True)):
+        coker, kernel = _multiply(src, tgt, V1)
+        assert coker == tgt.entries and coker is not tgt.entries
+        assert kernel == src.entries and kernel is not src.entries
+
+
+def _stage_on(monkeypatch, below: dict) -> TowerGroup:
+    """The stage killing vbar_1 at degree 0, built on the hand-built groups
+    one stage down, keyed by degree (empty where none is given)."""
+    build = coefficients._stage_group.__wrapped__
+    steps = ((1, 1),)
+
+    def stage(st, beta):
+        return build(st, beta) if st == steps else \
+            below.get(beta, TowerGroup([], True, True))
+
+    monkeypatch.setattr(coefficients, "_stage_group", stage)
+    return build(steps, Degree(0, 0))
+
+
+def test_free_class_in_the_read_kernel_raises(monkeypatch):
+    # ker_src holds a free class and ker_tgt is empty
+    ker_src = Degree(0, 0) - Degree(1, 0) - RHO
+    with pytest.raises(AssertionError,
+                       match="free class 1 unexpectedly in a kernel"):
+        _stage_on(monkeypatch,
+                  {ker_src: TowerGroup([BasisEntry(ONE, 1, False)],
+                                       True, True)})
+
+
+def test_free_class_killed_on_the_cokernel_side_is_no_error(monkeypatch):
+    # src holds the same free class and tgt is empty: it maps to zero, but
+    # the stage reads only that map's cokernel
+    g = _stage_on(monkeypatch,
+                  {Degree(0, 0) - RHO: TowerGroup([BasisEntry(ONE, 1, False)],
+                                                  True, True)})
+    assert g == TowerGroup([], True, True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pickle
 import pytest
 
 from realspectra.blocks import AssembledClass, DiagonalCell, TowerClass
-from realspectra.charts import ChartClass
 from realspectra.cli import RunConfig
 from realspectra.coefficients import (BasisEntry, Monomial, QuotientIdeal,
                                       TowerGroup)
@@ -156,7 +155,6 @@ HASHABLE = [
     (Window(-1, 2, 0, 3),
      "Window(triv_min=-1, triv_max=2, sgn_min=0, sgn_max=3)"),
     (QuotientIdeal((0, 2), 1), "QuotientIdeal(exponents=(0, 2), tail=1)"),
-    (ChartClass(2, False), "ChartClass(lattice=2, torsion=False, mono=None)"),
     (TowerClass(3), "TowerClass(level=3)"),
     (AssembledClass(1, TowerClass(3)),
      "AssembledClass(u_power=1, entry=TowerClass(level=3))"),
@@ -180,7 +178,7 @@ HASHABLE = [
 ]
 # records with a list or dict field: equal and repr, but no hash
 UNHASHABLE = [
-    TowerGroup([E], True, True, (0, 1), (0, 0)),
+    TowerGroup([E], True, True),
     Page(2, 3, {Degree(0, 0): [E]}, ()),
     DualityReport([REC], "1 degree"),
     GorensteinTable(1, (), {}, {}, {}),
@@ -221,10 +219,10 @@ def test_record_is_read_only(value):
 
 
 def test_records_with_equal_fields_differ_by_type():
-    assert ChartClass(1, False) != MapGroup(1, False)
-    assert _fields(ChartClass(1, False)) == _fields(MapGroup(1, False))
+    assert AssembledClass(2, MOD) != LCSummand(2, MOD)
+    assert _fields(AssembledClass(2, MOD)) == _fields(LCSummand(2, MOD))
     assert Window(0, 1, 0, 1) != (0, 1, 0, 1)
-    assert len({ChartClass(1, False), MapGroup(1, False)}) == 2
+    assert len({AssembledClass(2, MOD), LCSummand(2, MOD)}) == 2
 
 
 def test_ssdata_items_equal_only_themselves():
