@@ -64,15 +64,13 @@ def _strip(c: Sequence[int]) -> tuple[int, ...]:
     return c[:end]
 
 
-@functools.lru_cache(maxsize=None)
 def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
     """The exponent tuple c with its vbar_i entry moved by `by`, stripped.
 
-    Memoized, so work that depends only on the exponent tuple is done once
-    per tuple: c must be a stripped tuple of ints (a list is unhashable)
-    and the result is one, shared by every caller.  The tuples reaching it
-    are `weight_tuples` listings and their bumps, so the memo stays as
-    small as those listings.
+    c must be a stripped tuple of ints, and so is the result.  Not
+    memoized: the Koszul pieces call it with every stage exponent, so a
+    memo here would grow with the stages, not with the listings; a caller
+    whose tuples repeat keeps its own (`hfpss._target_tuple`).
 
     >>> _bump((2, 1), 2, -1), _bump((1,), 3, 1), _bump((0, 0, 1), 3, -1)
     ((2,), (1, 0, 1), ())
@@ -150,8 +148,8 @@ class Monomial(_MonomialFields):
         """Sum c_i (2^i - 1), the rho-weight of the vbar part.
 
         Read from a memo keyed by the exponent tuple c, which the
-        constructor makes an immutable stripped tuple; like `_bump`'s, the
-        memo holds the `weight_tuples` listings and their bumps."""
+        constructor makes an immutable stripped tuple; `degree` reads it on
+        the `hfpss` fire targets and on multipliers, whose tuples it holds."""
         return _weight(self.c)
 
     def times(self, other: "Monomial") -> "Monomial":
@@ -304,7 +302,7 @@ def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
     """
     t, s = alpha.triv, alpha.sgn
     d = t - s
-    k = max(k_lo, 0)
+    k = max(k_lo, 0, -(t + s))    # below -(t + s) the vbar weight is < 0
     k += (d - k) % 4
     out = []
     while k <= k_hi:

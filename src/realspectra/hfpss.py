@@ -40,6 +40,7 @@ independent route that certifies this one; it lives in the tests
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coefficients import (
@@ -70,9 +71,15 @@ def e2_basis(n: int | None, alpha: Degree,
     return degree_monomials(n, alpha, 0, a_cap, 0)
 
 
+@lru_cache(maxsize=None)
+def _target_tuple(c: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """`_bump(c, i, 1)`, memoized on the E_2 listing's shared tuples."""
+    return _bump(c, i, 1)
+
+
 def _fire_target(x: Monomial, i: int) -> Monomial:
     return Monomial._trusted(x.k + 2 ** (i + 1) - 1, x.l - 2 ** (i - 1),
-                             _bump(x.c, i, 1))
+                             _target_tuple(x.c, i))
 
 
 def _final_page(n: int | None, x: Monomial) -> int:

@@ -17,12 +17,12 @@ m in Z^n, with at most one generator per Koszul slot S (the Z^n-graded
 Cech/Koszul complex; Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 13).  A piece is fixed up to isomorphism by its shape: torsion, n,
 the slots present and its coefficients.  Few shapes occur, so each shape's
-complex is built and checked once, and its H^s and its transition steps
-are computed once, in memos that every module, degree and s shares.  The
-degree alone fixes an oracle run, which has no tuning parameters: it
-starts two stages past the diagonal weight, stops at MAX_E, and settles
-every s in one pass over the stages, so that run is memoized per degree
-too.
+complex is built and checked once, and one memo per shape holds its H^s
+for every s; a transition step between two shapes is computed once too,
+for every s.  Every module and degree share these memos.  The degree
+alone fixes an oracle run, which has no tuning parameters: it starts two
+stages past the diagonal weight, stops at MAX_E, and settles every s from
+one walk per pair of stages, so that run is memoized per degree too.
 
 Grading conventions.  Catalogue modules are concentrated on
 shift + Z*rho, except the towers, which run along shift + Z*sigma.  A
@@ -280,24 +280,15 @@ def _act(mod: StandardModule, c: tuple[int, ...], i: int,
 
 # --- the unstable Koszul complex, piece by piece ---------------------------
 
-def _subsets(n: int) -> list[tuple[int, ...]]:
-    """Every subset of {1, ..., n}: by size, each size in lexicographic
-    order, which orders the generators of each C^j."""
-    return [subset for size in range(n + 1)
-            for subset in itertools.combinations(range(1, n + 1), size)]
-
-
-def _subset_weight(subset: tuple[int, ...]) -> int:
-    return sum(2 ** i - 1 for i in subset)
-
-
 @lru_cache(maxsize=None)
 def _cofaces(n: int) -> dict[tuple[int, ...], tuple]:
     """For each subset S of {1, ..., n}, the pairs (i, S + {i}) for i
-    outside S, in increasing i."""
+    outside S, in increasing i.  The keys run by size, each size in
+    lexicographic order, which orders the generators of each C^j."""
     return {subset: tuple((i, tuple(sorted(subset + (i,))))
                           for i in range(1, n + 1) if i not in subset)
-            for subset in _subsets(n)}
+            for size in range(n + 1)
+            for subset in itertools.combinations(range(1, n + 1), size)}
 
 
 def _stage(mod: StandardModule, n: int, e: int, alpha: Degree) -> dict:
@@ -311,8 +302,8 @@ def _stage(mod: StandardModule, n: int, e: int, alpha: Degree) -> dict:
     """
     step = e if mod.kind in ("DualP", "DualPbar") else -e
     pieces: dict[tuple[int, ...], dict] = {}
-    for subset in _subsets(n):
-        at = alpha + RHO * (e * _subset_weight(subset))
+    for subset in _cofaces(n):
+        at = alpha + RHO * (e * sum(2 ** i - 1 for i in subset))
         for c in _gens(mod, n, at):
             m = list(c) + [0] * (n - len(c))
             for i in subset:
@@ -343,10 +334,9 @@ def _piece_key(mod: StandardModule, n: int, e: int, slots: dict) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _piece(key: tuple) -> CochainComplex:
-    """The complex of one piece shape, checked once when built, so a memo
-    hit reads a complex whose relation and d o d checks ran on identical
-    matrices."""
+def _piece_homology(key: tuple) -> tuple[Subquotient, ...]:
+    """H^0, ..., H^n of one piece shape, from its complex, which is built
+    and checked (relations, d o d) once, when the shape is first met."""
     torsion, n, slots, edges = key
     layers = [[S for S in slots if len(S) == j] for j in range(n + 1)]
     index = {S: r for layer in layers for r, S in enumerate(layer)}
@@ -356,23 +346,16 @@ def _piece(key: tuple) -> CochainComplex:
         maps[len(subset)][index[tuple(sorted(subset + (i,)))],
                           index[subset]] = sign * x
     rels = [f2_relations([torsion] * len(layer)) for layer in layers]
-    return CochainComplex(maps, rels)
+    return tuple(map(CochainComplex(maps, rels).homology, range(n + 1)))
 
 
-@lru_cache(maxsize=None)
-def _piece_homology(key: tuple, s: int) -> Subquotient:
-    return _piece(key).homology(s)
-
-
-def _transition(mod: StandardModule, slots: dict, s: int,
+def _transition(mod: StandardModule, slots: dict,
                 later: dict) -> tuple[int, ...]:
-    """Coefficients of vbar_S on the size-s slots of a stage-e piece;
-    raises ValueError if an image is not the generator of slot S in
+    """Coefficients of vbar_S on every slot S of a stage-e piece, in slot
+    order; raises ValueError if an image is not the generator of slot S in
     `later`, the same piece at stage e + 1 (empty if there is none)."""
     coeffs = []
     for subset, c in slots.items():
-        if len(subset) != s:
-            continue
         image, x = c, 1
         for i in subset:
             hit = _act(mod, image, i, 1)
@@ -388,49 +371,50 @@ def _transition(mod: StandardModule, slots: dict, s: int,
 
 
 @lru_cache(maxsize=None)
-def _piece_step(src: tuple, tgt: tuple, s: int,
-                coeffs: tuple[int, ...]) -> bool:
-    """Whether vbar_S, with coefficients coeffs on the size-s slots of the
+def _piece_step(src: tuple, tgt: tuple,
+                coeffs: tuple[int, ...]) -> tuple[bool, ...]:
+    """Per s, whether vbar_S, with coefficients coeffs on the slots of the
     stage-e shape src, maps H^s of src onto H^s of the stage-(e+1) shape
     tgt."""
-    here = _piece_homology(tgt, s)
-    rows = {S: r for r, S in enumerate(S for S in tgt[2] if len(S) == s)}
-    cols = [S for S in src[2] if len(S) == s]
-    step = zeros(len(rows), len(cols))
-    for col, (subset, x) in enumerate(zip(cols, coeffs)):
-        if x:
-            step[rows[subset], col] = x
-    induced = induced_map(_piece_homology(src, s), here, step)
-    return map_is_surjective(induced, here.group)
+    onto = []
+    for s, (was, now) in enumerate(zip(_piece_homology(src),
+                                       _piece_homology(tgt))):
+        rows = {S: r for r, S in enumerate(S for S in tgt[2] if len(S) == s)}
+        cols = [(S, x) for S, x in zip(src[2], coeffs) if len(S) == s]
+        step = zeros(len(rows), len(cols))
+        for col, (subset, x) in enumerate(cols):
+            if x:
+                step[rows[subset], col] = x
+        onto.append(map_is_surjective(induced_map(was, now, step),
+                                      now.group))
+    return tuple(onto)
 
 
-def _shapes(stage: dict) -> Counter:
-    """How many pieces of each shape a stage has."""
-    return Counter(key for key, _ in stage.values())
+def _stage_homology(stage: dict, n: int) -> list[tuple[int, int]]:
+    """H^s of a stage as (free, F_2) ranks for each s = 0..n, summed over
+    its pieces from the count of each shape."""
+    totals = [(0, 0)] * (n + 1)
+    for key, count in Counter(key for key, _ in stage.values()).items():
+        for s, h in enumerate(_piece_homology(key)):
+            a, b = h.group.summarize()
+            totals[s] = (totals[s][0] + count * a, totals[s][1] + count * b)
+    return totals
 
 
-def _stage_homology(shapes: Counter, s: int) -> tuple[int, int]:
-    """H^s of a stage as (free, F_2) ranks, summed over its pieces from
-    the count of each shape (see _shapes)."""
-    free = f2 = 0
-    for key, count in shapes.items():
-        a, b = _piece_homology(key, s).group.summarize()
-        free, f2 = free + count * a, f2 + count * b
-    return free, f2
-
-
-def _stage_onto(mod: StandardModule, prev: dict, here: dict,
-                s: int) -> bool:
-    """Whether the transition from stage prev to stage here is onto in
-    H^s, piece by piece: a piece of here with none in prev only if its H^s
-    is zero."""
+def _stage_onto(mod: StandardModule, n: int, prev: dict,
+                here: dict) -> list[bool]:
+    """Per s, whether the transition from stage prev to stage here is onto
+    in H^s, piece by piece over one walk of prev's pieces: a piece of here
+    with none in prev counts as onto for s only if its H^s is zero."""
+    seen = set()
     for m, (key, slots) in prev.items():
         later = here.get(m)
-        coeffs = _transition(mod, slots, s, later[1] if later else {})
-        if later and not _piece_step(key, later[0], s, coeffs):
-            return False
-    return all(_piece_homology(key, s).group.is_trivial()
-               for m, (key, _) in here.items() if m not in prev)
+        coeffs = _transition(mod, slots, later[1] if later else {})
+        if later:
+            seen.add(_piece_step(key, later[0], coeffs))
+    seen.update(tuple(h.group.is_trivial() for h in _piece_homology(key))
+                for m, (key, _) in here.items() if m not in prev)
+    return [all(flags[s] for flags in seen) for s in range(n + 1)]
 
 
 # the last stage an oracle run builds before it gives up
@@ -461,9 +445,11 @@ def lc_oracle(mod: StandardModule, n: int, s: int,
     StabilizationFailure, while the other s keep their answers.  A broken
     piece (a differential breaks the relations, d o d is not zero or an
     image leaves its piece) raises its ValueError for every s, and nothing
-    of that run is memoized.  The piece complexes, their H^s and their
-    transition steps are memoized by shape, which a whole sweep shares; a
-    shape's relation and d o d checks run when it is first built.
+    of that run is memoized.  Each pair of stages is walked once for every
+    s.  One memo per piece shape holds its H^s for every s, and the
+    transition steps are memoized by shape pair; a whole sweep shares
+    them, and a shape's relation and d o d checks run when it is first
+    built.
 
     >>> lc_oracle(p_module(), 1, 1, -2 * RHO)
     (1, 0)
@@ -486,23 +472,25 @@ def lc_oracle(mod: StandardModule, n: int, s: int,
 def _oracle_run(mod: StandardModule, n: int, alpha: Degree) -> tuple:
     """lc_oracle's certificate for every s = 0..n over one pass of stages:
     per s its ranks, or None if it did not settle by stage MAX_E, the
-    answer that a run for that s alone would give.  A ValueError from a
-    broken piece propagates, so lru_cache keeps nothing of the run."""
+    answer that a run for that s alone would give.  A pair of stages is
+    walked once, for every s, and only when some unsettled s has equal
+    totals at both.  A ValueError from a broken piece propagates, so
+    lru_cache keeps nothing of the run."""
     out: list = [None] * (n + 1)
-    totals: list = [None] * (n + 1)
-    prev = None
+    totals = prev = None
     for e in range(_first_stage(mod, alpha), MAX_E + 1):
-        todo = [s for s in range(n + 1) if out[s] is None]
-        if not todo:
+        if None not in out:
             break
         here = _stage(mod, n, e, alpha)
-        shapes = _shapes(here)
-        for s in todo:
-            total = _stage_homology(shapes, s)
-            if total == totals[s] and _stage_onto(mod, prev, here, s):
-                out[s] = total
-            totals[s] = total
-        prev = here
+        now = _stage_homology(here, n)
+        todo = [s for s in range(n + 1)
+                if out[s] is None and totals and now[s] == totals[s]]
+        if todo:
+            onto = _stage_onto(mod, n, prev, here)
+            for s in todo:
+                if onto[s]:
+                    out[s] = now[s]
+        totals, prev = now, here
     return tuple(out)
 
 

@@ -4,16 +4,25 @@
 divisor of the remaining entries already answers it, and builds each
 transform from its operation log when first read; `SmithForm` reads its
 diagonal once, `localcoh._gens` is cached per (module, n, degree), the
-Koszul oracle splits each stage into pieces by fine degree and memoizes
-each piece shape, its homology and its transition step (its pieces read
-the module action `localcoh._act`, which the dense reference writes out
-kind by kind), the weight listing is memoized per index range and built
-from its own shorter listings, quotient towers share the stages of a
-common prefix of steps, and `coefficients.degree_monomials` lists a
-degree's monomials once for the E_2 page, the final page, the basic block
-and the full ring, leaving out the monomials an a-relation kills.
-Each is checked here against the uncached computation it replaces.
+Koszul oracle splits each stage into pieces by fine degree, keeps one memo
+per piece shape with its H^s for every s, and settles every s from one
+walk per pair of stages, with each transition step memoized per pair of
+shapes (its pieces read the module action `localcoh._act`, which the
+dense reference writes out kind by kind), the weight listing is memoized
+per index range and built from its own shorter listings, quotient towers
+share the stages of a common prefix of steps, and
+`coefficients.degree_monomials` lists a degree's monomials once for the
+E_2 page, the final page, the basic block and the full ring, from the
+first a-exponent of nonnegative vbar weight, leaving out the monomials an
+a-relation kills.  Each is checked here against the uncached computation
+it replaces, and an n = 3 Koszul sweep, run in a fresh process, must
+leave no memo larger than the weight listing.
 """
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +40,8 @@ from realspectra.coefficients import (QuotientIdeal, StabilizationFailure,
                                       _first_index_above, tower_group,
                                       weight_tuples)
 from realspectra.grading import RHO, SIGMA, Degree, Window
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def _matrices(entries):
@@ -229,22 +240,55 @@ def test_koszul_stage_matches_uncached_build(mod):
                 alpha = mod.shift + RHO * k + SIGMA * off
                 for e in (2, 4):
                     stage = koszul_complex_dense(mod, n, e, alpha)
-                    shapes.update(key for key, _ in
-                                  localcoh._stage(mod, n, e, alpha).values())
+                    pieces = localcoh._stage(mod, n, e, alpha)
+                    shapes.update(key for key, _ in pieces.values())
+                    got = localcoh._stage_homology(pieces, n)
                     for s in range(n + 1):
-                        assert localcoh._stage_homology(localcoh._shapes(
-                            localcoh._stage(mod, n, e, alpha)), s) == \
-                            stage.homology(s).group.summarize(), \
+                        assert got[s] == stage.homology(s).group.summarize(), \
                             (mod.describe(), n, e, s, alpha)
                 for s in range(n + 1):
                     assert localcoh.lc_oracle(mod, n, s, alpha) == \
                         lc_oracle_dense(mod, n, s, alpha), \
                         (mod.describe(), n, s, alpha)
-    # readers left each memoized piece as a fresh build makes it
+    # readers left each memoized H^s as a fresh build makes it
     for key in shapes:
-        kept, fresh = localcoh._piece(key), localcoh._piece.__wrapped__(key)
-        assert _rows_and_cols(kept.maps + kept.rels) == \
-            _rows_and_cols(fresh.maps + fresh.rels), key
+        kept = localcoh._piece_homology(key)
+        fresh = localcoh._piece_homology.__wrapped__(key)
+        assert len(kept) == len(fresh) == key[1] + 1, key
+        for s, (h, want) in enumerate(zip(kept, fresh)):
+            assert _rows_and_cols([h.cycles, h.group.rels]) == \
+                _rows_and_cols([want.cycles, want.group.rels]), (key, s)
+
+
+_MEMO_SIZES = """\
+import json, sys
+from realspectra.localcoh import check_closed_form, p_module
+check_closed_form(p_module(), 3, -24, 24)
+sizes = {}
+for key, module in list(sys.modules.items()):
+    if key.startswith("realspectra."):
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info") and \\
+                    getattr(value, "__module__", None) == key:
+                sizes[f"{key}.{attr}"] = value.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
+def test_koszul_sweep_keeps_no_memo_larger_than_the_weight_listing():
+    # a memo keyed by what one stage exponent makes (each exponent tuple
+    # moved by e) grows with the stages of every degree; the memos that
+    # repay their traffic hold shapes and listings, never more entries
+    # than the weight listing that the generators come from
+    done = subprocess.run([sys.executable, "-c", _MEMO_SIZES],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    sizes = json.loads(done.stdout)
+    limit = sizes.pop("realspectra.coefficients.weight_tuples")
+    assert limit > 0
+    assert {name: size for name, size in sizes.items() if size > limit} \
+        == {}
 
 
 _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),

@@ -64,9 +64,8 @@ def test_monomial_degree_and_zero():
 
 
 def test_exponent_tuple_memos_match_their_formulas():
-    """`Monomial.weight` and `_bump` are memoized on the exponent tuple;
-    each answers as its formula, computed here, cold or warm."""
-    coefficients._bump.cache_clear()
+    """`Monomial.weight` is memoized on the exponent tuple and `_bump` is
+    not; each answers as its formula, computed here, cold or warm."""
     coefficients._weight.cache_clear()
 
     @settings(max_examples=300, deadline=None)
@@ -90,7 +89,7 @@ def test_exponent_tuple_memos_match_their_formulas():
 
     check()
     with pytest.raises(TypeError):
-        coefficients._bump([1], 1, 1)     # a tuple-only memo
+        coefficients._bump([1], 1, 1)     # tuples only
 
 
 def test_membership_examples():

@@ -215,7 +215,7 @@ def test_kernel_matches_reference_engine(n):
     for alpha in window:
         for x in e2_basis(n, alpha, a_cap=40):
             _assert_states_match_reference(n, reference, x)
-    coefficients._bump.cache_clear()
+    hfpss._target_tuple.cache_clear()
     coefficients._weight.cache_clear()
     first = run_differentials(n, window, a_cap=40)
     second = run_differentials(n, window, a_cap=40)

@@ -93,10 +93,10 @@ def test_the_check_sees_an_unread_import(tmp_path):
 KEPT_UNREACHED = {
     ("duality", "gamma_groups"):
         "pi of Gamma degree by degree; the SSData-free second route to it "
-        "(ROADMAP item 2) reads it",
+        "(ROADMAP item 3) reads it",
     ("blocks", "action_matrix"):
-        "the block action; the block check of the Koszul oracle "
-        "(ROADMAP item 4) reads it",
+        "the block action; the block check of the Koszul oracle and the "
+        "ER(1) colimit (ROADMAP items 2 and 5) read it",
     ("abelian", "homology_at"):
         "public API of the linear-algebra core",
     ("abelian", "kernel_of_map"):

@@ -99,7 +99,7 @@ def test_koszul_spot_values():
                                    (p_module(), 6, 0, RHO * 2, (0, 0)),
                                    (pbar(0), 5, 0, ZERO, (0, 0))):
         stage = localcoh._stage(mod, 1, e, alpha)
-        assert localcoh._stage_homology(localcoh._shapes(stage), s) == want
+        assert localcoh._stage_homology(stage, 1)[s] == want
 
 
 def test_oracle_stabilizes_and_is_radical_invariant(monkeypatch,
