@@ -482,9 +482,8 @@ class CochainComplex:
     respect the relations, and each composite of two consecutive maps must
     vanish in its target group, in the order d^0, d^1, d^1 d^0, d^2,
     d^2 d^1, ...  A failure raises ValueError naming d^0 "f" and every
-    later map "g", as `homology_at` does.  The complex keeps its maps and
-    relations, which must not be altered, so that every homology(s) reads
-    the checked data.
+    later map "g".  The complex keeps its maps and relations, which must
+    not be altered, so that every homology(s) reads the checked data.
 
     >>> c = CochainComplex([[[2]], [[0]]], [zeros(1, 0)] * 3)
     >>> [c.homology(s).group.summarize() for s in range(3)]
@@ -517,19 +516,6 @@ class CochainComplex:
         out = zeros(0, dim) if last else self.maps[s]
         rels_out = zeros(0, 0) if last else self.rels[s + 1]
         return _cycles_modulo(out, rels_out, hstack(into, self.rels[s]))
-
-
-def homology_at(f_mat, g_mat, rels_a, rels_b, rels_c) -> Subquotient:
-    """ker(g)/im(f) for presented groups A --f--> B --g--> C.
-
-    Matrices act on generator columns; all three groups are Z^k modulo the
-    column span of their relation matrix.  The three-term case of
-    `CochainComplex`: raises if the data is not a well defined complex.
-    Public API for a single homology group; the package's own callers
-    build a `CochainComplex` and read every term from it.
-    """
-    return CochainComplex([f_mat, g_mat],
-                          [rels_a, rels_b, rels_c]).homology(1)
 
 
 def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:

@@ -26,7 +26,7 @@ assembly with the Borel completion (`gamma_a` and
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .abelian import Matrix, zeros
 from .coefficients import (BasisEntry, InternalInconsistency, Monomial,
@@ -144,6 +144,31 @@ class AssembledClass(NamedTuple):
         return body
 
 
+def _block_basis(n: int, kind: str,
+                 alpha: Degree) -> Sequence[BasisEntry | TowerClass]:
+    """The basis of BB or NB at alpha, to be read, not altered."""
+    return nb_basis(n, alpha) if kind == "nb" else _bb_cached(n, alpha)
+
+
+def _translates(n: int, alpha: Degree) -> list[tuple[int, str, Degree]]:
+    """(u-power, kind, block degree) of each U-translate that meets alpha:
+    BB at alpha - k U for k >= 0, then NB at alpha + j U for j >= 1."""
+    step = _unit_degree(n)
+    period = 2 ** (n + 1)
+    t, s = alpha.triv, alpha.sgn
+    d = t - s
+    out = []
+    if t >= 0:
+        out.extend((k, "bb", alpha - step * k) for k in range(t // period + 1))
+    js = set(range(1, (_bbprime_diag_max(n) - d) // (2 * period) + 1))
+    if (-1 - t) % period == 0:
+        j = (-1 - t) // period
+        if j >= 1 and s - j * period >= 1:
+            js.add(j)
+    out.extend((-j, "nb", alpha + step * j) for j in sorted(js))
+    return out
+
+
 def assemble(n: int, alpha: Degree) -> list[AssembledClass]:
     """Basis of the n-truncated ring at alpha: BB[U] + U^(-1) NB[U^(-1)].
 
@@ -154,35 +179,31 @@ def assemble(n: int, alpha: Degree) -> list[AssembledClass]:
     >>> [c.describe() for c in assemble(1, Degree(-5, 5))]
     ['U^-1 t1']
     """
-    step = _unit_degree(n)
-    period = 2 ** (n + 1)
-    t, s = alpha.triv, alpha.sgn
-    d = t - s
-    out = []
-    if t >= 0:
-        for k in range(t // period + 1):
-            for entry in bb_basis(n, alpha - step * k):
-                out.append(AssembledClass(k, entry))
-    js = set(range(1, (_bbprime_diag_max(n) - d) // (2 * period) + 1))
-    if (-1 - t) % period == 0:
-        j = (-1 - t) // period
-        if j >= 1 and s - j * period >= 1:
-            js.add(j)
-    for j in sorted(js):
-        for entry in nb_basis(n, alpha + step * j):
-            out.append(AssembledClass(-j, entry))
-    return out
+    return [AssembledClass(power, entry)
+            for power, kind, beta in _translates(n, alpha)
+            for entry in _block_basis(n, kind, beta)]
+
+
+@lru_cache(maxsize=None)
+def _block_ranks(n: int, kind: str, alpha: Degree) -> tuple[int, int]:
+    return rank_summary(_block_basis(n, kind, alpha))
 
 
 def assemble_groups(n: int, alpha: Degree) -> tuple[int, int]:
-    """(free rank, F_2 rank) of the assembled coefficient ring.
+    """(free rank, F_2 rank) of the assembled coefficient ring: the ranks
+    of the blocks that assemble lists, summed without listing a class.
 
     >>> assemble_groups(1, Degree(-4, -3))   # the Borel tower is pruned
     (0, 0)
     >>> assemble_groups(2, Degree(3, 3))
     (2, 0)
     """
-    return rank_summary(c.entry for c in assemble(n, alpha))
+    free = f2 = 0
+    for _power, kind, beta in _translates(n, alpha):
+        f, t = _block_ranks(n, kind, beta)
+        free += f
+        f2 += t
+    return (free, f2)
 
 
 # --- diagonal decomposition --------------------------------------------------
@@ -224,15 +245,27 @@ def _cell_candidate(n: int, d: int, l: int,
     return ideal_f2(s, val, shift)
 
 
+@lru_cache(maxsize=None)
+def _cell_index(n: int, kind: str, alpha: Degree
+                ) -> dict[tuple[int, int], tuple[tuple, ...]]:
+    """The monomial classes of a block degree by cell: (u-exponent,
+    a-exponent) -> their sorted (c, lattice, torsion).  Tower classes
+    have no cell.  Shared through a cache: read only."""
+    cells: dict[tuple[int, int], list[tuple]] = {}
+    for e in _block_basis(n, kind, alpha):
+        if isinstance(e, BasisEntry):
+            cells.setdefault((e.mono.l, e.mono.k), []).append(
+                (e.mono.c, e.lattice, e.torsion))
+    return {cell: tuple(sorted(gens)) for cell, gens in cells.items()}
+
+
 def _validate_cell(n: int, d: int, l: int, kind: str,
                    module: StandardModule | None, probe: int) -> None:
-    basis = nb_basis if kind == "nb" else bb_basis
     mod_torsion = module is not None and module.torsion
+    cell = (l, d - 4 * l)
+    at = ref_degree(l, d)
     for w in range(probe + 1):
-        at = ref_degree(l, d) + RHO * w
-        seen = sorted((e.mono.c, e.lattice, e.torsion) for e in basis(n, at)
-                      if isinstance(e, BasisEntry) and e.mono.l == l
-                      and e.mono.k == d - 4 * l)
+        seen = list(_cell_index(n, kind, at).get(cell, ()))
         want = [] if module is None else \
             sorted((c, lam, mod_torsion)
                    for c, lam in module_gens(module, n, at))
@@ -241,6 +274,7 @@ def _validate_cell(n: int, d: int, l: int, kind: str,
                 f"diagonal {d} column u^{l} ({kind}): generators {seen} "
                 f"at weight {w} do not match "
                 f"{module.describe() if module else 'the empty cell'}")
+        at += RHO
 
 
 @lru_cache(maxsize=None)

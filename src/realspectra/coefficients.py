@@ -472,6 +472,19 @@ def rank_summary(entries) -> tuple[int, int]:
     return (flags.count(False), flags.count(True))
 
 
+_ONE = Degree(1, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_constants(step: tuple[int, int]) -> tuple[Monomial, Degree, Degree]:
+    """(vbar_i^e, its degree, its degree + 1) for the step (i, e): the
+    multiplier of a quotient stage and the shifts of its source and of
+    its kernel's source."""
+    mult = vbar_monomial(*step)
+    shift = mult.degree()
+    return mult, shift, shift + _ONE
+
+
 @functools.lru_cache(maxsize=None)
 def _stage_group(steps: tuple[tuple[int, int], ...],
                  alpha: Degree) -> TowerGroup:
@@ -485,13 +498,12 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
     if not steps:
         return TowerGroup(basis_in_degree(alpha), True, True)
     below = steps[:-1]
-    mult = vbar_monomial(*steps[-1])
-    shift = mult.degree()
+    mult, shift, ker_shift = _step_constants(steps[-1])
 
     tgt = _stage_group(below, alpha)
     src = _stage_group(below, alpha - shift)
-    ker_tgt = _stage_group(below, alpha - Degree(1, 0))
-    ker_src = _stage_group(below, alpha - Degree(1, 0) - shift)
+    ker_tgt = _stage_group(below, alpha - _ONE)
+    ker_src = _stage_group(below, alpha - ker_shift)
     if not all(g.mult_trusted for g in (tgt, src, ker_tgt, ker_src)):
         return TowerGroup([], False, False)
 

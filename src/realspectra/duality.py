@@ -385,17 +385,18 @@ def _placement_note(n: int, ss: SSData) -> str:
 class GorensteinTable(NamedTuple):
     """The SSData-independent half of verify_gorenstein on one window.
 
-    entries holds, in (triv, sgn) order, one (record, blocks) pair per
-    checked degree: the record carries the dual value and the Gamma total
-    with no records applied, blocks the (kind, block degree) pairs summed
+    records holds, in (triv, sgn) order, one record per checked degree,
+    carrying the dual value and the Gamma total with no records applied;
+    blocks holds, at the same index, the (kind, block degree) pairs summed
     into that total.  base maps each block degree to its value with no
-    records, users to the entry indices that sum over it, and lines
+    records, users to the indices that sum over it, and lines
     groups block degrees by (kind, display diagonal), the lines along
     which an extension record reaches.  Shared through a cache: read only.
     """
 
     n: int
-    entries: tuple[tuple[DualityRecord, tuple[tuple[str, Degree], ...]], ...]
+    records: tuple[DualityRecord, ...]
+    blocks: tuple[tuple[tuple[str, Degree], ...], ...]
     base: dict[tuple[str, Degree], tuple[int, int]]
     users: dict[tuple[str, Degree], tuple[int, ...]]
     lines: dict[tuple[str, int], tuple[Degree, ...]]
@@ -409,13 +410,15 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
     built once per (n, window) and cached.
     """
     shift = gorenstein_shift(n)
-    dual_of = partial(assemble_groups, n)
+    # one degree's Ext read is the next degree's Hom read
+    dual_of = lru_cache(maxsize=None)(partial(assemble_groups, n))
     empty = SSData(n)
-    entries = []
+    records: list[DualityRecord] = []
+    summed: list[tuple[tuple[str, Degree], ...]] = []
     base: dict[tuple[str, Degree], tuple[int, int]] = {}
     users: dict[tuple[str, Degree], list[int]] = {}
     lines: dict[tuple[str, int], list[Degree]] = {}
-    for alpha in sorted(window, key=lambda a: (a.triv, a.sgn)):
+    for alpha in sorted(window):
         if -alpha not in window:
             continue
         blocks = _block_degrees(n, alpha)
@@ -427,14 +430,15 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
                 value = base[key] = gamma_block(n, kind, gamma, empty)
                 lines.setdefault((kind, gamma.triv - gamma.sgn),
                                  []).append(gamma)
-            users.setdefault(key, []).append(len(entries))
+            users.setdefault(key, []).append(len(records))
             free += value[0]
             f2 += value[1]
         dual = anderson_dual_groups(dual_of, alpha + shift)
-        record = DualityRecord(alpha, (free, f2), dual, (free, f2) == dual)
-        entries.append((record, blocks))
+        records.append(DualityRecord(alpha, (free, f2), dual,
+                                     (free, f2) == dual))
+        summed.append(blocks)
     return GorensteinTable(
-        n, tuple(entries), base,
+        n, tuple(records), tuple(summed), base,
         {key: tuple(at) for key, at in users.items()},
         {key: tuple(at) for key, at in lines.items()})
 
@@ -460,12 +464,13 @@ def _apply_records(table: GorensteinTable,
             values[key] = gamma_block(table.n, key[0], key[1], ss)
         except InconsistentSSData as err:
             values[key] = err
-    records = [record for record, _blocks in table.entries]
+    records = list(table.records)
     for i in {i for key in touched for i in table.users[key]}:
-        plain, blocks = table.entries[i]
+        plain = records[i]
         free, f2 = plain.gamma
         note = ""
-        for key in blocks:  # gamma_groups order: the first bad block reports
+        # gamma_groups order: the first bad block reports
+        for key in table.blocks[i]:
             value = values.get(key)
             if value is None:
                 continue

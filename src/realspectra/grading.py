@@ -19,6 +19,9 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 
+_new = tuple.__new__
+
+
 class _DegreeFields(NamedTuple):
     triv: int
     sgn: int
@@ -27,10 +30,14 @@ class _DegreeFields(NamedTuple):
 class Degree(_DegreeFields):
     """An element t + s*sigma of RO(C2).
 
-    A tuple of its fields (triv, sgn): construction, hashing, equality and
-    ordering run in C, and an instance equals the plain pair (triv, sgn),
-    so a dict or set must not mix degrees with plain pairs.  +, - and *
-    are the group operations, not tuple concatenation and repetition.
+    A tuple of its fields (triv, sgn): hashing, equality, ordering and
+    field access run in C, and an instance equals the plain pair (triv,
+    sgn), so a dict or set must not mix degrees with plain pairs.
+    `Degree(t, s)` goes through namedtuple's Python-level `__new__`; +, -,
+    unary - and * build their results in C with `tuple.__new__`.  They are
+    the group operations, not tuple concatenation and repetition, and read
+    the other operand's `triv` and `sgn`, so a plain pair raises
+    AttributeError.
 
     >>> Degree(1, 1) + Degree(0, 1)
     Degree(triv=1, sgn=2)
@@ -43,16 +50,16 @@ class Degree(_DegreeFields):
     __slots__ = ()
 
     def __add__(self, other: "Degree") -> "Degree":
-        return Degree(self.triv + other.triv, self.sgn + other.sgn)
+        return _new(Degree, (self.triv + other.triv, self.sgn + other.sgn))
 
     def __sub__(self, other: "Degree") -> "Degree":
-        return Degree(self.triv - other.triv, self.sgn - other.sgn)
+        return _new(Degree, (self.triv - other.triv, self.sgn - other.sgn))
 
     def __neg__(self) -> "Degree":
-        return Degree(-self.triv, -self.sgn)
+        return _new(Degree, (-self.triv, -self.sgn))
 
     def __mul__(self, k: int) -> "Degree":
-        return Degree(self.triv * k, self.sgn * k)
+        return _new(Degree, (self.triv * k, self.sgn * k))
 
     __rmul__ = __mul__
 

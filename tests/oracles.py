@@ -9,6 +9,7 @@ meaningful.  The references after them are different: they redo a package
 computation the direct, slower way (`verify_gorenstein_per_degree`,
 `e_infinity_basis_two_rounds`, `basis_cached_two_listings` over
 `enumerate_with_cap_reference`, `bb_cached_reference`,
+`cell_listing_reference`,
 `e2_basis_reference`, `smith_normal_form_full_rescan`, `module_gens_uncached`,
 `vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
 `tower_group_fresh`), to check an optimised path against; `mult_map`
@@ -422,6 +423,17 @@ def bb_cached_reference(n, alpha):
             if entry is not None:
                 out.append(entry)
     return tuple(sorted(out, key=lambda e: (e.mono.l, e.mono.k, e.mono.c)))
+
+
+def cell_listing_reference(n: int, kind: str, l: int, k: int,
+                           alpha: Degree) -> list[tuple]:
+    """The sorted (c, lattice, torsion) of the block classes on u^l a^k
+    at alpha, filtered out of the whole block basis: what
+    `blocks._cell_index` must hold for that cell."""
+    basis = nb_basis if kind == "nb" else bb_basis
+    return sorted((e.mono.c, e.lattice, e.torsion) for e in basis(n, alpha)
+                  if isinstance(e, BasisEntry) and e.mono.l == l
+                  and e.mono.k == k)
 
 
 def basis_cached_two_listings(alpha):

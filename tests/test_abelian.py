@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from realspectra import abelian
 from realspectra.abelian import (
-    PresGroup, cokernel_of_map, f2_relations, hstack, homology_at, identity,
-    image_basis, induced_map, kernel_basis, kernel_of_map, map_is_surjective,
-    mat_mul, smith_normal_form, solve_matrix, to_matrix, zeros,
+    CochainComplex, PresGroup, cokernel_of_map, f2_relations, hstack,
+    identity, image_basis, induced_map, kernel_basis, kernel_of_map,
+    map_is_surjective, mat_mul, smith_normal_form, solve_matrix, to_matrix,
+    zeros,
 )
 
 
@@ -86,28 +87,31 @@ def test_presgroup_summaries():
 def test_homology_of_two_step_complex():
     # Z --2--> Z --0--> Z has middle homology Z/2
     none = zeros(1, 0)
-    h = homology_at([[2]], [[0]], none, none, none)
+    h = CochainComplex([[[2]], [[0]]], [none, none, none]).homology(1)
     assert h.group.summarize() == (0, 1)
 
     # Z --1--> Z --0--> Z is exact in the middle
-    h = homology_at([[1]], [[0]], none, none, none)
+    h = CochainComplex([[[1]], [[0]]], [none, none, none]).homology(1)
     assert h.group.is_trivial()
 
 
 def test_homology_with_torsion_groups():
     # F2 --1--> F2 --0--> 0 : middle homology vanishes
     two = to_matrix([[2]])
-    h = homology_at([[1]], zeros(0, 1), two, two, zeros(0, 0))
+    h = CochainComplex([[[1]], zeros(0, 1)],
+                       [two, two, zeros(0, 0)]).homology(1)
     assert h.group.is_trivial()
     # 0 --> F2 --0--> 0 : middle homology is the F2
-    h = homology_at(zeros(1, 0), zeros(0, 1), zeros(0, 0), two, zeros(0, 0))
+    h = CochainComplex([zeros(1, 0), zeros(0, 1)],
+                       [zeros(0, 0), two, zeros(0, 0)]).homology(1)
     assert h.group.summarize() == (0, 1)
 
 
 def test_complex_condition_is_enforced():
     none = zeros(1, 0)
     with pytest.raises(ValueError):
-        homology_at([[1]], [[1]], none, none, none)  # g o f = 1 != 0
+        # g o f = 1 != 0
+        CochainComplex([[[1]], [[1]]], [none, none, none]).homology(1)
 
 
 def test_kernel_and_cokernel_of_map():
@@ -127,8 +131,10 @@ def test_kernel_and_cokernel_of_map():
 def test_induced_map_and_surjectivity():
     none = zeros(1, 0)
     # H(Z --2--> Z --> 0) = Z/2 at the middle; identity chain map induces iso
-    h1 = homology_at([[2]], zeros(0, 1), none, none, zeros(0, 0))
-    h2 = homology_at([[2]], zeros(0, 1), none, none, zeros(0, 0))
+    h1 = CochainComplex([[[2]], zeros(0, 1)],
+                        [none, none, zeros(0, 0)]).homology(1)
+    h2 = CochainComplex([[[2]], zeros(0, 1)],
+                        [none, none, zeros(0, 0)]).homology(1)
     m = induced_map(h1, h2, identity(1))
     assert map_is_surjective(m, h2.group)
     # doubling chain map induces the zero (hence non-surjective) map

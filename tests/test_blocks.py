@@ -18,7 +18,8 @@ from realspectra.hfpss import (e_infinity_groups, geometric_cofibre_groups,
                                tate_groups)
 from realspectra.localcoh import (dual_p, dual_pbar, ideal_z, p_module, pbar)
 
-from oracles import bb_classes, borel_classes, completion_comparison, gamma_a
+from oracles import (bb_classes, borel_classes, cell_listing_reference,
+                     completion_comparison, gamma_a)
 
 ONE = Degree(1, 0)
 
@@ -96,6 +97,14 @@ def test_assemble_spot_values():
     assert [c.describe() for c in assemble(1, Degree(-4, 4))] == ["U^-1 2*1"]
     assert [c.describe() for c in assemble(1, Degree(-5, 5))] == ["U^-1 t1"]
     assert [c.describe() for c in assemble(1, Degree(4, -4))] == ["U^1 1"]
+
+
+def test_assemble_groups_counts_the_assembled_classes():
+    # the block ranks summed per translate, against the classes listed
+    for n in range(5):
+        for alpha in Window.square(16):
+            assert assemble_groups(n, alpha) == \
+                rank_summary(c.entry for c in assemble(n, alpha)), (n, alpha)
 
 
 def test_assemble_rho_minus_one_vanishes():
@@ -219,11 +228,41 @@ def test_nb_diagonal_transform():
     assert got == [(-1, "Pbar1(-1+2s)")]
 
 
+def test_cell_index_matches_the_filtered_basis(monkeypatch):
+    # every cell that diagonal_decompose validates, at every weight it
+    # probes, against the listing filtered out of the whole block basis
+    validated = []
+    validate = blocks._validate_cell
+
+    def recorded(*args):
+        validated.append(args)
+        validate(*args)
+
+    monkeypatch.setattr(blocks, "_validate_cell", recorded)
+    for n in (1, 2, 3):
+        for kind in ("bb", "nb"):
+            for d in range(-6, 3 * 2 ** (n + 1) + 3):
+                diagonal_decompose.__wrapped__(n, d, kind)
+    assert {(n, kind) for n, _d, _l, kind, _m, _p in validated} == \
+        {(n, kind) for n in (1, 2, 3) for kind in ("bb", "nb")}
+    for n, d, l, kind, _module, probe in validated:
+        for w in range(probe + 1):
+            at = ref_degree(l, d) + RHO * w
+            index = blocks._cell_index(n, kind, at)
+            assert list(index.get((l, d - 4 * l), ())) == \
+                cell_listing_reference(n, kind, l, d - 4 * l, at), \
+                (n, kind, l, d, w)
+
+
 def test_unclassified_module_raises():
-    with pytest.raises(UnclassifiedModule):
+    with pytest.raises(UnclassifiedModule) as err:
         _validate_cell(1, 0, 0, "bb", pbar(0), 4)
-    with pytest.raises(UnclassifiedModule):
+    assert str(err.value) == ("diagonal 0 column u^0 (bb): generators "
+                              "[((), 1, False)] at weight 0 do not match Pbar0")
+    with pytest.raises(UnclassifiedModule) as err:
         _validate_cell(1, 0, 0, "nb", p_module(), 4)
+    assert str(err.value) == ("diagonal 0 column u^0 (nb): generators "
+                              "[((), 2, False)] at weight 0 do not match P")
 
 
 def test_diagonal_decompose_rejects_unknown_kind():

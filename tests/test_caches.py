@@ -16,7 +16,9 @@ E_2 page, the final page, the basic block and the full ring, from the
 first a-exponent of nonnegative vbar weight, leaving out the monomials an
 a-relation kills.  Each is checked here against the uncached computation
 it replaces, and an n = 3 Koszul sweep, run in a fresh process, must
-leave no memo larger than the weight listing.
+leave no memo larger than the weight listing; a Gorenstein sweep must
+leave no `blocks` memo larger than two entries (one per block kind) per
+listed block degree.
 """
 
 import json
@@ -260,10 +262,8 @@ def test_koszul_stage_matches_uncached_build(mod):
                 _rows_and_cols([want.cycles, want.group.rels]), (key, s)
 
 
-_MEMO_SIZES = """\
+_MEMO_SIZES = """
 import json, sys
-from realspectra.localcoh import check_closed_form, p_module
-check_closed_form(p_module(), 3, -24, 24)
 sizes = {}
 for key, module in list(sys.modules.items()):
     if key.startswith("realspectra."):
@@ -275,20 +275,44 @@ print(json.dumps(sizes))
 """
 
 
+def _memo_sizes(sweep: str) -> dict[str, int]:
+    """Entries in each package memo after sweep runs in a fresh process."""
+    done = subprocess.run([sys.executable, "-c", sweep + _MEMO_SIZES],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def test_koszul_sweep_keeps_no_memo_larger_than_the_weight_listing():
     # a memo keyed by what one stage exponent makes (each exponent tuple
     # moved by e) grows with the stages of every degree; the memos that
     # repay their traffic hold shapes and listings, never more entries
     # than the weight listing that the generators come from
-    done = subprocess.run([sys.executable, "-c", _MEMO_SIZES],
-                          env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    sizes = json.loads(done.stdout)
+    sizes = _memo_sizes(
+        "from realspectra.localcoh import check_closed_form, p_module\n"
+        "check_closed_form(p_module(), 3, -24, 24)")
     limit = sizes.pop("realspectra.coefficients.weight_tuples")
     assert limit > 0
     assert {name: size for name, size in sizes.items() if size > limit} \
         == {}
+
+
+def test_gorenstein_sweep_keeps_block_memos_within_the_block_listings():
+    # the blocks memos are keyed by a block degree, or by a diagonal: none
+    # may hold more than one entry per block kind for each degree whose
+    # basis the sweep listed
+    sizes = _memo_sizes(
+        "from realspectra.duality import verify_gorenstein\n"
+        "from realspectra.grading import Window\n"
+        "for n in (1, 2, 3, 4):\n"
+        "    verify_gorenstein(n, Window.square(24))")
+    listed = sizes["realspectra.blocks._bb_cached"]
+    blocks = {name: size for name, size in sizes.items()
+              if name.startswith("realspectra.blocks.")}
+    assert listed > 0 and blocks["realspectra.blocks._block_ranks"] > 0
+    assert {name: size for name, size in blocks.items()
+            if size > 2 * listed} == {}
 
 
 _TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),

@@ -217,6 +217,19 @@ def test_heights_1_and_2_clean_on_radius_48(n):
         f"n={n}: 9409 degrees on -48:48,-48:48, 0 mismatches")
 
 
+# mismatches of the shipped data on [-r, r]^2 for r = 12, 24, 36, 48; no
+# SSData ships for n = 3 or 4, so theirs are the empty data's
+_MISMATCHES_BY_RADIUS = {1: (0, 0, 0, 0), 2: (0, 0, 0, 0),
+                         3: (0, 48, 127, 271), 4: (0, 0, 41, 155)}
+
+
+@pytest.mark.parametrize("n", sorted(_MISMATCHES_BY_RADIUS))
+def test_gorenstein_mismatches_by_height_and_radius(n):
+    got = tuple(len(verify_gorenstein(n, Window.square(r)).mismatches)
+                for r in (12, 24, 36, 48))
+    assert got == _MISMATCHES_BY_RADIUS[n]
+
+
 def test_verify_gorenstein_height2_leave_one_out():
     ss = default_ssdata(2)
     for item in ss.items():

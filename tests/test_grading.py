@@ -44,6 +44,29 @@ def test_addition_matches_components(x, y):
     assert x + (-x) == ZERO
 
 
+@given(degrees, degrees, small_ints)
+def test_arithmetic_builds_exact_degrees(x, y, k):
+    # the results skip the constructor: each must still be a Degree, not a
+    # bare tuple or another subclass, equal in value and repr to one built
+    # through it
+    for got, want in ((x + y, Degree(x.triv + y.triv, x.sgn + y.sgn)),
+                      (x - y, Degree(x.triv - y.triv, x.sgn - y.sgn)),
+                      (-x, Degree(-x.triv, -x.sgn)),
+                      (x * k, Degree(x.triv * k, x.sgn * k)),
+                      (k * x, Degree(x.triv * k, x.sgn * k))):
+        assert type(got) is Degree
+        assert got == want and repr(got) == repr(want)
+        assert hash(got) == hash(want)
+
+
+def test_arithmetic_with_a_plain_pair_raises():
+    # a pair has no triv or sgn: no silent tuple arithmetic
+    with pytest.raises(AttributeError):
+        Degree(1, 1) + (1, 1)
+    with pytest.raises(AttributeError):
+        Degree(1, 1) - (1, 1)
+
+
 @given(degrees)
 def test_diagonal_roundtrip(x):
     d, k = x.diagonal()

@@ -97,8 +97,6 @@ KEPT_UNREACHED = {
     ("blocks", "action_matrix"):
         "the block action; the block check of the Koszul oracle and the "
         "ER(1) colimit (ROADMAP items 2 and 5) read it",
-    ("abelian", "homology_at"):
-        "public API of the linear-algebra core",
     ("abelian", "kernel_of_map"):
         "public API of the linear-algebra core, which the certificates "
         "call rather than a copy",

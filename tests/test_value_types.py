@@ -181,7 +181,7 @@ UNHASHABLE = [
     TowerGroup([E], True, True),
     Page(2, 3, {Degree(0, 0): [E]}, ()),
     DualityReport([REC], "1 degree"),
-    GorensteinTable(1, (), {}, {}, {}),
+    GorensteinTable(1, (), (), {}, {}, {}),
 ]
 RECORDS = [value for value, _ in HASHABLE] + UNHASHABLE
 
