@@ -34,8 +34,10 @@ is a configuration error):
               ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
               the radius of the acceptance windows;
-    --caps    `A`, an a-exponent cap A >= 0: E_2 has infinite rank in
-              each degree, and the pages list it to filtration A;
+    --caps    `A`, an a-exponent cap 0 <= A <= MAX_CAPS (143): E_2 has
+              infinite rank in each degree, and the pages list it to
+              filtration A; MAX_CAPS is the most filtration a
+              final-page class in an accepted window can need;
     --out     its directory must exist, and it must not be a directory.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
@@ -91,6 +93,13 @@ ORACLE_HEIGHTS = (1, 2)
 # the E_2 cap of `hfpss pages` without --caps; `coefficients.DEFAULT_A_CAP`,
 # kept here so that the cache key holds the cap the run reads
 DEFAULT_A_CAP = 40
+
+# largest accepted --caps: the maximum of `coefficients._a_exponent_bound`
+# over the MAX_COORD box, at every accepted height and for the full ring
+# (reached by the ring at -33-48s), so every final-page class of an
+# accepted window lies within an accepted cap; the E_2 listing, and with
+# it time and memory, grows with the cap
+MAX_CAPS = 143
 
 
 class ConfigError(Exception):
@@ -148,8 +157,8 @@ def _parse_caps(text: str) -> int:
         a_cap = int(text)
     except ValueError:
         raise ConfigError(f"caps must be an integer A, got {text!r}")
-    if a_cap < 0:
-        raise ConfigError(f"caps need A >= 0, got {text!r}")
+    if not 0 <= a_cap <= MAX_CAPS:
+        raise ConfigError(f"caps need 0 <= A <= {MAX_CAPS}, got {text!r}")
     return a_cap
 
 

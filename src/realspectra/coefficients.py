@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Sequence
 
-from .grading import Degree, record, v2
+from .grading import ONE, Degree, _new, record, v2
 
 
 # the failures of every layer, here in the lowest one, which every command
@@ -101,13 +101,14 @@ class Monomial(_MonomialFields):
 
     c omits vbar_0; trailing zeros are stripped so equality is structural.
     The constructor (and `_replace`) converts c to ints, strips it and
-    rejects negative exponents.  The private `_trusted` skips all of that,
-    for hot listings (`degree_monomials`, `hfpss._fire_target`) where k >= 0
-    and a stripped, nonnegative int tuple c hold by construction.
+    rejects negative exponents.  The hot listings (`degree_monomials`,
+    `hfpss._fire_target`), where k >= 0 and a stripped, nonnegative int
+    tuple c hold by construction, skip all of that and build their
+    monomials in C with `tuple.__new__`, as `degree` builds its Degree.
 
-    A tuple of its fields (k, l, c): construction, hashing, equality and
-    ordering run in C, and an instance equals the plain triple (k, l, c),
-    so a dict or set must not mix monomials with plain triples.
+    A tuple of its fields (k, l, c): hashing, equality and ordering run in
+    C, and an instance equals the plain triple (k, l, c), so a dict or set
+    must not mix monomials with plain triples.
 
     >>> Monomial(1, 0, (2,)).degree()
     Degree(triv=2, sgn=1)
@@ -128,28 +129,19 @@ class Monomial(_MonomialFields):
         # `_replace` builds through here: keep the constructor's checks
         return cls(*fields)
 
-    @classmethod
-    def _trusted(cls, k: int, l: int, c: tuple[int, ...]) -> "Monomial":
-        """Monomial(k, l, c) without its checks: the caller guarantees
-        k >= 0 and that c is a stripped tuple of nonnegative ints.
-
-        >>> Monomial._trusted(4, -1, (2,)) == Monomial(4, -1, [2, 0])
-        True
-        """
-        return tuple.__new__(cls, (k, l, c))
-
     def degree(self) -> Degree:
         """The package's one grading formula: |a| = -sigma,
         |u| = 2 - 2 sigma, |vbar_i| = (2^i - 1) rho."""
-        w = self.weight()
-        return Degree(2 * self.l + w, -self.k - 2 * self.l + w)
+        w = _weight(self.c)
+        return _new(Degree, (2 * self.l + w, -self.k - 2 * self.l + w))
 
     def weight(self) -> int:
         """Sum c_i (2^i - 1), the rho-weight of the vbar part.
 
-        Read from a memo keyed by the exponent tuple c, which the
-        constructor makes an immutable stripped tuple; `degree` reads it on
-        the `hfpss` fire targets and on multipliers, whose tuples it holds."""
+        Read from a memo keyed by the exponent tuple c, which every
+        monomial holds as an immutable stripped tuple; `degree` reads the
+        same memo, on the `hfpss` fire targets and on multipliers, whose
+        tuples it holds."""
         return _weight(self.c)
 
     def times(self, other: "Monomial") -> "Monomial":
@@ -229,10 +221,11 @@ class BasisEntry(_BasisEntryFields):
     betas records, oldest first, quotient steps whose boundary map produced
     the class; it is empty for classes of the ground ring.
 
-    A tuple of its fields (mono, lattice, torsion, betas): construction,
-    hashing, equality and ordering run in C, and an instance equals the
-    plain 4-tuple of its fields, so a dict or set must not mix entries with
-    plain tuples.
+    A tuple of its fields (mono, lattice, torsion, betas): hashing,
+    equality and ordering run in C, and an instance equals the plain
+    4-tuple of its fields, so a dict or set must not mix entries with
+    plain tuples.  The page listings (`_page_basis`, `hfpss`) build their
+    entries in C with `tuple.__new__`, all four fields given.
     """
 
     __slots__ = ()
@@ -272,6 +265,8 @@ def weight_tuples(w: int, lo: int = 1,
     if top < lo:
         return ((),) if w == 0 else ()
     part = 2 ** top - 1
+    if top == lo:   # one index (so w >= part): one tuple or none, directly
+        return ((0,) * (top - 1) + (w // part,),) if w % part == 0 else ()
     out = []
     for ci in range(w // part, 0, -1):
         for c in weight_tuples(w - ci * part, lo, top - 1):
@@ -305,13 +300,14 @@ def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
     k = max(k_lo, 0, -(t + s))    # below -(t + s) the vbar weight is < 0
     k += (d - k) % 4
     out = []
+    append = out.append
     while k <= k_hi:
         lo = _first_index_above(k)
         if cap is not None:
             lo = min(lo, cap + 1)
         l = (d - k) // 4
         for c in weight_tuples((t + s + k) // 2, lo, n):
-            out.append(Monomial._trusted(k, l, c))
+            append(_new(Monomial, (k, l, c)))
         k += 4
     return out
 
@@ -357,7 +353,7 @@ def _page_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
         if x.k > bound:
             raise StabilizationFailure(f"final-page classes at {alpha} "
                                        f"appear past filtration {bound}")
-        entries.append(BasisEntry(x, lattice, x.k > 0))
+        entries.append(_new(BasisEntry, (x, lattice, x.k > 0, ())))
     return entries
 
 
@@ -472,9 +468,6 @@ def rank_summary(entries) -> tuple[int, int]:
     return (flags.count(False), flags.count(True))
 
 
-_ONE = Degree(1, 0)
-
-
 @functools.lru_cache(maxsize=None)
 def _step_constants(step: tuple[int, int]) -> tuple[Monomial, Degree, Degree]:
     """(vbar_i^e, its degree, its degree + 1) for the step (i, e): the
@@ -482,7 +475,7 @@ def _step_constants(step: tuple[int, int]) -> tuple[Monomial, Degree, Degree]:
     its kernel's source."""
     mult = vbar_monomial(*step)
     shift = mult.degree()
-    return mult, shift, shift + _ONE
+    return mult, shift, shift + ONE
 
 
 @functools.lru_cache(maxsize=None)
@@ -502,7 +495,7 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
 
     tgt = _stage_group(below, alpha)
     src = _stage_group(below, alpha - shift)
-    ker_tgt = _stage_group(below, alpha - _ONE)
+    ker_tgt = _stage_group(below, alpha - ONE)
     ker_src = _stage_group(below, alpha - ker_shift)
     if not all(g.mult_trusted for g in (tgt, src, ker_tgt, ker_src)):
         return TowerGroup([], False, False)

@@ -43,14 +43,12 @@ from .blocks import (_bbprime_diag_max, _unit_degree, assemble_groups,
                      lc_of_block)
 from .coefficients import (InconsistentSSData, InternalInconsistency,
                            QuotientIdeal, UnknownExtension, group_in_degree)
-from .grading import (DELTA, Degree, RHO, Window, json_int, record,
+from .grading import (DELTA, ONE, Degree, RHO, Window, json_int, record,
                       total_vbar_degree)
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import closed_form_state  # noqa: F401
 from .localcoh import module_ranks
-
-ONE = Degree(1, 0)
 
 
 # --- spectral sequence data --------------------------------------------------

@@ -35,9 +35,10 @@ class Degree(_DegreeFields):
     sgn), so a dict or set must not mix degrees with plain pairs.
     `Degree(t, s)` goes through namedtuple's Python-level `__new__`; +, -,
     unary - and * build their results in C with `tuple.__new__`.  They are
-    the group operations, not tuple concatenation and repetition, and read
-    the other operand's `triv` and `sgn`, so a plain pair raises
-    AttributeError.
+    the group operations, not tuple concatenation and repetition: + and -
+    read the other operand's `triv` and `sgn`, so a plain pair raises
+    AttributeError, and * takes an int factor only, so a bool, a float or
+    a degree raises TypeError.
 
     >>> Degree(1, 1) + Degree(0, 1)
     Degree(triv=1, sgn=2)
@@ -45,6 +46,9 @@ class Degree(_DegreeFields):
     Degree(triv=-2, sgn=2)
     >>> 3 * Degree(1, 1)
     Degree(triv=3, sgn=3)
+    >>> Degree(1, 1) * 1.5
+    Traceback (most recent call last):
+    TypeError: a degree multiplies by an int, not 1.5
     """
 
     __slots__ = ()
@@ -59,6 +63,8 @@ class Degree(_DegreeFields):
         return _new(Degree, (-self.triv, -self.sgn))
 
     def __mul__(self, k: int) -> "Degree":
+        if type(k) is not int:
+            raise TypeError(f"a degree multiplies by an int, not {k!r}")
         return _new(Degree, (self.triv * k, self.sgn * k))
 
     __rmul__ = __mul__
@@ -118,6 +124,7 @@ class Degree(_DegreeFields):
 
 
 ZERO = Degree(0, 0)
+ONE = Degree(1, 0)
 SIGMA = Degree(0, 1)
 RHO = Degree(1, 1)
 DELTA = Degree(1, -1)

@@ -29,7 +29,11 @@ and `closed_form_state` reads one class on one page with them.
 and carries it from page to page: one `_page_lattice` call per live class
 per page gives its lattice on the next page, which decides whether it
 lives on and whether it fires, and the entry is rebuilt only when an
-a-free class moves from lattice 1 to lattice 2.  `final_entry` is the
+a-free class moves from lattice 1 to lattice 2.  The E_2 monomials and
+their entries, the fire targets and the targets' degrees are built in C
+with `tuple.__new__`, without the constructors' checks, which hold by
+construction; every fired pair still passes the degree, filtration and
+d*d checks of `run_differentials`.  `final_entry` is the
 final-page class on one monomial, or None, for the blocks and their
 action; `e_infinity_basis` is the certified listing
 `coefficients._page_basis`, which the ring's basis reads too.  The
@@ -47,7 +51,7 @@ from .coefficients import (
     DEFAULT_A_CAP, BasisEntry, InternalInconsistency, Monomial, _bump,
     _page_basis, _page_lattice, degree_monomials, rank_summary,
 )
-from .grading import Degree, Window, record, v2
+from .grading import ONE, Degree, Window, _new, record, v2
 
 _DEAD = "dead"
 
@@ -78,8 +82,8 @@ def _target_tuple(c: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 def _fire_target(x: Monomial, i: int) -> Monomial:
-    return Monomial._trusted(x.k + 2 ** (i + 1) - 1, x.l - 2 ** (i - 1),
-                             _target_tuple(x.c, i))
+    return _new(Monomial, (x.k + 2 ** (i + 1) - 1, x.l - 2 ** (i - 1),
+                           _target_tuple(x.c, i)))
 
 
 def _final_page(n: int | None, x: Monomial) -> int:
@@ -139,7 +143,7 @@ def final_entry(n: int | None, x: Monomial) -> BasisEntry | None:
     True
     """
     lattice = _page_lattice(x, n)
-    return BasisEntry(x, lattice, x.k > 0) if lattice else None
+    return _new(BasisEntry, (x, lattice, x.k > 0, ())) if lattice else None
 
 
 def e_infinity_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
@@ -215,7 +219,7 @@ def run_differentials(n: int | None, window: Window,
         p_top = max([1] + [_final_page(n, x)
                            for monos in per_degree.values() for x in monos])
     # every listed class is alive on E_2, on lattice 1
-    live = {alpha: [BasisEntry(x, 1, x.k > 0) for x in monos]
+    live = {alpha: [_new(BasisEntry, (x, 1, x.k > 0, ())) for x in monos]
             for alpha, monos in per_degree.items()}
     pages = []
     for p in range(1, p_top + 1):
@@ -227,7 +231,7 @@ def run_differentials(n: int | None, window: Window,
             classes[alpha] = entries = live[alpha]
             if p == p_top:
                 continue
-            below = alpha - Degree(1, 0)
+            below = alpha - ONE
             carried = []
             for e in entries:
                 x = e.mono

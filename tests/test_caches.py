@@ -351,13 +351,25 @@ def test_ranged_listing_matches_predicate(w):
     # the memoized listing against the brute force over exponent vectors,
     # order included, on every index range and on the ranges that
     # _first_index_above(k) starts for a^k
-    for lo in range(1, 5):
-        for hi in (*range(6), None):
+    for lo in range(1, 6):
+        for hi in (*range(7), None):
             assert weight_tuples(w, lo, hi) == \
                 weight_tuples_reference(w, lo, hi), (lo, hi)
     for k in range(0, 70):
         lo = _first_index_above(k)
         assert weight_tuples(w, lo) == weight_tuples_reference(w, lo), k
+
+
+def test_one_index_listings_cost_one_memo_call_each():
+    # at n = 1 every E_2 listing has one index, vbar_1: answered directly,
+    # it costs one memo call per class, where a recursion over the
+    # exponent costs a call per smaller exponent, quadratic in the cap
+    weight_tuples.cache_clear()
+    pages = hfpss.run_differentials(1, Window(0, 0, 0, 0), a_cap=4000)
+    classes = len(pages[0].classes[Degree(0, 0)])
+    info = weight_tuples.cache_info()
+    assert classes == 1001
+    assert info.hits + info.misses <= 2 * classes
 
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from realspectra import localcoh
 from realspectra.blocks import TowerClass, lc_of_block
 from realspectra.charts import ascii_chart, svg_chart, _actions
-from realspectra.cli import MAX_COORD, MAX_N, main
+from realspectra.cli import MAX_CAPS, MAX_COORD, MAX_N, main
 from realspectra.coefficients import BasisEntry, Monomial
 from realspectra.duality import default_ssdata
 from realspectra.grading import Degree, Window
@@ -82,6 +82,7 @@ def test_out_of_range_n_is_config_error(capsys, argv):
     ("chart", "bpr", "--window", "-1000000:1000000,-1:1"),
     ("hfpss", "tate", "--n", "1", "--window", "1000:0,0:0"),
     ("hfpss", "pages", "--caps", "-5", "--window", "0:0,0:0"),
+    ("hfpss", "pages", "--caps", str(MAX_CAPS + 1)),
     ("hfpss", "pages", "--caps", "0,0", "--window", "0:0,0:0"),
     ("hfpss", "pages", "--caps", "40,-1"),
     ("hfpss", "pages", "--caps", "40,4", "--window", "0:0,0:0"),
@@ -678,6 +679,21 @@ def test_exit_1_failures_are_one_class_in_every_layer():
 def test_default_caps_is_the_coefficient_default():
     from realspectra import cli, coefficients
     assert cli.DEFAULT_A_CAP == coefficients.DEFAULT_A_CAP
+
+
+def test_max_caps_is_the_largest_final_page_filtration_bound():
+    # every final-page class of an accepted window lies within an accepted
+    # cap, and no larger cap is accepted
+    from realspectra.coefficients import _a_exponent_bound
+    assert MAX_CAPS == max(_a_exponent_bound(alpha, n)
+                           for alpha in Window.square(MAX_COORD)
+                           for n in (None, *range(MAX_N + 1)))
+
+
+def test_caps_at_the_limit_runs(capsys):
+    code, out = run(capsys, "hfpss", "pages", "--n", "1", "--window",
+                    "0:0,0:0", "--caps", str(MAX_CAPS))
+    assert code == 0 and json.loads(out)["pages"]
 
 
 def test_default_caps_share_one_cache_entry(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from realspectra import grading
 from realspectra.coefficients import Monomial
 from realspectra.grading import (
-    DELTA, RHO, SIGMA, ZERO, Degree, Window, total_vbar_degree,
+    DELTA, ONE, RHO, SIGMA, ZERO, Degree, Window, total_vbar_degree,
 )
 
 from oracles import twisted_vbar
@@ -27,7 +27,7 @@ def test_basic_constants():
     assert SIGMA == Degree(0, 1)
     assert DELTA == Degree(1, -1)
     assert RHO + RHO == Degree(2, 2)
-    assert DELTA + SIGMA == Degree(1, 0)
+    assert DELTA + SIGMA == ONE == Degree(1, 0)
 
 
 def test_tmf13_duality_shift_assembles():
@@ -65,6 +65,18 @@ def test_arithmetic_with_a_plain_pair_raises():
         Degree(1, 1) + (1, 1)
     with pytest.raises(AttributeError):
         Degree(1, 1) - (1, 1)
+
+
+@pytest.mark.parametrize("factor", [1.5, 2.0, True, False, Degree(1, 1),
+                                    (1, 1), "2", None],
+                         ids=repr)
+def test_multiplying_by_anything_but_an_int_raises(factor):
+    # no float coordinates, no nested degree, no tuple repetition; a bool
+    # is refused like a float, as `json_int` refuses it
+    with pytest.raises(TypeError, match="a degree multiplies by an int"):
+        RHO * factor
+    with pytest.raises(TypeError):
+        factor * RHO
 
 
 @given(degrees)

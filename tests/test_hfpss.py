@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspectra import coefficients, hfpss
-from realspectra.coefficients import (Monomial, StabilizationFailure,
-                                      basis_in_degree, vbar_monomial)
+from realspectra.coefficients import (BasisEntry, Monomial,
+                                      StabilizationFailure, basis_in_degree,
+                                      vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (
     _DEAD, InternalInconsistency, closed_form_state, e2_basis,
@@ -282,7 +283,7 @@ def test_target_firing_on_its_own_page_is_internal_inconsistency(monkeypatch):
 
     def target(x, i):
         y = real_target(x, i)
-        fake = _Disguised._trusted(y.k, y.l + 2 ** (i - 1), y.c)
+        fake = tuple.__new__(_Disguised, (y.k, y.l + 2 ** (i - 1), y.c))
         object.__setattr__(fake, "honest", y)
         return fake
 
@@ -299,13 +300,28 @@ def test_target_firing_on_its_own_page_is_internal_inconsistency(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the trusted monomial constructor
+# the values the hot paths build in C with tuple.__new__, unchecked
 
 def _assert_same_monomial(got: Monomial, want: Monomial):
     """got, built on a trusted path, is want in every observable way."""
+    assert type(got) is Monomial
     assert type(got.c) is tuple and all(type(ci) is int for ci in got.c)
     assert got == want and hash(got) == hash(want)
     assert str(got) == str(want) and repr(got) == repr(want)
+    # tuple equality ignores the class: check the degree's class too
+    assert type(got.degree()) is Degree
+    assert got.degree() == Degree(2 * got.l + got.weight(),
+                                  -got.k - 2 * got.l + got.weight())
+
+
+def _assert_same_entry(got: BasisEntry):
+    """got, built on a trusted path, is the validating BasisEntry of its
+    fields, with no betas."""
+    assert type(got) is BasisEntry and got.betas == ()
+    assert got == BasisEntry(got.mono, got.lattice, got.torsion)
+    assert type(got.lattice) is int and type(got.torsion) is bool
+    _assert_same_monomial(got.mono, Monomial(got.mono.k, got.mono.l,
+                                             got.mono.c))
 
 
 _exponents = st.lists(st.integers(0, 3), max_size=4)
@@ -335,5 +351,34 @@ def test_trusted_fire_targets_and_hit_sources_equal_validated():
         # the validated hit source of the target is the class it came from
         _assert_same_monomial(Monomial(y.k - r, y.l + 2 ** (i - 1),
                                        oracles.bumped(y.c, i, -1)), x)
+
+    check()
+
+
+def test_trusted_page_entries_equal_validated():
+    pages = run_differentials(2, Window(-4, 4, -4, 4), a_cap=12)
+    first = [e for entries in pages[0].classes.values() for e in entries]
+    assert first and all(e.lattice == 1 and e.torsion == (e.mono.k > 0)
+                         for e in first)
+    for page in pages:
+        for e in (e for entries in page.classes.values() for e in entries):
+            _assert_same_entry(e)
+        for x, y in page.fired:
+            _assert_same_monomial(y, Monomial(y.k, y.l, y.c))
+
+
+def test_trusted_final_page_entries_equal_validated():
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-12, 12), st.integers(-12, 12),
+           st.sampled_from([0, 1, 2, 3, None]))
+    def check(t, s, n):
+        alpha = Degree(t, s)
+        for e in coefficients._page_basis(n, alpha):
+            _assert_same_entry(e)
+            assert hfpss.final_entry(n, e.mono) == e
+        for x in e2_basis(n, alpha, 12):
+            entry = hfpss.final_entry(n, x)
+            if entry is not None:
+                _assert_same_entry(entry)
 
     check()
