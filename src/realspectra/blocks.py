@@ -30,7 +30,8 @@ from typing import NamedTuple, Sequence
 
 from .abelian import Matrix, zeros
 from .coefficients import (BasisEntry, InternalInconsistency, Monomial,
-                           _first_index_above, degree_monomials, rank_summary)
+                           _first_index_above, _image_class, degree_monomials,
+                           rank_summary)
 from .grading import DELTA, Degree, RHO, record, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
@@ -347,8 +348,8 @@ def action_matrix(n: int, x: Monomial, src: list[AssembledClass],
 
     x must keep the column (u-exponent zero), so a product stays at its
     class's power of U.  Tower classes and products that die on the final
-    page map to zero.  Onto a torsion class the entry is the source
-    lattice mod 2, onto a free class the ratio of the two lattices.
+    page map to zero.  Each entry is read by `coefficients._image_class`,
+    the product rule of the quotient towers.
     Raises InternalInconsistency if a product escapes the target classes,
     so the action-closure invariant is checked on every call.
     """
@@ -366,7 +367,6 @@ def action_matrix(n: int, x: Monomial, src: list[AssembledClass],
             raise InternalInconsistency(
                 f"product {y} of {x} and {c.describe()} escapes the basis")
         row, te = hit
-        lattice = c.entry.lattice
-        mat[row, col] = lattice % 2 if te.torsion else lattice // te.lattice
+        mat[row, col] = _image_class(c.entry, te)
     return mat
 

@@ -21,9 +21,12 @@ Quotients by powers of the vbar_i are computed through the cofibre sequence
 
   0 -> pi(M)/x -> pi(M/x) -> ker(x) -> 0      (kernel taken one degree lower)
 
-iterated one generator at a time.  Groups are kept as lists of tagged
-monomial symbols whenever every step stays exact and monomial; otherwise the
-group has exact = False, and its two layers' ranks are read off its entries.
+iterated one generator at a time.  A stage (`TowerGroup`) keeps the two
+layers of its last step, the cokernel pi(M)/x and the kernel ker(x), as
+tuples of monomial basis classes.  A stage is built only on trusted bases,
+known stages with no kernel layer, and is unknown otherwise.  A group with a
+kernel layer is exact when both layers are F_2; otherwise only its two
+layers' ranks are known.
 """
 
 from __future__ import annotations
@@ -212,30 +215,24 @@ class _BasisEntryFields(NamedTuple):
     mono: Monomial
     lattice: int
     torsion: bool
-    betas: tuple[int, ...] = ()
 
 
 class BasisEntry(_BasisEntryFields):
     """One basis class: the image of lattice * mono (free) or mono (F2).
 
-    betas records, oldest first, quotient steps whose boundary map produced
-    the class; it is empty for classes of the ground ring.
-
-    A tuple of its fields (mono, lattice, torsion, betas): hashing,
-    equality and ordering run in C, and an instance equals the plain
-    4-tuple of its fields, so a dict or set must not mix entries with
-    plain tuples.  The page listings (`_page_basis`, `hfpss`) build their
-    entries in C with `tuple.__new__`, all four fields given.
+    A tuple of its fields (mono, lattice, torsion): hashing, equality and
+    ordering run in C, and an instance equals the plain triple of its
+    fields, so a dict or set must not mix entries with plain tuples.  The
+    page listings (`_page_basis`, `hfpss`) build their entries in C with
+    `tuple.__new__`, all three fields given.  In a quotient tower the
+    stage, not the class, records which layer a class lies in.
     """
 
     __slots__ = ()
 
     def describe(self) -> str:
         head = "" if self.lattice == 1 else f"{self.lattice}*"
-        body = f"{head}{self.mono}"
-        for step in reversed(self.betas):
-            body = f"b{step}({body})"
-        return body
+        return f"{head}{self.mono}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,7 +350,7 @@ def _page_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
         if x.k > bound:
             raise StabilizationFailure(f"final-page classes at {alpha} "
                                        f"appear past filtration {bound}")
-        entries.append(_new(BasisEntry, (x, lattice, x.k > 0, ())))
+        entries.append(_new(BasisEntry, (x, lattice, x.k > 0)))
     return entries
 
 
@@ -402,10 +399,10 @@ class QuotientIdeal(_QuotientIdealFields):
         return tuple.__new__(cls, (exponents, tail))
 
     @staticmethod
-    def of(seq, tail: int = 0) -> "QuotientIdeal":
+    def of(seq) -> "QuotientIdeal":
         if isinstance(seq, QuotientIdeal):
             return seq
-        return QuotientIdeal(tuple(int(x) for x in seq), tail)
+        return QuotientIdeal(tuple(int(x) for x in seq))
 
     @staticmethod
     def truncation(n: int) -> "QuotientIdeal":
@@ -422,37 +419,39 @@ class QuotientIdeal(_QuotientIdealFields):
 
 @record
 class TowerGroup(NamedTuple):
-    """Groups of one degree of an iterated quotient.
-
-    When exact, entries is an honest basis.  mult_trusted marks whether
-    multiplication by further monomials on these entries is filtration safe
-    (no boundary classes anywhere in the dependency cone); a trusted group
-    is exact.  The entries fix both layers of the last step: the cokernel
-    classes have empty betas, the kernel classes end in that step.  A group
-    built on an untrusted stage has no entries and is not exact, and both
-    its layers read (-1, -1); an inexact group with known layers has a free
-    class, so it is never empty.
+    """One degree of an iterated quotient: the layers of its last step,
+    sub (the cokernel pi(M)/x) and quot (the kernel ker(x)), as tuples of
+    basis classes; the ring, before any step, is all sub.  An unknown
+    stage (known = False) has empty layers, each read as (-1, -1).  A
+    known stage without a kernel layer is a trusted basis, on which
+    further products are filtration safe.  A kernel layer is F_2, and the
+    group is exact (entries an honest basis) when it has no kernel layer
+    or its cokernel layer is F_2 too.
     """
 
-    entries: list[BasisEntry]
-    exact: bool
-    mult_trusted: bool
+    sub: tuple[BasisEntry, ...]
+    quot: tuple[BasisEntry, ...]
+    known: bool
+
+    @property
+    def entries(self) -> tuple[BasisEntry, ...]:
+        """Both layers' classes, cokernel first."""
+        return self.sub + self.quot
+
+    @property
+    def exact(self) -> bool:
+        return self.known and (not self.quot
+                               or all(e.torsion for e in self.sub))
 
     @property
     def sub_summary(self) -> tuple[int, int]:
         """(free, F_2) ranks of the cokernel layer pi(M)/x."""
-        return self._layer(False)
+        return rank_summary(self.sub) if self.known else (-1, -1)
 
     @property
     def quot_summary(self) -> tuple[int, int]:
         """(free, F_2) ranks of the kernel layer ker(x)."""
-        return self._layer(True)
-
-    def _layer(self, boundary: bool) -> tuple[int, int]:
-        if not (self.exact or self.entries):
-            return (-1, -1)
-        return rank_summary(e for e in self.entries
-                            if bool(e.betas) == boundary)
+        return rank_summary(self.quot) if self.known else (-1, -1)
 
     def summarize(self) -> tuple[int, int]:
         if not self.exact:
@@ -483,41 +482,40 @@ def _stage_group(steps: tuple[tuple[int, int], ...],
                  alpha: Degree) -> TowerGroup:
     """Degree alpha of B modulo the vbar-power steps, applied in order.
 
-    A stage depends only on the steps up to it and alpha, so
-    this one memo, keyed by the steps, serves every tower that shares them
-    as a prefix: the towers at a tail stop and one index past it share all
+    The last step's multiplier x reads four stages one step down, in turn:
+    its cokernel's target alpha and source alpha - |x|, then its kernel's
+    pair one triv lower.  The stage is unknown at the first of them that
+    is not a trusted basis, and the rest are not built.
+
+    A stage depends only on the steps up to it and alpha, so this one
+    memo, keyed by the steps, serves every tower that shares them as a
+    prefix: the towers at a tail stop and one index past it share all
     their stages but the last.
     """
     if not steps:
-        return TowerGroup(basis_in_degree(alpha), True, True)
+        return TowerGroup(_basis_cached(alpha), (), True)
     below = steps[:-1]
     mult, shift, ker_shift = _step_constants(steps[-1])
-
-    tgt = _stage_group(below, alpha)
-    src = _stage_group(below, alpha - shift)
-    ker_tgt = _stage_group(below, alpha - ONE)
-    ker_src = _stage_group(below, alpha - ker_shift)
-    if not all(g.mult_trusted for g in (tgt, src, ker_tgt, ker_src)):
-        return TowerGroup([], False, False)
-
-    sub_entries, _ = _multiply(src, tgt, mult)
-    _, ker_entries = _multiply(ker_src, ker_tgt, mult)
-    for e in ker_entries:
+    layers = []
+    for beta in (alpha, alpha - shift, alpha - ONE, alpha - ker_shift):
+        g = _stage_group(below, beta)
+        if not g.known or g.quot:
+            return TowerGroup((), (), False)
+        layers.append(g.sub)
+    tgt, src, ker_tgt, ker_src = layers
+    sub, _ = _multiply(src, tgt, mult)
+    _, quot = _multiply(ker_src, ker_tgt, mult)
+    for e in quot:
         if not e.torsion:
             raise AssertionError(
                 f"free class {e.describe()} unexpectedly in a kernel")
-    if not ker_entries:
-        return TowerGroup(sub_entries, True, True)
-    entries = sub_entries + [e._replace(betas=e.betas + (len(steps),))
-                             for e in ker_entries]
-    # when both layers are F2 vector spaces the group is their sum, but
-    # further multiplication could jump filtration
-    return TowerGroup(entries, all(e.torsion for e in entries), False)
+    return TowerGroup(sub, quot, True)
 
 
 def _image_class(entry: BasisEntry, cand: BasisEntry) -> int:
-    """The coefficient on the target class cand of the product of entry
-    whose monomial and betas are cand's; 0 when it is zero there."""
+    """The coefficient on the class cand of a product of the class entry
+    that lands on cand's monomial; 0 when it is zero there.  The one
+    product rule of the quotient towers and of `blocks.action_matrix`."""
     if entry.torsion:
         return 1 if cand.torsion else 0
     # free source: class lattice*mono lands on lattice'*mono'
@@ -531,19 +529,20 @@ def _image_class(entry: BasisEntry, cand: BasisEntry) -> int:
     return q
 
 
-def _multiply(src: TowerGroup, tgt: TowerGroup,
-              mult: Monomial) -> tuple[list[BasisEntry], list[BasisEntry]]:
-    """Multiplication by mult from src to tgt, in one pass over src:
-    (the cokernel's classes, from tgt's; the kernel's classes, from src's),
-    each a fresh list."""
-    if not src.entries:
-        return list(tgt.entries), []
-    classes = {(e.betas, e.mono): e for e in tgt.entries}
+def _multiply(src: tuple[BasisEntry, ...], tgt: tuple[BasisEntry, ...],
+              mult: Monomial
+              ) -> tuple[tuple[BasisEntry, ...], tuple[BasisEntry, ...]]:
+    """Multiplication by mult from the classes src to the classes tgt, two
+    trusted bases, in one pass over src: (the cokernel's classes, from
+    tgt's; the kernel's classes, from src's)."""
+    if not src:
+        return tgt, ()
+    classes = {e.mono: e for e in tgt}
     erased: set[BasisEntry] = set()
     torsionized: set[BasisEntry] = set()
     kernel = []
-    for e in src.entries:
-        cand = classes.get((e.betas, e.mono.times(mult)))
+    for e in src:
+        cand = classes.get(e.mono.times(mult))
         coeff = 0 if cand is None else _image_class(e, cand)
         if coeff == 0:
             kernel.append(e)
@@ -553,9 +552,9 @@ def _multiply(src: TowerGroup, tgt: TowerGroup,
             raise AssertionError("unexpected image multiplier")
         else:
             torsionized.add(cand)
-    coker = [e._replace(torsion=True) if e in torsionized else e
-             for e in tgt.entries if e not in erased]
-    return coker, kernel
+    coker = tuple(e._replace(torsion=True) if e in torsionized else e
+                  for e in tgt if e not in erased)
+    return coker, tuple(kernel)
 
 
 def _tail_stop(ideal: QuotientIdeal, alpha: Degree) -> int:

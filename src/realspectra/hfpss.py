@@ -143,7 +143,7 @@ def final_entry(n: int | None, x: Monomial) -> BasisEntry | None:
     True
     """
     lattice = _page_lattice(x, n)
-    return _new(BasisEntry, (x, lattice, x.k > 0, ())) if lattice else None
+    return _new(BasisEntry, (x, lattice, x.k > 0)) if lattice else None
 
 
 def e_infinity_basis(n: int | None, alpha: Degree) -> list[BasisEntry]:
@@ -219,7 +219,7 @@ def run_differentials(n: int | None, window: Window,
         p_top = max([1] + [_final_page(n, x)
                            for monos in per_degree.values() for x in monos])
     # every listed class is alive on E_2, on lattice 1
-    live = {alpha: [_new(BasisEntry, (x, 1, x.k > 0, ())) for x in monos]
+    live = {alpha: [_new(BasisEntry, (x, 1, x.k > 0)) for x in monos]
             for alpha, monos in per_degree.items()}
     pages = []
     for p in range(1, p_top + 1):

@@ -701,11 +701,12 @@ def lc_oracle_dense(mod, n: int, s: int, alpha: Degree):
 def tower_group_fresh(ideal, alpha: Degree):
     """coefficients.tower_group with one memo per tower, as before towers
     shared their stages: the towers at the tail stop and one index past it
-    each compute every stage from the basis up.  The per-stage cokernel and
-    kernel layers are the package's.  Returns the group and its layers'
-    (free, F_2) ranks, (sub, quot), summed here from the two lists a stage
-    joins, not read off the entries' betas; (-1, -1) each on a stage built
-    from an untrusted one."""
+    each compute every stage from the basis up, and a stage builds all four
+    of its inputs before it asks whether each is a trusted basis.  The
+    per-stage cokernel and kernel layers are the package's.  Returns the
+    group and its layers' (free, F_2) ranks, (sub, quot), summed here from
+    the two layers a stage builds, not read off the group; (-1, -1) each on
+    a stage built from an untrusted one."""
     from realspectra import coefficients as co
 
     def tower(steps):
@@ -718,8 +719,8 @@ def tower_group_fresh(ideal, alpha: Degree):
 
         def compute(stage, beta):
             if stage == 0:
-                entries = co.basis_in_degree(beta)
-                return (co.TowerGroup(entries, True, True),
+                entries = tuple(co.basis_in_degree(beta))
+                return (co.TowerGroup(entries, (), True),
                         (co.rank_summary(entries), (0, 0)))
             index, exp = steps[stage - 1]
             shift = exp * (2 ** index - 1) * RHO
@@ -727,18 +728,14 @@ def tower_group_fresh(ideal, alpha: Degree):
             tgt, src = group(stage - 1, beta), group(stage - 1, beta - shift)
             ker_tgt = group(stage - 1, beta - down)
             ker_src = group(stage - 1, beta - down - shift)
-            if not all(g.exact and g.mult_trusted
-                       for g, _ in (tgt, src, ker_tgt, ker_src)):
-                return co.TowerGroup([], False, False), ((-1, -1), (-1, -1))
+            if not all(layers[1] == (0, 0)
+                       for _, layers in (tgt, src, ker_tgt, ker_src)):
+                return co.TowerGroup((), (), False), ((-1, -1), (-1, -1))
             mult = co.vbar_monomial(index, exp)
-            sub, _ = co._multiply(src[0], tgt[0], mult)
-            _, ker = co._multiply(ker_src[0], ker_tgt[0], mult)
-            quot = [e._replace(betas=e.betas + (stage,)) for e in ker]
-            layers = co.rank_summary(sub), co.rank_summary(quot)
-            if not quot:
-                return co.TowerGroup(sub, True, True), layers
-            exact = layers[0][0] == 0 and layers[1][0] == 0
-            return co.TowerGroup(sub + quot, exact, False), layers
+            sub, _ = co._multiply(src[0].sub, tgt[0].sub, mult)
+            _, quot = co._multiply(ker_src[0].sub, ker_tgt[0].sub, mult)
+            return (co.TowerGroup(sub, quot, True),
+                    (co.rank_summary(sub), co.rank_summary(quot)))
 
         return group(len(steps), alpha)
 
@@ -754,13 +751,14 @@ def tower_group_fresh(ideal, alpha: Degree):
     return g, layers
 
 
-def _product_class(e: BasisEntry, x: Monomial, tgt) -> tuple[int, int | None]:
-    """(coefficient, index in tgt.entries) of x times the class e, found
-    by a scan of tgt's entries; (0, None) when no entry carries the
-    product."""
+def _product_class(e: BasisEntry, x: Monomial,
+                   layer) -> tuple[int, int | None]:
+    """(coefficient, index in layer) of x times the class e, found by a
+    scan of the target layer's classes; (0, None) when no class carries
+    the product."""
     prod = e.mono.times(x)
-    for i, cand in enumerate(tgt.entries):
-        if cand.betas == e.betas and cand.mono == prod:
+    for i, cand in enumerate(layer):
+        if cand.mono == prod:
             return _image_class(e, cand), i
     return 0, None
 
@@ -777,12 +775,12 @@ def mult_map(x: Monomial, ideal, alpha: Degree):
     ideal = co.QuotientIdeal.of(ideal)
     src = co.tower_group(ideal, alpha)
     tgt = co.tower_group(ideal, alpha + x.degree())
-    if not (src.exact and tgt.exact and src.mult_trusted and tgt.mult_trusted):
+    if not (src.known and tgt.known) or src.quot or tgt.quot:
         raise co.UnknownExtension(
             f"no trusted bases for multiplication at {alpha}")
-    out = zeros(len(tgt.entries), len(src.entries))
-    for j, e in enumerate(src.entries):
-        coeff, i = _product_class(e, x, tgt)
+    out = zeros(len(tgt.sub), len(src.sub))
+    for j, e in enumerate(src.sub):
+        coeff, i = _product_class(e, x, tgt.sub)
         if coeff:
             out[i, j] = coeff
     return out
@@ -980,16 +978,15 @@ def nilpotence_check(i: int, k: int, window: Window,
         if not src.entries or not tgt.entries:
             continue
         # induced maps on both layers, computed symbolically
-        for e in src.entries:
-            if _product_class(e, mult, tgt)[0]:
-                if exponent >= 2 * k:
-                    raise AssertionError(
-                        "layer map should vanish for exponent >= 2k")
-                return False
+        for src_layer, tgt_layer in ((src.sub, tgt.sub), (src.quot, tgt.quot)):
+            for e in src_layer:
+                if _product_class(e, mult, tgt_layer)[0]:
+                    if exponent >= 2 * k:
+                        raise AssertionError(
+                            "layer map should vanish for exponent >= 2k")
+                    return False
         # layers all zero here; can a jump happen?
-        src_quot = [e for e in src.entries if e.betas]
-        tgt_sub = [e for e in tgt.entries if not e.betas]
-        if src_quot and tgt_sub:
+        if src.quot and tgt.sub:
             jump_room = True
     if exponent >= 2 * k:
         return True

@@ -10,7 +10,9 @@ walk per pair of stages, with each transition step memoized per pair of
 shapes (its pieces read the module action `localcoh._act`, which the
 dense reference writes out kind by kind), the weight listing is memoized
 per index range and built from its own shorter listings, quotient towers
-share the stages of a common prefix of steps, and
+share the stages of a common prefix of steps (each stage keeps the
+cokernel and kernel layers of its last step, and stops reading its inputs
+at the first that is not a trusted basis), and
 `coefficients.degree_monomials` lists a degree's monomials once for the
 E_2 page, the final page, the basic block and the full ring, from the
 first a-exponent of nonnegative vbar weight, leaving out the monomials an
@@ -340,9 +342,12 @@ def test_shared_tower_stages_match_fresh_towers(ideal, monkeypatch):
                     continue
                 g = tower_group(ideal, alpha)
                 assert g == want, (alpha, floor)
-                # the layer ranks read off the entries' betas against the
-                # sums of the cokernel and kernel lists the stage joined
+                # the layer ranks and exactness against the sums of the
+                # cokernel and kernel layers the fresh stage built
+                sub, quot = layers
                 assert (g.sub_summary, g.quot_summary) == layers, \
+                    (alpha, floor)
+                assert g.exact == (quot == (0, 0) or sub[0] == quot[0] == 0), \
                     (alpha, floor)
 
 

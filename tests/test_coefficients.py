@@ -400,39 +400,44 @@ ONE, V1 = Monomial(0, 0), vbar_monomial(1)
 
 
 def test_layers_are_read_off_the_entries():
-    assert TowerGroup([], False, False).sub_summary == (-1, -1)
-    assert TowerGroup([], False, False).quot_summary == (-1, -1)
-    assert TowerGroup([], True, True).sub_summary == (0, 0)
-    g = TowerGroup([BasisEntry(ONE, 2, False), BasisEntry(V1, 1, True),
-                    BasisEntry(ONE, 1, True, (1,))], False, False)
+    unknown = TowerGroup((), (), False)
+    assert unknown.sub_summary == unknown.quot_summary == (-1, -1)
+    assert not unknown.exact and unknown.entries == ()
+    assert TowerGroup((), (), True).sub_summary == (0, 0)
+    free, f2, ker = (BasisEntry(ONE, 2, False), BasisEntry(V1, 1, True),
+                     BasisEntry(ONE, 1, True))
+    g = TowerGroup((free, f2), (ker,), True)
     assert (g.sub_summary, g.quot_summary) == ((1, 1), (0, 1))
+    assert not g.exact and g.entries == (free, f2, ker)
     with pytest.raises(coefficients.UnknownExtension,
                        match=r"layers \(1, 1\) / \(0, 1\)"):
         g.summarize()
+    # both layers F_2: the group is their sum
+    assert TowerGroup((f2,), (ker,), True).summarize() == (0, 2)
 
 
 def test_multiply_rejects_a_lattice_mismatch():
-    src = TowerGroup([BasisEntry(ONE, 1, False)], True, True)
-    tgt = TowerGroup([BasisEntry(V1, 2, False)], True, True)
+    src = (BasisEntry(ONE, 1, False),)
+    tgt = (BasisEntry(V1, 2, False),)
     with pytest.raises(AssertionError, match=r"lattice mismatch 1 -> 2\*v1"):
         _multiply(src, tgt, V1)
 
 
 def test_multiply_rejects_an_image_multiplier_past_two():
     # a lattice-4 class cannot arise from lattices 1 and 2
-    src = TowerGroup([BasisEntry(ONE, 4, False)], True, True)
-    tgt = TowerGroup([BasisEntry(V1, 1, False)], True, True)
+    src = (BasisEntry(ONE, 4, False),)
+    tgt = (BasisEntry(V1, 1, False),)
     with pytest.raises(AssertionError, match="unexpected image multiplier"):
         _multiply(src, tgt, V1)
 
 
-def test_multiply_returns_fresh_lists():
-    tgt = TowerGroup([BasisEntry(V1, 1, False)], True, True)
-    for src in (TowerGroup([], True, True),
-                TowerGroup([BasisEntry(ONE, 1, True)], True, True)):
-        coker, kernel = _multiply(src, tgt, V1)
-        assert coker == tgt.entries and coker is not tgt.entries
-        assert kernel == src.entries and kernel is not src.entries
+def test_multiply_returns_tuples():
+    # an F_2 class onto a free one is zero: both classes stay
+    tgt = (BasisEntry(V1, 1, False),)
+    for src in ((), (BasisEntry(ONE, 1, True),)):
+        assert _multiply(src, tgt, V1) == (tgt, src)
+    coker, kernel = _multiply((BasisEntry(ONE, 2, False),), tgt, V1)
+    assert coker == (BasisEntry(V1, 1, True),) and kernel == ()
 
 
 def _stage_on(monkeypatch, below: dict) -> TowerGroup:
@@ -443,10 +448,36 @@ def _stage_on(monkeypatch, below: dict) -> TowerGroup:
 
     def stage(st, beta):
         return build(st, beta) if st == steps else \
-            below.get(beta, TowerGroup([], True, True))
+            below.get(beta, TowerGroup((), (), True))
 
     monkeypatch.setattr(coefficients, "_stage_group", stage)
     return build(steps, Degree(0, 0))
+
+
+class _Reads(dict):
+    """Hand-built groups by degree that log the degrees a stage reads."""
+
+    def __init__(self, groups):
+        super().__init__(groups)
+        self.read = []
+
+    def get(self, beta, default):
+        self.read.append(beta)
+        return super().get(beta, default)
+
+
+def test_a_stage_is_unknown_from_its_first_untrusted_input(monkeypatch):
+    # read in turn: tgt, src, ker_tgt, ker_src; an unknown input, or one
+    # with a kernel layer, decides the stage, and the rest go unread
+    order = [Degree(0, 0), -RHO, -Degree(1, 0), -Degree(1, 0) - RHO]
+    kernel = TowerGroup((), (BasisEntry(ONE, 1, True),), True)
+    for bad in (TowerGroup((), (), False), kernel):
+        for i, beta in enumerate(order):
+            below = _Reads({beta: bad})
+            with monkeypatch.context() as patch:
+                assert _stage_on(patch, below) == \
+                    TowerGroup((), (), False), (bad, beta)
+            assert below.read == order[:i + 1], (bad, beta)
 
 
 def test_free_class_in_the_read_kernel_raises(monkeypatch):
@@ -455,17 +486,17 @@ def test_free_class_in_the_read_kernel_raises(monkeypatch):
     with pytest.raises(AssertionError,
                        match="free class 1 unexpectedly in a kernel"):
         _stage_on(monkeypatch,
-                  {ker_src: TowerGroup([BasisEntry(ONE, 1, False)],
-                                       True, True)})
+                  {ker_src: TowerGroup((BasisEntry(ONE, 1, False),), (),
+                                       True)})
 
 
 def test_free_class_killed_on_the_cokernel_side_is_no_error(monkeypatch):
     # src holds the same free class and tgt is empty: it maps to zero, but
     # the stage reads only that map's cokernel
     g = _stage_on(monkeypatch,
-                  {Degree(0, 0) - RHO: TowerGroup([BasisEntry(ONE, 1, False)],
-                                                  True, True)})
-    assert g == TowerGroup([], True, True)
+                  {Degree(0, 0) - RHO: TowerGroup((BasisEntry(ONE, 1, False),),
+                                                  (), True)})
+    assert g == TowerGroup((), (), True)
 
 
 # ---------------------------------------------------------------------------

@@ -316,8 +316,8 @@ def _assert_same_monomial(got: Monomial, want: Monomial):
 
 def _assert_same_entry(got: BasisEntry):
     """got, built on a trusted path, is the validating BasisEntry of its
-    fields, with no betas."""
-    assert type(got) is BasisEntry and got.betas == ()
+    fields, and has exactly its three fields."""
+    assert type(got) is BasisEntry and len(got) == 3
     assert got == BasisEntry(got.mono, got.lattice, got.torsion)
     assert type(got.lattice) is int and type(got.torsion) is bool
     _assert_same_monomial(got.mono, Monomial(got.mono.k, got.mono.l,

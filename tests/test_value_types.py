@@ -27,7 +27,7 @@ from realspectra.localcoh import LCSummand, StandardModule, pbar
 from oracles import MapGroup, ShiftSpec
 
 M = Monomial(1, 2, (0, 1))
-E = BasisEntry(M, 1, True, (2,))
+E = BasisEntry(M, 2, True)
 MOD = StandardModule("IdealF2", s=0, t=2, shift=Degree(1, -1))
 VALUES = [Degree(3, -2), M, E, MOD]
 
@@ -78,8 +78,7 @@ def test_instances_are_slotted_and_read_only(value):
 REPRS = [
     "Degree(triv=3, sgn=-2)",
     "Monomial(k=1, l=2, c=(0, 1))",
-    "BasisEntry(mono=Monomial(k=1, l=2, c=(0, 1)), lattice=1, torsion=True,"
-    " betas=(2,))",
+    "BasisEntry(mono=Monomial(k=1, l=2, c=(0, 1)), lattice=2, torsion=True)",
     "StandardModule(kind='IdealF2', s=0, t=2, shift=Degree(triv=1, sgn=-1))",
 ]
 
@@ -114,10 +113,10 @@ def test_ordering_is_field_by_field(small, large):
 @pytest.mark.parametrize("value, change, want", [
     (Degree(3, -2), {"sgn": 4}, Degree(3, 4)),
     (M, {"k": 0}, Monomial(0, 2, (0, 1))),
-    (E, {"torsion": False}, BasisEntry(M, 1, False, (2,))),
-    (E, {"betas": (2, 3)}, BasisEntry(M, 1, True, (2, 3))),
+    (E, {"torsion": False}, BasisEntry(M, 2, False)),
+    (E, {"lattice": 1}, BasisEntry(M, 1, True)),
     (MOD, {"shift": Degree(0, 0)}, StandardModule("IdealF2", 0, 2)),
-], ids=["Degree", "Monomial", "BasisEntry-torsion", "BasisEntry-betas",
+], ids=["Degree", "Monomial", "BasisEntry-torsion", "BasisEntry-lattice",
         "StandardModule"])
 def test_replace_returns_the_public_type(value, change, want):
     got = value._replace(**change)
@@ -170,6 +169,8 @@ HASHABLE = [
     (ShiftSpec("P", Degree(0, 0), ()),
      "ShiftSpec(tag='P', shift=Degree(triv=0, sgn=0), ideal=())"),
     (MapGroup(1, 0), "MapGroup(free=1, f2=0, restriction_index=None)"),
+    (TowerGroup((E,), (), True), f"TowerGroup(sub=({E!r},), quot=(), "
+                                 "known=True)"),
     (RunConfig("coeff", "", None, "bpr", Window(0, 0, 0, 0), 40, "json",
                None, None, False),
      "RunConfig(command='coeff', mode='', n=None, spectrum='bpr', "
@@ -178,7 +179,6 @@ HASHABLE = [
 ]
 # records with a list or dict field: equal and repr, but no hash
 UNHASHABLE = [
-    TowerGroup([E], True, True),
     Page(2, 3, {Degree(0, 0): [E]}, ()),
     DualityReport([REC], "1 degree"),
     GorensteinTable(1, (), (), {}, {}, {}),
