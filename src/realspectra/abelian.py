@@ -52,10 +52,6 @@ class Matrix:
         return (len(self.rows), self.cols)
 
     @property
-    def size(self) -> int:
-        return len(self.rows) * self.cols
-
-    @property
     def T(self) -> Matrix:
         if not self.rows:
             return zeros(self.cols, 0)
@@ -165,9 +161,9 @@ class SmithForm:
     """D = S A T with S, T unimodular; S_inv the exact inverse of S.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... | d_r followed by
-    zeros.  The nonzero diagonal is read off D once, when the form is made,
-    and kept as a tuple; `rank` and `diagonal()` answer from it, so D must
-    not be altered afterwards.
+    zeros.  The nonzero diagonal d_1 .. d_r is read off D once, when the
+    form is made, and kept as the tuple `diagonal`; `rank` answers from
+    it, so D must not be altered afterwards.
 
     The reduction logs its elementary row and column operations instead of
     applying them to three transforms.  Each of S, T and S_inv is built
@@ -181,14 +177,11 @@ class SmithForm:
         self._col_ops = col_ops
         rows = D.rows
         diagonal = (rows[i][i] for i in range(min(D.shape)))
-        self._diagonal = tuple(x for x in diagonal if x)
+        self.diagonal = tuple(x for x in diagonal if x)
 
     @property
     def rank(self) -> int:
-        return len(self._diagonal)
-
-    def diagonal(self) -> list[int]:
-        return list(self._diagonal)
+        return len(self.diagonal)
 
     @functools.cached_property
     def S(self) -> Matrix:
@@ -242,8 +235,8 @@ def smith_normal_form(a) -> SmithForm:
     operation log: each pivot is already in place and divides the rest.
 
     >>> f = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    >>> f.diagonal()
-    [2, 2, 156]
+    >>> f.diagonal
+    (2, 2, 156)
     >>> mat_mul(mat_mul(f.S, to_matrix([[2,4,4],[-6,6,12],[10,4,16]])), f.T) == f.D
     True
     """
@@ -341,7 +334,7 @@ def image_basis(a) -> Matrix:
     Matrix([[2], [0]], 1)
     """
     f = smith_normal_form(a)
-    scale = f._diagonal
+    scale = f.diagonal
     return Matrix([[x * dj for x, dj in zip(row, scale)]
                    for row in f.S_inv.rows], len(scale))
 
@@ -359,7 +352,7 @@ def solve_matrix(a, b) -> Matrix | None:
     if len(a.rows) != len(b.rows):
         raise ValueError("solve shape mismatch")
     f = smith_normal_form(a)
-    scale = f._diagonal
+    scale = f.diagonal
     w = zeros(f.D.cols, b.cols)
     # an empty operation log means S (or T) is the identity
     sb = mat_mul(f.S, b) if f._row_ops else b
@@ -406,7 +399,7 @@ class PresGroup:
     @functools.cached_property
     def invariant_factors(self) -> list[int]:
         """Nontrivial invariant factors (2-parts only, ascending), torsion part."""
-        return sorted(d & -d for d in self._smith._diagonal if d % 2 == 0)
+        return sorted(d & -d for d in self._smith.diagonal if d % 2 == 0)
 
     @property
     def free_rank(self) -> int:
@@ -455,16 +448,6 @@ def _cycles_modulo(g_mat: Matrix, rels_tgt: Matrix,
     if coords is None:
         raise AssertionError("boundaries escaped the cycle lattice")
     return Subquotient(PresGroup(lattice.cols, coords), lattice)
-
-
-def kernel_of_map(f_mat, rels_src, rels_tgt) -> Subquotient:
-    """Kernel of a map of presented groups Z^a/R_a -> Z^b/R_b.
-
-    f_mat is b x a on generators and must be well defined
-    (f * R_a inside span R_b).  The one-map case of `CochainComplex`: its
-    homology at the source, and the same ValueError when f is not.
-    """
-    return CochainComplex([f_mat], [rels_src, rels_tgt]).homology(0)
 
 
 def cokernel_of_map(f_mat, rels_tgt) -> PresGroup:

@@ -40,8 +40,9 @@ from .localcoh import (StandardModule, ideal_f2, ideal_z, lc_closed_form,
                        module_gens, p_module, pbar)
 
 
-class UnclassifiedModule(RuntimeError):
-    """A diagonal cell fits no module of the standard catalogue."""
+class UnclassifiedModule(InternalInconsistency):
+    """A diagonal cell fits no module of the standard catalogue: a command
+    exits 1 on it, as on any failed self-check."""
 
 
 @record

@@ -44,19 +44,22 @@ Exit codes: 0 success or clean verification, 1 verification mismatch or
 inconsistent data, 2 configuration error, 3 stabilization failure.
 
 Set REALSPECTRA_CACHE_DIR to memoize finished runs.  An entry is keyed on
-the package version, the validated `RunConfig` without --out (so argvs
-that differ only in spelling or in a flag at its default share it) and
-the sha256 of the --ssdata file, so editing an input is never served a
-stale result; entries are written atomically.  An unreadable or malformed
-entry counts as a miss and is overwritten; a failed write only warns.
+the validated `RunConfig` without --out (so argvs that differ only in
+spelling or in a flag at its default share it), which holds the --ssdata
+text the run parses, and on a sha256 of the package's `*.py` and
+`ssdata/*.json` files, so neither an edited input nor changed code is
+served a stale result; entries are written atomically.  An unreadable or
+malformed entry counts as a miss and is overwritten; a failed write only
+warns.
 
 This module is the light half of the CLI and the one place that checks
-arguments: it imports the standard library, `__version__` and `grading`
-only, so a cache hit or a bad argument is served without loading any
-compute layer (nor `dataclasses`, which nothing in the package loads).
-`main` imports `commands` only on a cache miss, and each command there
-loads only the layers it runs; the one configuration error left to it is
---ssdata contents that cannot be read as SSData.
+arguments: it imports the standard library and `grading` only, so a
+cache hit or a bad argument is served without loading any compute layer
+(nor `dataclasses`, which nothing in the package loads).  It reads a
+--ssdata file once, into the config.  `main` imports
+`commands` only on a cache miss, and each command there loads only the
+layers it runs; the one configuration error left to it is --ssdata text
+that cannot be read as SSData.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ import sys
 import tempfile
 from typing import NamedTuple
 
-from . import __version__
 from .grading import Window, record
 
 
@@ -112,7 +114,9 @@ class RunConfig(NamedTuple):
 
     A flag the command does not take holds its default.  caps holds the
     --caps bound A, DEFAULT_A_CAP without the flag; only `hfpss pages`
-    reads it.
+    reads it.  ssdata holds the SSData JSON text: the --ssdata argument
+    itself when it is inline JSON, and otherwise the text of the file it
+    names.
     """
 
     command: str
@@ -258,31 +262,43 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if cfg.ssdata is not None and cfg.spectrum != "bprn":
         raise ConfigError(f"--ssdata serves only verify --spectrum bprn, "
                           f"not {named}")
-    return cfg
-
-
-def _input_digests(cfg: RunConfig) -> list[str]:
-    """sha256 of each input file the run reads: the --ssdata file, unless
-    the data is given inline as JSON text; a ConfigError if it cannot be
-    read.  Whether it holds SSData is for `commands` to find out."""
     if cfg.ssdata is None or cfg.ssdata.lstrip().startswith("{"):
-        return []
+        return cfg
+    # a path: read once, so the run parses the text its cache entry keys on
     try:
-        with open(cfg.ssdata, "rb") as handle:
-            return [hashlib.sha256(handle.read()).hexdigest()]
-    except OSError as err:
+        with open(cfg.ssdata) as handle:
+            return cfg._replace(ssdata=handle.read())
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot load ssdata: {err}")
 
 
-def _cache_path(cfg: RunConfig, digests: list[str]) -> str | None:
+# the package's own files, whose bytes every cache key holds
+_PACKAGE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _package_digest() -> str:
+    """sha256 over the names and bytes of the package's `*.py` and
+    `ssdata/*.json` files: an entry written by other code is never read."""
+    digest = hashlib.sha256()
+    for folder, suffix in (("", ".py"), ("ssdata", ".json")):
+        path = os.path.join(_PACKAGE, folder)
+        for name in sorted(os.listdir(path)):
+            if name.endswith(suffix):
+                with open(os.path.join(path, name), "rb") as handle:
+                    data = handle.read()
+                digest.update(f"{folder}/{name} {len(data)}\n".encode())
+                digest.update(data)
+    return digest.hexdigest()
+
+
+def _cache_path(cfg: RunConfig) -> str | None:
     """The entry of cfg's result: argvs that validate to one config, --out
-    aside, print the same text and share it."""
+    aside, print the same text with the same package and share it."""
     root = os.environ.get("REALSPECTRA_CACHE_DIR")
     if not root:
         return None
     fields = cfg._replace(out=None, window=cfg.window and str(cfg.window))
-    blob = json.dumps([__version__, fields._asdict(), digests],
-                      sort_keys=True)
+    blob = json.dumps([_package_digest(), fields._asdict()], sort_keys=True)
     key = hashlib.sha256(blob.encode()).hexdigest()
     return os.path.join(root, key + ".json")
 
@@ -352,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         cfg = _config_from(parsed)
-        cache = _cache_path(cfg, _input_digests(cfg))
+        cache = _cache_path(cfg)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -90,6 +90,7 @@ def _bump(c: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _weight(c: tuple[int, ...]) -> int:
+    """Sum c_i (2^i - 1), the rho-weight of vbar^c."""
     return sum(ci * (2 ** i - 1) for i, ci in enumerate(c, start=1))
 
 
@@ -137,15 +138,6 @@ class Monomial(_MonomialFields):
         |u| = 2 - 2 sigma, |vbar_i| = (2^i - 1) rho."""
         w = _weight(self.c)
         return _new(Degree, (2 * self.l + w, -self.k - 2 * self.l + w))
-
-    def weight(self) -> int:
-        """Sum c_i (2^i - 1), the rho-weight of the vbar part.
-
-        Read from a memo keyed by the exponent tuple c, which every
-        monomial holds as an immutable stripped tuple; `degree` reads the
-        same memo, on the `hfpss` fire targets and on multipliers, whose
-        tuples it holds."""
-        return _weight(self.c)
 
     def times(self, other: "Monomial") -> "Monomial":
         n = max(len(self.c), len(other.c))
@@ -403,11 +395,6 @@ class QuotientIdeal(_QuotientIdealFields):
         if isinstance(seq, QuotientIdeal):
             return seq
         return QuotientIdeal(tuple(int(x) for x in seq))
-
-    @staticmethod
-    def truncation(n: int) -> "QuotientIdeal":
-        """Kill vbar_i for all i > n."""
-        return QuotientIdeal((0,) * n, tail=1)
 
     def steps_up_to(self, i_stop: int) -> tuple[tuple[int, int], ...]:
         """(index, exponent) pairs in ascending index order through i_stop."""

@@ -213,7 +213,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
             try:
                 ss = load_ssdata(cfg.ssdata)
                 ss.check_height(cfg.n)
-            except (OSError, ValueError) as err:
+            except ValueError as err:
                 raise ConfigError(f"cannot load ssdata: {err}")
         report = verify_gorenstein(cfg.n, cfg.window, ss)
     else:

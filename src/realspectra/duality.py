@@ -23,6 +23,8 @@ totals with no records applied (their H^s rank rows are cached per
 (n, kind, block degree) and are the rows gamma_block reads).  A cheap
 pass per SSData then recomputes only the blocks a record touches, so a
 mutation sweep over many record subsets costs about one verification.
+`gamma_groups` in tests/oracles.py, the reference it is checked against,
+sums the same blocks degree by degree with no shared table.
 
 verify_quotient_duality checks the quotient counterpart against a Koszul
 colimit built degreewise from quotient tower groups.  The mapping-group
@@ -113,13 +115,6 @@ class SSData(NamedTuple):
     differentials: tuple[Differential, ...] = ()
     extensions: tuple[Extension, ...] = ()
 
-    def without(self, item) -> "SSData":
-        """The same data minus one record (for mutation runs)."""
-        return SSData(
-            self.n,
-            tuple(d for d in self.differentials if d != item),
-            tuple(e for e in self.extensions if e != item))
-
     def items(self) -> tuple:
         return self.differentials + self.extensions
 
@@ -151,18 +146,6 @@ class SSData(NamedTuple):
             _check_keys(e, ("block", "degree"))
         return ss
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "differentials": [
-                {"block": d.block, "source": d.source.to_json(),
-                 "target": d.target.to_json(), "rank": d.rank}
-                for d in self.differentials],
-            "extensions": [
-                {"block": e.block, "degree": e.degree.to_json()}
-                for e in self.extensions],
-        }
-
 
 def _check_keys(entry: dict, fields: tuple[str, ...]) -> None:
     """ValueError naming the first key of entry that is not in fields."""
@@ -171,12 +154,8 @@ def _check_keys(entry: dict, fields: tuple[str, ...]) -> None:
             raise ValueError(f"malformed SSData: unknown key {key!r}")
 
 
-def load_ssdata(text_or_path) -> SSData:
-    """Parse SSData from a JSON string or a path; ValueError if malformed."""
-    text = str(text_or_path)
-    if not text.lstrip().startswith("{"):
-        with open(text) as handle:
-            text = handle.read()
+def load_ssdata(text: str) -> SSData:
+    """Parse SSData from its JSON text; ValueError if malformed."""
     return SSData.from_dict(json.loads(text))
 
 
@@ -195,7 +174,7 @@ def default_ssdata(n: int) -> SSData:
     path = _shipped_ssdata_path(n)
     if not path.is_file():
         return SSData(n)
-    return SSData.from_dict(json.loads(path.read_text()))
+    return load_ssdata(path.read_text())
 
 
 # --- assembling pi of Gamma --------------------------------------------------
@@ -223,7 +202,7 @@ def _block_rows(n: int, kind: str,
 
 
 def gamma_block(n: int, kind: str, gamma: Degree,
-                ss: SSData | None = None) -> tuple[int, int]:
+                ss: SSData) -> tuple[int, int]:
     """(free, F_2) of GBB or GNB at one block degree.
 
     Sums the local cohomology row through the degree, cancels the d_2
@@ -231,7 +210,6 @@ def gamma_block(n: int, kind: str, gamma: Degree,
     InconsistentSSData when a differential asks for more rank than the
     row has at its end.
     """
-    ss = default_ssdata(n) if ss is None else ss
     by_s = {s: [f, t] for s, f, t in _block_rows(n, kind, gamma)}
     for rec in ss.differentials:
         if rec.block != kind:
@@ -253,43 +231,18 @@ def gamma_block(n: int, kind: str, gamma: Degree,
     return (free, f2)
 
 
-def _block_degrees(n: int, alpha: Degree,
-                   parts: tuple[str, ...] = ("bb", "nb")
-                   ) -> tuple[tuple[str, Degree], ...]:
-    """The (kind, block degree) pairs whose values sum to pi_alpha Gamma."""
+def _block_degrees(n: int, alpha: Degree) -> tuple[tuple[str, Degree], ...]:
+    """The (kind, block degree) pairs whose values sum to pi_alpha Gamma:
+    the U-translates of GBB[U] (u-power >= 0), then those of
+    U^(-1) GNB[U^(-1)]."""
     step = _unit_degree(n)
     span = 2 ** (n + 2)
     d = alpha.triv - alpha.sgn
-    out = []
-    if "bb" in parts:
-        out.extend(("bb", alpha - step * k)  # display rows reach -n
-                   for k in range((d + n) // span + 1))
-    if "nb" in parts:
-        out.extend(("nb", alpha + step * j)
-                   for j in range(1, (_bbprime_diag_max(n) - d) // span + 1))
-    return tuple(out)
-
-
-def gamma_groups(n: int, ss: SSData | None, alpha: Degree,
-                 parts: tuple[str, ...] = ("bb", "nb")) -> tuple[int, int]:
-    """(free, F_2) of the derived vbar-power torsion at alpha.
-
-    The U-translates GBB[U] (u-power >= 0) and U^(-1) GNB[U^(-1)] are
-    summed; pass parts=("bb",) or ("nb",) for one side of the split.
-
-    >>> gamma_groups(1, None, Degree(0, -3))
-    (1, 0)
-    >>> gamma_groups(1, None, Degree(-2, -1))
-    (1, 0)
-    """
-    ss = default_ssdata(n) if ss is None else ss
-    ss.check_height(n)
-    free = f2 = 0
-    for kind, gamma in _block_degrees(n, alpha, parts):
-        f, t = gamma_block(n, kind, gamma, ss)
-        free += f
-        f2 += t
-    return (free, f2)
+    bb = (("bb", alpha - step * k)  # display rows reach -n
+          for k in range((d + n) // span + 1))
+    nb = (("nb", alpha + step * j)
+          for j in range(1, (_bbprime_diag_max(n) - d) // span + 1))
+    return (*bb, *nb)
 
 
 # --- Anderson duals -----------------------------------------------------------
@@ -467,7 +420,7 @@ def _apply_records(table: GorensteinTable,
         plain = records[i]
         free, f2 = plain.gamma
         note = ""
-        # gamma_groups order: the first bad block reports
+        # in _block_degrees order: the first bad block reports
         for key in table.blocks[i]:
             value = values.get(key)
             if value is None:
@@ -490,8 +443,9 @@ def verify_gorenstein(n: int, window: Window,
     Checks every alpha with both alpha and -alpha inside the window.
     gorenstein_table(n, window) supplies the dual side and the Gamma
     blocks with no records applied; only the blocks that a record of ss
-    touches are recomputed, so the answers equal summing gamma_groups
-    degree by degree.  Inconsistent differential data is recorded as a
+    touches are recomputed, so the answers equal summing gamma_block over
+    _block_degrees degree by degree, as `gamma_groups` in tests/oracles.py
+    does.  Inconsistent differential data is recorded as a
     mismatch at the degree that exposes it, not raised.  Raises
     ValueError when ss is for another truncation.  When ss is None and no
     SSData ships for n, a summary with mismatches says so.

@@ -69,28 +69,6 @@ class Degree(_DegreeFields):
 
     __rmul__ = __mul__
 
-    def diagonal(self) -> tuple[int, int]:
-        """Decompose as alpha = d + k*rho.
-
-        Returns:
-            (d, k) with d = triv - sgn and k = sgn.
-
-        >>> Degree(0, -1).diagonal()   # |a| = 1 - rho
-        (1, -1)
-        >>> Degree(2, -2).diagonal()   # |u| sits on the 4-diagonal
-        (4, -2)
-        """
-        return (self.triv - self.sgn, self.sgn)
-
-    @staticmethod
-    def from_diagonal(d: int, k: int) -> "Degree":
-        """Inverse of diagonal(): d + k*rho as a Degree.
-
-        >>> Degree.from_diagonal(*Degree(7, -3).diagonal())
-        Degree(triv=7, sgn=-3)
-        """
-        return Degree(d + k, k)
-
     def to_json(self) -> list[int]:
         """Serialize as the two-element array [triv, sgn]."""
         return [self.triv, self.sgn]

@@ -6,9 +6,9 @@ products, with `multiply` on `CoeffElement` and the generators
 `twisted_vbar`; raw monomial enumeration; explicit chain complexes) without
 using the closed forms or shortcuts from the package, so agreement is
 meaningful.  The references after them are different: they redo a package
-computation the direct, slower way (`verify_gorenstein_per_degree`,
-`e_infinity_basis_two_rounds`, `basis_cached_two_listings` over
-`enumerate_with_cap_reference`, `bb_cached_reference`,
+computation the direct, slower way (`verify_gorenstein_per_degree` over
+`gamma_groups`, `e_infinity_basis_two_rounds`,
+`basis_cached_two_listings` over `enumerate_with_cap_reference`, `bb_cached_reference`,
 `cell_listing_reference`,
 `e2_basis_reference`, `smith_normal_form_full_rescan`, `module_gens_uncached`,
 `vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
@@ -35,8 +35,8 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from realspectra.abelian import (Matrix, cokernel_of_map, f2_relations,
-                                 kernel_of_map, map_is_surjective, zeros)
+from realspectra.abelian import (CochainComplex, Matrix, cokernel_of_map,
+                                 f2_relations, map_is_surjective, zeros)
 from realspectra.blocks import (AssembledClass, TowerClass, _bbprime_diag_max,
                                 _unit_degree, action_matrix, assemble,
                                 bb_basis, nb_basis)
@@ -46,7 +46,9 @@ from realspectra.coefficients import (BasisEntry, InternalInconsistency,
                                       _image_class, _page_lattice,
                                       rank_summary, tower_group,
                                       vbar_monomial, weight_tuples)
-from realspectra.duality import _quotient_weight, gorenstein_shift
+from realspectra.duality import (_block_degrees, _quotient_weight,
+                                 default_ssdata, gamma_block,
+                                 gorenstein_shift)
 from realspectra.grading import RHO, SIGMA, Degree, Window, record
 
 
@@ -63,6 +65,15 @@ def bumped(c, i: int, by: int) -> list[int]:
     out = list(c) + [0] * i
     out[i - 1] += by
     return out
+
+
+def truncation(n: int) -> QuotientIdeal:
+    """The quotient of the n-truncation: kill vbar_i for all i > n.
+
+    >>> truncation(2)
+    QuotientIdeal(exponents=(0, 0), tail=1)
+    """
+    return QuotientIdeal((0,) * n, tail=1)
 
 
 def generator_pool(max_index: int, max_twist: int):
@@ -276,6 +287,50 @@ def polynomial_rank(weights: list[int], total: int) -> int:
     return count
 
 
+def gamma_groups(n: int, ss, alpha: Degree,
+                 parts: tuple[str, ...] = ("bb", "nb")) -> tuple[int, int]:
+    """(free, F_2) of the derived vbar-power torsion at alpha, degree by
+    degree: gamma_block summed over the U-translates GBB[U] (u-power >= 0)
+    and U^(-1) GNB[U^(-1)], with ss, or the shipped SSData for None; pass
+    parts=("bb",) or ("nb",) for one side of the split.
+
+    >>> gamma_groups(1, None, Degree(0, -3))
+    (1, 0)
+    >>> gamma_groups(1, None, Degree(-2, -1))
+    (1, 0)
+    """
+    ss = default_ssdata(n) if ss is None else ss
+    ss.check_height(n)
+    free = f2 = 0
+    for kind, gamma in _block_degrees(n, alpha):
+        if kind in parts:
+            f, t = gamma_block(n, kind, gamma, ss)
+            free += f
+            f2 += t
+    return (free, f2)
+
+
+def ssdata_dict(ss) -> dict:
+    """The JSON form of SSData, which `SSData.from_dict` reads."""
+    return {
+        "n": ss.n,
+        "differentials": [
+            {"block": d.block, "source": d.source.to_json(),
+             "target": d.target.to_json(), "rank": d.rank}
+            for d in ss.differentials],
+        "extensions": [
+            {"block": e.block, "degree": e.degree.to_json()}
+            for e in ss.extensions],
+    }
+
+
+def without(ss, item):
+    """ss minus one record, for mutation runs."""
+    return type(ss)(ss.n,
+                    tuple(d for d in ss.differentials if d != item),
+                    tuple(e for e in ss.extensions if e != item))
+
+
 def verify_gorenstein_per_degree(n: int, window, ss=None):
     """verify_gorenstein the direct way: for each checked alpha, sum
     gamma_groups and read the Anderson dual, with no shared table.
@@ -287,8 +342,7 @@ def verify_gorenstein_per_degree(n: int, window, ss=None):
     from realspectra.duality import (DualityRecord, DualityReport,
                                      InconsistentSSData, _placement_note,
                                      _shipped_ssdata_path,
-                                     anderson_dual_groups, default_ssdata,
-                                     gamma_groups)
+                                     anderson_dual_groups)
     unshipped = ss is None and not _shipped_ssdata_path(n).is_file()
     ss = default_ssdata(n) if ss is None else ss
     shift = gorenstein_shift(n)
@@ -1060,8 +1114,8 @@ def _stable_kernel(n: int, alpha: Degree) -> tuple[int, int]:
     for e in range(2 ** (n + 1), 2 ** (n + 1) + 2):
         tgt = bb_basis(n, alpha - SIGMA * e)
         rels_tgt = f2_relations(c.torsion for c in tgt)
-        ker = kernel_of_map(_a_power(n, e, alpha), rels_src,
-                            rels_tgt).group.summarize()
+        ker = CochainComplex([_a_power(n, e, alpha)], [rels_src, rels_tgt]
+                             ).homology(0).group.summarize()
         if prev is not None and ker != prev:
             raise StabilizationFailure(
                 f"a-power kernel at {alpha} moved past its floor")
@@ -1226,11 +1280,13 @@ def _dual_map_summaries(n: int, exps: tuple[int, ...], mirror: Degree,
     hom_t = free.T
     ext_t = tors.T
     a, b = hom_t.shape
-    ker = kernel_of_map(hom_t, zeros(b, 0), zeros(a, 0)).group.summarize()
+    ker = CochainComplex([hom_t], [zeros(b, 0), zeros(a, 0)]
+                         ).homology(0).group.summarize()
     cok = cokernel_of_map(hom_t, zeros(a, 0)).summarize()
     c, d = ext_t.shape
     rels_d, rels_c = f2_relations([True] * d), f2_relations([True] * c)
-    ker2 = kernel_of_map(ext_t, rels_d, rels_c).group.summarize()
+    ker2 = CochainComplex([ext_t], [rels_d, rels_c]
+                          ).homology(0).group.summarize()
     cok2 = cokernel_of_map(ext_t, rels_c).summarize()
     kernel = (ker[0] + ker2[0], ker[1] + ker2[1])
     coker = (cok[0] + cok2[0], cok[1] + cok2[1])
@@ -1282,6 +1338,6 @@ def maps_from_quotient(n_exp: int,
         basis = [c for c in assemble(n, mirror - alpha)
                  if not c.entry.torsion]
         free_block, _ = _mult_blocks(n, exps, mirror - alpha - vdeg)
-        if len(basis) == 1 and not free_block.size:
+        if len(basis) == 1 and 0 in free_block.shape:
             index = 3 - basis[0].entry.lattice
     return MapGroup(free, f2, index)

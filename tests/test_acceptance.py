@@ -14,8 +14,7 @@ from realspectra.blocks import (bb_basis, diagonal_decompose, lc_of_block,
 from realspectra.coefficients import (QuotientIdeal, group_in_degree,
                                       rank_summary, weight_tuples)
 from realspectra.duality import (SSData, default_ssdata, gamma_block,
-                                 gamma_groups, verify_gorenstein,
-                                 verify_quotient_duality)
+                                 verify_gorenstein, verify_quotient_duality)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (e_infinity_groups, geometric_cofibre_groups,
                                run_differentials, tate_groups)
@@ -24,7 +23,8 @@ from realspectra.localcoh import (check_closed_form, convention_report, dual_p,
                                   lc_ranks, p_module, pbar, tower_f2)
 
 import oracles
-from oracles import nilpotence_check, restriction_rank, shift_for
+from oracles import (gamma_groups, nilpotence_check, restriction_rank,
+                     shift_for, truncation)
 
 ONE = Degree(1, 0)
 
@@ -53,9 +53,9 @@ def test_criterion_1_spectral_sequence_agrees_with_coefficients():
 
 EVEN_IDEALS = (
     QuotientIdeal(),
-    QuotientIdeal.truncation(1),
-    QuotientIdeal.truncation(2),
-    QuotientIdeal.truncation(3),
+    truncation(1),
+    truncation(2),
+    truncation(3),
     QuotientIdeal.of((1,)),
     QuotientIdeal.of((2,)),
     QuotientIdeal.of((1, 2)),
@@ -287,7 +287,7 @@ def test_criterion_8_quotient_duality_on_rho_lines():
         assert not report.skipped, report.summary
     # killing vbar_1 with its tower truncated is the height-1 ring; the
     # quotient route and the torsion route must both come back clean
-    trunc = verify_quotient_duality(QuotientIdeal.truncation(1), -8, 8)
+    trunc = verify_quotient_duality(truncation(1), -8, 8)
     assert not trunc.mismatches and not trunc.skipped, trunc.summary
     assert verify_gorenstein(1, Window.square(8)).clean
     assert nilpotence_check(1, 1, Window.square(8))

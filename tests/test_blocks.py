@@ -11,7 +11,8 @@ from realspectra.blocks import (
     action_matrix, assemble, assemble_groups, bb_basis, diagonal_decompose,
     lc_of_block, nb_basis, ref_degree,
 )
-from realspectra.coefficients import (BasisEntry, Monomial, QuotientIdeal,
+from realspectra.cli import MAX_COORD, MAX_N
+from realspectra.coefficients import (BasisEntry, Monomial,
                                       StabilizationFailure, UnknownExtension,
                                       group_in_degree, rank_summary,
                                       tower_group)
@@ -21,7 +22,7 @@ from realspectra.hfpss import (e_infinity_groups, geometric_cofibre_groups,
 from realspectra.localcoh import (dual_p, dual_pbar, ideal_z, p_module, pbar)
 
 from oracles import (bb_classes, borel_classes, cell_listing_reference,
-                     completion_comparison, gamma_a)
+                     completion_comparison, gamma_a, truncation)
 
 ONE = Degree(1, 0)
 
@@ -120,7 +121,7 @@ _TRUNCATION_HOLES = {1: {"UnknownExtension": 180, "StabilizationFailure": 29},
 def test_truncation_towers_agree_with_the_descent_route(n):
     # two independent routes to pi BPR<n>: the iterated-cofibre tower and
     # the assembled blocks; every degree the tower answers agrees
-    ideal = QuotientIdeal.truncation(n)
+    ideal = truncation(n)
     holes = {"UnknownExtension": 0, "StabilizationFailure": 0}
     for alpha in Window.square(16):
         try:
@@ -142,7 +143,7 @@ def test_assemble_matches_quotient_in_agreement_range():
     # the finite-cell comparison is an isomorphism on k rho - c for
     # 0 <= c <= 2^(n+2)
     for n in (1, 2):
-        ideal = QuotientIdeal.truncation(n)
+        ideal = truncation(n)
         for c in range(0, 2 ** (n + 2) + 1):
             for k in range(-6, 7):
                 alpha = RHO * k - Degree(c, 0)
@@ -208,7 +209,7 @@ def test_mult_matrix_values():
     a = Monomial(1, 0, ())
     mat = action_matrix(1, a, bb_classes(1, Degree(2, -2)),
                         bb_classes(1, Degree(2, -2) + a.degree()))
-    assert mat.size == 0 or not mat.any()
+    assert 0 in mat.shape or not mat.any()
 
 
 def test_action_matrix_reads_the_tower_product_rule():
@@ -306,6 +307,15 @@ def test_unclassified_module_raises():
 def test_diagonal_decompose_rejects_unknown_kind():
     with pytest.raises(ValueError):
         diagonal_decompose(1, 0, "borel")
+
+
+@pytest.mark.parametrize("kind", ("bb", "nb"))
+@pytest.mark.parametrize("n", range(MAX_N + 1))
+def test_every_diagonal_lc_reads_is_classified(n, kind):
+    # the widest table the lc command accepts: every cell on every diagonal
+    # it reads fits a catalogue module, so none raises UnclassifiedModule
+    table = lc_of_block(n, kind, d_lo=-MAX_COORD, d_hi=MAX_COORD)
+    assert table and set(table) <= set(range(-MAX_COORD, MAX_COORD + 1))
 
 
 # ---------------------------------------------------------------------------

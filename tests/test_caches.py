@@ -36,7 +36,7 @@ from oracles import (basis_cached_two_listings, bb_cached_reference,
                      koszul_complex_dense, koszul_layer_uncached,
                      lc_oracle_dense, module_gens_uncached,
                      smith_normal_form_full_rescan, tower_group_fresh,
-                     weight_tuples_reference)
+                     truncation, weight_tuples_reference)
 from realspectra import coefficients, hfpss, localcoh
 from realspectra.abelian import smith_normal_form, to_matrix, zeros
 from realspectra.blocks import _bb_cached
@@ -127,8 +127,8 @@ def test_smith_form_matches_full_rescan(shaped):
     got = (f.D.rows, f.S.rows, f.T.rows, f.S_inv.rows)
     assert got == want[:4]
     diagonal = (want[0][i][i] for i in range(min(len(rows), cols)))
-    assert f.diagonal() == [x for x in diagonal if x]
-    assert f.rank == len(f.diagonal())
+    assert f.diagonal == tuple(x for x in diagonal if x)
+    assert f.rank == len(f.diagonal)
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,11 +167,12 @@ def test_transforms_read_out_of_order_and_twice(shaped):
     assert (f.S.shape, f.T.shape) == ((len(rows), len(rows)), (cols, cols))
 
 
-def test_diagonal_is_a_fresh_list_each_call():
+def test_diagonal_is_a_tuple_no_caller_can_alter():
     f = smith_normal_form([[2, 0], [0, 3]])
-    f.diagonal().append(5)
-    assert f.diagonal() == [1, 6] and f.rank == 2
-    assert smith_normal_form(zeros(2, 3)).diagonal() == []
+    with pytest.raises(AttributeError):
+        f.diagonal.append(5)
+    assert f.diagonal == (1, 6) and f.rank == 2
+    assert smith_normal_form(zeros(2, 3)).diagonal == ()
 
 
 def _modules():
@@ -317,8 +318,7 @@ def test_gorenstein_sweep_keeps_block_memos_within_the_block_listings():
             if size > 2 * listed} == {}
 
 
-_TOWER_IDEALS = (QuotientIdeal(), QuotientIdeal.truncation(0),
-                 QuotientIdeal.truncation(1), QuotientIdeal.truncation(2),
+_TOWER_IDEALS = (QuotientIdeal(), truncation(0), truncation(1), truncation(2),
                  QuotientIdeal((2,)), QuotientIdeal((0, 1)),
                  QuotientIdeal((1, 2), tail=1))
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,14 +16,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realspectra import localcoh
-from realspectra.blocks import TowerClass, lc_of_block
+from realspectra import blocks, cli, duality, localcoh
+from realspectra.blocks import TowerClass, lc_of_block, ref_degree
 from realspectra.charts import ascii_chart, svg_chart, _actions
 from realspectra.cli import MAX_CAPS, MAX_COORD, MAX_N, main
 from realspectra.coefficients import BasisEntry, Monomial
 from realspectra.duality import default_ssdata
 from realspectra.grading import Degree, Window
 from realspectra.hfpss import e_infinity_groups
+
+from oracles import ssdata_dict
 
 
 def run(capsys, *args):
@@ -414,6 +417,34 @@ def test_verify_ssdata_of_another_height_is_config_error(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+def _clear_block_memos():
+    blocks.diagonal_decompose.cache_clear()
+    for memo in (duality._lc_row, duality._block_rows,
+                 duality.gorenstein_table):
+        memo.cache_clear()
+
+
+def test_unclassified_cell_exits_1_without_traceback(capsys, monkeypatch):
+    # a cell that fits no catalogue module is a failed self-check: exit 1
+    monkeypatch.delenv("REALSPECTRA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(blocks, "_cell_candidate",
+                        lambda n, d, l, kind: localcoh.p_module(
+                            ref_degree(l, d)))
+    _clear_block_memos()
+    try:
+        for argv in (["lc", "--n", "1", "--window", "-4:4,0:0"],
+                     ["lc", "nb", "--n", "2", "--window", "-4:4,0:0"],
+                     ["verify", "--n", "1", "--window", "-3:3,-3:3"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert captured.out == ""
+            assert captured.err.startswith("inconsistent: diagonal "), argv
+            assert "Traceback" not in captured.err
+    finally:
+        _clear_block_memos()
+
+
 def test_verify_quotient_lines_clean(capsys):
     code, out = run(capsys, "verify", "--spectrum", "bpr",
                     "--window", "-3:3,0:0")
@@ -494,7 +525,7 @@ def test_cache_misses_after_the_ssdata_file_changes(capsys, tmp_path,
     cache = tmp_path / "cache"
     monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(cache))
     data = tmp_path / "ssdata.json"
-    data.write_text(json.dumps(default_ssdata(2).to_dict()))
+    data.write_text(json.dumps(ssdata_dict(default_ssdata(2))))
     args = ("verify", "--n", "2", "--ssdata", str(data),
             "--window", "-10:10,-10:10")
     code, clean = run(capsys, *args)
@@ -506,6 +537,50 @@ def test_cache_misses_after_the_ssdata_file_changes(capsys, tmp_path,
     assert code == 1
     assert json.loads(out)["summary"].startswith("n=2: 441 degrees")
     assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
+
+
+def test_ssdata_file_is_read_once_per_run(capsys, tmp_path, monkeypatch):
+    # the run parses the text its entry keys on, so an edit made while it
+    # runs cannot be stored under the old text's key
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(tmp_path / "cache"))
+    data = tmp_path / "ssdata.json"
+    data.write_text(json.dumps({"n": 2}))
+    opened = []
+    real_open = open
+
+    def counted(file, *args, **kwargs):
+        if file == str(data):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    args = ("verify", "--n", "2", "--ssdata", str(data),
+            "--window", "-2:2,-2:2")
+    miss = run(capsys, *args)
+    assert miss[0] == 0 and len(opened) == 1
+    assert run(capsys, *args) == miss and len(opened) == 2   # the hit's key
+
+
+def test_cache_key_holds_the_package_bytes(tmp_path, monkeypatch):
+    # an entry written by other code is never read: one byte changed in a
+    # module, or in a shipped SSData file, gives another key
+    monkeypatch.setenv("REALSPECTRA_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = cli._config_from(cli._build_parser().parse_args(["coeff"]))
+    shipped = cli._cache_path(cfg)
+    package = tmp_path / "realspectra"
+    shutil.copytree(cli._PACKAGE, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cli, "_PACKAGE", str(package))
+    assert cli._cache_path(cfg) == shipped   # names and bytes, not the path
+    keys = {shipped}
+    for name in ("grading.py", "ssdata/gorenstein_n2.json"):
+        path = package / name
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        keys.add(cli._cache_path(cfg))
+        path.write_bytes(data)
+        assert cli._cache_path(cfg) == shipped
+    assert len(keys) == 3
 
 
 @pytest.mark.parametrize("entry", [

@@ -10,18 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from realspectra import blocks, duality
 from realspectra.blocks import assemble, assemble_groups
-from realspectra.coefficients import (Monomial, QuotientIdeal,
-                                      StabilizationFailure, group_in_degree,
-                                      rank_summary, weight_tuples)
+from realspectra.coefficients import (Monomial, StabilizationFailure,
+                                      group_in_degree, rank_summary,
+                                      weight_tuples)
 from realspectra.duality import (
     Differential, DualityRecord, Extension, InconsistentSSData, SSData,
-    anderson_dual_groups, default_ssdata, gamma_block, gamma_groups,
-    gorenstein_shift, kappa_groups, load_ssdata, verify_gorenstein,
+    anderson_dual_groups, default_ssdata, gamma_block, gorenstein_shift, kappa_groups, load_ssdata, verify_gorenstein,
     verify_quotient_duality)
 from realspectra.grading import RHO, Degree, Window, total_vbar_degree
 
-from oracles import (maps_from_quotient, nilpotence_check, shift_for,
-                     verify_gorenstein_per_degree)
+from oracles import (gamma_groups, maps_from_quotient, nilpotence_check,
+                     shift_for, ssdata_dict, truncation,
+                     verify_gorenstein_per_degree, without)
 
 ONE = Degree(1, 0)
 
@@ -54,7 +54,7 @@ def test_extension_covers_rho_multiples():
 
 def test_ssdata_json_round_trip():
     ss = default_ssdata(2)
-    again = SSData.from_dict(json.loads(json.dumps(ss.to_dict())))
+    again = SSData.from_dict(json.loads(json.dumps(ssdata_dict(ss))))
     assert again == ss
     assert len(ss.items()) == 6
 
@@ -233,7 +233,7 @@ def test_gorenstein_mismatches_by_height_and_radius(n):
 def test_verify_gorenstein_height2_leave_one_out():
     ss = default_ssdata(2)
     for item in ss.items():
-        rep = verify_gorenstein(2, Window.square(24), ss=ss.without(item))
+        rep = verify_gorenstein(2, Window.square(24), ss=without(ss, item))
         assert rep.mismatches, item
 
 
@@ -461,8 +461,8 @@ def test_kappa_groups_count_dual_monomials():
 def test_kappa_groups_boxed_quotient():
     # with vbar_1 square-killed the dual counts drop accordingly
     assert kappa_groups((2,), Degree(0, 0)) == (1, 0)
-    assert kappa_groups(QuotientIdeal.truncation(1), -3 * RHO) == (1, 0)
-    assert kappa_groups(QuotientIdeal.truncation(1), -2 * RHO) == (1, 0)
+    assert kappa_groups(truncation(1), -3 * RHO) == (1, 0)
+    assert kappa_groups(truncation(1), -2 * RHO) == (1, 0)
 
 
 def test_kappa_route_agrees_with_gamma_groups_on_the_rho_lines():
@@ -473,7 +473,7 @@ def test_kappa_route_agrees_with_gamma_groups_on_the_rho_lines():
     # counted, not dropped from the range.
     agreeing, raising = [], []
     for n in range(1, 5):
-        ideal = QuotientIdeal.truncation(n)
+        ideal = truncation(n)
         offset = total_vbar_degree(n) + Degree(n, 0)
         agree = fail = 0
         for k in range(-16, 9):
@@ -494,7 +494,7 @@ def test_kappa_route_agrees_with_gamma_groups_on_the_rho_lines():
 
 def test_verify_quotient_duality_lines():
     summaries = []
-    for m in ((), QuotientIdeal.truncation(1), (2,)):
+    for m in ((), truncation(1), (2,)):
         rep = verify_quotient_duality(m, -5, 5)
         assert not rep.mismatches, (m, rep.summary)
         assert not rep.skipped
@@ -509,7 +509,7 @@ def test_verify_quotient_duality_lines():
 
 def test_quotient_route_agrees_with_gorenstein_route():
     # two independent pipelines for the height-1 ring must both be clean
-    rep_q = verify_quotient_duality(QuotientIdeal.truncation(1), -4, 4)
+    rep_q = verify_quotient_duality(truncation(1), -4, 4)
     rep_g = verify_gorenstein(1, Window.square(8))
     assert not rep_q.mismatches and not rep_g.mismatches
 

@@ -79,23 +79,26 @@ def test_multiplying_by_anything_but_an_int_raises(factor):
         factor * RHO
 
 
+# the diagonal decomposition alpha = d + k rho, d = triv - sgn and k = sgn,
+# which every display diagonal of the package reads
+
 @given(degrees)
 def test_diagonal_roundtrip(x):
-    d, k = x.diagonal()
-    assert d == x.triv - x.sgn and k == x.sgn
-    assert Degree.from_diagonal(d, k) == x
+    d, k = x.triv - x.sgn, x.sgn
     assert Degree(d, 0) + k * RHO == x
+    assert (x - k * RHO).sgn == 0 and (x - d * ONE) == k * RHO
 
 
 def test_diagonal_examples():
-    assert Degree(0, -1).diagonal() == (1, -1)    # |a| = 1 - rho
-    assert Degree(2, -2).diagonal() == (4, -2)    # 2u lives on the 4-diagonal
-    assert Degree(0, 0).diagonal() == (0, 0)
+    assert Degree(0, -1) == 1 * ONE - 1 * RHO    # |a| = 1 - rho
+    assert Degree(2, -2) == 4 * ONE - 2 * RHO    # 2u lives on the 4-diagonal
+    assert Degree(0, 0) == 0 * ONE + 0 * RHO
 
 
 def test_diagonal_roundtrip_exhaustive_window():
     for alpha in Window.square(12):
-        assert Degree.from_diagonal(*alpha.diagonal()) == alpha
+        d, k = alpha.triv - alpha.sgn, alpha.sgn
+        assert Degree(d + k, k) == d * ONE + k * RHO == alpha
 
 
 def test_degrees_of_the_generators():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from realspectra import coefficients, hfpss
 from realspectra.coefficients import (BasisEntry, Monomial,
-                                      StabilizationFailure, basis_in_degree,
-                                      vbar_monomial)
+                                      StabilizationFailure, _weight,
+                                      basis_in_degree, vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (
     _DEAD, InternalInconsistency, closed_form_state, e2_basis,
@@ -310,8 +310,8 @@ def _assert_same_monomial(got: Monomial, want: Monomial):
     assert str(got) == str(want) and repr(got) == repr(want)
     # tuple equality ignores the class: check the degree's class too
     assert type(got.degree()) is Degree
-    assert got.degree() == Degree(2 * got.l + got.weight(),
-                                  -got.k - 2 * got.l + got.weight())
+    w = _weight(got.c)
+    assert got.degree() == Degree(2 * got.l + w, -got.k - 2 * got.l + w)
 
 
 def _assert_same_entry(got: BasisEntry):

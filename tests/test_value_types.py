@@ -24,7 +24,7 @@ from realspectra.grading import Degree, Window
 from realspectra.hfpss import Page
 from realspectra.localcoh import LCSummand, StandardModule, pbar
 
-from oracles import MapGroup, ShiftSpec
+from oracles import MapGroup, ShiftSpec, without
 
 M = Monomial(1, 2, (0, 1))
 E = BasisEntry(M, 2, True)
@@ -232,7 +232,7 @@ def test_ssdata_items_equal_only_themselves():
     assert {type(item) for item in items} == {Differential, Extension}
     for i, item in enumerate(items):
         assert [j for j, other in enumerate(items) if other == item] == [i]
-        assert len(ss.without(item).items()) == len(items) - 1
+        assert len(without(ss, item).items()) == len(items) - 1
 
 
 @pytest.mark.parametrize("build, message", [
