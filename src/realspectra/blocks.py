@@ -26,9 +26,8 @@ assembly with the Borel completion (`gamma_a` and
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .abelian import Matrix, zeros
 from .coefficients import (BasisEntry, InternalInconsistency, Monomial,
                            _first_index_above, _image_class, degree_monomials,
                            rank_summary)
@@ -36,8 +35,10 @@ from .grading import DELTA, Degree, RHO, record, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import closed_form_state, final_entry  # noqa: F401
-from .localcoh import (StandardModule, ideal_f2, ideal_z, lc_closed_form,
-                       module_gens, p_module, pbar)
+
+if TYPE_CHECKING:
+    from .abelian import Matrix
+    from .localcoh import StandardModule
 
 
 class UnclassifiedModule(InternalInconsistency):
@@ -226,6 +227,7 @@ def ref_degree(column: int, d: int) -> Degree:
 
 def _cell_candidate(n: int, d: int, l: int,
                     kind: str) -> StandardModule | None:
+    from .localcoh import ideal_f2, ideal_z, p_module, pbar
     k = d - 4 * l
     if k < 0 or not 0 <= l < 2 ** n:
         return None
@@ -263,6 +265,7 @@ def _cell_index(n: int, kind: str, alpha: Degree
 
 def _validate_cell(n: int, d: int, l: int, kind: str,
                    module: StandardModule | None, probe: int) -> None:
+    from .localcoh import module_gens
     mod_torsion = module is not None and module.torsion
     cell = (l, d - 4 * l)
     at = ref_degree(l, d)
@@ -297,6 +300,7 @@ def diagonal_decompose(n: int, d: int,
     >>> [(c.column, c.module.describe()) for c in diagonal_decompose(1, 3)]
     [(0, 'Pbar1(-3s)')]
     """
+    from .localcoh import pbar
     if kind not in ("bb", "nb"):
         raise ValueError(f"unknown block kind {kind!r}")
     cells = []
@@ -325,6 +329,7 @@ def lc_of_block(n: int, kind: str = "bb", *, d_lo: int,
     summand of the cell on diagonal d lands on diagonal d - s, one
     trivial suspension down per cohomological degree.
     """
+    from .localcoh import lc_closed_form
     table: dict[int, list[tuple[int, int, StandardModule]]] = {}
     lo_src = d_lo if kind == "nb" else max(d_lo, 0)
     for d in range(lo_src, d_hi + n + 1):
@@ -354,6 +359,7 @@ def action_matrix(n: int, x: Monomial, src: list[AssembledClass],
     Raises InternalInconsistency if a product escapes the target classes,
     so the action-closure invariant is checked on every call.
     """
+    from .abelian import zeros
     where = {(c.u_power, c.entry.mono): (row, c.entry)
              for row, c in enumerate(tgt) if isinstance(c.entry, BasisEntry)}
     mat = zeros(len(tgt), len(src))

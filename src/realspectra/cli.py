@@ -84,7 +84,8 @@ MAX_N = 4
 # largest accepted |coordinate| of --window: twice the radius of the
 # acceptance windows; work grows with the window's area and, per degree,
 # with the distance from the origin (on -48:48,-48:48, `hfpss pages --n 4`
-# runs for about 45 s on a 2-core machine)
+# at the default cap runs for 24 s and peaks at 1.6 GB on a 2-core Xeon VM
+# with Python 3.11; a larger --caps lists more)
 MAX_COORD = 48
 
 # the heights whose module catalogue `lc --oracle` checks; the keys of
@@ -115,8 +116,8 @@ class RunConfig(NamedTuple):
     A flag the command does not take holds its default.  caps holds the
     --caps bound A, DEFAULT_A_CAP without the flag; only `hfpss pages`
     reads it.  ssdata holds the SSData JSON text: the --ssdata argument
-    itself when it is inline JSON, and otherwise the text of the file it
-    names.
+    itself when it is inline JSON (its first non-blank character is `{`
+    or `[`), and otherwise the text of the file it names.
     """
 
     command: str
@@ -262,7 +263,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if cfg.ssdata is not None and cfg.spectrum != "bprn":
         raise ConfigError(f"--ssdata serves only verify --spectrum bprn, "
                           f"not {named}")
-    if cfg.ssdata is None or cfg.ssdata.lstrip().startswith("{"):
+    if cfg.ssdata is None or cfg.ssdata.lstrip().startswith(("{", "[")):
         return cfg
     # a path: read once, so the run parses the text its cache entry keys on
     try:

@@ -205,7 +205,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     from .duality import (DualityReport, load_ssdata, verify_gorenstein,
                           verify_quotient_duality)
     if cfg.window is None:
-        report = DualityReport([], "empty window: 0 degrees checked")
+        report = DualityReport([], [], "empty window: 0 degrees checked")
         return 0, _report_text(cfg, report)
     if cfg.spectrum == "bprn":
         ss = None

@@ -18,11 +18,13 @@ stress-tests, since removing any datum must break the comparison
 with W the Gorenstein shift of the truncation.  verify_gorenstein splits
 into two parts.  gorenstein_table, cached per (n, window), holds
 everything the SSData cannot change: the dual value of each checked
-degree, the block degrees summed into its Gamma value, and those blocks'
+degree, the block degrees summed into its Gamma value, those blocks'
 totals with no records applied (their H^s rank rows are cached per
-(n, kind, block degree) and are the rows gamma_block reads).  A cheap
-pass per SSData then recomputes only the blocks a record touches, so a
-mutation sweep over many record subsets costs about one verification.
+(n, kind, block degree) and are the rows gamma_block reads), and the
+degrees that mismatch with no records.  A verification under SSData then
+costs one C-level copy of the record list, plus the blocks its records
+reach and the degrees that sum over them: each such block is recomputed
+from the records at it alone, by the rule gamma_block applies.
 `gamma_groups` in tests/oracles.py, the reference it is checked against,
 sums the same blocks degree by degree with no shared table.
 
@@ -37,6 +39,7 @@ in the tests (`maps_from_quotient` and `shift_for` in tests/oracles.py).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from functools import lru_cache, partial
 from importlib import resources
 from typing import NamedTuple
@@ -201,34 +204,49 @@ def _block_rows(n: int, kind: str,
     return tuple((s, f, t) for s, (f, t) in by_s.items())
 
 
+def _block_value(n: int, kind: str, gamma: Degree,
+                 ranks: list[tuple[int, int]], merges: int) -> tuple[int, int]:
+    """(free, F_2) of one block degree from the records at it: ranks lists
+    the (slot, rank) of each d_2 ending there, in record order, and merges
+    counts the extensions covering it.
+
+    Raises InconsistentSSData when a differential asks for more rank than
+    the row has at its end.
+    """
+    rows = _block_rows(n, kind, gamma)
+    left = {s: t for s, _f, t in rows}
+    for slot, rank in ranks:
+        have = left.get(slot, 0)
+        if have < rank:
+            raise InconsistentSSData(
+                f"d_2 needs {rank} F_2 in H^{slot} of {kind} "
+                f"at {gamma}, found {have}")
+        left[slot] = have - rank
+    free = sum(f for _s, f, _t in rows)
+    f2 = sum(left.values())
+    # each covering extension merges one F_2 into a free summand
+    if free:
+        f2 = max(f2 - merges, 0)
+    return (free, f2)
+
+
 def gamma_block(n: int, kind: str, gamma: Degree,
                 ss: SSData) -> tuple[int, int]:
     """(free, F_2) of GBB or GNB at one block degree.
 
     Sums the local cohomology row through the degree, cancels the d_2
-    ranks of ss, then applies its extension merges.  Raises
-    InconsistentSSData when a differential asks for more rank than the
-    row has at its end.
+    ranks of ss, then applies its extension merges, by the per-block rule
+    that verify_gorenstein applies to each block its records reach.
+    Raises InconsistentSSData when a differential asks for more rank than
+    the row has at its end.
     """
-    by_s = {s: [f, t] for s, f, t in _block_rows(n, kind, gamma)}
-    for rec in ss.differentials:
-        if rec.block != kind:
-            continue
-        for slot, at in ((0, rec.source), (2, rec.target)):
-            if at != gamma:
-                continue
-            acc = by_s.setdefault(slot, [0, 0])
-            if acc[1] < rec.rank:
-                raise InconsistentSSData(
-                    f"d_2 needs {rec.rank} F_2 in H^{slot} of {kind} "
-                    f"at {gamma}, found {acc[1]}")
-            acc[1] -= rec.rank
-    free = sum(acc[0] for acc in by_s.values())
-    f2 = sum(acc[1] for acc in by_s.values())
-    for rec in ss.extensions:
-        if rec.block == kind and rec.covers(gamma) and free and f2:
-            f2 -= 1
-    return (free, f2)
+    ranks = [(slot, rec.rank) for rec in ss.differentials
+             if rec.block == kind
+             for slot, at in ((0, rec.source), (2, rec.target))
+             if at == gamma]
+    merges = sum(1 for rec in ss.extensions
+                 if rec.block == kind and rec.covers(gamma))
+    return _block_value(n, kind, gamma, ranks, merges)
 
 
 def _block_degrees(n: int, alpha: Degree) -> tuple[tuple[str, Degree], ...]:
@@ -296,12 +314,12 @@ class DualityRecord(NamedTuple):
 
 @record
 class DualityReport(NamedTuple):
-    records: list[DualityRecord]
-    summary: str = ""
+    """The checked degrees' records and, in the same order, those that
+    fail; whoever builds the report lists the failures."""
 
-    @property
-    def mismatches(self) -> list[DualityRecord]:
-        return [r for r in self.records if not r.ok]
+    records: list[DualityRecord]
+    mismatches: list[DualityRecord]
+    summary: str = ""
 
     @property
     def skipped(self) -> list[DualityRecord]:
@@ -338,15 +356,18 @@ class GorensteinTable(NamedTuple):
 
     records holds, in (triv, sgn) order, one record per checked degree,
     carrying the dual value and the Gamma total with no records applied;
-    blocks holds, at the same index, the (kind, block degree) pairs summed
-    into that total.  base maps each block degree to its value with no
-    records, users to the indices that sum over it, and lines
-    groups block degrees by (kind, display diagonal), the lines along
-    which an extension record reaches.  Shared through a cache: read only.
+    mismatches the indices of those records that fail.  blocks holds, at
+    a record's index, the (kind, block degree) pairs summed into its
+    total.  base maps each block degree to its value with no records,
+    users to the indices that sum over it, and lines groups block degrees
+    by (kind, display diagonal), the lines along which an extension
+    record reaches, in ascending order: the blocks an extension covers
+    are a prefix of its line.  Shared through a cache: read only.
     """
 
     n: int
     records: tuple[DualityRecord, ...]
+    mismatches: tuple[int, ...]
     blocks: tuple[tuple[tuple[str, Degree], ...], ...]
     base: dict[tuple[str, Degree], tuple[int, int]]
     users: dict[tuple[str, Degree], tuple[int, ...]]
@@ -389,34 +410,46 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
                                      (free, f2) == dual))
         summed.append(blocks)
     return GorensteinTable(
-        n, tuple(records), tuple(summed), base,
+        n, tuple(records),
+        tuple(i for i, r in enumerate(records) if not r.ok),
+        tuple(summed), base,
         {key: tuple(at) for key, at in users.items()},
-        {key: tuple(at) for key, at in lines.items()})
+        {key: tuple(sorted(at)) for key, at in lines.items()})
 
 
-def _apply_records(table: GorensteinTable,
-                   ss: SSData) -> list[DualityRecord]:
-    """The table's records with ss applied, recomputing touched blocks only.
+def _apply_records(table: GorensteinTable, ss: SSData
+                   ) -> tuple[list[DualityRecord], list[DualityRecord]]:
+    """The table's records with ss applied, and those that fail, in record
+    order.
 
-    A block is touched by a differential starting or ending at it and by
-    an extension that covers it; every other block keeps its base value.
+    Only the blocks a record reaches are recomputed, each from the records
+    at it alone: a differential reaches the block degrees of its two ends,
+    an extension every block it covers.  Only the degrees summing over a
+    recomputed block are summed again; every other degree keeps its base
+    record and verdict.
     """
-    touched = set()
+    # block -> [(slot, rank) of each d_2 ending there, in record order,
+    # number of extensions covering it]
+    at: dict = {}
     for rec in ss.differentials:
-        touched.update((rec.block, at) for at in (rec.source, rec.target))
+        for slot, end in ((0, rec.source), (2, rec.target)):
+            key = (rec.block, end)
+            if key in table.base:
+                at.setdefault(key, [[], 0])[0].append((slot, rec.rank))
     for rec in ss.extensions:
         line = table.lines.get(
             (rec.block, rec.degree.triv - rec.degree.sgn), ())
-        touched.update((rec.block, g) for g in line if rec.covers(g))
-    touched &= table.base.keys()
+        for gamma in line[:bisect_right(line, rec.degree)]:
+            at.setdefault((rec.block, gamma), [[], 0])[1] += 1
     values: dict = {}
-    for key in touched:
+    for key, (ranks, merges) in at.items():
         try:
-            values[key] = gamma_block(table.n, key[0], key[1], ss)
+            values[key] = _block_value(table.n, *key, ranks, merges)
         except InconsistentSSData as err:
             values[key] = err
     records = list(table.records)
-    for i in {i for key in touched for i in table.users[key]}:
+    changed = {i for key in values for i in table.users[key]}
+    for i in changed:
         plain = records[i]
         free, f2 = plain.gamma
         note = ""
@@ -433,7 +466,9 @@ def _apply_records(table: GorensteinTable,
         gamma = (free, f2)
         records[i] = DualityRecord(plain.degree, gamma, plain.dual,
                                    gamma == plain.dual and not note, note)
-    return records
+    bad = sorted([i for i in table.mismatches if i not in changed]
+                 + [i for i in changed if not records[i].ok])
+    return records, [records[i] for i in bad]
 
 
 def verify_gorenstein(n: int, window: Window,
@@ -441,9 +476,12 @@ def verify_gorenstein(n: int, window: Window,
     """Compare pi of Gamma with the W-shifted Anderson dual degreewise.
 
     Checks every alpha with both alpha and -alpha inside the window.
-    gorenstein_table(n, window) supplies the dual side and the Gamma
-    blocks with no records applied; only the blocks that a record of ss
-    touches are recomputed, so the answers equal summing gamma_block over
+    gorenstein_table(n, window) supplies the dual side, the Gamma blocks
+    with no records applied and the records that then mismatch.  The
+    report copies the table's records once, recomputes only the blocks a
+    record of ss reaches and the degrees that sum over them, and lists as
+    mismatches, in record order, the table's outside those degrees and the
+    recomputed ones that fail.  The answers equal summing gamma_block over
     _block_degrees degree by degree, as `gamma_groups` in tests/oracles.py
     does.  Inconsistent differential data is recorded as a
     mismatch at the degree that exposes it, not raised.  Raises
@@ -453,16 +491,15 @@ def verify_gorenstein(n: int, window: Window,
     unshipped = ss is None and not _shipped_ssdata_path(n).is_file()
     ss = default_ssdata(n) if ss is None else ss
     ss.check_height(n)
-    records = _apply_records(gorenstein_table(n, window), ss)
-    bad = sum(1 for r in records if not r.ok)
+    records, mismatches = _apply_records(gorenstein_table(n, window), ss)
     summary = (f"n={n}: {len(records)} degrees on {window}, "
-               f"{bad} mismatches")
+               f"{len(mismatches)} mismatches")
     placement = _placement_note(n, ss)
     if placement:
         summary += "; " + placement
-    if bad and unshipped:
+    if mismatches and unshipped:
         summary += f"; no SSData shipped for n={n}"
-    return DualityReport(records, summary)
+    return DualityReport(records, mismatches, summary)
 
 
 # --- quotient duality ----------------------------------------------------------
@@ -563,10 +600,10 @@ def verify_quotient_duality(m_seq, k_lo: int, k_hi: int) -> DualityReport:
                     gamma, (0, 0), (0, 0), True, f"skipped: {err}"))
                 continue
             records.append(DualityRecord(gamma, kappa, dual, kappa == dual))
-    bad = sum(1 for r in records if not r.ok)
+    bad = [r for r in records if not r.ok]
     name = ("full ring" if ideal == QuotientIdeal() else
             f"quotient {tuple(ideal.exponents)} tail={ideal.tail}")
     summary = (f"{name} rho lines k in [{k_lo}, {k_hi}]: "
-               f"{len(records)} degrees, {bad} mismatches")
-    return DualityReport(records, summary)
+               f"{len(records)} degrees, {len(bad)} mismatches")
+    return DualityReport(records, bad, summary)
 

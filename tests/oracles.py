@@ -361,15 +361,15 @@ def verify_gorenstein_per_degree(n: int, window, ss=None):
         records.append(DualityRecord(
             alpha, gamma, dual, gamma == dual and not note, note))
     records.sort(key=lambda r: (r.degree.triv, r.degree.sgn))
-    bad = sum(1 for r in records if not r.ok)
+    bad = [r for r in records if not r.ok]
     summary = (f"n={n}: {len(records)} degrees on {window}, "
-               f"{bad} mismatches")
+               f"{len(bad)} mismatches")
     placement = _placement_note(n, ss)
     if placement:
         summary += "; " + placement
     if bad and unshipped:
         summary += f"; no SSData shipped for n={n}"
-    return DualityReport(records, summary)
+    return DualityReport(records, bad, summary)
 
 
 class MismatchError(Exception):

@@ -779,7 +779,10 @@ def test_default_caps_share_one_cache_entry(capsys, tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 1
 
 
-# the layers below `commands` that a cache miss of each command loads
+# the layers below `commands` that a cache miss of each command loads:
+# assembling the ring reads no local cohomology, so only what reads it
+# loads the Koszul layers
+RING_LAYERS = ["blocks", "hfpss"]
 BLOCK_LAYERS = ["abelian", "blocks", "hfpss", "localcoh"]
 
 
@@ -788,12 +791,14 @@ BLOCK_LAYERS = ["abelian", "blocks", "hfpss", "localcoh"]
     (["hfpss", "einf", "--n", "1", "--window", "-1:1,-1:1"], ["hfpss"]),
     (["hfpss", "pages", "--window", "0:1,-1:0"], ["hfpss"]),
     (["chart", "bpr", "--window", "-1:1,-1:1"], ["charts"]),
-    (["blocks", "bb", "--n", "1", "--window", "-1:1,-1:1"], BLOCK_LAYERS),
+    (["blocks", "bb", "--n", "1", "--window", "-1:1,-1:1"], RING_LAYERS),
     (["lc", "bb", "--n", "1", "--window", "-1:1,0:0"], BLOCK_LAYERS),
     (["coeff", "--spectrum", "bprn", "--n", "1", "--window", "-1:1,-1:1"],
-     BLOCK_LAYERS),
+     RING_LAYERS),
+    (["coeff", "--spectrum", "bprn", "--n", "1", "--window", "-2:2,-2:2"],
+     RING_LAYERS),
     (["chart", "assembled", "--n", "1", "--window", "-1:1,-1:1"],
-     BLOCK_LAYERS + ["charts"]),
+     RING_LAYERS + ["charts"]),
     (["lc", "--oracle", "--n", "1", "--window", "0:0,0:0"],
      ["abelian", "localcoh"]),
     (["verify", "--n", "1", "--window", "-1:1,-1:1"],
@@ -801,7 +806,7 @@ BLOCK_LAYERS = ["abelian", "blocks", "hfpss", "localcoh"]
     (["verify", "--spectrum", "bpr", "--window", "0:0,0:0"],
      BLOCK_LAYERS + ["duality"]),
 ], ids=["coeff", "hfpss-einf", "hfpss-pages", "chart-bpr", "blocks", "lc",
-        "coeff-bprn", "chart-assembled", "lc-oracle", "verify", "verify-bpr"])
+        "coeff-bprn", "coeff-bprn-wide", "chart-assembled", "lc-oracle", "verify", "verify-bpr"])
 def test_cache_miss_loads_only_the_layers_it_runs(argv, layers):
     loaded = LIGHT + [f"realspectra.{m}"
                       for m in ["coefficients", "commands", *layers]]
@@ -845,6 +850,14 @@ def test_python_m_reports_config_errors_of_commands(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.returncode == 2
     assert done.stderr.startswith("error: cannot load ssdata: ")
+
+
+def test_inline_ssdata_that_is_no_object_is_malformed():
+    # inline JSON, not a path named `[]`, and not an object: malformed
+    done = module_run(["verify", "--n", "2", "--ssdata", "[]"])
+    assert done.returncode == 2
+    assert "malformed SSData" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_missing_n_message_names_the_spectrum(capsys):

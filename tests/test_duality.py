@@ -278,6 +278,7 @@ def _assert_matches_per_degree(n: int, window: Window, ss: SSData):
     got = verify_gorenstein(n, window, ss=ss)
     want = verify_gorenstein_per_degree(n, window, ss)
     assert got.records == want.records, ss
+    assert got.mismatches == [r for r in want.records if not r.ok], ss
     assert got.summary == want.summary, ss
 
 

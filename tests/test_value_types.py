@@ -180,8 +180,8 @@ HASHABLE = [
 # records with a list or dict field: equal and repr, but no hash
 UNHASHABLE = [
     Page(2, 3, {Degree(0, 0): [E]}, ()),
-    DualityReport([REC], "1 degree"),
-    GorensteinTable(1, (), (), {}, {}, {}),
+    DualityReport([REC], [], "1 degree"),
+    GorensteinTable(1, (), (), (), {}, {}, {}),
 ]
 RECORDS = [value for value, _ in HASHABLE] + UNHASHABLE
 
