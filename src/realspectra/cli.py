@@ -39,6 +39,9 @@ is a configuration error):
               filtration A; MAX_CAPS is the most filtration a
               final-page class in an accepted window can need;
     --out     its directory must exist, and it must not be a directory.
+On a cache miss `commands` also counts the E_2 classes an `hfpss pages`
+call would list, and more than MAX_E2_CLASSES (300,000) is a
+configuration error, raised before any class is built.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
 inconsistent data, 2 configuration error, 3 stabilization failure.
@@ -58,8 +61,10 @@ cache hit or a bad argument is served without loading any compute layer
 (nor `dataclasses`, which nothing in the package loads).  It reads a
 --ssdata file once, into the config.  `main` imports
 `commands` only on a cache miss, and each command there loads only the
-layers it runs; the one configuration error left to it is --ssdata text
-that cannot be read as SSData.
+layers it runs.  Two configuration errors are left to it, as they need a
+compute layer: --ssdata text that cannot be read as SSData, and an
+`hfpss pages` call whose E_2 listing, counted before it is built, holds
+more than MAX_E2_CLASSES (300,000) classes.
 """
 
 from __future__ import annotations
@@ -103,6 +108,15 @@ DEFAULT_A_CAP = 40
 # accepted window lies within an accepted cap; the E_2 listing, and with
 # it time and memory, grows with the cap
 MAX_CAPS = 143
+
+# largest number of E_2 classes `hfpss pages` lists (`hfpss.e2_count`,
+# counted before any listing): every height at the default cap on the
+# acceptance windows [-24, 24]^2 fits (at most 260,311 classes), and a
+# call just under it, the full ring on -8:8,-8:8 at --caps 98 (298,436
+# classes), takes 3.4 to 5.2 s and 253 MB and prints 21 MB of JSON on a
+# 2-core Xeon VM with Python 3.11; the largest accepted window at MAX_CAPS
+# would list 53 million
+MAX_E2_CLASSES = 300_000
 
 
 class ConfigError(Exception):

@@ -269,6 +269,14 @@ def _first_index_above(k: int) -> int:
     return max(1, (k + 1).bit_length() - 1)
 
 
+def _first_a_exponent(t: int, s: int, k_lo: int) -> int:
+    """The least k >= max(k_lo, 0) of a monomial a^k u^l vbar^c in degree
+    (t, s): k = t - s (mod 4), and below -(t + s) the vbar weight is < 0.
+    Each further one is 4 higher."""
+    k = max(k_lo, 0, -(t + s))
+    return k + (t - s - k) % 4
+
+
 def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
                      cap: int | None) -> list[Monomial]:
     """Monomials a^k u^l vbar^c of degree alpha with k_lo <= k <= k_hi and
@@ -286,8 +294,7 @@ def degree_monomials(n: int | None, alpha: Degree, k_lo: int, k_hi: int,
     """
     t, s = alpha.triv, alpha.sgn
     d = t - s
-    k = max(k_lo, 0, -(t + s))    # below -(t + s) the vbar weight is < 0
-    k += (d - k) % 4
+    k = _first_a_exponent(t, s, k_lo)
     out = []
     append = out.append
     while k <= k_hi:

@@ -6,8 +6,10 @@ every command reads and which defines every failure `main` maps to an
 exit code; each command imports the layers above it that it runs, so
 `verify` alone loads `duality`.  Each `cmd_*` takes a complete
 `cli.RunConfig`, in which every field a command reads is set, and
-returns the exit code and the rendered text; the only `ConfigError`
-raised here is for --ssdata contents that are not SSData.  `main` maps
+returns the exit code and the rendered text; the only `ConfigError`s
+raised here are for --ssdata contents that are not SSData and for an
+`hfpss pages` call that would list more than `cli.MAX_E2_CLASSES` E_2
+classes, counted before any listing.  `main` maps
 the exceptions listed in `INCONSISTENT` and `StabilizationFailure` to
 exit codes.
 """
@@ -18,7 +20,7 @@ import csv
 import io
 import json
 
-from .cli import ConfigError, RunConfig
+from .cli import MAX_E2_CLASSES, ConfigError, RunConfig
 from .coefficients import (InconsistentSSData, InternalInconsistency,
                            StabilizationFailure, UnknownExtension,
                            basis_in_degree, group_in_degree)
@@ -107,8 +109,9 @@ def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
-    from .hfpss import (e_infinity_groups, geometric_cofibre_groups,
-                        run_differentials, tate_groups)
+    from .hfpss import (e2_count, e_infinity_groups,
+                        geometric_cofibre_groups, run_differentials,
+                        tate_groups)
     if cfg.mode == "einf":
         return 0, _group_rows(cfg, lambda a: e_infinity_groups(cfg.n, a))
     if cfg.mode in ("tate", "geo"):
@@ -116,8 +119,15 @@ def cmd_hfpss(cfg: RunConfig) -> tuple[int, str]:
         ranks = ((a, fn(cfg.n, a)) for a in _degrees(cfg.window))
         rows = [[a.triv, a.sgn, r] for a, r in ranks if r]
         return 0, _table(cfg, ["triv", "sgn", "rank"], rows)
-    pages = [] if cfg.window is None else run_differentials(   # mode pages
-        cfg.n, cfg.window, a_cap=cfg.caps)
+    pages = []   # mode pages
+    if cfg.window is not None:
+        count = e2_count(cfg.n, cfg.window, cfg.caps)
+        if count > MAX_E2_CLASSES:
+            raise ConfigError(
+                f"hfpss pages would list {count} E_2 classes, over the "
+                f"budget of {MAX_E2_CLASSES}; narrow --window or lower "
+                f"--caps")
+        pages = run_differentials(cfg.n, cfg.window, a_cap=cfg.caps)
     dumped = []
     for page in pages:
         classes = {f"{a.triv},{a.sgn}": [e.describe() for e in entries]

@@ -23,8 +23,11 @@ totals with no records applied (their H^s rank rows are cached per
 (n, kind, block degree) and are the rows gamma_block reads), and the
 degrees that mismatch with no records.  A verification under SSData then
 costs one C-level copy of the record list, plus the blocks its records
-reach and the degrees that sum over them: each such block is recomputed
-from the records at it alone, by the rule gamma_block applies.
+can change and the degrees that sum over them: the ends of its d_2's,
+and the blocks its extensions cover that hold both a free and an F_2
+summand.  Each such block is recomputed from the records at it alone, by
+the rule gamma_block applies, and only the degrees over it are summed
+again.
 `gamma_groups` in tests/oracles.py, the reference it is checked against,
 sums the same blocks degree by degree with no shared table.
 
@@ -48,8 +51,8 @@ from .blocks import (_bbprime_diag_max, _unit_degree, assemble_groups,
                      lc_of_block)
 from .coefficients import (InconsistentSSData, InternalInconsistency,
                            QuotientIdeal, UnknownExtension, group_in_degree)
-from .grading import (DELTA, ONE, Degree, RHO, Window, json_int, record,
-                      total_vbar_degree)
+from .grading import (DELTA, ONE, Degree, RHO, Window, _new, json_int,
+                      record, total_vbar_degree)
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import closed_form_state  # noqa: F401
@@ -214,16 +217,20 @@ def _block_value(n: int, kind: str, gamma: Degree,
     the row has at its end.
     """
     rows = _block_rows(n, kind, gamma)
-    left = {s: t for s, _f, t in rows}
-    for slot, rank in ranks:
-        have = left.get(slot, 0)
-        if have < rank:
-            raise InconsistentSSData(
-                f"d_2 needs {rank} F_2 in H^{slot} of {kind} "
-                f"at {gamma}, found {have}")
-        left[slot] = have - rank
-    free = sum(f for _s, f, _t in rows)
-    f2 = sum(left.values())
+    free = f2 = 0
+    for _s, f, t in rows:
+        free += f
+        f2 += t
+    if ranks:
+        left = {s: t for s, _f, t in rows}
+        for slot, rank in ranks:
+            have = left.get(slot, 0)
+            if have < rank:
+                raise InconsistentSSData(
+                    f"d_2 needs {rank} F_2 in H^{slot} of {kind} "
+                    f"at {gamma}, found {have}")
+            left[slot] = have - rank
+            f2 -= rank
     # each covering extension merges one F_2 into a free summand
     if free:
         f2 = max(f2 - merges, 0)
@@ -336,18 +343,21 @@ class DualityReport(NamedTuple):
                           sort_keys=True)
 
 
+@lru_cache(maxsize=None)
+def _placement_line(n: int, rec: Differential) -> str:
+    """One differential's line of the placement note; it reads only
+    cached block rows, so it is memoized per (n, record)."""
+    shifted = rec.source - ONE
+    have = sum(t for s, _f, t in _block_rows(n, rec.block, shifted)
+               if s == 0)
+    verdict = "also available" if have >= rec.rank else "has no H^0 class"
+    return (f"d_2 source placed at {rec.source} (H^0 of {rec.block}); "
+            f"the reading one trivial degree down, {shifted}, {verdict}")
+
+
 def _placement_note(n: int, ss: SSData) -> str:
     """Log which d_2 source reading is consistent with the H^0 ranks."""
-    lines = []
-    for rec in ss.differentials:
-        shifted = rec.source - ONE
-        have = sum(t for s, _f, t in _block_rows(n, rec.block, shifted)
-                   if s == 0)
-        verdict = "also available" if have >= rec.rank else "has no H^0 class"
-        lines.append(
-            f"d_2 source placed at {rec.source} (H^0 of {rec.block}); "
-            f"the reading one trivial degree down, {shifted}, {verdict}")
-    return "; ".join(lines)
+    return "; ".join([_placement_line(n, rec) for rec in ss.differentials])
 
 
 @record
@@ -359,10 +369,15 @@ class GorensteinTable(NamedTuple):
     mismatches the indices of those records that fail.  blocks holds, at
     a record's index, the (kind, block degree) pairs summed into its
     total.  base maps each block degree to its value with no records,
-    users to the indices that sum over it, and lines groups block degrees
-    by (kind, display diagonal), the lines along which an extension
-    record reaches, in ascending order: the blocks an extension covers
-    are a prefix of its line.  Shared through a cache: read only.
+    users to the indices that sum over it, and lines groups by (kind,
+    display diagonal), the lines along which an extension record reaches,
+    the block degrees whose base value has both a free and an F_2
+    summand, in ascending order: the blocks an extension can change are a
+    prefix of its line.  That is exact: `_block_value` merges only where
+    the block has a free summand, and a d_2 only lowers F_2 and raises
+    InconsistentSSData whatever the merges, so at a block without both
+    summands a covering extension leaves the value, or the error, as it
+    is.  Shared through a cache: read only.
     """
 
     n: int
@@ -400,8 +415,9 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
             if value is None:
                 kind, gamma = key
                 value = base[key] = gamma_block(n, kind, gamma, empty)
-                lines.setdefault((kind, gamma.triv - gamma.sgn),
-                                 []).append(gamma)
+                if value[0] and value[1]:   # the blocks a merge can change
+                    lines.setdefault((kind, gamma.triv - gamma.sgn),
+                                     []).append(gamma)
             users.setdefault(key, []).append(len(records))
             free += value[0]
             f2 += value[1]
@@ -422,50 +438,61 @@ def _apply_records(table: GorensteinTable, ss: SSData
     """The table's records with ss applied, and those that fail, in record
     order.
 
-    Only the blocks a record reaches are recomputed, each from the records
-    at it alone: a differential reaches the block degrees of its two ends,
-    an extension every block it covers.  Only the degrees summing over a
-    recomputed block are summed again; every other degree keeps its base
-    record and verdict.
+    Only the blocks a record can change are recomputed, each from the
+    records at it alone: a differential reaches the block degrees of its
+    two ends, an extension the blocks on its `lines` entry that it covers.
+    A recomputed block's change from its base value is added to each
+    degree summing over it; every other degree keeps its base record and
+    verdict.
     """
+    base = table.base
     # block -> [(slot, rank) of each d_2 ending there, in record order,
     # number of extensions covering it]
     at: dict = {}
     for rec in ss.differentials:
         for slot, end in ((0, rec.source), (2, rec.target)):
             key = (rec.block, end)
-            if key in table.base:
+            if key in base:
                 at.setdefault(key, [[], 0])[0].append((slot, rec.rank))
     for rec in ss.extensions:
-        line = table.lines.get(
-            (rec.block, rec.degree.triv - rec.degree.sgn), ())
-        for gamma in line[:bisect_right(line, rec.degree)]:
+        degree = rec.degree
+        line = table.lines.get((rec.block, degree.triv - degree.sgn), ())
+        for gamma in line[:bisect_right(line, degree)]:
             at.setdefault((rec.block, gamma), [[], 0])[1] += 1
-    values: dict = {}
+    delta: dict[int, list[int]] = {}   # record index -> change of its total
+    errors: dict = {}
     for key, (ranks, merges) in at.items():
         try:
-            values[key] = _block_value(table.n, *key, ranks, merges)
+            free, f2 = _block_value(table.n, *key, ranks, merges)
         except InconsistentSSData as err:
-            values[key] = err
+            errors[key] = err
+            continue
+        plain = base[key]
+        free -= plain[0]
+        f2 -= plain[1]
+        if free or f2:
+            for i in table.users[key]:
+                acc = delta.get(i)
+                if acc is None:
+                    delta[i] = [free, f2]
+                else:
+                    acc[0] += free
+                    acc[1] += f2
     records = list(table.records)
-    changed = {i for key in values for i in table.users[key]}
-    for i in changed:
+    for i, (free, f2) in delta.items():
         plain = records[i]
-        free, f2 = plain.gamma
-        note = ""
+        gamma = (plain.gamma[0] + free, plain.gamma[1] + f2)
+        records[i] = _new(DualityRecord, (plain.degree, gamma, plain.dual,
+                                          gamma == plain.dual, ""))
+    broken = {i for key in errors for i in table.users[key]}
+    for i in broken:
         # in _block_degrees order: the first bad block reports
-        for key in table.blocks[i]:
-            value = values.get(key)
-            if value is None:
-                continue
-            if isinstance(value, InconsistentSSData):
-                free, f2, note = -1, -1, str(value)
-                break
-            free += value[0] - table.base[key][0]
-            f2 += value[1] - table.base[key][1]
-        gamma = (free, f2)
-        records[i] = DualityRecord(plain.degree, gamma, plain.dual,
-                                   gamma == plain.dual and not note, note)
+        note = next(str(errors[key]) for key in table.blocks[i]
+                    if key in errors)
+        plain = records[i]
+        records[i] = _new(DualityRecord, (plain.degree, (-1, -1), plain.dual,
+                                          False, note))
+    changed = delta.keys() | broken
     bad = sorted([i for i in table.mismatches if i not in changed]
                  + [i for i in changed if not records[i].ok])
     return records, [records[i] for i in bad]
@@ -478,13 +505,15 @@ def verify_gorenstein(n: int, window: Window,
     Checks every alpha with both alpha and -alpha inside the window.
     gorenstein_table(n, window) supplies the dual side, the Gamma blocks
     with no records applied and the records that then mismatch.  The
-    report copies the table's records once, recomputes only the blocks a
-    record of ss reaches and the degrees that sum over them, and lists as
-    mismatches, in record order, the table's outside those degrees and the
-    recomputed ones that fail.  The answers equal summing gamma_block over
-    _block_degrees degree by degree, as `gamma_groups` in tests/oracles.py
-    does.  Inconsistent differential data is recorded as a
-    mismatch at the degree that exposes it, not raised.  Raises
+    report copies the table's records once and recomputes only the blocks
+    a record of ss can change: the ends of its d_2's and the covered
+    blocks with both a free and an F_2 summand.  It re-sums only the
+    degrees over them and lists as mismatches, in record order, the
+    table's outside those degrees and the re-summed ones that fail.  The
+    answers equal summing gamma_block over _block_degrees degree by
+    degree, as `gamma_groups` in tests/oracles.py does.  Inconsistent
+    differential data is recorded as a mismatch at the degree that
+    exposes it, not raised.  Raises
     ValueError when ss is for another truncation.  When ss is None and no
     SSData ships for n, a summary with mismatches says so.
     """

@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 from .coefficients import (
     DEFAULT_A_CAP, BasisEntry, InternalInconsistency, Monomial, _bump,
-    _page_basis, _page_lattice, degree_monomials, rank_summary,
+    _first_a_exponent, _page_basis, _page_lattice, degree_monomials,
+    rank_summary, weight_tuples,
 )
 from .grading import ONE, Degree, Window, _new, record, v2
 
@@ -73,6 +74,22 @@ def e2_basis(n: int | None, alpha: Degree,
     ['1', 'a^4 u^-1 v1^2', 'a^8 u^-2 v1^4']
     """
     return degree_monomials(n, alpha, 0, a_cap, 0)
+
+
+def e2_count(n: int | None, window: Window, a_cap: int) -> int:
+    """The number of monomials e2_basis lists over the window, read off the
+    lengths of the `weight_tuples` listings it steps through, so without
+    building a monomial.
+
+    >>> e2_count(1, Window(0, 0, 0, 0), 8)   # 1, a^4 u^-1 v1^2, a^8 u^-2 v1^4
+    3
+    """
+    # E_2 (page cap 0) keeps every vbar index from 1 at every a-exponent
+    total = 0
+    for t, s in window:
+        for k in range(_first_a_exponent(t, s, 0), a_cap + 1, 4):
+            total += len(weight_tuples((t + s + k) // 2, 1, n))
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from realspectra import blocks, cli, duality, localcoh
 from realspectra.blocks import TowerClass, lc_of_block, ref_degree
 from realspectra.charts import ascii_chart, svg_chart, _actions
-from realspectra.cli import MAX_CAPS, MAX_COORD, MAX_N, main
+from realspectra.cli import (MAX_CAPS, MAX_COORD, MAX_E2_CLASSES, MAX_N,
+                             main)
 from realspectra.coefficients import BasisEntry, Monomial
 from realspectra.duality import default_ssdata
 from realspectra.grading import Degree, Window
@@ -420,7 +421,7 @@ def test_verify_ssdata_of_another_height_is_config_error(capsys, tmp_path):
 def _clear_block_memos():
     blocks.diagonal_decompose.cache_clear()
     for memo in (duality._lc_row, duality._block_rows,
-                 duality.gorenstein_table):
+                 duality._placement_line, duality.gorenstein_table):
         memo.cache_clear()
 
 
@@ -763,6 +764,24 @@ def test_max_caps_is_the_largest_final_page_filtration_bound():
     assert MAX_CAPS == max(_a_exponent_bound(alpha, n)
                            for alpha in Window.square(MAX_COORD)
                            for n in (None, *range(MAX_N + 1)))
+
+
+def test_the_largest_pages_listing_is_rejected_before_it_is_built(capsys):
+    # the listing grows with the window, the cap and the vbar indices, so
+    # the worst accepted case is the full ring on the MAX_COORD box at
+    # MAX_CAPS; it and the top height are rejected, naming their counts
+    from realspectra.hfpss import e2_count
+    box = f"-{MAX_COORD}:{MAX_COORD},-{MAX_COORD}:{MAX_COORD}"
+    counts = {n: e2_count(n, Window.square(MAX_COORD), MAX_CAPS)
+              for n in (None, *range(MAX_N + 1))}
+    assert counts[None] == max(counts.values()) > MAX_E2_CLASSES
+    for height in ([], ["--n", str(MAX_N)]):
+        argv = ["hfpss", "pages", "--window", box, "--caps", str(MAX_CAPS)]
+        assert main(argv + height) == 2
+        count = counts[int(height[1]) if height else None]
+        assert capsys.readouterr().err == (
+            f"error: hfpss pages would list {count} E_2 classes, over the "
+            f"budget of {MAX_E2_CLASSES}; narrow --window or lower --caps\n")
 
 
 def test_caps_at_the_limit_runs(capsys):

@@ -303,16 +303,30 @@ def test_table_pass_matches_per_degree_on_asymmetric_window():
 @st.composite
 def _bogus_ssdata(draw):
     """A few d_2 records near the origin, most asking for F_2 ranks the
-    rows do not have, optionally with the shipped extensions."""
+    rows do not have, optionally with the shipped extensions, and up to
+    three more extensions: at a random degree near the origin, whose line
+    mostly holds blocks without both summands, or a few rho-steps above
+    a d_2 end, so that it covers a block the d_2 also reaches."""
     n = draw(st.sampled_from((1, 2)))
+    kinds = st.sampled_from(("bb", "nb"))
     diffs = []
     for _ in range(draw(st.integers(1, 3))):
         source = Degree(draw(st.integers(-6, 2)), draw(st.integers(-10, 2)))
         step = draw(st.integers(-2, 2))
         target = source + Degree(step - 1, step)
-        diffs.append(Differential(draw(st.sampled_from(("bb", "nb"))),
-                                  source, target, draw(st.integers(1, 3))))
+        diffs.append(Differential(draw(kinds), source, target,
+                                  draw(st.integers(1, 3))))
     exts = default_ssdata(n).extensions if draw(st.booleans()) else ()
+    ends = [(d.block, end) for d in diffs for end in (d.source, d.target)]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            block, end = draw(st.sampled_from(ends))
+            degree = end + draw(st.integers(0, 2)) * RHO
+        else:
+            block = draw(kinds)
+            degree = Degree(draw(st.integers(-8, 4)),
+                            draw(st.integers(-12, 4)))
+        exts += (Extension(block, degree),)
     return SSData(n, tuple(diffs), exts)
 
 
@@ -320,6 +334,57 @@ def _bogus_ssdata(draw):
 @settings(max_examples=40, deadline=None)
 def test_table_pass_matches_per_degree_on_bogus_differentials(ss):
     _assert_matches_per_degree(ss.n, Window.square(8), ss)
+
+
+def test_extension_over_a_differential_end_matches_per_degree():
+    # -4-6s holds one free and one F_2 summand in bb, so the extension's
+    # merge and the d_2's cancellation meet at one block
+    end = Degree(-4, -6)
+    assert duality.gorenstein_table(2, Window.square(8)).base["bb", end] \
+        == (1, 1)
+    for rank in (1, 2):
+        for top in (end, end + RHO):
+            ss = SSData(2, (Differential("bb", end, end - ONE, rank),),
+                        (Extension("bb", top),))
+            _assert_matches_per_degree(2, Window.square(8), ss)
+
+
+def test_a_merge_changes_exactly_the_blocks_with_both_summands():
+    table = duality.gorenstein_table(2, Window.square(24))
+    for (kind, gamma), base in table.base.items():
+        both = base[0] > 0 and base[1] > 0
+        for merges in (1, 2):
+            merged = duality._block_value(2, kind, gamma, [], merges)
+            assert (merged != base) == both, (kind, gamma, merges)
+    on_lines = {(kind, gamma) for (kind, _diag), line in table.lines.items()
+                for gamma in line}
+    assert on_lines == {key for key, (free, f2) in table.base.items()
+                        if free and f2}
+
+
+def test_table_pass_matches_per_degree_on_radius_48():
+    ss = default_ssdata(2)
+    for sub in (ss, *(without(ss, item) for item in ss.items())):
+        _assert_matches_per_degree(2, Window.square(48), sub)
+
+
+@pytest.mark.parametrize("radius, recomputed", [(12, 11), (48, 35)])
+def test_shipped_verification_recomputes_only_blocks_it_can_change(
+        monkeypatch, radius, recomputed):
+    # the d_2 ends and the covered blocks with both a free and an F_2
+    # summand; the table itself is built before counting
+    window = Window.square(radius)
+    duality.gorenstein_table(2, window)
+    seen = []
+    block_value = duality._block_value
+
+    def counted(n, kind, gamma, ranks, merges):
+        seen.append((kind, gamma))
+        return block_value(n, kind, gamma, ranks, merges)
+
+    monkeypatch.setattr(duality, "_block_value", counted)
+    assert verify_gorenstein(2, window).clean
+    assert len(seen) == len(set(seen)) == recomputed
 
 
 def test_bogus_differentials_are_reported_where_exposed():

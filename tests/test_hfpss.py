@@ -11,7 +11,7 @@ from realspectra.coefficients import (BasisEntry, Monomial,
                                       basis_in_degree, vbar_monomial)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (
-    _DEAD, InternalInconsistency, closed_form_state, e2_basis,
+    _DEAD, InternalInconsistency, closed_form_state, e2_basis, e2_count,
     e_infinity_basis, e_infinity_groups, geometric_cofibre_groups,
     run_differentials, tate_groups,
 )
@@ -22,6 +22,15 @@ import oracles
 def test_doctests():
     result = doctest.testmod(hfpss)
     assert result.failed == 0 and result.attempted > 0
+
+
+@pytest.mark.parametrize("n", [None, 0, 1, 2, 4])
+@pytest.mark.parametrize("window, a_cap", [
+    (Window(0, 0, 0, 0), 0), (Window(-4, 4, -4, 4), 13),
+    (Window(-9, 2, -1, 6), 40), (Window(3, 5, -12, -10), 97)])
+def test_e2_count_is_the_length_of_the_listing(n, window, a_cap):
+    assert e2_count(n, window, a_cap) == sum(
+        len(e2_basis(n, alpha, a_cap)) for alpha in window)
 
 
 def test_e2_basis_families():
