@@ -1,7 +1,8 @@
 """Exact integer linear algebra and finitely presented abelian groups.
 
 A Matrix is a list of rows of Python ints plus a column count, so all
-arithmetic is arbitrary precision and 0 x n and n x 0 shapes survive.  The
+arithmetic is arbitrary precision and 0 x n and n x 0 shapes survive; every
+function here takes and returns Matrix, never nested lists.  The
 Smith engine gives D = S A T with the unimodular S and T and the inverse of
 S; each job built on it has one routine: `kernel_basis`, `image_basis`,
 `solve_matrix`, and, for subquotients, `CochainComplex.homology` and
@@ -30,13 +31,12 @@ import operator
 class Matrix:
     """An integer matrix stored as row lists, with its column count.
 
-    m[i, j] reads and writes one entry and m[:, j] lists a column; ==
-    is True when shapes and entries agree, and any() whether an entry is
-    nonzero.
+    m[i, j] = x writes one entry; == is True when shapes and entries
+    agree, and any() whether an entry is nonzero.
 
-    >>> m = to_matrix([[1, 2], [3, 4]])
-    >>> m.T[0, 1], m[:, 1], m.shape
-    (3, [2, 4], (2, 2))
+    >>> m = Matrix([[1, 2], [3, 4]], 2)
+    >>> m.T, m.shape
+    (Matrix([[1, 3], [2, 4]], 2), (2, 2))
     >>> m == m, m == m.T, zeros(2, 0).T.shape
     (True, False, (0, 2))
     """
@@ -56,12 +56,6 @@ class Matrix:
         if not self.rows:
             return zeros(self.cols, 0)
         return Matrix([list(col) for col in zip(*self.rows)], len(self.rows))
-
-    def __getitem__(self, key):
-        i, j = key
-        if isinstance(i, slice):
-            return [row[j] for row in self.rows[i]]
-        return self.rows[i][j]
 
     def __setitem__(self, key, value: int) -> None:
         i, j = key
@@ -88,25 +82,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out.rows[i][i] = 1
     return out
-
-
-def to_matrix(rows, width: int | None = None) -> Matrix:
-    """Build a matrix from nested lists (or pass a Matrix through).
-
-    Args:
-        rows: list of rows, or a Matrix.
-        width: required for an empty row list, where the column count is
-            otherwise unknowable.
-    """
-    if isinstance(rows, Matrix):
-        return rows
-    if not rows:
-        return zeros(0, 0 if width is None else width)
-    out = [[int(x) for x in row] for row in rows]
-    cols = len(out[0])
-    if any(len(row) != cols for row in out):
-        raise ValueError("ragged matrix")
-    return Matrix(out, cols)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -228,19 +203,19 @@ def _replay_inverse(ops: list, size: int) -> Matrix:
                     for op, i, j, q in ops], size)
 
 
-def smith_normal_form(a) -> SmithForm:
+def smith_normal_form(a: Matrix) -> SmithForm:
     """Smith normal form with transforms.
 
     An input already in Smith form comes back as a copy with an empty
     operation log: each pivot is already in place and divides the rest.
 
-    >>> f = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    >>> a = Matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
+    >>> f = smith_normal_form(a)
     >>> f.diagonal
     (2, 2, 156)
-    >>> mat_mul(mat_mul(f.S, to_matrix([[2,4,4],[-6,6,12],[10,4,16]])), f.T) == f.D
+    >>> mat_mul(mat_mul(f.S, a), f.T) == f.D
     True
     """
-    a = to_matrix(a)
     m, n = a.shape
     d = [row[:] for row in a.rows]
     row_ops: list[tuple[int, int, int, int]] = []
@@ -313,24 +288,23 @@ def smith_normal_form(a) -> SmithForm:
     return SmithForm(Matrix(d, n), row_ops, col_ops)
 
 
-def kernel_basis(a) -> Matrix:
+def kernel_basis(a: Matrix) -> Matrix:
     """Basis (as columns) of the integer kernel of A; a saturated lattice.
 
-    >>> kernel_basis([[1, 2, 3]]).shape
+    >>> kernel_basis(Matrix([[1, 2, 3]], 3)).shape
     (3, 2)
-    >>> k = kernel_basis([[2, 4]])
-    >>> [int(2 * k[0, 0] + 4 * k[1, 0])]
-    [0]
+    >>> kernel_basis(Matrix([[2, 4]], 2))
+    Matrix([[-2], [1]], 1)
     """
     f = smith_normal_form(a)
     return Matrix([row[f.rank:] for row in f.T.rows], f.T.cols - f.rank)
 
 
-def image_basis(a) -> Matrix:
+def image_basis(a: Matrix) -> Matrix:
     """Basis (as columns) of the image lattice of A inside Z^rows: the
     first rank columns of S^-1 D.
 
-    >>> image_basis([[2, 4], [0, 0]])
+    >>> image_basis(Matrix([[2, 4], [0, 0]], 2))
     Matrix([[2], [0]], 1)
     """
     f = smith_normal_form(a)
@@ -339,16 +313,14 @@ def image_basis(a) -> Matrix:
                    for row in f.S_inv.rows], len(scale))
 
 
-def solve_matrix(a, b) -> Matrix | None:
+def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     """Solve A X = B over the integers; None if any column has no solution.
 
-    >>> x = solve_matrix([[2, 0], [0, 3]], [[4], [9]])
-    >>> [int(v) for v in x[:, 0]]
-    [2, 3]
-    >>> solve_matrix([[2]], [[3]]) is None
+    >>> solve_matrix(Matrix([[2, 0], [0, 3]], 2), Matrix([[4], [9]], 1))
+    Matrix([[2], [3]], 1)
+    >>> solve_matrix(Matrix([[2]], 1), Matrix([[3]], 1)) is None
     True
     """
-    a, b = to_matrix(a), to_matrix(b)
     if len(a.rows) != len(b.rows):
         raise ValueError("solve shape mismatch")
     f = smith_normal_form(a)
@@ -377,17 +349,15 @@ def solve_matrix(a, b) -> Matrix | None:
 class PresGroup:
     """Z^gens modulo the column span of the relation matrix.
 
-    >>> PresGroup(2, [[2, 0], [0, 0]]).summarize()
+    >>> PresGroup(2, Matrix([[2, 0], [0, 0]], 2)).summarize()
     (1, 1)
     >>> PresGroup(1, zeros(1, 0)).summarize()
     (1, 0)
     """
 
-    def __init__(self, gens: int, rels=None):
+    def __init__(self, gens: int, rels: Matrix):
         self.gens = gens
-        if rels is None:
-            rels = zeros(gens, 0)
-        self.rels = to_matrix(rels)
+        self.rels = rels
         if self.rels.shape[0] != gens:
             raise ValueError(
                 f"relations have {self.rels.shape[0]} rows for {gens} generators")
@@ -450,12 +420,6 @@ def _cycles_modulo(g_mat: Matrix, rels_tgt: Matrix,
     return Subquotient(PresGroup(lattice.cols, coords), lattice)
 
 
-def cokernel_of_map(f_mat, rels_tgt) -> PresGroup:
-    """Cokernel Z^b / (im f + span R_b)."""
-    f_mat, rels_tgt = to_matrix(f_mat), to_matrix(rels_tgt)
-    return PresGroup(f_mat.shape[0], hstack(f_mat, rels_tgt))
-
-
 class CochainComplex:
     """C^0 --d^0--> C^1 --> ... --> C^m of presented groups.
 
@@ -468,14 +432,14 @@ class CochainComplex:
     later map "g".  The complex keeps its maps and relations, which must
     not be altered, so that every homology(s) reads the checked data.
 
-    >>> c = CochainComplex([[[2]], [[0]]], [zeros(1, 0)] * 3)
+    >>> c = CochainComplex([Matrix([[2]], 1), zeros(1, 1)], [zeros(1, 0)] * 3)
     >>> [c.homology(s).group.summarize() for s in range(3)]
     [(0, 0), (0, 1), (1, 0)]
     """
 
-    def __init__(self, maps, rels):
-        self.maps = [to_matrix(m) for m in maps]
-        self.rels = [to_matrix(r) for r in rels]
+    def __init__(self, maps: list[Matrix], rels: list[Matrix]):
+        self.maps = maps
+        self.rels = rels
         if len(self.rels) != len(self.maps) + 1:
             raise ValueError(f"{len(self.maps)} maps need "
                              f"{len(self.maps) + 1} relation matrices")
@@ -501,19 +465,21 @@ class CochainComplex:
         return _cycles_modulo(out, rels_out, hstack(into, self.rels[s]))
 
 
-def induced_map(src: Subquotient, tgt: Subquotient, chain_map) -> Matrix:
+def induced_map(src: Subquotient, tgt: Subquotient,
+                chain_map: Matrix) -> Matrix:
     """Matrix of the map src.group -> tgt.group induced by a chain map.
 
     chain_map sends the ambient Z^n of src.cycles to the ambient Z^m of
     tgt.cycles and must carry the cycle lattice into the cycle lattice.
     """
-    moved = mat_mul(to_matrix(chain_map), src.cycles)
+    moved = mat_mul(chain_map, src.cycles)
     coords = solve_matrix(tgt.cycles, moved)
     if coords is None:
         raise ValueError("chain map does not preserve cycles")
     return coords
 
 
-def map_is_surjective(m, tgt: PresGroup) -> bool:
-    """Whether a matrix into Z^gens/rels hits everything (2-locally)."""
-    return cokernel_of_map(m, tgt.rels).is_trivial()
+def map_is_surjective(m: Matrix, tgt: PresGroup) -> bool:
+    """Whether a matrix into Z^gens/rels hits everything (2-locally): the
+    cokernel Z^gens / (im m + span rels) is trivial."""
+    return PresGroup(len(m.rows), hstack(m, tgt.rels)).is_trivial()

@@ -56,9 +56,6 @@ class TowerClass(NamedTuple):
     lattice = 1
     mono = None
 
-    def degree(self) -> Degree:
-        return Degree(-1, self.level)
-
     def describe(self) -> str:
         return f"t{self.level}"
 

@@ -39,9 +39,6 @@ is a configuration error):
               filtration A; MAX_CAPS is the most filtration a
               final-page class in an accepted window can need;
     --out     its directory must exist, and it must not be a directory.
-On a cache miss `commands` also counts the E_2 classes an `hfpss pages`
-call would list, and more than MAX_E2_CLASSES (300,000) is a
-configuration error, raised before any class is built.
 
 Exit codes: 0 success or clean verification, 1 verification mismatch or
 inconsistent data, 2 configuration error, 3 stabilization failure.

@@ -366,24 +366,22 @@ class GorensteinTable(NamedTuple):
 
     records holds, in (triv, sgn) order, one record per checked degree,
     carrying the dual value and the Gamma total with no records applied;
-    mismatches the indices of those records that fail.  blocks holds, at
-    a record's index, the (kind, block degree) pairs summed into its
-    total.  base maps each block degree to its value with no records,
-    users to the indices that sum over it, and lines groups by (kind,
-    display diagonal), the lines along which an extension record reaches,
-    the block degrees whose base value has both a free and an F_2
-    summand, in ascending order: the blocks an extension can change are a
-    prefix of its line.  That is exact: `_block_value` merges only where
-    the block has a free summand, and a d_2 only lowers F_2 and raises
-    InconsistentSSData whatever the merges, so at a block without both
-    summands a covering extension leaves the value, or the error, as it
-    is.  Shared through a cache: read only.
+    mismatches the indices of those records that fail.  base maps each
+    block degree to its value with no records, users to the indices that
+    sum over it, and lines groups by (kind, display diagonal), the lines
+    along which an extension record reaches, the block degrees whose
+    base value has both a free and an F_2 summand, in ascending order:
+    the blocks an extension can change are a prefix of its line.  That is
+    exact: `_block_value` merges only where the block has a free summand,
+    and a d_2 only lowers F_2 and raises InconsistentSSData whatever the
+    merges, so at a block without both summands a covering extension
+    leaves the value, or the error, as it is.  Shared through a cache:
+    read only.
     """
 
     n: int
     records: tuple[DualityRecord, ...]
     mismatches: tuple[int, ...]
-    blocks: tuple[tuple[tuple[str, Degree], ...], ...]
     base: dict[tuple[str, Degree], tuple[int, int]]
     users: dict[tuple[str, Degree], tuple[int, ...]]
     lines: dict[tuple[str, int], tuple[Degree, ...]]
@@ -401,16 +399,14 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
     dual_of = lru_cache(maxsize=None)(partial(assemble_groups, n))
     empty = SSData(n)
     records: list[DualityRecord] = []
-    summed: list[tuple[tuple[str, Degree], ...]] = []
     base: dict[tuple[str, Degree], tuple[int, int]] = {}
     users: dict[tuple[str, Degree], list[int]] = {}
     lines: dict[tuple[str, int], list[Degree]] = {}
     for alpha in sorted(window):
         if -alpha not in window:
             continue
-        blocks = _block_degrees(n, alpha)
         free = f2 = 0
-        for key in blocks:
+        for key in _block_degrees(n, alpha):
             value = base.get(key)
             if value is None:
                 kind, gamma = key
@@ -424,11 +420,9 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
         dual = anderson_dual_groups(dual_of, alpha + shift)
         records.append(DualityRecord(alpha, (free, f2), dual,
                                      (free, f2) == dual))
-        summed.append(blocks)
     return GorensteinTable(
         n, tuple(records),
-        tuple(i for i, r in enumerate(records) if not r.ok),
-        tuple(summed), base,
+        tuple(i for i, r in enumerate(records) if not r.ok), base,
         {key: tuple(at) for key, at in users.items()},
         {key: tuple(sorted(at)) for key, at in lines.items()})
 
@@ -486,10 +480,11 @@ def _apply_records(table: GorensteinTable, ss: SSData
                                           gamma == plain.dual, ""))
     broken = {i for key in errors for i in table.users[key]}
     for i in broken:
-        # in _block_degrees order: the first bad block reports
-        note = next(str(errors[key]) for key in table.blocks[i]
-                    if key in errors)
         plain = records[i]
+        # in _block_degrees order: the first bad block reports
+        note = next(str(errors[key])
+                    for key in _block_degrees(table.n, plain.degree)
+                    if key in errors)
         records[i] = _new(DualityRecord, (plain.degree, (-1, -1), plain.dual,
                                           False, note))
     changed = delta.keys() | broken

@@ -14,6 +14,10 @@ computation the direct, slower way (`verify_gorenstein_per_degree` over
 `vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
 `tower_group_fresh`), to check an optimised path against; `mult_map`
 builds the matrix of multiplication by a monomial between two degrees.
+`matrix` (row lists to `abelian.Matrix`, refusing ragged rows),
+`determinant` (exact, by Bareiss elimination) and `cokernel` (a presented
+cokernel) are the small matrix helpers the tests share; `abelian` itself
+takes and returns `Matrix` only.
 `PageStatesReference` and `run_differentials_reference` are the second
 route for the spectral sequence: the propagation engine, which the package
 no longer runs, against its closed-form pages.
@@ -35,8 +39,9 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from realspectra.abelian import (CochainComplex, Matrix, cokernel_of_map,
-                                 f2_relations, map_is_surjective, zeros)
+from realspectra.abelian import (CochainComplex, Matrix, PresGroup,
+                                 f2_relations, hstack, map_is_surjective,
+                                 zeros)
 from realspectra.blocks import (AssembledClass, TowerClass, _bbprime_diag_max,
                                 _unit_degree, action_matrix, assemble,
                                 bb_basis, nb_basis)
@@ -508,6 +513,55 @@ def basis_cached_two_listings(alpha):
     return tuple(first)
 
 
+def matrix(rows: list[list[int]], cols: int | None = None) -> Matrix:
+    """An `abelian.Matrix` from row lists, which it copies; cols is read
+    from the rows unless given, and must be given when there are none.
+    Raises ValueError on rows of differing lengths.
+
+    >>> matrix([[1, 2], [3, 4]]), matrix([], 3).shape
+    (Matrix([[1, 2], [3, 4]], 2), (0, 3))
+    """
+    rows = [list(row) for row in rows]
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged matrix")
+    return Matrix(rows, cols)
+
+
+def determinant(m: Matrix) -> int:
+    """The exact determinant of a square matrix, by fraction-free (Bareiss)
+    elimination: each division is exact, so no entry is ever rounded.
+
+    >>> determinant(matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
+    624
+    >>> determinant(matrix([[0, 1], [1, 0]])), determinant(matrix([], 0))
+    (-1, 1)
+    """
+    size = len(m.rows)
+    if m.cols != size:
+        raise ValueError(f"determinant of a {m.shape} matrix")
+    a = [row[:] for row in m.rows]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
+def cokernel(f: Matrix, rels: Matrix) -> PresGroup:
+    """Z^b / (im f + span rels), for f and rels with b rows."""
+    return PresGroup(len(f.rows), hstack(f, rels))
+
+
 def smith_normal_form_full_rescan(rows: list[list[int]], cols: int):
     """The Smith normal form with its divisibility-chain scan after every
     pivot, a unit pivot included; returns the row lists of D, S, T, S_inv
@@ -720,7 +774,7 @@ def transition_matrix_dense(mod, n: int, e: int, s: int, alpha: Degree):
             at = at + RHO * (2 ** i - 1)
         for r, row in enumerate(block.rows):
             for c, x in enumerate(row):
-                mat[r0 + r, c0 + c] += x
+                mat.rows[r0 + r][c0 + c] += x
     return mat
 
 
@@ -1136,8 +1190,8 @@ def _stable_cokernel(n: int, alpha: Degree) -> tuple[int, int]:
     prev = None
     for e in range(floor, floor + 3):
         tgt = bb_basis(n, alpha - SIGMA * e)
-        coker = cokernel_of_map(_a_power(n, e, alpha),
-                                f2_relations(c.torsion for c in tgt))
+        coker = cokernel(_a_power(n, e, alpha),
+                         f2_relations(c.torsion for c in tgt))
         if prev is not None:
             step = _a_power(n, 1, alpha - SIGMA * (e - 1))
             if (prev.summarize() != coker.summarize()
@@ -1258,7 +1312,7 @@ def _mult_blocks(n: int, exps: tuple[int, ...], alpha: Degree):
 
     def block(torsion: bool) -> Matrix:
         cols = [j for j, c in enumerate(src) if c.entry.torsion == torsion]
-        return Matrix([[mat[i, j] for j in cols]
+        return Matrix([[mat.rows[i][j] for j in cols]
                        for i, c in enumerate(tgt)
                        if c.entry.torsion == torsion], len(cols))
 
@@ -1282,12 +1336,12 @@ def _dual_map_summaries(n: int, exps: tuple[int, ...], mirror: Degree,
     a, b = hom_t.shape
     ker = CochainComplex([hom_t], [zeros(b, 0), zeros(a, 0)]
                          ).homology(0).group.summarize()
-    cok = cokernel_of_map(hom_t, zeros(a, 0)).summarize()
+    cok = cokernel(hom_t, zeros(a, 0)).summarize()
     c, d = ext_t.shape
     rels_d, rels_c = f2_relations([True] * d), f2_relations([True] * c)
     ker2 = CochainComplex([ext_t], [rels_d, rels_c]
                           ).homology(0).group.summarize()
-    cok2 = cokernel_of_map(ext_t, rels_c).summarize()
+    cok2 = cokernel(ext_t, rels_c).summarize()
     kernel = (ker[0] + ker2[0], ker[1] + ker2[1])
     coker = (cok[0] + cok2[0], cok[1] + cok2[1])
     return kernel, coker

@@ -80,7 +80,7 @@ def test_nb_basis_examples():
     entries = nb_basis(1, Degree(-1, 3))
     assert [e.describe() for e in entries] == ["t3"]
     assert isinstance(entries[0], TowerClass)
-    assert entries[0].degree() == Degree(-1, 3)
+    assert entries[0].level == 3                     # the class at (-1, 3)
     assert nb_basis(1, Degree(0, -1)) == []          # a dropped
     assert nb_basis(2, Degree(0, -1)) == []
     assert [e.describe() for e in nb_basis(1, Degree(1, 1))] == ["v1"]
@@ -204,7 +204,7 @@ def test_mult_matrix_values():
     mat = action_matrix(2, v1, bb_classes(2, Degree(2, -2)),
                         bb_classes(2, Degree(2, -2) + v1.degree()))
     [row] = [r for r, e in enumerate(tgt) if e.mono.l == 1]
-    assert mat[row, 0] == 1 and sum(map(sum, mat.rows)) == 1
+    assert mat.rows[row][0] == 1 and sum(map(sum, mat.rows)) == 1
     # a * doubled unit dies (2a = 0)
     a = Monomial(1, 0, ())
     mat = action_matrix(1, a, bb_classes(1, Degree(2, -2)),

@@ -38,7 +38,7 @@ from oracles import (basis_cached_two_listings, bb_cached_reference,
                      smith_normal_form_full_rescan, tower_group_fresh,
                      truncation, weight_tuples_reference)
 from realspectra import coefficients, hfpss, localcoh
-from realspectra.abelian import smith_normal_form, to_matrix, zeros
+from realspectra.abelian import Matrix, smith_normal_form, zeros
 from realspectra.blocks import _bb_cached
 from realspectra.coefficients import (QuotientIdeal, StabilizationFailure,
                                       _first_index_above, tower_group,
@@ -121,9 +121,8 @@ def _smith_shaped(draw, flaw=None):
 @example(([[], [], []], 0))
 def test_smith_form_matches_full_rescan(shaped):
     rows, cols = shaped
-    a = to_matrix(rows, width=cols)
-    f = smith_normal_form(a)
-    want = smith_normal_form_full_rescan(a.rows, cols)
+    f = smith_normal_form(Matrix(rows, cols))
+    want = smith_normal_form_full_rescan(rows, cols)
     got = (f.D.rows, f.S.rows, f.T.rows, f.S_inv.rows)
     assert got == want[:4]
     diagonal = (want[0][i][i] for i in range(min(len(rows), cols)))
@@ -137,7 +136,7 @@ def test_smith_form_matches_full_rescan(shaped):
 @example(([[], []], 0))
 def test_input_in_smith_form_logs_no_operation(shaped):
     rows, cols = shaped
-    f = smith_normal_form(to_matrix(rows, width=cols))
+    f = smith_normal_form(Matrix(rows, cols))
     assert f._row_ops == [] and f._col_ops == []
     assert f.D.rows == rows and f.D.shape == (len(rows), cols)
 
@@ -147,7 +146,7 @@ def test_input_in_smith_form_logs_no_operation(shaped):
 @example(([[2, 0], [0, 1]], 2))
 def test_near_miss_takes_the_full_loop(shaped):
     rows, cols = shaped
-    f = smith_normal_form(to_matrix(rows, width=cols))
+    f = smith_normal_form(Matrix(rows, cols))
     assert f._row_ops or f._col_ops
 
 
@@ -158,7 +157,7 @@ def test_near_miss_takes_the_full_loop(shaped):
 def test_transforms_read_out_of_order_and_twice(shaped):
     rows, cols = shaped
     want = smith_normal_form_full_rescan(rows, cols)
-    f = smith_normal_form(to_matrix(rows, width=cols))
+    f = smith_normal_form(Matrix(rows, cols))
     s_inv = f.S_inv
     assert s_inv.rows == want[3]
     assert f.S.rows == want[1]
@@ -168,7 +167,7 @@ def test_transforms_read_out_of_order_and_twice(shaped):
 
 
 def test_diagonal_is_a_tuple_no_caller_can_alter():
-    f = smith_normal_form([[2, 0], [0, 3]])
+    f = smith_normal_form(Matrix([[2, 0], [0, 3]], 2))
     with pytest.raises(AttributeError):
         f.diagonal.append(5)
     assert f.diagonal == (1, 6) and f.rank == 2

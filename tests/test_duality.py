@@ -364,7 +364,15 @@ def test_a_merge_changes_exactly_the_blocks_with_both_summands():
 
 def test_table_pass_matches_per_degree_on_radius_48():
     ss = default_ssdata(2)
-    for sub in (ss, *(without(ss, item) for item in ss.items())):
+    # two d_2's asking for more F_2 than their ends have: bb at -8s holds
+    # one, at 8-16s none; 32-40s, like every degree on that line from
+    # 16-24s up, sums over both, so the first in _block_degrees order,
+    # 8-16s, must be the one it reports
+    inconsistent = SSData(2, (
+        Differential("bb", Degree(0, -8), Degree(-1, -8), rank=2),
+        Differential("bb", Degree(8, -16), Degree(7, -16))))
+    for sub in (ss, *(without(ss, item) for item in ss.items()),
+                inconsistent):
         _assert_matches_per_degree(2, Window.square(48), sub)
 
 
