@@ -155,17 +155,12 @@ def _translates(n: int, alpha: Degree) -> list[tuple[int, str, Degree]]:
     BB at alpha - k U for k >= 0, then NB at alpha + j U for j >= 1."""
     step = _unit_degree(n)
     period = 2 ** (n + 1)
-    t, s = alpha.triv, alpha.sgn
-    d = t - s
+    t = alpha.triv
+    nb_top = (_bbprime_diag_max(n) - t + alpha.sgn) // (2 * period)
     out = []
     if t >= 0:
         out.extend((k, "bb", alpha - step * k) for k in range(t // period + 1))
-    js = set(range(1, (_bbprime_diag_max(n) - d) // (2 * period) + 1))
-    if (-1 - t) % period == 0:
-        j = (-1 - t) // period
-        if j >= 1 and s - j * period >= 1:
-            js.add(j)
-    out.extend((-j, "nb", alpha + step * j) for j in sorted(js))
+    out.extend((-j, "nb", alpha + step * j) for j in range(1, nb_top + 1))
     return out
 
 

@@ -397,12 +397,6 @@ class QuotientIdeal(_QuotientIdealFields):
             raise ValueError("negative exponent")
         return tuple.__new__(cls, (exponents, tail))
 
-    @staticmethod
-    def of(seq) -> "QuotientIdeal":
-        if isinstance(seq, QuotientIdeal):
-            return seq
-        return QuotientIdeal(tuple(int(x) for x in seq))
-
     def steps_up_to(self, i_stop: int) -> tuple[tuple[int, int], ...]:
         """(index, exponent) pairs in ascending index order through i_stop."""
         steps = [(i + 1, e) for i, e in enumerate(self.exponents) if e > 0]
@@ -564,14 +558,13 @@ def _tail_stop(ideal: QuotientIdeal, alpha: Degree) -> int:
     return i
 
 
-def tower_group(ideal, alpha: Degree) -> TowerGroup:
+def tower_group(ideal: QuotientIdeal, alpha: Degree) -> TowerGroup:
     """Groups of B modulo the given vbar powers, with a tail certificate.
 
     For tail = 1 ideals the kill list is truncated at `_tail_stop`, past
     every weight and a-exponent in its budget; one further index is run as
     a stabilization check.
     """
-    ideal = QuotientIdeal.of(ideal)
     stop = _tail_stop(ideal, alpha)
     steps = ideal.steps_up_to(stop)
     g = _stage_group(steps, alpha)

@@ -22,8 +22,9 @@ import json
 
 from .cli import MAX_E2_CLASSES, ConfigError, RunConfig
 from .coefficients import (InconsistentSSData, InternalInconsistency,
-                           StabilizationFailure, UnknownExtension,
-                           basis_in_degree, group_in_degree)
+                           QuotientIdeal, StabilizationFailure,
+                           UnknownExtension, basis_in_degree,
+                           group_in_degree)
 from .grading import Degree, Window
 
 # raised by a command when its data is inconsistent or a self-check fails:
@@ -227,7 +228,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
                 raise ConfigError(f"cannot load ssdata: {err}")
         report = verify_gorenstein(cfg.n, cfg.window, ss)
     else:
-        report = verify_quotient_duality((), cfg.window.triv_min,
+        report = verify_quotient_duality(QuotientIdeal(), cfg.window.triv_min,
                                          cfg.window.triv_max)
     return (0 if report.clean else 1), _report_text(cfg, report)
 

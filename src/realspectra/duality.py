@@ -20,16 +20,16 @@ into two parts.  gorenstein_table, cached per (n, window), holds
 everything the SSData cannot change: the dual value of each checked
 degree, the block degrees summed into its Gamma value, those blocks'
 totals with no records applied (their H^s rank rows are cached per
-(n, kind, block degree) and are the rows gamma_block reads), and the
-degrees that mismatch with no records.  A verification under SSData then
-costs one C-level copy of the record list, plus the blocks its records
-can change and the degrees that sum over them: the ends of its d_2's,
-and the blocks its extensions cover that hold both a free and an F_2
-summand.  Each such block is recomputed from the records at it alone, by
-the rule gamma_block applies, and only the degrees over it are summed
-again.
+(n, kind, block degree)), and the degrees that mismatch with no records.
+A verification under SSData then costs one C-level copy of the record
+list, plus the blocks its records can change and the degrees that sum
+over them.  A d_2 reaches the block degrees of its two ends; an
+extension reaches the blocks on its `lines` entry at or below it, those
+of its rho-line that hold both a free and an F_2 summand.  Each such
+block is recomputed by _block_value from the records at it alone, and
+only the degrees over it are summed again.
 `gamma_groups` in tests/oracles.py, the reference it is checked against,
-sums the same blocks degree by degree with no shared table.
+scans every record at each block, degree by degree, with no shared table.
 
 verify_quotient_duality checks the quotient counterpart against a Koszul
 colimit built degreewise from quotient tower groups.  The mapping-group
@@ -107,10 +107,6 @@ class Extension(_ExtensionFields):
         if block not in ("bb", "nb"):
             raise ValueError(f"unknown block {block!r}")
         return tuple.__new__(cls, (block, degree))
-
-    def covers(self, gamma: Degree) -> bool:
-        off = self.degree - gamma
-        return off.triv == off.sgn and off.triv >= 0
 
 
 @record
@@ -211,7 +207,7 @@ def _block_value(n: int, kind: str, gamma: Degree,
                  ranks: list[tuple[int, int]], merges: int) -> tuple[int, int]:
     """(free, F_2) of one block degree from the records at it: ranks lists
     the (slot, rank) of each d_2 ending there, in record order, and merges
-    counts the extensions covering it.
+    counts the extensions that reach it.
 
     Raises InconsistentSSData when a differential asks for more rank than
     the row has at its end.
@@ -231,29 +227,10 @@ def _block_value(n: int, kind: str, gamma: Degree,
                     f"at {gamma}, found {have}")
             left[slot] = have - rank
             f2 -= rank
-    # each covering extension merges one F_2 into a free summand
+    # each extension reaching it merges one F_2 into a free summand
     if free:
         f2 = max(f2 - merges, 0)
     return (free, f2)
-
-
-def gamma_block(n: int, kind: str, gamma: Degree,
-                ss: SSData) -> tuple[int, int]:
-    """(free, F_2) of GBB or GNB at one block degree.
-
-    Sums the local cohomology row through the degree, cancels the d_2
-    ranks of ss, then applies its extension merges, by the per-block rule
-    that verify_gorenstein applies to each block its records reach.
-    Raises InconsistentSSData when a differential asks for more rank than
-    the row has at its end.
-    """
-    ranks = [(slot, rec.rank) for rec in ss.differentials
-             if rec.block == kind
-             for slot, at in ((0, rec.source), (2, rec.target))
-             if at == gamma]
-    merges = sum(1 for rec in ss.extensions
-                 if rec.block == kind and rec.covers(gamma))
-    return _block_value(n, kind, gamma, ranks, merges)
 
 
 def _block_degrees(n: int, alpha: Degree) -> tuple[tuple[str, Degree], ...]:
@@ -374,9 +351,8 @@ class GorensteinTable(NamedTuple):
     the blocks an extension can change are a prefix of its line.  That is
     exact: `_block_value` merges only where the block has a free summand,
     and a d_2 only lowers F_2 and raises InconsistentSSData whatever the
-    merges, so at a block without both summands a covering extension
-    leaves the value, or the error, as it is.  Shared through a cache:
-    read only.
+    merges, so at a block without both summands an extension leaves the
+    value, or the error, as it is.  Shared through a cache: read only.
     """
 
     n: int
@@ -397,7 +373,6 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
     shift = gorenstein_shift(n)
     # one degree's Ext read is the next degree's Hom read
     dual_of = lru_cache(maxsize=None)(partial(assemble_groups, n))
-    empty = SSData(n)
     records: list[DualityRecord] = []
     base: dict[tuple[str, Degree], tuple[int, int]] = {}
     users: dict[tuple[str, Degree], list[int]] = {}
@@ -410,7 +385,7 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
             value = base.get(key)
             if value is None:
                 kind, gamma = key
-                value = base[key] = gamma_block(n, kind, gamma, empty)
+                value = base[key] = _block_value(n, kind, gamma, [], 0)
                 if value[0] and value[1]:   # the blocks a merge can change
                     lines.setdefault((kind, gamma.triv - gamma.sgn),
                                      []).append(gamma)
@@ -434,14 +409,14 @@ def _apply_records(table: GorensteinTable, ss: SSData
 
     Only the blocks a record can change are recomputed, each from the
     records at it alone: a differential reaches the block degrees of its
-    two ends, an extension the blocks on its `lines` entry that it covers.
+    two ends, an extension the blocks on its `lines` entry at or below it.
     A recomputed block's change from its base value is added to each
     degree summing over it; every other degree keeps its base record and
     verdict.
     """
     base = table.base
     # block -> [(slot, rank) of each d_2 ending there, in record order,
-    # number of extensions covering it]
+    # number of extensions reaching it]
     at: dict = {}
     for rec in ss.differentials:
         for slot, end in ((0, rec.source), (2, rec.target)):
@@ -501,15 +476,14 @@ def verify_gorenstein(n: int, window: Window,
     gorenstein_table(n, window) supplies the dual side, the Gamma blocks
     with no records applied and the records that then mismatch.  The
     report copies the table's records once and recomputes only the blocks
-    a record of ss can change: the ends of its d_2's and the covered
-    blocks with both a free and an F_2 summand.  It re-sums only the
-    degrees over them and lists as mismatches, in record order, the
-    table's outside those degrees and the re-summed ones that fail.  The
-    answers equal summing gamma_block over _block_degrees degree by
-    degree, as `gamma_groups` in tests/oracles.py does.  Inconsistent
+    a record of ss can change, as the module docstring says.  It re-sums
+    only the degrees over them and lists as mismatches, in record order,
+    the table's outside those degrees and the re-summed ones that fail.
+    The answers equal those of `gamma_groups` in tests/oracles.py, which
+    sums the blocks of _block_degrees degree by degree.  Inconsistent
     differential data is recorded as a mismatch at the degree that
-    exposes it, not raised.  Raises
-    ValueError when ss is for another truncation.  When ss is None and no
+    exposes it, not raised.  Raises ValueError when ss is for another
+    truncation.  When ss is None and no
     SSData ships for n, a summary with mismatches says so.
     """
     unshipped = ss is None and not _shipped_ssdata_path(n).is_file()
@@ -574,7 +548,7 @@ def _kappa_stage(ideal: QuotientIdeal, gamma: Degree,
     return QuotientIdeal(tuple(exps), tail=1), offset
 
 
-def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
+def kappa_groups(ideal: QuotientIdeal, gamma: Degree) -> tuple[int, int]:
     """(free, F_2) of the stable Koszul complex on the kept generators.
 
     The defining colimit runs over quotients by growing powers of the kept
@@ -586,7 +560,6 @@ def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
     a trusted extension raise UnknownExtension.  The degree alone fixes
     each stage's tower.
     """
-    ideal = QuotientIdeal.of(ideal)
     values = []
     for probe in (0, 1):
         stage, offset = _kappa_stage(ideal, gamma, probe)
@@ -597,7 +570,8 @@ def kappa_groups(ideal, gamma: Degree) -> tuple[int, int]:
     return values[0]
 
 
-def verify_quotient_duality(m_seq, k_lo: int, k_hi: int) -> DualityReport:
+def verify_quotient_duality(ideal: QuotientIdeal, k_lo: int,
+                            k_hi: int) -> DualityReport:
     """Check the Koszul colimit of a quotient against its Anderson dual.
 
     The dual of B/vbar^m is the kappa complex of the kept generators,
@@ -608,7 +582,6 @@ def verify_quotient_duality(m_seq, k_lo: int, k_hi: int) -> DualityReport:
     ascending order.  Degrees whose quotient groups carry an unresolved
     extension are listed but not judged.
     """
-    ideal = QuotientIdeal.of(m_seq)
     kappa_shift = Degree(4, 0) - 2 * RHO - _quotient_weight(ideal) * RHO
 
     target = partial(group_in_degree, ideal=ideal)

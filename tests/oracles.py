@@ -7,7 +7,8 @@ products, with `multiply` on `CoeffElement` and the generators
 using the closed forms or shortcuts from the package, so agreement is
 meaningful.  The references after them are different: they redo a package
 computation the direct, slower way (`verify_gorenstein_per_degree` over
-`gamma_groups`, `e_infinity_basis_two_rounds`,
+`gamma_groups`, which sums `gamma_block` over its blocks, each block
+scanning every record with `covers`; `e_infinity_basis_two_rounds`,
 `basis_cached_two_listings` over `enumerate_with_cap_reference`, `bb_cached_reference`,
 `cell_listing_reference`,
 `e2_basis_reference`, `smith_normal_form_full_rescan`, `module_gens_uncached`,
@@ -51,8 +52,8 @@ from realspectra.coefficients import (BasisEntry, InternalInconsistency,
                                       _image_class, _page_lattice,
                                       rank_summary, tower_group,
                                       vbar_monomial, weight_tuples)
-from realspectra.duality import (_block_degrees, _quotient_weight,
-                                 default_ssdata, gamma_block,
+from realspectra.duality import (_block_degrees, _block_value,
+                                 _quotient_weight, default_ssdata,
                                  gorenstein_shift)
 from realspectra.grading import RHO, SIGMA, Degree, Window, record
 
@@ -290,6 +291,31 @@ def polynomial_rank(weights: list[int], total: int) -> int:
                 for i in range(total // head + 1))
     cache[key] = count
     return count
+
+
+def covers(ext, gamma: Degree) -> bool:
+    """Whether the extension record ext reaches the block degree gamma:
+    gamma lies on its rho-line, at or below it (ext.degree - k rho for
+    some k >= 0).  The record's block is not read."""
+    below = ext.degree - gamma
+    return below.triv == below.sgn and below.triv >= 0
+
+
+def gamma_block(n: int, kind: str, gamma: Degree, ss) -> tuple[int, int]:
+    """(free, F_2) of GBB or GNB at one block degree, scanning every record
+    of ss: the (slot, rank) of each d_2 of that block with an end at gamma,
+    in record order, and the number of its extensions that cover gamma, fed
+    to the package's per-block rule `duality._block_value`.  Raises
+    InconsistentSSData when a differential asks for more rank than the row
+    has at its end.
+    """
+    ranks = [(slot, rec.rank) for rec in ss.differentials
+             if rec.block == kind
+             for slot, at in ((0, rec.source), (2, rec.target))
+             if at == gamma]
+    merges = sum(1 for rec in ss.extensions
+                 if rec.block == kind and covers(rec, gamma))
+    return _block_value(n, kind, gamma, ranks, merges)
 
 
 def gamma_groups(n: int, ss, alpha: Degree,
@@ -847,7 +873,6 @@ def tower_group_fresh(ideal, alpha: Degree):
 
         return group(len(steps), alpha)
 
-    ideal = co.QuotientIdeal.of(ideal)
     stop = co._tail_stop(ideal, alpha)
     g, layers = tower(ideal.steps_up_to(stop))
     if ideal.tail:
@@ -880,7 +905,6 @@ def mult_map(x: Monomial, ideal, alpha: Degree):
     """
     from realspectra import coefficients as co
     from realspectra.abelian import zeros
-    ideal = co.QuotientIdeal.of(ideal)
     src = co.tower_group(ideal, alpha)
     tgt = co.tower_group(ideal, alpha + x.degree())
     if not (src.known and tgt.known) or src.quot or tgt.quot:
@@ -1024,7 +1048,6 @@ def underlying_groups(ideal, t: int) -> tuple[int, int]:
     >>> underlying_groups(QuotientIdeal(), 5)
     (0, 0)
     """
-    ideal = QuotientIdeal.of(ideal)
     if t % 2 != 0 or t < 0:
         return (0, 0)
     # tail = 1 kills every vbar_i past the listed ones
@@ -1072,7 +1095,7 @@ def nilpotence_check(i: int, k: int, window: Window,
     """
     if exponent is None:
         exponent = 3 * k
-    ideal = QuotientIdeal.of([0] * (i - 1) + [k])
+    ideal = QuotientIdeal((0,) * (i - 1) + (k,))
     mult = vbar_monomial(i, exponent)
     shift = mult.degree()
 
@@ -1288,7 +1311,7 @@ def shift_for(tag: str, n: int | None = None, m=None) -> ShiftSpec:
     if tag == "Tmf13":
         return ShiftSpec(tag, Degree(5, 0) + 2 * RHO, ())
     if tag == "quotient":
-        ideal = QuotientIdeal.of(m)
+        ideal = QuotientIdeal(m)
         mprime = _quotient_weight(ideal)
         kept = [i + 1 for i, e in enumerate(ideal.exponents) if e == 0]
         vbar = sum(2 ** i - 1 for i in kept)

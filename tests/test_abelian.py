@@ -1,6 +1,8 @@
 """Smith normal form, presented groups, subquotients, induced maps."""
 
 import doctest
+import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,27 @@ def test_smith_invariant_factors_match_sympy(m, n, data):
     theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
     assert smith_normal_form(matrix(rows)).diagonal == \
         tuple(sorted(abs(int(x)) for x in theirs if x != 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_smith_invariant_factors_are_determinantal_divisor_ratios(m, n, data):
+    """The k-th invariant factor is D_k / D_(k-1), with D_k the gcd of all
+    k x k minors and D_0 = 1, over the nonzero D_k: an independent route
+    that needs nothing beyond the test extra."""
+    rows = [[data.draw(small) for _ in range(n)] for _ in range(m)]
+    divisors = [1]
+    for k in range(1, min(m, n) + 1):
+        d_k = 0
+        for picked in itertools.combinations(rows, k):
+            for cols in itertools.combinations(range(n), k):
+                minor = matrix([[row[j] for j in cols] for row in picked])
+                d_k = math.gcd(d_k, determinant(minor))
+        if not d_k:   # every larger minor vanishes too
+            break
+        divisors.append(d_k)
+    assert smith_normal_form(matrix(rows)).diagonal == \
+        tuple(d // prev for prev, d in zip(divisors, divisors[1:]))
 
 
 @settings(max_examples=40, deadline=None)

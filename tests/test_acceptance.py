@@ -13,8 +13,8 @@ from realspectra.blocks import (bb_basis, diagonal_decompose, lc_of_block,
                                nb_basis)
 from realspectra.coefficients import (QuotientIdeal, group_in_degree,
                                       rank_summary, weight_tuples)
-from realspectra.duality import (SSData, default_ssdata, gamma_block,
-                                 verify_gorenstein, verify_quotient_duality)
+from realspectra.duality import (SSData, default_ssdata, verify_gorenstein,
+                                 verify_quotient_duality)
 from realspectra.grading import RHO, Degree, Window
 from realspectra.hfpss import (e_infinity_groups, geometric_cofibre_groups,
                                run_differentials, tate_groups)
@@ -23,8 +23,8 @@ from realspectra.localcoh import (check_closed_form, convention_report, dual_p,
                                   lc_ranks, p_module, pbar, tower_f2)
 
 import oracles
-from oracles import (gamma_groups, nilpotence_check, restriction_rank,
-                     shift_for, truncation)
+from oracles import (gamma_block, gamma_groups, nilpotence_check,
+                     restriction_rank, shift_for, truncation)
 
 ONE = Degree(1, 0)
 
@@ -56,9 +56,9 @@ EVEN_IDEALS = (
     truncation(1),
     truncation(2),
     truncation(3),
-    QuotientIdeal.of((1,)),
-    QuotientIdeal.of((2,)),
-    QuotientIdeal.of((1, 2)),
+    QuotientIdeal((1,)),
+    QuotientIdeal((2,)),
+    QuotientIdeal((1, 2)),
 )
 
 
@@ -281,8 +281,8 @@ def test_criterion_7_duality_shifts():
 
 def test_criterion_8_quotient_duality_on_rho_lines():
     start = time.monotonic()
-    for exponents in ((), (1,)):
-        report = verify_quotient_duality(exponents, -8, 8)
+    for ideal in (QuotientIdeal(), QuotientIdeal((1,))):
+        report = verify_quotient_duality(ideal, -8, 8)
         assert not report.mismatches, report.summary
         assert not report.skipped, report.summary
     # killing vbar_1 with its tower truncated is the height-1 ring; the
