@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .coefficients import (BasisEntry, InternalInconsistency, Monomial,
                            _first_index_above, _image_class, degree_monomials,
                            rank_summary)
-from .grading import DELTA, Degree, RHO, record, v2
+from .grading import DELTA, Degree, RHO, _new, record, v2
 # closed_form_state is not called here: perfbench/selftest.py checks that
 # tracing rebinds it in this namespace
 from .hfpss import closed_form_state, final_entry  # noqa: F401
@@ -137,6 +137,14 @@ class AssembledClass(NamedTuple):
     u_power: int
     entry: BasisEntry | TowerClass
 
+    def folded(self, n: int) -> BasisEntry | TowerClass:
+        """U^p x as the one class x u^(p 2^n); a tower class as it is."""
+        x = self.entry.mono
+        if x is None or not self.u_power:
+            return self.entry
+        x = _new(Monomial, (x.k, x.l + self.u_power * 2 ** n, x.c))
+        return _new(BasisEntry, (x, self.entry.lattice, self.entry.torsion))
+
     def describe(self) -> str:
         body = self.entry.describe()
         if self.u_power:
@@ -150,17 +158,18 @@ def _block_basis(n: int, kind: str,
     return nb_basis(n, alpha) if kind == "nb" else _bb_cached(n, alpha)
 
 
-def _translates(n: int, alpha: Degree) -> list[tuple[int, str, Degree]]:
+def _translates(n: int, alpha: Degree,
+                reach: int = 0) -> list[tuple[int, str, Degree]]:
     """(u-power, kind, block degree) of each U-translate that meets alpha:
-    BB at alpha - k U for k >= 0, then NB at alpha + j U for j >= 1."""
+    BB at alpha - k U for k >= 0 whose diagonal d has d + reach >= 0
+    (reach n for local cohomology, whose rows go n below a block), then NB
+    at alpha + j U for j >= 1."""
     step = _unit_degree(n)
-    period = 2 ** (n + 1)
-    t = alpha.triv
-    nb_top = (_bbprime_diag_max(n) - t + alpha.sgn) // (2 * period)
-    out = []
-    if t >= 0:
-        out.extend((k, "bb", alpha - step * k) for k in range(t // period + 1))
-    out.extend((-j, "nb", alpha + step * j) for j in range(1, nb_top + 1))
+    span = 2 ** (n + 2)   # the diagonal of U
+    d = alpha.triv - alpha.sgn
+    out = [(k, "bb", alpha - step * k) for k in range((d + reach) // span + 1)]
+    out.extend((-j, "nb", alpha + step * j)
+               for j in range(1, (_bbprime_diag_max(n) - d) // span + 1))
     return out
 
 

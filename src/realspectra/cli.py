@@ -33,7 +33,9 @@ is a configuration error):
     --n       an integer from 0 to MAX_N (4); with `lc --oracle`, one of
               ORACLE_HEIGHTS (1, 2);
     --window  every coordinate within -MAX_COORD..MAX_COORD (48), twice
-              the radius of the acceptance windows;
+              the radius of the acceptance windows; with `verify
+              --spectrum bpr`, a trivial minimum of at least MIN_RHO_LINE
+              (-28), below which a rho line's Koszul stages cost too much;
     --caps    `A`, an a-exponent cap 0 <= A <= MAX_CAPS (143): E_2 has
               infinite rank in each degree, and the pages list it to
               filtration A; MAX_CAPS is the most filtration a
@@ -95,9 +97,13 @@ MAX_COORD = 48
 # compute layer is imported
 ORACLE_HEIGHTS = (1, 2)
 
-# the E_2 cap of `hfpss pages` without --caps; `coefficients.DEFAULT_A_CAP`,
-# kept here so that the cache key holds the cap the run reads
+# the E_2 cap of `hfpss pages` without --caps
 DEFAULT_A_CAP = 40
+
+# the deepest rho line `verify --spectrum bpr` checks: one cold call on
+# -28:48,0:0 takes 11-14 s and 186 MB, within the command's costliest call
+# before (14-17 s, 210 MB; README), where -29:48,0:0 takes 216 MB
+MIN_RHO_LINE = -28
 
 # largest accepted --caps: the maximum of `coefficients._a_exponent_bound`
 # over the MAX_COORD box, at every accepted height and for the full ring
@@ -274,6 +280,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if cfg.ssdata is not None and cfg.spectrum != "bprn":
         raise ConfigError(f"--ssdata serves only verify --spectrum bprn, "
                           f"not {named}")
+    if named == "verify --spectrum bpr" and cfg.window is not None and \
+            cfg.window.triv_min < MIN_RHO_LINE:
+        raise ConfigError(f"verify --spectrum bpr checks rho lines down to "
+                          f"k = {MIN_RHO_LINE}, got {cfg.window.triv_min}")
     if cfg.ssdata is None or cfg.ssdata.lstrip().startswith(("{", "[")):
         return cfg
     # a path: read once, so the run parses the text its cache entry keys on

@@ -21,17 +21,20 @@ Quotients by powers of the vbar_i are computed through the cofibre sequence
 
   0 -> pi(M)/x -> pi(M/x) -> ker(x) -> 0      (kernel taken one degree lower)
 
-iterated one generator at a time.  A stage (`TowerGroup`) keeps the two
-layers of its last step, the cokernel pi(M)/x and the kernel ker(x), as
-tuples of monomial basis classes.  A stage is built only on trusted bases,
-known stages with no kernel layer, and is unknown otherwise.  A group with a
-kernel layer is exact when both layers are F_2; otherwise only its two
-layers' ranks are known.
+iterated one generator at a time, over the ring or, for an ideal that kills
+every vbar_i past its m listed ones, over pi BPR<m> = pi BPR/(vbar_(m+1),
+vbar_(m+2), ...), which `blocks.assemble` lists.  A stage (`TowerGroup`)
+keeps the two layers of its last step, the cokernel pi(M)/x and the kernel
+ker(x), as tuples of basis classes.  A stage is built only on trusted
+bases, known stages with no kernel layer, and is unknown otherwise.  A group
+with a kernel layer is exact when both layers are F_2; otherwise only its
+two layers' ranks are known.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import NamedTuple, Sequence
 
 from .grading import ONE, Degree, _new, record, v2
@@ -106,9 +109,10 @@ class Monomial(_MonomialFields):
     c omits vbar_0; trailing zeros are stripped so equality is structural.
     The constructor (and `_replace`) converts c to ints, strips it and
     rejects negative exponents.  The hot listings (`degree_monomials`,
-    `hfpss._fire_target`), where k >= 0 and a stripped, nonnegative int
-    tuple c hold by construction, skip all of that and build their
-    monomials in C with `tuple.__new__`, as `degree` builds its Degree.
+    `hfpss._fire_target`) and `times`, where k >= 0 and a stripped,
+    nonnegative int tuple c hold by construction, skip all of that and
+    build their monomials in C with `tuple.__new__`, as `degree` builds
+    its Degree.
 
     A tuple of its fields (k, l, c): hashing, equality and ordering run in
     C, and an instance equals the plain triple (k, l, c), so a dict or set
@@ -140,10 +144,11 @@ class Monomial(_MonomialFields):
         return _new(Degree, (2 * self.l + w, -self.k - 2 * self.l + w))
 
     def times(self, other: "Monomial") -> "Monomial":
-        n = max(len(self.c), len(other.c))
-        c = tuple((self.c[i] if i < len(self.c) else 0)
-                  + (other.c[i] if i < len(other.c) else 0) for i in range(n))
-        return Monomial(self.k + other.k, self.l + other.l, c)
+        # the sum of two stripped, nonnegative tuples is stripped
+        a, b = (self.c, other.c) if len(self.c) >= len(other.c) \
+            else (other.c, self.c)
+        c = tuple(map(operator.add, a, b)) + a[len(b):]
+        return _new(Monomial, (self.k + other.k, self.l + other.l, c))
 
     def __str__(self) -> str:
         parts = []
@@ -197,11 +202,6 @@ def _page_lattice(x: Monomial, cap: int | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # degreewise bases of the coefficient ring
-
-# the floor of the quotient towers' tail budget (`_tail_stop`) and the
-# default E_2 filtration cap (`hfpss.e2_basis`); a basis needs no cap
-DEFAULT_A_CAP = 40
-
 
 class _BasisEntryFields(NamedTuple):
     mono: Monomial
@@ -397,19 +397,12 @@ class QuotientIdeal(_QuotientIdealFields):
             raise ValueError("negative exponent")
         return tuple.__new__(cls, (exponents, tail))
 
-    def steps_up_to(self, i_stop: int) -> tuple[tuple[int, int], ...]:
-        """(index, exponent) pairs in ascending index order through i_stop."""
-        steps = [(i + 1, e) for i, e in enumerate(self.exponents) if e > 0]
-        if self.tail:
-            steps += [(i, 1) for i in range(len(self.exponents) + 1, i_stop + 1)]
-        return tuple(steps)
-
 
 @record
 class TowerGroup(NamedTuple):
     """One degree of an iterated quotient: the layers of its last step,
     sub (the cokernel pi(M)/x) and quot (the kernel ker(x)), as tuples of
-    basis classes; the ring, before any step, is all sub.  An unknown
+    basis classes; the base, before any step, is all sub.  An unknown
     stage (known = False) has empty layers, each read as (-1, -1).  A
     known stage without a kernel layer is a trusted basis, on which
     further products are filtration safe.  A kernel layer is F_2, and the
@@ -466,33 +459,38 @@ def _step_constants(step: tuple[int, int]) -> tuple[Monomial, Degree, Degree]:
 
 
 @functools.lru_cache(maxsize=None)
-def _stage_group(steps: tuple[tuple[int, int], ...],
+def _stage_group(top: int | None, steps: tuple[tuple[int, int], ...],
                  alpha: Degree) -> TowerGroup:
-    """Degree alpha of B modulo the vbar-power steps, applied in order.
+    """Degree alpha of B modulo the vbar-power steps, applied in order: B
+    is the ring (top = None) or BPR<top>, the classes of `blocks.assemble`
+    each read as one entry (`AssembledClass.folded`).
 
     The last step's multiplier x reads four stages one step down, in turn:
     its cokernel's target alpha and source alpha - |x|, then its kernel's
     pair one triv lower.  The stage is unknown at the first of them that
-    is not a trusted basis, and the rest are not built.
+    is not a trusted basis, and the rest are not built.  On the first step
+    they are B's own classes, whose products `_multiply` checks.
 
-    A stage depends only on the steps up to it and alpha, so this one
-    memo, keyed by the steps, serves every tower that shares them as a
-    prefix: the towers at a tail stop and one index past it share all
-    their stages but the last.
+    A stage depends only on B, the steps up to it and alpha, so this one
+    memo serves every tower over B that shares them as a prefix.
     """
     if not steps:
-        return TowerGroup(_basis_cached(alpha), (), True)
+        if top is None:
+            return TowerGroup(_basis_cached(alpha), (), True)
+        from .blocks import assemble
+        return TowerGroup(tuple(c.folded(top) for c in assemble(top, alpha)),
+                          (), True)
     below = steps[:-1]
     mult, shift, ker_shift = _step_constants(steps[-1])
     layers = []
     for beta in (alpha, alpha - shift, alpha - ONE, alpha - ker_shift):
-        g = _stage_group(below, beta)
+        g = _stage_group(top, below, beta)
         if not g.known or g.quot:
             return TowerGroup((), (), False)
         layers.append(g.sub)
     tgt, src, ker_tgt, ker_src = layers
-    sub, _ = _multiply(src, tgt, mult)
-    _, quot = _multiply(ker_src, ker_tgt, mult)
+    sub, _ = _multiply(src, tgt, mult, top, not below)
+    _, quot = _multiply(ker_src, ker_tgt, mult, top, not below)
     for e in quot:
         if not e.torsion:
             raise AssertionError(
@@ -518,11 +516,14 @@ def _image_class(entry: BasisEntry, cand: BasisEntry) -> int:
 
 
 def _multiply(src: tuple[BasisEntry, ...], tgt: tuple[BasisEntry, ...],
-              mult: Monomial
+              mult: Monomial, cap: int | None = None, base: bool = False
               ) -> tuple[tuple[BasisEntry, ...], tuple[BasisEntry, ...]]:
     """Multiplication by mult from the classes src to the classes tgt, two
     trusted bases, in one pass over src: (the cokernel's classes, from
-    tgt's; the kernel's classes, from src's)."""
+    tgt's; the kernel's classes, from src's); a class with no monomial
+    maps to zero.  For base classes (base), a product that the base's page
+    (cap) keeps but tgt lacks raises InternalInconsistency, the check
+    `blocks.action_matrix` makes."""
     if not src:
         return tgt, ()
     classes = {e.mono: e for e in tgt}
@@ -530,7 +531,11 @@ def _multiply(src: tuple[BasisEntry, ...], tgt: tuple[BasisEntry, ...],
     torsionized: set[BasisEntry] = set()
     kernel = []
     for e in src:
-        cand = classes.get(e.mono.times(mult))
+        y = None if e.mono is None else e.mono.times(mult)
+        cand = None if y is None else classes.get(y)
+        if cand is None and base and y is not None and _page_lattice(y, cap):
+            raise InternalInconsistency(
+                f"product {y} of {mult} and {e.describe()} escapes the basis")
         coeff = 0 if cand is None else _image_class(e, cand)
         if coeff == 0:
             kernel.append(e)
@@ -545,36 +550,17 @@ def _multiply(src: tuple[BasisEntry, ...], tgt: tuple[BasisEntry, ...],
     return coker, tuple(kernel)
 
 
-def _tail_stop(ideal: QuotientIdeal, alpha: Degree) -> int:
-    """The last index a tail = 1 ideal kills at alpha; the floor of its
-    a-exponent budget, DEFAULT_A_CAP, is read at call time."""
-    if not ideal.tail:
-        return len(ideal.exponents)
-    a_budget = max(DEFAULT_A_CAP, _a_exponent_bound(alpha) + 12)
-    w = max((alpha.triv + alpha.sgn + a_budget) // 2, 0)
-    i = len(ideal.exponents) + 1
-    while 2 ** i - 1 <= w or 2 ** (i + 1) - 1 <= a_budget:
-        i += 1
-    return i
-
-
 def tower_group(ideal: QuotientIdeal, alpha: Degree) -> TowerGroup:
-    """Groups of B modulo the given vbar powers, with a tail certificate.
-
-    For tail = 1 ideals the kill list is truncated at `_tail_stop`, past
-    every weight and a-exponent in its budget; one further index is run as
-    a stabilization check.
+    """Groups of B modulo the ideal's listed vbar powers, at alpha: B is
+    the ring for tail = 0, and for tail = 1 and m listed exponents BPR<m> =
+    BPR/(vbar_(m+1), vbar_(m+2), ...) (`blocks.assemble`).  The route that
+    rebuilds BPR<m> from the ring one generator at a time is the
+    certificate in tests/oracles.py (`tail_tower`).
     """
-    stop = _tail_stop(ideal, alpha)
-    steps = ideal.steps_up_to(stop)
-    g = _stage_group(steps, alpha)
-    if ideal.tail:
-        g2 = _stage_group(ideal.steps_up_to(stop + 1), alpha)
-        if (g.exact, g.entries if g.exact else g.sub_summary) != \
-           (g2.exact, g2.entries if g2.exact else g2.sub_summary):
-            raise StabilizationFailure(
-                f"tail truncation unstable at {alpha}: index {stop} vs {stop+1}")
-    return g
+    top = len(ideal.exponents) if ideal.tail else None
+    steps = tuple((i, e) for i, e in enumerate(ideal.exponents, start=1)
+                  if e)
+    return _stage_group(top, steps, alpha)
 
 
 def group_in_degree(alpha: Degree, ideal=QuotientIdeal()) -> tuple[int, int]:

@@ -236,14 +236,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
 def _chart_classes(cfg: RunConfig, alpha: Degree) -> list:
     if cfg.mode == "bpr":
         return basis_in_degree(alpha)
-    flat = []
-    for c in _block_classes(cfg, cfg.n, alpha):
-        entry = c.entry   # at U-power p, its monomial times u^(p 2^n)
-        if entry.mono is not None and c.u_power:   # a TowerClass has none
-            l = entry.mono.l + c.u_power * 2 ** cfg.n
-            entry = entry._replace(mono=entry.mono._replace(l=l))
-        flat.append(entry)
-    return flat
+    return [c.folded(cfg.n) for c in _block_classes(cfg, cfg.n, alpha)]
 
 
 def cmd_chart(cfg: RunConfig) -> tuple[int, str]:

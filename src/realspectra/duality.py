@@ -47,8 +47,7 @@ from functools import lru_cache, partial
 from importlib import resources
 from typing import NamedTuple
 
-from .blocks import (_bbprime_diag_max, _unit_degree, assemble_groups,
-                     lc_of_block)
+from .blocks import _translates, assemble_groups, lc_of_block
 from .coefficients import (InconsistentSSData, InternalInconsistency,
                            QuotientIdeal, UnknownExtension, group_in_degree)
 from .grading import (DELTA, ONE, Degree, RHO, Window, _new, json_int,
@@ -233,20 +232,6 @@ def _block_value(n: int, kind: str, gamma: Degree,
     return (free, f2)
 
 
-def _block_degrees(n: int, alpha: Degree) -> tuple[tuple[str, Degree], ...]:
-    """The (kind, block degree) pairs whose values sum to pi_alpha Gamma:
-    the U-translates of GBB[U] (u-power >= 0), then those of
-    U^(-1) GNB[U^(-1)]."""
-    step = _unit_degree(n)
-    span = 2 ** (n + 2)
-    d = alpha.triv - alpha.sgn
-    bb = (("bb", alpha - step * k)  # display rows reach -n
-          for k in range((d + n) // span + 1))
-    nb = (("nb", alpha + step * j)
-          for j in range(1, (_bbprime_diag_max(n) - d) // span + 1))
-    return (*bb, *nb)
-
-
 # --- Anderson duals -----------------------------------------------------------
 
 def anderson_dual_groups(groups, alpha: Degree) -> tuple[int, int]:
@@ -381,10 +366,12 @@ def gorenstein_table(n: int, window: Window) -> GorensteinTable:
         if -alpha not in window:
             continue
         free = f2 = 0
-        for key in _block_degrees(n, alpha):
+        # the U-translates of GBB[U] and U^(-1) GNB[U^(-1)]: the H^s rows
+        # of a block reach s <= n diagonals below it
+        for _power, kind, gamma in _translates(n, alpha, n):
+            key = (kind, gamma)
             value = base.get(key)
             if value is None:
-                kind, gamma = key
                 value = base[key] = _block_value(n, kind, gamma, [], 0)
                 if value[0] and value[1]:   # the blocks a merge can change
                     lines.setdefault((kind, gamma.triv - gamma.sgn),
@@ -456,10 +443,11 @@ def _apply_records(table: GorensteinTable, ss: SSData
     broken = {i for key in errors for i in table.users[key]}
     for i in broken:
         plain = records[i]
-        # in _block_degrees order: the first bad block reports
-        note = next(str(errors[key])
-                    for key in _block_degrees(table.n, plain.degree)
-                    if key in errors)
+        # in translate order: the first bad block reports
+        note = next(str(errors[kind, gamma])
+                    for _power, kind, gamma
+                    in _translates(table.n, plain.degree, table.n)
+                    if (kind, gamma) in errors)
         records[i] = _new(DualityRecord, (plain.degree, (-1, -1), plain.dual,
                                           False, note))
     changed = delta.keys() | broken
@@ -480,7 +468,7 @@ def verify_gorenstein(n: int, window: Window,
     only the degrees over them and lists as mismatches, in record order,
     the table's outside those degrees and the re-summed ones that fail.
     The answers equal those of `gamma_groups` in tests/oracles.py, which
-    sums the blocks of _block_degrees degree by degree.  Inconsistent
+    sums the blocks of `blocks._translates` degree by degree.  Inconsistent
     differential data is recorded as a mismatch at the degree that
     exposes it, not raised.  Raises ValueError when ss is for another
     truncation.  When ss is None and no

@@ -48,17 +48,16 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .coefficients import (
-    DEFAULT_A_CAP, BasisEntry, InternalInconsistency, Monomial, _bump,
-    _first_a_exponent, _page_basis, _page_lattice, degree_monomials,
-    rank_summary, weight_tuples,
+    BasisEntry, InternalInconsistency, Monomial, _bump, _first_a_exponent,
+    _page_basis, _page_lattice, degree_monomials, rank_summary,
+    weight_tuples,
 )
 from .grading import ONE, Degree, Window, _new, record, v2
 
 _DEAD = "dead"
 
 
-def e2_basis(n: int | None, alpha: Degree,
-             a_cap: int = DEFAULT_A_CAP) -> list[Monomial]:
+def e2_basis(n: int | None, alpha: Degree, a_cap: int) -> list[Monomial]:
     """Monomials a^k u^l vbar^c of degree alpha with filtration k <= a_cap.
 
     Per degree the page has infinite rank (the vbar weight w is unbounded
@@ -204,7 +203,7 @@ class Page(NamedTuple):
 
 
 def run_differentials(n: int | None, window: Window,
-                      a_cap: int = DEFAULT_A_CAP) -> list[Page]:
+                      a_cap: int) -> list[Page]:
     """All pages of the spectral sequence over a degree window.
 
     Returns one Page per stable stretch E_{2^p} .. E_{2^(p+1)-1}; the last

@@ -13,7 +13,8 @@ scanning every record with `covers`; `e_infinity_basis_two_rounds`,
 `cell_listing_reference`,
 `e2_basis_reference`, `smith_normal_form_full_rescan`, `module_gens_uncached`,
 `vbar_matrix_reference`, `lc_oracle_dense` with its dense Koszul stages,
-`tower_group_fresh`), to check an optimised path against; `mult_map`
+`tail_tower` and `tower_group_fresh`, which rebuild BPR<m> from the ring
+one generator at a time), to check an optimised path against; `mult_map`
 builds the matrix of multiplication by a monomial between two degrees.
 `matrix` (row lists to `abelian.Matrix`, refusing ragged rows),
 `determinant` (exact, by Bareiss elimination) and `cokernel` (a presented
@@ -44,17 +45,16 @@ from realspectra.abelian import (CochainComplex, Matrix, PresGroup,
                                  f2_relations, hstack, map_is_surjective,
                                  zeros)
 from realspectra.blocks import (AssembledClass, TowerClass, _bbprime_diag_max,
-                                _unit_degree, action_matrix, assemble,
-                                bb_basis, nb_basis)
+                                _translates, _unit_degree, action_matrix,
+                                assemble, bb_basis, nb_basis)
 from realspectra.coefficients import (BasisEntry, InternalInconsistency,
                                       Monomial, QuotientIdeal,
                                       StabilizationFailure, UnknownExtension,
                                       _image_class, _page_lattice,
                                       rank_summary, tower_group,
                                       vbar_monomial, weight_tuples)
-from realspectra.duality import (_block_degrees, _block_value,
-                                 _quotient_weight, default_ssdata,
-                                 gorenstein_shift)
+from realspectra.duality import (_block_value, _quotient_weight,
+                                 default_ssdata, gorenstein_shift)
 from realspectra.grading import RHO, SIGMA, Degree, Window, record
 
 
@@ -333,7 +333,7 @@ def gamma_groups(n: int, ss, alpha: Degree,
     ss = default_ssdata(n) if ss is None else ss
     ss.check_height(n)
     free = f2 = 0
-    for kind, gamma in _block_degrees(n, alpha):
+    for _power, kind, gamma in _translates(n, alpha, n):
         if kind in parts:
             f, t = gamma_block(n, kind, gamma, ss)
             free += f
@@ -832,18 +832,75 @@ def lc_oracle_dense(mod, n: int, s: int, alpha: Degree):
         f"did not settle by stage {MAX_E}")
 
 
+# the floor of the tail route's a-exponent budget
+TAIL_FLOOR = 40
+
+
+def tail_stop(ideal, alpha: Degree) -> int:
+    """The last index the tail route kills at alpha: for a tail = 1 ideal,
+    the first index past every vbar weight and every a-annihilation within
+    an a-exponent budget of max(TAIL_FLOOR, the ring's provable bound at
+    alpha + 12); for a tail = 0 ideal, its last listed index."""
+    from realspectra.coefficients import _a_exponent_bound
+    if not ideal.tail:
+        return len(ideal.exponents)
+    a_budget = max(TAIL_FLOOR, _a_exponent_bound(alpha) + 12)
+    w = max((alpha.triv + alpha.sgn + a_budget) // 2, 0)
+    i = len(ideal.exponents) + 1
+    while 2 ** i - 1 <= w or 2 ** (i + 1) - 1 <= a_budget:
+        i += 1
+    return i
+
+
+def tail_steps(ideal, i_stop: int) -> tuple[tuple[int, int], ...]:
+    """The tail route's (index, exponent) steps through i_stop: the listed
+    powers, then, for a tail = 1 ideal, vbar_i for each i past the list."""
+    steps = [(i + 1, e) for i, e in enumerate(ideal.exponents) if e > 0]
+    if ideal.tail:
+        steps += [(i, 1) for i in range(len(ideal.exponents) + 1, i_stop + 1)]
+    return tuple(steps)
+
+
+def _shared_ring_tower(steps, alpha: Degree):
+    from realspectra.coefficients import _stage_group
+    g = _stage_group(None, steps, alpha)
+    return g, (g.sub_summary, g.quot_summary)
+
+
+def tail_tower(ideal, alpha: Degree, tower=_shared_ring_tower):
+    """coefficients.tower_group by the tail route, the certificate of its
+    BPR<m> base: the ring modulo the ideal's listed powers and, for a
+    tail = 1 ideal, vbar_i for every i past its list out to `tail_stop`.
+    The tower one index further must give the same group (its classes
+    when exact, its cokernel layer's ranks otherwise), or
+    StabilizationFailure is raised.  tower(steps, alpha) builds one
+    tower over the ring and returns its group and layer ranks; the
+    default reads the package's shared stages.  Returns (group, layers).
+    """
+    stop = tail_stop(ideal, alpha)
+    g, layers = tower(tail_steps(ideal, stop), alpha)
+    if ideal.tail:
+        g2, layers2 = tower(tail_steps(ideal, stop + 1), alpha)
+        if (g.exact, g.entries if g.exact else layers[0]) != \
+           (g2.exact, g2.entries if g2.exact else layers2[0]):
+            raise StabilizationFailure(
+                f"tail truncation unstable at {alpha}: index {stop} vs "
+                f"{stop + 1}")
+    return g, layers
+
+
 def tower_group_fresh(ideal, alpha: Degree):
-    """coefficients.tower_group with one memo per tower, as before towers
-    shared their stages: the towers at the tail stop and one index past it
-    each compute every stage from the basis up, and a stage builds all four
-    of its inputs before it asks whether each is a trusted basis.  The
+    """`tail_tower` with one memo per tower, as before towers shared their
+    stages: the towers at the tail stop and one index past it each compute
+    every stage from the ring's basis up, and a stage builds all four of
+    its inputs before it asks whether each is a trusted basis.  The
     per-stage cokernel and kernel layers are the package's.  Returns the
     group and its layers' (free, F_2) ranks, (sub, quot), summed here from
     the two layers a stage builds, not read off the group; (-1, -1) each on
     a stage built from an untrusted one."""
     from realspectra import coefficients as co
 
-    def tower(steps):
+    def tower(steps, alpha):
         memo = {}
 
         def group(stage, beta):
@@ -873,15 +930,7 @@ def tower_group_fresh(ideal, alpha: Degree):
 
         return group(len(steps), alpha)
 
-    stop = co._tail_stop(ideal, alpha)
-    g, layers = tower(ideal.steps_up_to(stop))
-    if ideal.tail:
-        g2, layers2 = tower(ideal.steps_up_to(stop + 1))
-        if (g.exact, g.entries if g.exact else layers[0]) != \
-           (g2.exact, g2.entries if g2.exact else layers2[0]):
-            raise co.StabilizationFailure(
-                f"tail truncation unstable at {alpha}: index {stop} vs {stop+1}")
-    return g, layers
+    return tail_tower(ideal, alpha, tower)
 
 
 def _product_class(e: BasisEntry, x: Monomial,

@@ -12,7 +12,7 @@ from realspectra.blocks import (
     lc_of_block, nb_basis, ref_degree,
 )
 from realspectra.cli import MAX_COORD, MAX_N
-from realspectra.coefficients import (BasisEntry, Monomial,
+from realspectra.coefficients import (BasisEntry, Monomial, QuotientIdeal,
                                       StabilizationFailure, UnknownExtension,
                                       group_in_degree, rank_summary,
                                       tower_group)
@@ -22,7 +22,7 @@ from realspectra.hfpss import (e_infinity_groups, geometric_cofibre_groups,
 from realspectra.localcoh import (dual_p, dual_pbar, ideal_z, p_module, pbar)
 
 from oracles import (bb_classes, borel_classes, cell_listing_reference,
-                     completion_comparison, gamma_a, truncation)
+                     completion_comparison, gamma_a, tail_tower, truncation)
 
 ONE = Degree(1, 0)
 
@@ -110,8 +110,8 @@ def test_assemble_groups_counts_the_assembled_classes():
                 rank_summary(c.entry for c in assemble(n, alpha)), (n, alpha)
 
 
-# degrees of [-16, 16]^2 whose truncation tower raises, by n: the towers
-# give up on these (an unresolved extension, a tail that does not settle)
+# degrees of [-16, 16]^2 whose tail route raises, by n: it gives up on
+# these (an unresolved extension, a tail that does not settle)
 _TRUNCATION_HOLES = {1: {"UnknownExtension": 180, "StabilizationFailure": 29},
                      2: {"UnknownExtension": 28, "StabilizationFailure": 9},
                      3: {"UnknownExtension": 1, "StabilizationFailure": 0}}
@@ -119,18 +119,50 @@ _TRUNCATION_HOLES = {1: {"UnknownExtension": 180, "StabilizationFailure": 29},
 
 @pytest.mark.parametrize("n", sorted(_TRUNCATION_HOLES))
 def test_truncation_towers_agree_with_the_descent_route(n):
-    # two independent routes to pi BPR<n>: the iterated-cofibre tower and
-    # the assembled blocks; every degree the tower answers agrees
+    # two independent routes to pi BPR<n>: the iterated-cofibre tower that
+    # kills vbar_(n+1), vbar_(n+2), ... in the ring, and the assembled
+    # blocks, which the towers of tail ideals start from; every degree the
+    # tail route answers agrees, and the towers answer every degree
     ideal = truncation(n)
     holes = {"UnknownExtension": 0, "StabilizationFailure": 0}
     for alpha in Window.square(16):
+        assert tower_group(ideal, alpha).summarize() == \
+            assemble_groups(n, alpha), alpha
         try:
-            got = tower_group(ideal, alpha).summarize()
+            got = tail_tower(ideal, alpha)[0].summarize()
         except (UnknownExtension, StabilizationFailure) as exc:
             holes[type(exc).__name__] += 1
             continue
         assert got == assemble_groups(n, alpha), alpha
     assert holes == _TRUNCATION_HOLES[n]
+
+
+# tail = 1 ideals: the truncations up to n = 3 and the boxed quotients of
+# BPR<1>, BPR<2> and BPR<3>
+_TAIL_IDEALS = tuple(QuotientIdeal(e, tail=1) for e in (
+    (), (0,), (0, 0), (0, 0, 0), (1,), (2,), (0, 1), (0, 3), (1, 2),
+    (2, 0, 3)))
+
+
+def test_towers_over_the_truncation_keep_every_tail_route_answer():
+    # wherever the tail route answers, the tower over BPR<m> answers the
+    # same group; (both answer, only the tower, neither) over the window
+    counts = [0, 0, 0]
+    for ideal in _TAIL_IDEALS:
+        for alpha in Window.square(16):
+            try:
+                want = tail_tower(ideal, alpha)[0].summarize()
+            except (UnknownExtension, StabilizationFailure):
+                want = None
+            try:
+                got = tower_group(ideal, alpha).summarize()
+            except UnknownExtension:
+                assert want is None, (ideal, alpha)
+                counts[2] += 1
+                continue
+            assert want in (None, got), (ideal, alpha)
+            counts[want is None] += 1
+    assert counts == [8161, 2388, 341]
 
 
 def test_assemble_rho_minus_one_vanishes():

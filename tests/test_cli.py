@@ -735,6 +735,25 @@ def test_rejected_argv_loads_no_compute_module(argv):
     assert fresh_process(argv) == (2, repr(LIGHT))
 
 
+def test_a_rho_line_below_the_bound_is_rejected_before_any_compute():
+    # the window's trivial minimum is the deepest rho line checked
+    window = f"{cli.MIN_RHO_LINE - 1}:0,0:0"
+    argv = ["verify", "--spectrum", "bpr", "--window", window]
+    assert fresh_process(argv) == (2, repr(LIGHT))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue() == (
+        f"error: verify --spectrum bpr checks rho lines down to k = "
+        f"{cli.MIN_RHO_LINE}, got {cli.MIN_RHO_LINE - 1}\n")
+    # the bound itself is accepted; no other command or spectrum reads it
+    for accepted in (argv[:-1] + [f"{cli.MIN_RHO_LINE}:0,0:0"],
+                     ["verify", "--n", "1", "--window", window],
+                     ["coeff", "--window", window]):
+        parsed = cli._build_parser().parse_args(cli._glue_window(accepted))
+        cli._config_from(parsed)   # raises no ConfigError
+
+
 def test_oracle_heights_are_the_catalogue_heights():
     from realspectra import cli, localcoh
     assert cli.ORACLE_HEIGHTS == tuple(localcoh.CATALOGUE)
@@ -750,11 +769,6 @@ def test_exit_1_failures_are_one_class_in_every_layer():
     assert hfpss.InternalInconsistency is coefficients.InternalInconsistency
     assert duality.InternalInconsistency is coefficients.InternalInconsistency
     assert duality.InconsistentSSData is coefficients.InconsistentSSData
-
-
-def test_default_caps_is_the_coefficient_default():
-    from realspectra import cli, coefficients
-    assert cli.DEFAULT_A_CAP == coefficients.DEFAULT_A_CAP
 
 
 def test_max_caps_is_the_largest_final_page_filtration_bound():

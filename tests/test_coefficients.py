@@ -458,17 +458,19 @@ def test_multiply_returns_tuples():
 
 
 def _stage_on(monkeypatch, below: dict) -> TowerGroup:
-    """The stage killing vbar_1 at degree 0, built on the hand-built groups
-    one stage down, keyed by degree (empty where none is given)."""
+    """The stage killing vbar_1 at degree 0 after a leading step, built on
+    the hand-built groups one stage down, keyed by degree (empty where
+    none is given).  Past the first step they are no base classes, whose
+    products the stage would check against the base."""
     build = coefficients._stage_group.__wrapped__
-    steps = ((1, 1),)
+    steps = ((2, 1), (1, 1))
 
-    def stage(st, beta):
-        return build(st, beta) if st == steps else \
+    def stage(top, st, beta):
+        return build(top, st, beta) if st == steps else \
             below.get(beta, TowerGroup((), (), True))
 
     monkeypatch.setattr(coefficients, "_stage_group", stage)
-    return build(steps, Degree(0, 0))
+    return build(None, steps, Degree(0, 0))
 
 
 class _Reads(dict):
@@ -514,6 +516,28 @@ def test_free_class_killed_on_the_cokernel_side_is_no_error(monkeypatch):
                   {Degree(0, 0) - RHO: TowerGroup((BasisEntry(ONE, 1, False),),
                                                   (), True)})
     assert g == TowerGroup((), (), True)
+
+
+def test_a_withheld_base_class_raises(monkeypatch):
+    # BPR<1> without v1 at rho: the first step's product 1 * v1 survives
+    # the final page but lands on no class of the base
+    from realspectra import blocks
+    full = blocks.assemble
+
+    def withheld(n, alpha):
+        return [c for c in full(n, alpha) if c.describe() != "v1"]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blocks, "assemble", withheld)
+        coefficients._stage_group.cache_clear()
+        try:
+            with pytest.raises(coefficients.InternalInconsistency,
+                               match="product v1 of v1 and 1 escapes"):
+                tower_group(QuotientIdeal((1,), tail=1), RHO)
+        finally:
+            coefficients._stage_group.cache_clear()
+    assert tower_group(QuotientIdeal((1,), tail=1), RHO).summarize() == \
+        (0, 0)
 
 
 # ---------------------------------------------------------------------------

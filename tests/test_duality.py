@@ -366,7 +366,7 @@ def test_table_pass_matches_per_degree_on_radius_48():
     ss = default_ssdata(2)
     # two d_2's asking for more F_2 than their ends have: bb at -8s holds
     # one, at 8-16s none; 32-40s, like every degree on that line from
-    # 16-24s up, sums over both, so the first in _block_degrees order,
+    # 16-24s up, sums over both, so the first in translate order,
     # 8-16s, must be the one it reports
     inconsistent = SSData(2, (
         Differential("bb", Degree(0, -8), Degree(-1, -8), rank=2),
@@ -562,8 +562,8 @@ def test_kappa_route_agrees_with_gamma_groups_on_the_rho_lines():
                 agree += 1
         agreeing.append(agree)
         raising.append(fail)
-    assert agreeing == [50, 49, 47, 46]
-    assert raising == [0, 1, 3, 4]
+    assert agreeing == [50, 50, 50, 50]
+    assert raising == [0, 0, 0, 0]
 
 
 def test_verify_quotient_duality_lines():
@@ -579,6 +579,11 @@ def test_verify_quotient_duality_lines():
         "full ring rho lines k in [-5, 5]: 22 degrees, 0 mismatches"
     assert summaries[2] == \
         "quotient (2,) tail=0 rho lines k in [-5, 5]: 22 degrees, 0 mismatches"
+    # the deeper lines of the ring, where the tail route did not settle
+    rep = verify_quotient_duality(QuotientIdeal(), -16, -13)
+    assert rep.summary == \
+        "full ring rho lines k in [-16, -13]: 8 degrees, 0 mismatches"
+    assert not rep.skipped
 
 
 def test_quotient_route_agrees_with_gorenstein_route():

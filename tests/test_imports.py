@@ -99,7 +99,7 @@ def test_the_check_sees_an_unread_import(tmp_path):
 KEPT_UNREACHED = {
     ("blocks", "action_matrix"):
         "the block action; the block check of the Koszul oracle and the "
-        "ER(1) colimit (ROADMAP items 2 and 5) read it",
+        "ER(1) colimit (ROADMAP items 3 and 6) read it",
     ("grading", "Window.square"):
         "perfbench/workloads.py builds its windows with it",
 }
